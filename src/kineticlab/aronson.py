@@ -16,6 +16,13 @@ piecewise Gauss-Legendre quadrature for the jump term), finds the
 threshold ``k*`` by bisection, checks the weighted energy decay in its
 kinetic and parabolic variants, and fits the polynomial / exponential
 decay envelopes of the fundamental solution.
+
+``barrier_residual`` and ``barrier_residual_parts`` take one phase point
+``z = (t, x, v)`` and return Python scalars, or an ``(N, 3)`` array of
+points and return arrays; both go through the same vectorized code, in
+which every point has seven quadrature segments (breakpoints clipped to
+the ball, empty segments weighted zero).  Kernels see flattened 1-D
+``t, x, v, w`` node arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 
 from .fundsol import FundamentalSolutionTable, peak_decay_exponent
 from .harnack import lower_bound_check
-from .kernels import KernelSpec
+from .kernels import KernelSpec, gauss_legendre
 from .solver import Trajectory
 
 __all__ = [
@@ -128,34 +135,24 @@ def barrier_region(p: BarrierParams, z) -> int:
 
 
 def _transport_term(p: BarrierParams, t, x, v, tie_rtol: float = 1e-7):
-    """Analytic transport derivative ``TH`` of the active branch.
+    """Analytic transport derivative ``TH`` of the active branch, per point.
 
     Returns ``(TH, tie)`` where ``tie`` marks points within relative
     tolerance of a branch kink (there the derivative is one-sided; a
     caller may fall back to finite differences).
     """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    t, x, v = np.broadcast_arrays(t, x, v)
     m, gv, gx = _multiplier(p, t, x, v)
-    H = np.exp(-m * p.log_factor(t))
-    delta = p.delta(t)
     L = p.log_factor(t)
-
+    H = np.exp(-m * L)
+    delta = p.delta(t)
+    u = x - p.y0 - (p.sigma + t - 2 * p.tau0) * p.w0
+    absu = np.abs(u)
+    # transport derivative of u along (d/dt + v d/dx) is (v - w0); the
+    # spatial branch is only active where u != 0
+    root = np.power(absu, -2 * p.s / (1 + 2 * p.s), out=np.zeros_like(absu), where=absu > 0)
+    dm = (1.0 / (3 * p.rho * (1 + 2 * p.s))) * root * np.sign(u) * (v - p.w0)
     core = (gv <= 1.0) & (gx <= 1.0)
-    vel = (~core) & (gv >= gx)
-    spa = (~core) & (gx > gv)
-
-    TH = np.zeros_like(t)
-    TH[core] = -p.k / p.rho ** (2 * p.s)
-    TH[vel] = -H[vel] * gv[vel] / delta[vel]
-    if np.any(spa):
-        u = x - p.y0 - (p.sigma + t - 2 * p.tau0) * p.w0
-        absu = np.abs(u)
-        # transport derivative of u along (d/dt + v d/dx) is (v - w0)
-        dm = (1.0 / (3 * p.rho * (1 + 2 * p.s))) * absu[spa] ** (-2 * p.s / (1 + 2 * p.s)) * np.sign(u[spa]) * (v[spa] - p.w0)
-        TH[spa] = -H[spa] * (gx[spa] / delta[spa] + L[spa] * dm)
+    TH = np.where(core, -p.k / p.rho ** (2 * p.s), np.where(gv >= gx, -H * gv / delta, -H * (gx / delta + L * dm)))
 
     # a kink only matters where the active branch could switch: at the
     # core boundary, or between the two growing branches
@@ -164,56 +161,85 @@ def _transport_term(p: BarrierParams, t, x, v, tie_rtol: float = 1e-7):
     return TH, tie
 
 
-def _sqrtH_of_w(p: BarrierParams, t, x, w):
-    m, _, _ = _multiplier(p, t, x, w)
-    return np.exp(-0.5 * m * p.log_factor(t))
+def _as_points(z):
+    """``(t, x, v, single)`` from one phase point or an ``(N, 3)`` array."""
+    Z = np.asarray(z, dtype=float)
+    if Z.shape[-1:] != (3,) or Z.ndim > 2:
+        raise ValueError("phase points must have shape (3,) or (N, 3)")
+    single = Z.ndim == 1
+    Z = Z.reshape(-1, 3)
+    return Z[:, 0], Z[:, 1], Z[:, 2], single
 
 
-def _jump_quadratic(p: BarrierParams, kspec: KernelSpec, t, x, v, quad_n: int = 24) -> float:
-    """``int_{B_rho(v)} (sqrt(H)(v) - sqrt(H)(w))^2 [K(v,w)+K(w,v)] dw``
-    by piecewise Gauss-Legendre with breakpoints at the branch kinks."""
+def _jump_quadratic(p: BarrierParams, kspec: KernelSpec, t, x, v, quad_n: int = 24):
+    """``int_{B_rho(v)} (sqrt(H)(v) - sqrt(H)(w))^2 [K(v,w)+K(w,v)] dw`` per
+    point, by piecewise Gauss-Legendre with breakpoints at the branch kinks.
+
+    The eight candidate breakpoints are clipped to ``[v - rho, v + rho]``
+    and sorted, so every point has seven segments; segments narrower than
+    1e-14 and nodes within 1e-12 of ``v`` get zero weight.
+    """
     rho = p.rho
-    mX = max(1.0, p.spatial_arg(t, x) ** (1.0 / (1 + 2 * p.s)) / (3 * rho))
-    pts = {v - rho, v + rho, v, p.w0, p.w0 - 3 * rho * mX, p.w0 + 3 * rho * mX, p.w0 - 2 * rho, p.w0 + 2 * rho}
-    brk = sorted(q for q in pts if v - rho <= q <= v + rho)
-    nodes, weights = np.polynomial.legendre.leggauss(quad_n)
-    sv = float(_sqrtH_of_w(p, t, x, v))
-    acc = 0.0
-    for a, b in zip(brk[:-1], brk[1:]):
-        if b - a < 1e-14:
-            continue
-        w = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        ww = 0.5 * (b - a) * weights
-        keep = np.abs(w - v) > 1e-12
-        w, ww = w[keep], ww[keep]
-        sw = _sqrtH_of_w(p, t, x, w)
-        Ks = np.asarray(kspec._eval(t, x, np.full_like(w, v), w), dtype=float)
-        Ks = Ks + np.asarray(kspec._eval(t, x, w, np.full_like(w, v)), dtype=float)
-        acc += float(np.sum((sv - sw) ** 2 * Ks * ww))
-    return acc
+    gx = p.spatial_arg(t, x) ** (1.0 / (1 + 2 * p.s)) / (3 * rho)
+    mX = np.maximum(1.0, gx)
+    lo, hi = v - rho, v + rho
+    w0 = np.full_like(v, p.w0)
+    cand = np.stack([lo, hi, v, w0, w0 - 3 * rho * mX, w0 + 3 * rho * mX, w0 - 2 * rho, w0 + 2 * rho], axis=1)
+    brk = np.sort(np.clip(cand, lo[:, None], hi[:, None]), axis=1)
+    a, b = brk[:, :-1, None], brk[:, 1:, None]  # (N, 7, 1)
+    nodes, weights = gauss_legendre(quad_n)
+    w = 0.5 * (b - a) * nodes + 0.5 * (a + b)  # (N, 7, quad_n)
+    v3 = v[:, None, None]
+    keep = (b - a >= 1e-14) & (np.abs(w - v3) > 1e-12)
+    ww = np.where(keep, 0.5 * (b - a) * weights, 0.0)
+    # dropped nodes are moved off the diagonal so the kernel stays finite
+    w = np.where(keep, w, v3 + rho)
+
+    # sqrt(H) at velocity w, with the spatial branch and log factor of each point
+    gx3, L3 = gx[:, None, None], p.log_factor(t)[:, None, None]
+
+    def sqrtH(vel):
+        return np.exp(-0.5 * np.maximum(1.0, np.maximum(np.abs(vel - p.w0) / (3 * rho), gx3)) * L3)
+
+    tt, xx, vv = (np.repeat(q, w.shape[1] * w.shape[2]) for q in (t, x, v))
+    wf = w.ravel()
+    Ks = np.asarray(kspec._eval(tt, xx, vv, wf), dtype=float) + np.asarray(kspec._eval(tt, xx, wf, vv), dtype=float)
+    quad = (sqrtH(v3) - sqrtH(w)) ** 2 * Ks.reshape(w.shape) * ww
+    return quad.sum(axis=2).sum(axis=1)
 
 
 def barrier_residual_parts(p: BarrierParams, kspec: KernelSpec, z, quad_n: int = 24):
-    """Return ``(TH, I, tie)`` so that the residual is ``TH + c I``."""
-    t, x, v = float(z[0]), float(z[1]), float(z[2])
-    TH, tie = _transport_term(p, np.array(t), np.array(x), np.array(v))
+    """Return ``(TH, I, tie)`` so that the residual is ``TH + c I``.
+
+    ``z`` is one phase point ``(t, x, v)`` (floats and a bool come back)
+    or an ``(N, 3)`` array of points (arrays come back).
+    """
+    t, x, v, single = _as_points(z)
+    TH, tie = _transport_term(p, t, x, v)
     I = _jump_quadratic(p, kspec, t, x, v, quad_n)
-    return float(TH), I, bool(tie)
+    if single:
+        return float(TH[0]), float(I[0]), bool(tie[0])
+    return TH, I, tie
 
 
-def barrier_residual(p: BarrierParams, kspec: KernelSpec, z, c: float = 2.0, quad_n: int = 24) -> float:
-    """Supersolution residual; nonpositive residuals certify the barrier."""
-    TH, I, tie = barrier_residual_parts(p, kspec, z, quad_n)
-    if tie:
+def barrier_residual(p: BarrierParams, kspec: KernelSpec, z, c: float = 2.0, quad_n: int = 24):
+    """Supersolution residual; nonpositive residuals certify the barrier.
+
+    A float for one phase point ``z = (t, x, v)``, an array of length N
+    for an ``(N, 3)`` array of points.
+    """
+    t, x, v, single = _as_points(z)
+    TH, tie = _transport_term(p, t, x, v)
+    if np.any(tie):
         # one-sided derivative at a kink: fall back to a flow-aligned
         # finite difference of H
-        t, x, v = float(z[0]), float(z[1]), float(z[2])
         h = 1e-7 * max(p.sigma - p.tau0, 1e-12)
-        tp, tm = min(t + h, p.sigma), max(t - h, p.tau0)
+        tp, tm = np.minimum(t + h, p.sigma), np.maximum(t - h, p.tau0)
         Hp = barrier_values(p, tp, x + (tp - t) * v, v)
         Hm = barrier_values(p, tm, x + (tm - t) * v, v)
-        TH = float((Hp - Hm) / (tp - tm))
-    return TH + c * I
+        TH = np.where(tie, (Hp - Hm) / (tp - tm), TH)
+    res = TH + c * _jump_quadratic(p, kspec, t, x, v, quad_n)
+    return float(res[0]) if single else res
 
 
 def region_samples(p: BarrierParams, n_per_region: int, rng: np.random.Generator):
@@ -273,8 +299,7 @@ def k_threshold(
     def residuals(k: float):
         p = BarrierParams(rho=rho, k=k, tau0=tau0, sigma=tau0 + rho ** (2 * s) / (4 * k), y0=y0, w0=w0, s=s)
         zs = region_samples(p, n_per_region, np.random.default_rng(seed))
-        res = [barrier_residual(p, kspec, z, c) for z in zs]
-        return np.asarray(res), zs
+        return barrier_residual(p, kspec, np.asarray(zs), c), zs
 
     def feasible(k: float):
         res, zs = residuals(k)

@@ -59,7 +59,7 @@ class ConfigError(Exception):
 
 
 def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
+    if isinstance(o, (np.floating, np.integer, np.bool_)):
         return o.item()
     if isinstance(o, np.ndarray):
         return o.tolist()

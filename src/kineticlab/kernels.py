@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -30,6 +31,7 @@ __all__ = [
     "TimeSpaceModulated",
     "CustomKernel",
     "frac_normalization",
+    "gauss_legendre",
     "kernel_eval",
     "kernel_scale",
     "check_symmetry",
@@ -48,6 +50,15 @@ def frac_normalization(d: int, s: float) -> float:
     For ``d = 1, s = 1/2`` this is ``1/pi``.
     """
     return 4.0**s * _gamma(d / 2 + s) * s / (math.pi ** (d / 2) * _gamma(1 - s))
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per ``n``."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -69,8 +80,9 @@ class EllipticityParams:
 class KernelSpec:
     """Base class for jump kernels; subclasses implement ``_eval``.
 
-    Evaluation is vectorized over ``w``.  ``v == w`` is a singularity
-    and rejected for scalar arguments.
+    Evaluation is vectorized over ``v`` and ``w``; the batched barrier
+    residual also passes ``t`` and ``x`` as 1-D arrays of the same length.
+    ``v == w`` is a singularity and rejected for scalar arguments.
     """
 
     s: float
@@ -109,7 +121,8 @@ class FractionalLaplacian(KernelSpec):
     d: int = 1
 
     def _eval(self, t, x, v, w):
-        dist = np.linalg.norm(np.atleast_1d(v - w), axis=0) if np.ndim(v - w) > 1 else np.abs(v - w)
+        # d > 1 stacks the components on the leading axis
+        dist = np.abs(v - w) if self.d == 1 else np.linalg.norm(v - w, axis=0)
         return self.c * dist ** -(self.d + 2 * self.s)
 
     def one_sided_tail(self, v, dist, t=0.0, x=0.0, side=+1):

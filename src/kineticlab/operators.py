@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PhaseField, PhaseGrid, PowerLawEnvelope, ZeroExtension  # noqa: F401
-from .kernels import FractionalLaplacian, KernelSpec
+from .kernels import FractionalLaplacian, KernelSpec, gauss_legendre
 
 __all__ = [
     "OperatorMatrix",
@@ -41,7 +41,7 @@ def _singular_moment(k: KernelSpec, v_axis: np.ndarray, h: float, t: float, x: f
     if isinstance(k, FractionalLaplacian):
         val = 2.0 * k.c * h ** (2 - 2 * k.s) / (2 - 2 * k.s)
         return np.full(v_axis.shape, val)
-    nodes, weights = np.polynomial.legendre.leggauss(12)
+    nodes, weights = gauss_legendre(12)
     u = 0.5 * h * (nodes + 1.0)
     w = 0.5 * h * weights
     out = np.zeros_like(v_axis)

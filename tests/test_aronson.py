@@ -20,7 +20,7 @@ from kineticlab.aronson import (
     region_samples,
     rho_choice,
 )
-from kineticlab.kernels import FractionalLaplacian, normalized_fractional
+from kineticlab.kernels import CustomKernel, FractionalLaplacian, normalized_fractional
 
 S = 0.5
 
@@ -109,6 +109,89 @@ class TestResidual:
         assert math.isfinite(r)
 
 
+def _jump_quadratic_reference(p, kspec, t, x, v, quad_n=24):
+    """One point at a time, one Gauss-Legendre pass per breakpoint segment."""
+    rho = p.rho
+    mX = max(1.0, float(p.spatial_arg(t, x)) ** (1.0 / (1 + 2 * p.s)) / (3 * rho))
+    pts = {v - rho, v + rho, v, p.w0, p.w0 - 3 * rho * mX, p.w0 + 3 * rho * mX, p.w0 - 2 * rho, p.w0 + 2 * rho}
+    brk = sorted(q for q in pts if v - rho <= q <= v + rho)
+    nodes, weights = np.polynomial.legendre.leggauss(quad_n)
+    sv = math.sqrt(float(barrier_values(p, t, x, v)))
+    acc = 0.0
+    for a, b in zip(brk[:-1], brk[1:]):
+        if b - a < 1e-14:
+            continue
+        w = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+        ww = 0.5 * (b - a) * weights
+        keep = np.abs(w - v) > 1e-12
+        w, ww = w[keep], ww[keep]
+        sw = np.sqrt(barrier_values(p, t, x, w))
+        Ks = kspec._eval(t, x, np.full_like(w, v), w) + kspec._eval(t, x, w, np.full_like(w, v))
+        acc += float(np.sum((sv - sw) ** 2 * Ks * ww))
+    return acc
+
+
+class TestBatchedResidual:
+    def _batch(self, p):
+        # all six regions, plus a kink point |v - w0| = 3 rho in the same batch
+        zs = region_samples(p, 4, np.random.default_rng(3))
+        t = 0.5 * (p.tau0 + p.sigma)
+        x0 = p.y0 + (p.sigma + t - 2 * p.tau0) * p.w0
+        return np.array(zs + [(t, x0, p.w0 + 3.0 * p.rho)])
+
+    @pytest.mark.parametrize("modulated", [False, True])
+    def test_batch_matches_point_loop(self, modulated):
+        p = _params()
+        k = base = normalized_fractional(S)
+        if modulated:
+            # (t, x)-dependent and asymmetric: each node must see its own point
+            k = CustomKernel(lambda t, x, v, w: (1.5 + np.cos(3 * x + t) * np.tanh(w)) * base._eval(t, x, v, w), s=S)
+        Z = self._batch(p)
+        assert {barrier_region(p, z) for z in Z} == {1, 2, 3, 4, 5, 6}
+        res = barrier_residual(p, k, Z, c=2.0)
+        assert isinstance(res, np.ndarray) and res.shape == (len(Z),)
+        np.testing.assert_allclose(res, [barrier_residual(p, k, z, c=2.0) for z in Z], rtol=1e-13, atol=1e-15)
+        TH, I, tie = barrier_residual_parts(p, k, Z)
+        assert tie[-1] and not tie[:-1].any()
+        loop = [barrier_residual_parts(p, k, z) for z in Z]
+        np.testing.assert_allclose(TH, [a for a, _, _ in loop], rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(I, [b for _, b, _ in loop], rtol=1e-13, atol=1e-15)
+        ref = [_jump_quadratic_reference(p, k, *z) for z in Z]
+        np.testing.assert_allclose(I, ref, rtol=1e-12, atol=1e-15)
+
+    def test_ties_in_batch_use_flow_difference(self):
+        # the velocity/spatial tie gv = gx = 2 is a kink where the analytic
+        # branch derivative is one-sided; the core point is not a tie
+        p = _params()
+        k = normalized_fractional(S)
+        t = 0.5 * (p.tau0 + p.sigma)
+        x0 = p.y0 + (p.sigma + t - 2 * p.tau0) * p.w0
+        v = p.w0 + 6.0 * p.rho
+        Z = np.array([(t, x0 + (6.0 * p.rho) ** (1 + 2 * S), v), (t, x0, p.w0)])
+        TH, I, tie = barrier_residual_parts(p, k, Z)
+        assert tie.tolist() == [True, False]
+        h = 1e-7 * (p.sigma - p.tau0)
+        tz, xz, vz = Z.T
+        fd = (barrier_values(p, tz + h, xz + h * vz, vz) - barrier_values(p, tz - h, xz - h * vz, vz)) / (2 * h)
+        assert abs(TH[0] - fd[0]) > 1e-3 * abs(fd[0])
+        res = barrier_residual(p, k, Z, c=2.0)
+        assert res[0] == pytest.approx(fd[0] + 2.0 * I[0], rel=1e-8)  # step roundoff
+        assert res[1] == TH[1] + 2.0 * I[1]
+
+    def test_single_point_returns_python_scalars(self):
+        p = _params()
+        k = normalized_fractional(S)
+        z = tuple(self._batch(p)[0])
+        assert type(barrier_residual(p, k, z)) is float
+        TH, I, tie = barrier_residual_parts(p, k, z)
+        assert (type(TH), type(I), type(tie)) == (float, float, bool)
+
+    def test_rejects_bad_shape(self):
+        p = _params()
+        with pytest.raises(ValueError):
+            barrier_residual(p, normalized_fractional(S), np.zeros((4, 2)))
+
+
 class TestThreshold:
     def test_normalized_kernel_feasible_at_one(self):
         rep = k_threshold(1.0, 0.1, 0.0, 0.0, S, normalized_fractional(S), c=2.0, n_per_region=8, seed=0)
@@ -121,6 +204,8 @@ class TestThreshold:
         rep = k_threshold(1.0, 0.1, 0.0, 0.0, S, strong, c=2.0, n_per_region=6, seed=0)
         assert rep["k_star"] > 1.0
         assert math.isfinite(rep["k_star"])
+        # the threshold found by the earlier per-point residual loop
+        assert rep["k_star"] == pytest.approx(1.8817948740835462, rel=1e-12)
 
 
 class TestEnergy:

@@ -1,6 +1,7 @@
 """Experiment runner: subcommands, exit codes, manifests, determinism."""
 
 import json
+import math
 import os
 
 import pytest
@@ -40,6 +41,17 @@ class TestSubcommands:
         with open(tmp_path / "e" / "ellipticity.json") as fh:
             rep = json.load(fh)
         assert rep["symmetry"]["pass"]
+
+    def test_ellipticity_fit(self, tmp_path):
+        code = main(["ellipticity", "--fit", "--out", str(tmp_path / "e")])
+        assert code == 0
+        with open(tmp_path / "e" / "ellipticity.json") as fh:
+            rep = json.load(fh)
+        # np.bool_ verdicts serialize as JSON booleans; the normalized kernel
+        # is 1/pi times the unit Gagliardo kernel on both quadrature sides
+        assert isinstance(rep["coercivity"]["pass"], bool)
+        assert rep["coercivity"]["fitted_constant"] == pytest.approx(1 / math.pi, rel=1e-9)
+        assert "ellipticity.json" in _manifest(tmp_path / "e")["outputs"]
 
     def test_harnack_strong(self, tmp_path):
         code = main([

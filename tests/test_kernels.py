@@ -16,6 +16,7 @@ from kineticlab.kernels import (
     check_symmetry,
     check_upper_bound,
     frac_normalization,
+    gauss_legendre,
     kernel_eval,
     kernel_from_config,
     kernel_scale,
@@ -60,6 +61,26 @@ class TestFractionalKernel:
         k = FractionalLaplacian(c=1.3, s=s)
         quad = FractionalLaplacian.__mro__[1].one_sided_tail(k, 0.0, r)
         assert k.one_sided_tail(0.0, r) == pytest.approx(quad, rel=1e-3)
+
+    def test_multi_dimensional_distance(self):
+        # d > 1 stacks components on the leading axis; d = 1 arrays of any
+        # rank are taken elementwise
+        k2 = FractionalLaplacian(c=1.0, s=0.5, d=2)
+        v = np.zeros((2, 3))
+        w = np.array([[3.0, 0.0, 1.0], [4.0, 2.0, 0.0]])
+        np.testing.assert_allclose(k2._eval(0.0, 0.0, v, w), np.array([5.0, 2.0, 1.0]) ** -3.0)
+        k1 = FractionalLaplacian(c=1.0, s=0.5)
+        W = np.array([[1.0, 2.0], [4.0, 0.5]])
+        np.testing.assert_allclose(k1._eval(0.0, 0.0, np.zeros_like(W), W), W**-2.0)
+
+
+class TestGaussLegendre:
+    def test_cached_and_read_only(self):
+        nodes, weights = gauss_legendre(12)
+        assert gauss_legendre(12)[0] is nodes
+        assert weights.sum() == pytest.approx(2.0, rel=1e-14)
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
 
 
 class TestScaling:

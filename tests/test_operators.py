@@ -5,8 +5,9 @@ import pytest
 
 from kineticlab.fields import PhaseField, PhaseGrid, PowerLawEnvelope, ZeroExtension
 from kineticlab.geometry import PhasePoint
-from kineticlab.kernels import FractionalLaplacian, normalized_fractional
+from kineticlab.kernels import FractionalLaplacian, SymmetricPerturbation, normalized_fractional
 from kineticlab.operators import (
+    _singular_moment,
     assemble_operator_matrix,
     cutoff_apply,
     nonlocal_apply,
@@ -51,6 +52,38 @@ class TestSymbol:
         op = assemble_operator_matrix(k, grid, torus=True)
         off = op.matrix - np.diag(np.diag(op.matrix))
         assert np.max(np.abs(off - off.T)) == 0.0
+
+
+class TestGenericKernelPath:
+    """A perturbation with ``a == 1`` must reproduce its base kernel: the
+    generic quadrature paths against the fractional closed forms."""
+
+    def _pair(self):
+        base = normalized_fractional(S)
+        return base, SymmetricPerturbation(base=base, multiplier=lambda v, w: np.ones_like(v + w))
+
+    def test_singular_moment(self):
+        base, unit = self._pair()
+        v_axis = _vgrid(64, 4.0).v_axis
+        h = 0.5 * (v_axis[1] - v_axis[0])
+        want = _singular_moment(base, v_axis, h, 0.0, 0.0)
+        got = _singular_moment(unit, v_axis, h, 0.0, 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_assembled_operator(self):
+        base, unit = self._pair()
+        grid = _vgrid(64, 4.0)
+        cut = {"rho": 2.0}  # no far field: every entry is kernel or moment
+        np.testing.assert_allclose(
+            assemble_operator_matrix(unit, grid, **cut).matrix,
+            assemble_operator_matrix(base, grid, **cut).matrix,
+            rtol=1e-12, atol=1e-12,
+        )
+        # the far-field leak of the generic path is a quadrature of the closed form
+        full_unit = assemble_operator_matrix(unit, grid)
+        full_base = assemble_operator_matrix(base, grid)
+        np.testing.assert_allclose(full_unit.leak, full_base.leak, rtol=1e-4)
+        np.testing.assert_allclose(full_unit.matrix, full_base.matrix, rtol=1e-4, atol=1e-12)
 
 
 class TestCutoffAndTail:
