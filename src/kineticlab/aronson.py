@@ -171,9 +171,27 @@ def _as_points(z):
     return Z[:, 0], Z[:, 1], Z[:, 2], single
 
 
+# Points per block of ``_jump_quadratic``: a block holds several arrays
+# of 7 * quad_n nodes per point, so blocking bounds the memory of a large
+# batch (about 10 MB per block at quad_n = 24).
+_JUMP_BLOCK = 1024
+
+
 def _jump_quadratic(p: BarrierParams, kspec: KernelSpec, t, x, v, quad_n: int = 24):
     """``int_{B_rho(v)} (sqrt(H)(v) - sqrt(H)(w))^2 [K(v,w)+K(w,v)] dw`` per
     point, by piecewise Gauss-Legendre with breakpoints at the branch kinks.
+
+    Points are integrated in blocks of ``_JUMP_BLOCK``; each point's value
+    does not depend on the blocking.
+    """
+    if len(v) <= _JUMP_BLOCK:
+        return _jump_block(p, kspec, t, x, v, quad_n)
+    blocks = (slice(i, i + _JUMP_BLOCK) for i in range(0, len(v), _JUMP_BLOCK))
+    return np.concatenate([_jump_block(p, kspec, t[b], x[b], v[b], quad_n) for b in blocks])
+
+
+def _jump_block(p: BarrierParams, kspec: KernelSpec, t, x, v, quad_n: int):
+    """``_jump_quadratic`` on one block of points.
 
     The eight candidate breakpoints are clipped to ``[v - rho, v + rho]``
     and sorted, so every point has seven segments; segments narrower than

@@ -444,7 +444,7 @@ def main(argv=None) -> int:
     try:
         args.func(args, em)
         em.finish()
-    except (ConfigError, ValueError, TypeError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, np.linalg.LinAlgError, ArithmeticError) as exc:

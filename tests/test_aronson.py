@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kineticlab import aronson
 from kineticlab.aronson import (
     BarrierParams,
     aronson_energy_check,
@@ -158,6 +159,17 @@ class TestBatchedResidual:
         np.testing.assert_allclose(I, [b for _, b, _ in loop], rtol=1e-13, atol=1e-15)
         ref = [_jump_quadratic_reference(p, k, *z) for z in Z]
         np.testing.assert_allclose(I, ref, rtol=1e-12, atol=1e-15)
+
+    def test_blocked_batch_is_bit_identical(self):
+        # N straddles a block boundary; the last block holds 3 points
+        p = _params()
+        k = normalized_fractional(S)
+        n = aronson._JUMP_BLOCK + 3
+        zs = np.array(region_samples(p, -(-n // 6), np.random.default_rng(5))[:n])
+        t, x, v = zs.T
+        blocked = aronson._jump_quadratic(p, k, t, x, v)
+        np.testing.assert_array_equal(blocked, aronson._jump_block(p, k, t, x, v, 24))
+        np.testing.assert_array_equal(barrier_residual_parts(p, k, zs)[1], blocked)
 
     def test_ties_in_batch_use_flow_difference(self):
         # the velocity/spatial tie gv = gx = 2 is a kink where the analytic

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from kineticlab import cli
 from kineticlab.cli import main
 
 
@@ -116,6 +117,14 @@ class TestExitCodes:
 
     def test_bad_flag_is_usage_error(self, tmp_path):
         assert main(["fundsol", "--frequency", "12"]) == 2
+
+    def test_internal_type_error_is_not_config_error(self, tmp_path, monkeypatch):
+        def broken(args, em):
+            raise TypeError("internal bug")
+
+        monkeypatch.setattr(cli, "_run_fundsol", broken)
+        with pytest.raises(TypeError, match="internal bug"):
+            main(["fundsol", "--out", str(tmp_path / "x")])
 
 
 class TestDeterminism:

@@ -1,14 +1,21 @@
 """Split-step solver: schemes, conservation, diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
-from kineticlab.fields import PhaseField, PhaseGrid, ZeroExtension
+from kineticlab.fields import PhaseField, PhaseGrid, PowerLawEnvelope, ZeroExtension
 from kineticlab.kernels import normalized_fractional
+from kineticlab.operators import assemble_operator_matrix
 from kineticlab.solver import (
     SolverConfig,
+    _transport_phase,
+    collision_propagator,
     mollified_delta,
     solve,
+    step_collision,
     step_transport,
     trajectory_field,
 )
@@ -27,6 +34,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, steps=1, save_every=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            SolverConfig(dt=bad, steps=1)
+        with pytest.raises(ValueError, match="must be finite"):
+            SolverConfig(dt=0.1, steps=1, t_freeze=bad)
+
 
 class TestTransportStep:
     def test_exact_shift_of_plane_wave(self):
@@ -44,6 +58,51 @@ class TestTransportStep:
         rngf = np.random.default_rng(3).random((g.nx, g.nv))
         out = step_transport(rngf, 0.2, g)
         assert out.sum() == pytest.approx(rngf.sum(), rel=1e-12)
+
+
+    def test_matches_complex_fft_shift(self):
+        g = PhaseGrid(nt=1, nx=48, nv=10, x_period=6.0, v_extent=3.0)
+        f = np.random.default_rng(7).standard_normal((g.nx, g.nv))
+        dt = 0.23
+        phi = 2 * np.pi * np.fft.fftfreq(g.nx, d=g.dx)
+        want = np.fft.ifft(np.fft.fft(f, axis=0) * np.exp(-1j * phi[:, None] * dt * g.v_axis[None, :]), axis=0).real
+        np.testing.assert_allclose(step_transport(f, dt, g), want, rtol=0, atol=1e-14 * np.abs(f).max())
+
+    def test_phase_cached_read_only(self):
+        g = PhaseGrid(nt=1, nx=16, nv=4, x_period=2.0, v_extent=1.0)
+        phase = _transport_phase(g, 0.1)
+        assert phase is _transport_phase(PhaseGrid(nt=1, nx=16, nv=4, x_period=2.0, v_extent=1.0), 0.1)
+        assert phase.shape == (g.nx // 2 + 1, g.nv)
+        with pytest.raises(ValueError):
+            phase[0, 0] = 0.0
+
+
+class TestCollisionPropagator:
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit", "cn"])
+    def test_matches_lu_reference(self, scheme):
+        g = PhaseGrid(nt=1, nx=8, nv=32, x_period=4.0, v_extent=4.0)
+        op = assemble_operator_matrix(normalized_fractional(S), g, closure=PowerLawEnvelope(0.05, 2.0), torus=False)
+        assert np.abs(op.gain).max() > 0
+        A, gain, eye, dt = op.matrix, op.gain, np.eye(g.nv), 0.05
+        if scheme == "explicit":
+            M_ref, b_ref = eye + dt * A, dt * gain
+        else:
+            theta = 1.0 if scheme == "implicit" else 0.5
+            lu = lu_factor(eye - theta * dt * A)
+            M_ref, b_ref = lu_solve(lu, eye + (1 - theta) * dt * A), lu_solve(lu, dt * gain)
+        M, b = collision_propagator(op, dt, scheme)
+        assert np.abs(M - M_ref).max() <= 1e-13 * np.abs(M_ref).max()
+        assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
+
+        f = np.random.default_rng(1).random((g.nx, g.nv))
+        if scheme == "explicit":
+            want = f + dt * (f @ A.T + gain)
+        elif scheme == "implicit":
+            want = lu_solve(lu, (f + dt * gain).T).T
+        else:
+            want = lu_solve(lu, (f + 0.5 * dt * (f @ A.T) + dt * gain).T).T
+        for got in (step_collision(f, dt, op, scheme), step_collision(f, dt, op, scheme, (M, b))):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestMollifier:
