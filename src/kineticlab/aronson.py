@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fundsol import FundamentalSolutionTable, peak_decay_exponent
-from .harnack import lower_bound_check
+from .harnack import _eval_window, lower_bound_check
 from .kernels import KernelSpec, gauss_legendre
 from .solver import Trajectory
 
@@ -433,17 +433,6 @@ class DecayEnvelope:
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "s": self.s, "d": self.d, "constant": self.constant, "extra": self.extra}
-
-
-def _eval_window(tab: FundamentalSolutionTable, n: int = 129):
-    """Fixed kinetically-scaled evaluation lattice, independent of the
-    table resolution, so refinement measures table accuracy only."""
-    s, t = tab.s, tab.t
-    xs = 4.0 * t ** ((1 + 2 * s) / (2 * s)) * np.linspace(-1, 1, n)
-    vs = 8.0 * t ** (1.0 / (2 * s)) * np.linspace(-1, 1, n)
-    X, V = np.meshgrid(xs, vs, indexing="ij")
-    J = tab.sample(X.ravel(), V.ravel()).reshape(X.shape)
-    return X, V, J
 
 
 def _upper_envelope(tab: FundamentalSolutionTable, exponent: float, X, V):

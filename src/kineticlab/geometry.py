@@ -33,7 +33,6 @@ __all__ = [
     "galilean_inverse",
     "kinetic_scale_point",
     "make_cylinder",
-    "cylinder_contains",
 ]
 
 
@@ -248,7 +247,3 @@ class KineticCylinder:
 def make_cylinder(center: PhasePoint, r: float, s: float, kind: CylinderKind) -> KineticCylinder:
     """Construct a cylinder; ``r`` is the base radius (see KineticCylinder)."""
     return KineticCylinder(center, float(r), float(s), kind)
-
-
-def cylinder_contains(c: KineticCylinder, z: PhasePoint) -> bool:
-    return c.contains(z)

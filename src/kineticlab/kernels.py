@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 __all__ = [
     "EllipticityParams",
@@ -32,7 +31,6 @@ __all__ = [
     "CustomKernel",
     "frac_normalization",
     "gauss_legendre",
-    "kernel_eval",
     "kernel_scale",
     "check_symmetry",
     "check_upper_bound",
@@ -49,7 +47,7 @@ def frac_normalization(d: int, s: float) -> float:
     ``C(d, s) = 4^s Gamma(d/2 + s) s / (pi^{d/2} Gamma(1 - s))``.
     For ``d = 1, s = 1/2`` this is ``1/pi``.
     """
-    return 4.0**s * _gamma(d / 2 + s) * s / (math.pi ** (d / 2) * _gamma(1 - s))
+    return 4.0**s * math.gamma(d / 2 + s) * s / (math.pi ** (d / 2) * math.gamma(1 - s))
 
 
 @lru_cache(maxsize=None)
@@ -77,6 +75,14 @@ class EllipticityParams:
             raise ValueError("dimension must be >= 1")
 
 
+# The far-field quadrature of ``KernelSpec.one_sided_tail``: node count,
+# cut-off (in units of the start distance) and points per block.  A block
+# holds a few arrays of _TAIL_BLOCK * _TAIL_NODES floats (about 256 kB each).
+_TAIL_NODES = 2000
+_TAIL_CUT = 1e4
+_TAIL_BLOCK = 16
+
+
 class KernelSpec:
     """Base class for jump kernels; subclasses implement ``_eval``.
 
@@ -99,15 +105,32 @@ class KernelSpec:
             raise ValueError("kernel is singular at v = w")
         return float(self._eval(t, x, np.asarray(v, float), np.asarray(w, float)))
 
-    # one-sided tail integral over {w > v + dist} in d = 1; used by the
-    # far-field closures.  Subclasses override when a closed form exists.
-    def one_sided_tail(self, v: float, dist: float, t: float = 0.0, x: float = 0.0, side: int = +1) -> float:
-        u = np.geomspace(dist, dist * 1e6, 4000)
-        w = v + side * u
-        vals = self._eval(t, x, np.full_like(w, v), w)
-        return float(np.trapezoid(vals, u))
+    def one_sided_tail(self, v, dist, t=0.0, x=0.0, side: int = +1, weight=None):
+        """One-sided far field ``int_dist^inf K(t, x, v, v + side u) weight(v + side u) du``
+        (d = 1), vectorized over broadcastable ``v, dist, t, x``.
 
-    def tail_mass(self, v: float, r: float, t: float = 0.0, x: float = 0.0) -> float:
+        ``weight`` is an optional far-field envelope ``weight(w)``.  The
+        integral is a trapezoid rule on ``_TAIL_NODES`` log-spaced nodes up
+        to ``_TAIL_CUT * dist`` plus the remainder of a power law
+        ``u^{-(1+2s)}`` matched at the cut, taken in blocks of
+        ``_TAIL_BLOCK`` points.  Scalar inputs give a float.
+        """
+        v, dist, t, x = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (v, dist, t, x)))
+        shape = v.shape
+        v, dist, t, x = (a.reshape(-1, 1) for a in (v, dist, t, x))
+        q = np.geomspace(1.0, _TAIL_CUT, _TAIL_NODES)
+        out = np.empty(v.shape[0])
+        for i in range(0, len(out), _TAIL_BLOCK):
+            b = slice(i, i + _TAIL_BLOCK)
+            u = dist[b] * q
+            w = v[b] + side * u
+            vals = np.asarray(self._eval(t[b], x[b], np.broadcast_to(v[b], w.shape), w), dtype=float)
+            if weight is not None:
+                vals = vals * weight(w)
+            out[b] = np.trapezoid(vals, u, axis=1) + vals[:, -1] * u[:, -1] / (2 * self.s)
+        return float(out[0]) if shape == () else out.reshape(shape)
+
+    def tail_mass(self, v, r, t=0.0, x=0.0):
         """Two-sided tail ``int_{|w - v| > r} K(v, w) dw`` (d = 1)."""
         return self.one_sided_tail(v, r, t, x, +1) + self.one_sided_tail(v, r, t, x, -1)
 
@@ -125,12 +148,13 @@ class FractionalLaplacian(KernelSpec):
         dist = np.abs(v - w) if self.d == 1 else np.linalg.norm(v - w, axis=0)
         return self.c * dist ** -(self.d + 2 * self.s)
 
-    def one_sided_tail(self, v, dist, t=0.0, x=0.0, side=+1):
+    def one_sided_tail(self, v, dist, t=0.0, x=0.0, side=+1, weight=None):
+        if weight is not None:
+            return super().one_sided_tail(v, dist, t, x, side, weight)
         # int_dist^inf c u^{-(1+2s)} du = c dist^{-2s} / (2s)   (d = 1)
-        return self.c * dist ** (-2 * self.s) / (2 * self.s)
-
-    def tail_mass(self, v, r, t=0.0, x=0.0):
-        return self.c * r ** (-2 * self.s) / self.s
+        shape = np.broadcast_shapes(*map(np.shape, (v, dist, t, x)))
+        tail = self.c * np.asarray(dist, dtype=float) ** (-2 * self.s) / (2 * self.s)
+        return float(tail) if shape == () else np.broadcast_to(tail, shape).copy()
 
 
 def normalized_fractional(s: float, d: int = 1) -> FractionalLaplacian:
@@ -161,11 +185,6 @@ class SymmetricPerturbation(KernelSpec):
     def _eval(self, t, x, v, w):
         return self._a(v, w) * self.base._eval(t, x, v, w)
 
-    def tail_mass(self, v, r, t=0.0, x=0.0):
-        # quadrature on [r, r * 1e6] for both sides; the multiplier is
-        # bounded so the base closed form sandwiches the remainder.
-        return super().tail_mass(v, r, t, x)
-
 
 @dataclass(frozen=True)
 class TimeSpaceModulated(KernelSpec):
@@ -187,11 +206,8 @@ class TimeSpaceModulated(KernelSpec):
     def _eval(self, t, x, v, w):
         return self.modulation(t, x) * self.inner._eval(t, x, v, w)
 
-    def tail_mass(self, v, r, t=0.0, x=0.0):
-        return self.modulation(t, x) * self.inner.tail_mass(v, r, t, x)
-
-    def one_sided_tail(self, v, dist, t=0.0, x=0.0, side=+1):
-        return self.modulation(t, x) * self.inner.one_sided_tail(v, dist, t, x, side)
+    def one_sided_tail(self, v, dist, t=0.0, x=0.0, side=+1, weight=None):
+        return self.modulation(t, x) * self.inner.one_sided_tail(v, dist, t, x, side, weight)
 
 
 @dataclass(frozen=True)
@@ -202,11 +218,6 @@ class CustomKernel(KernelSpec):
 
     def _eval(self, t, x, v, w):
         return self.evaluator(t, x, v, w)
-
-
-def kernel_eval(k: KernelSpec, t, x, v, w):
-    """Evaluate ``K(t, x, v, w)``; raises on the diagonal ``v == w``."""
-    return k.eval_point(t, x, v, w)
 
 
 @dataclass(frozen=True)
@@ -226,12 +237,6 @@ class _ScaledKernel(KernelSpec):
         r, s, d = self.r, self.inner.s, self.inner.d
         return r ** (d + 2 * s) * self.inner._eval(
             r ** (2 * s) * t, r ** (1 + 2 * s) * x, r * np.asarray(v), r * np.asarray(w)
-        )
-
-    def one_sided_tail(self, v, dist, t=0.0, x=0.0, side=+1):
-        r, s = self.r, self.inner.s
-        return r ** (2 * s) * self.inner.one_sided_tail(
-            r * v, r * dist, r ** (2 * s) * t, r ** (1 + 2 * s) * x, side
         )
 
 
@@ -273,26 +278,6 @@ def check_symmetry(k: KernelSpec, samples: int = 256, tol: float = 1e-12, seed: 
     }
 
 
-def _tail_integral(k: KernelSpec, v: float, r: float, n: int = 2000) -> float:
-    """Two-sided tail by log-spaced quadrature plus the closed-form or
-    power-law remainder supplied by the spec."""
-    cut = r * 1e4
-    out = 0.0
-    for side in (+1, -1):
-        u = np.geomspace(r, cut, n)
-        w = v + side * u
-        vals = np.asarray(k._eval(0.0, 0.0, np.full_like(w, v), w), dtype=float)
-        out += float(np.trapezoid(vals, u))
-        out += _power_law_remainder(vals[-1], cut, k.s)
-    return out
-
-
-def _power_law_remainder(value_at_cut: float, cut: float, s: float) -> float:
-    # extrapolate K ~ A u^{-(1+2s)} beyond the quadrature range
-    A = value_at_cut * cut ** (1 + 2 * s)
-    return A * cut ** (-2 * s) / (2 * s)
-
-
 def check_upper_bound(k: KernelSpec, radii=None, points=None, tol: float = 0.05) -> dict:
     """Fit the smallest ``Lambda0`` with ``tail(v, r) <= Lambda0 r^{-2s}``."""
     if radii is None:
@@ -301,16 +286,11 @@ def check_upper_bound(k: KernelSpec, radii=None, points=None, tol: float = 0.05)
         points = [0.0, 0.7, -1.3]
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
-    fits = []
-    for v in points:
-        for r in radii:
-            if isinstance(k, FractionalLaplacian):
-                tail = k.tail_mass(v, r)
-            else:
-                tail = _tail_integral(k, v, r)
-            if not math.isfinite(tail):
-                raise ValueError("non-integrable kernel tail")
-            fits.append(tail * r ** (2 * k.s))
+    r = np.asarray(radii, dtype=float)
+    tail = k.tail_mass(np.asarray(points, dtype=float)[:, None], r)
+    if not np.all(np.isfinite(tail)):
+        raise ValueError("non-integrable kernel tail")
+    fits = (tail * r ** (2 * k.s)).ravel().tolist()
     fitted = max(fits)
     return {
         "kernel": type(k).__name__,
@@ -346,7 +326,7 @@ def check_coercivity(k: KernelSpec, test_functions=None, tol: float = 0.05, lamb
     """Smallest ratio of energy form to ``lambda0`` times the Gagliardo form.
 
     Both sides use the identical symmetrized double quadrature over the
-    box (diagonal cells excluded) plus analytic tail corrections for
+    box (diagonal cells excluded) plus far-field tail corrections for
     the part where one argument leaves the box.
     """
     if test_functions is None:
@@ -362,27 +342,23 @@ def check_coercivity(k: KernelSpec, test_functions=None, tol: float = 0.05, lamb
     GVW = np.zeros((n, n))
     GVW[off] = ref._eval(0.0, 0.0, V[off], W[off])
 
+    # tail correction: each phi vanishes outside the grid box, so the
+    # exterior contribution is phi(v)^2 * tail(v, dist to edge), twice by
+    # symmetry of the double integral.  The tails are taken once, on the
+    # joint support of the family (the edge node at distance 0 is outside it).
+    P = np.array([phi(grid) for _, phi in test_functions])
+    sup = np.any(P != 0.0, axis=0)
+    v = grid[sup]
+    up, down = grid[-1] + h - v, v - grid[0]
+    t_lhs = (k.one_sided_tail(v, up, side=+1) + k.one_sided_tail(v, down, side=-1)) * h
+    t_rhs = (ref.one_sided_tail(v, up, side=+1) + ref.one_sided_tail(v, down, side=-1)) * h
+
     ratios = {}
     skipped = []
-    for name, phi in test_functions:
-        pv = phi(grid)
+    for (name, _), pv in zip(test_functions, P):
         diff2 = (pv[:, None] - pv[None, :]) ** 2
-        lhs = float(np.sum(diff2 * KVW) * h * h)
-        rhs = float(np.sum(diff2 * GVW) * h * h)
-        # tail correction: phi vanishes outside the grid box, so the
-        # exterior contribution is phi(v)^2 * tail(v, dist to edge), twice
-        # by symmetry of the double integral.
-        edge = grid[-1] + h
-        lo = grid[0]
-        t_lhs = t_rhs = 0.0
-        for i, v in enumerate(grid):
-            if pv[i] == 0.0:
-                continue
-            up, down = edge - v, v - lo
-            t_lhs += pv[i] ** 2 * (k.one_sided_tail(v, up, side=+1) + k.one_sided_tail(v, down, side=-1)) * h
-            t_rhs += pv[i] ** 2 * (ref.one_sided_tail(v, up, side=+1) + ref.one_sided_tail(v, down, side=-1)) * h
-        lhs += 2 * t_lhs
-        rhs += 2 * t_rhs
+        lhs = float(np.sum(diff2 * KVW) * h * h) + 2 * float(pv[sup] ** 2 @ t_lhs)
+        rhs = float(np.sum(diff2 * GVW) * h * h) + 2 * float(pv[sup] ** 2 @ t_rhs)
         if rhs == 0.0:
             skipped.append(name)
             continue
@@ -426,19 +402,24 @@ def kernel_from_config(text: str) -> KernelSpec:
         key, _, value = line.partition("=")
         pairs[key.strip()] = value.strip()
     kind = pairs.get("kind", "fractional")
-    s = float(pairs["s"])
-    d = int(pairs.get("d", 1))
+
+    def number(key: str) -> float:
+        if key not in pairs:
+            raise ValueError(f"kernel config of kind {kind!r} needs the key {key!r}")
+        return float(pairs[key])
+
+    if kind not in ("fractional", "perturbed"):
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    s = number("s")
+    base = FractionalLaplacian(c=number("c"), s=s, d=int(pairs.get("d", 1)))
     if kind == "fractional":
-        return FractionalLaplacian(c=float(pairs["c"]), s=s, d=d)
-    if kind == "perturbed":
-        a_min, a_max = float(pairs["a_min"]), float(pairs["a_max"])
-        mid = 0.5 * (a_min + a_max)
-        amp = 0.5 * (a_max - a_min)
-        base = FractionalLaplacian(c=float(pairs["c"]), s=s, d=d)
-        return SymmetricPerturbation(
-            base=base,
-            multiplier=lambda v, w: mid + amp * np.cos(v + w),
-            a_min=a_min,
-            a_max=a_max,
-        )
-    raise ValueError(f"unknown kernel kind {kind!r}")
+        return base
+    a_min, a_max = number("a_min"), number("a_max")
+    mid = 0.5 * (a_min + a_max)
+    amp = 0.5 * (a_max - a_min)
+    return SymmetricPerturbation(
+        base=base,
+        multiplier=lambda v, w: mid + amp * np.cos(v + w),
+        a_min=a_min,
+        a_max=a_max,
+    )

@@ -10,6 +10,11 @@ the singular cell excluded, a Taylor correction for the excluded cell
 kernel), and a far-field contribution from the declared closure.  The
 same pieces assemble into a dense velocity-operator matrix whose rows
 annihilate constants up to the far-field leak.
+
+Every integral beyond the velocity box (the exterior loss and gain, the
+torus leak, the cutoff remainder and the tail functional) is one
+vectorized call per side of ``KernelSpec.one_sided_tail``, the single
+far-field quadrature; a closure enters as its ``weight``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ __all__ = [
     "assemble_operator_matrix",
     "nonlocal_apply",
     "nonlocal_profile",
-    "cutoff_apply",
     "tail_functional",
     "transport_apply",
 ]
@@ -55,22 +59,12 @@ def _singular_moment(k: KernelSpec, v_axis: np.ndarray, h: float, t: float, x: f
 def _exterior_terms(k: KernelSpec, closure, v_axis: np.ndarray, lo: float, hi: float, t: float, x: float):
     """Per-node far-field pieces ``(gain_i, loss_i)`` so that the closure
     contributes ``gain_i - f(v_i) * loss_i`` to ``L f(v_i)``."""
-    loss = np.array([
-        k.one_sided_tail(v, hi - v, t, x, +1) + k.one_sided_tail(v, v - lo, t, x, -1)
-        for v in v_axis
-    ])
+    up, down = hi - v_axis, v_axis - lo
+    loss = k.one_sided_tail(v_axis, up, t, x, +1) + k.one_sided_tail(v_axis, down, t, x, -1)
     if isinstance(closure, ZeroExtension):
-        gain = np.zeros_like(v_axis)
-        return gain, loss
-    gain = np.zeros_like(v_axis)
-    for i, v in enumerate(v_axis):
-        acc = 0.0
-        for sgn, dist in ((+1, hi - v), (-1, v - lo)):
-            u = np.geomspace(dist, dist * 1e5, 800)
-            w = v + sgn * u
-            vals = np.asarray(k._eval(t, x, np.full_like(w, v), w), dtype=float)
-            acc += float(np.trapezoid(vals * closure.envelope(w), u))
-        gain[i] = acc
+        return np.zeros_like(v_axis), loss
+    env = closure.envelope
+    gain = k.one_sided_tail(v_axis, up, t, x, +1, env) + k.one_sided_tail(v_axis, down, t, x, -1, env)
     return gain, loss
 
 
@@ -168,10 +162,7 @@ def assemble_operator_matrix(
         # and tracked as leak (their gain part is negligible for fields
         # that are localized well inside the box).
         gain = np.zeros(nv)
-        leak = np.array([
-            k.one_sided_tail(v, grid.v_extent, t, x, +1) + k.one_sided_tail(v, grid.v_extent, t, x, -1)
-            for v in v_axis
-        ])
+        leak = k.tail_mass(v_axis, grid.v_extent, t, x)
         A[idx, idx] -= leak
     elif torus or rho is not None:
         gain = np.zeros(nv)
@@ -218,25 +209,18 @@ def nonlocal_apply(k: KernelSpec, f: PhaseField, z, rho: float | None = None) ->
     if rho is None:
         return float(out[iv])
     # the cutoff operator never sees the far field, but jumps beyond the
-    # box within |u| < rho still need the closure
+    # box within |u| < rho still need the closure: the tail from the box
+    # edge minus the tail from rho
     lo, hi = g.v_axis[0] - g.dv / 2, g.v_axis[-1] + g.dv / 2
-    v = g.v_axis[iv]
+    v, t, x = g.v_axis[iv], z.t, float(z.x[0])
     extra = 0.0
-    for sgn, dist in ((+1, hi - v), (-1, v - lo)):
+    for side, dist in ((+1, hi - v), (-1, v - lo)):
         if rho > dist:
-            u = np.linspace(dist, rho, 400)
-            w = v + sgn * u
-            vals = np.asarray(k._eval(z.t, float(z.x[0]), np.full_like(w, v), w), dtype=float)
-            env = f.farfield.envelope(w)
-            extra += float(np.trapezoid((env - prof[iv]) * vals, u))
+            d = np.array([dist, rho])
+            gain = k.one_sided_tail(v, d, t, x, side, f.farfield.envelope)
+            loss = k.one_sided_tail(v, d, t, x, side)
+            extra += float(gain[0] - gain[1] - prof[iv] * (loss[0] - loss[1]))
     return float(out[iv]) + extra
-
-
-def cutoff_apply(k: KernelSpec, rho: float, f: PhaseField, z) -> float:
-    """Jump operator restricted to ``|w - v| < rho``."""
-    if rho <= 0:
-        raise ValueError("cutoff radius must be positive")
-    return nonlocal_apply(k, f, z, rho=rho)
 
 
 def tail_functional(
@@ -262,19 +246,12 @@ def tail_functional(
     fw = f.sample(t, x, v_axis[mask])
     Kw = np.asarray(k._eval(t, x, np.full(mask.sum(), v), v_axis[mask]), dtype=float)
     out = float(np.sum(fw * Kw) * g.dv)
-    # far field beyond the velocity box
+    # far field beyond the velocity box and outside the ball, each side
+    # starting at the farther of the two edges
     lo, hi = v_axis[0] - g.dv / 2, v_axis[-1] + g.dv / 2
-    for sgn, dist in ((+1, max(hi - v, R - (v - v0))), (-1, max(v - lo, R + (v - v0)))):
-        u = np.geomspace(max(dist, 1e-12), max(dist, 1e-12) * 1e5, 600)
-        w = v + sgn * u
-        outside_box = (w >= hi) | (w < lo)
-        outside_ball = np.abs(w - v0) > R
-        sel = outside_box & outside_ball
-        if not np.any(sel):
-            continue
-        vals = np.asarray(k._eval(t, x, np.full_like(w[sel], v), w[sel]), dtype=float)
-        out += float(np.trapezoid(vals * f.farfield.envelope(w[sel]), u[sel]))
-    return out
+    env = f.farfield.envelope
+    up, down = max(hi - v, R - (v - v0)), max(v - lo, R + (v - v0))
+    return out + k.one_sided_tail(v, up, t, x, +1, env) + k.one_sided_tail(v, down, t, x, -1, env)
 
 
 def transport_apply(f: PhaseField, z, with_flag: bool = False):

@@ -44,7 +44,7 @@ class SolverConfig:
     """Time-stepping parameters.
 
     ``scheme`` is "explicit" (forward Euler), "implicit" (backward
-    Euler) or "cn" (trapezoidal; second order and unconditionally
+    Euler) or "cn" (Crank-Nicolson; second order and unconditionally
     stable, the default).  ``torus=True`` closes the velocity box
     periodically; jumps longer than half the period are removed on the
     diagonal as a small leak.  Otherwise mass leaks through the far

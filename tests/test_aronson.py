@@ -268,7 +268,8 @@ class TestEnvelopes:
             assert rep.constant > 0
             # the fitted constant makes the envelope a true upper bound on
             # the evaluation window by construction
-            from kineticlab.aronson import _eval_window, _upper_envelope
+            from kineticlab.aronson import _upper_envelope
+            from kineticlab.harnack import _eval_window
 
             X, V, J = _eval_window(tab256)
             env = rep.constant * _upper_envelope(tab256, rep.extra["bracket_exponent"], X, V)

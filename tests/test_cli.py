@@ -112,6 +112,13 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    def test_kernel_config_missing_key(self, tmp_path, capsys):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("kind = fractional\nc = 0.3\n")
+        code = main(["ellipticity", "--kernel-config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "'s'" in capsys.readouterr().err
+
     def test_meyers_needs_api(self, tmp_path):
         assert main(["aronson", "--out", str(tmp_path / "x"), "meyers"]) == 2
 

@@ -12,7 +12,6 @@ from kineticlab.geometry import (
     GalileanElement,
     KineticCylinder,
     PhasePoint,
-    cylinder_contains,
     galilean_compose,
     galilean_inverse,
     kinetic_scale_point,
@@ -111,8 +110,8 @@ class TestCylinders:
         dt = -0.005
         on_flow = _pt(dt, dt * v0, v0)
         off_flow = _pt(dt, dt * v0 + 0.5, v0)
-        assert cylinder_contains(c, on_flow)
-        assert not cylinder_contains(c, off_flow)
+        assert c.contains(on_flow)
+        assert not c.contains(off_flow)
 
     def test_strict_ball_half_open_time(self):
         c = make_cylinder(_pt(0.0, 0.0, 0.0), 0.5, 0.5, CylinderKind.CURRENT)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kineticlab.geometry import PhasePoint
+from kineticlab.geometry import CylinderKind, PhasePoint, make_cylinder
 from kineticlab.harnack import (
     AnalyticField,
     degiorgi_trace,
@@ -18,6 +18,7 @@ from kineticlab.harnack import (
     tail_bound_ratio,
     weak_harnack_ratio,
 )
+from kineticlab.kernels import SymmetricPerturbation
 
 S = 0.5
 Z0 = PhasePoint(0.0, 0.0, 0.0)
@@ -78,6 +79,28 @@ class TestL1Linf:
         assert math.isnan(rep.ratio)
 
 
+def _tail_lhs_loop(f, k, z0, R, l, nodes):
+    """Reference: the level-set tail of ``tail_bound_ratio`` node by node."""
+    g, v0 = f.grid, float(z0.v[0])
+    T, X, V, w = make_cylinder(z0, R / 2, S, CylinderKind.CURRENT).nodes(*nodes)
+    v_far = g.v_axis[np.abs(g.v_axis - v0) > R]
+    lo, hi = g.v_axis[0] - g.dv / 2, g.v_axis[-1] + g.dv / 2
+
+    def env(ww):
+        return np.clip(f.farfield.envelope(ww) - l, 0.0, None)
+
+    lhs = 0.0
+    for t, x, v in zip(T, X, V):
+        if f.sample(t, x, v) <= l:
+            continue
+        fw = np.clip(f.sample(t, x, v_far) - l, 0.0, None)
+        acc = np.sum(fw * k._eval(t, x, np.full(v_far.shape, v), v_far)) * g.dv
+        acc += k.one_sided_tail(v, max(hi - v, R - (v - v0)), t, x, +1, env)
+        acc += k.one_sided_tail(v, max(v - lo, R + (v - v0)), t, x, -1, env)
+        lhs += acc * w
+    return lhs
+
+
 class TestTailBound:
     def test_requires_gridded_field(self):
         with pytest.raises(TypeError):
@@ -95,6 +118,18 @@ class TestTailBound:
         _, field = solver_run
         with pytest.raises(ValueError):
             tail_bound_ratio(field, frac_kernel, Z0, 0.5, l=-1.0)
+
+    @pytest.mark.parametrize("kernel", ["fractional", "perturbed"])
+    def test_matches_per_node_loop(self, solver_run, frac_kernel, kernel):
+        # the blocked, vectorized tail equals one loop iteration per node,
+        # with more upper-level-set nodes than one block
+        _, field = solver_run
+        k = frac_kernel if kernel == "fractional" else SymmetricPerturbation(
+            base=frac_kernel, multiplier=lambda v, w: 1.0 + 0.5 * np.cos(v + w), a_min=0.5, a_max=1.5)
+        z = PhasePoint(1.0, 0.0, 0.3)
+        for level in (0.0, float(np.median(field.values))):
+            rep = tail_bound_ratio(field, k, z, 0.5, l=level, s=S, nodes=(6, 6, 6))
+            assert rep.params["lhs"] == pytest.approx(_tail_lhs_loop(field, k, z, 0.5, level, (6, 6, 6)), rel=1e-12)
 
 
 class TestDeGiorgi:

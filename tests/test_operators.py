@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from kineticlab.fields import PhaseField, PhaseGrid, PowerLawEnvelope, ZeroExtension
 from kineticlab.geometry import PhasePoint
@@ -9,7 +10,6 @@ from kineticlab.kernels import FractionalLaplacian, SymmetricPerturbation, norma
 from kineticlab.operators import (
     _singular_moment,
     assemble_operator_matrix,
-    cutoff_apply,
     nonlocal_apply,
     nonlocal_profile,
     tail_functional,
@@ -101,7 +101,7 @@ class TestCutoffAndTail:
         z = PhasePoint(g.t0, 0.0, 0.0)
         rho = 3.0
         full = nonlocal_apply(k, f, z)
-        cut = cutoff_apply(k, rho, f, z)
+        cut = nonlocal_apply(k, f, z, rho=rho)
         f0 = float(f.values[0, 0, g.nv // 2])
         # full = cut + [gain beyond rho (~0)] - f(0) * tail(rho)
         assert full - cut == pytest.approx(-f0 * k.tail_mass(0.0, rho), rel=2e-2)
@@ -110,7 +110,38 @@ class TestCutoffAndTail:
         k = FractionalLaplacian(c=1.0, s=S)
         f, g = self._field(lambda v: np.exp(-(v**2)))
         with pytest.raises(ValueError):
-            cutoff_apply(k, -1.0, f, PhasePoint(g.t0, 0.0, 0.0))
+            nonlocal_apply(k, f, PhasePoint(g.t0, 0.0, 0.0), rho=-1.0)
+
+    def test_cutoff_remainder_beyond_box(self):
+        # rho reaches past the box edge: the closure between the edge and
+        # rho enters as the tail from the edge minus the tail from rho
+        k = FractionalLaplacian(c=1.0, s=S)
+        env = PowerLawEnvelope(amplitude=0.05, exponent=2.0)
+        f, g = self._field(lambda v: np.exp(-(v**2)), nv=64, v_extent=4.0, farfield=env)
+        iv = 40
+        z = PhasePoint(g.t0, 0.0, g.v_axis[iv])
+        rho = 6.0
+        got = nonlocal_apply(k, f, z, rho=rho) - nonlocal_profile(k, f.values[0, 0], g, closure=env, rho=rho)[iv]
+        v, f0 = g.v_axis[iv], f.values[0, 0, iv]
+        want = 0.0
+        for side, dist in ((+1, g.v_axis[-1] + g.dv / 2 - v), (-1, v - g.v_axis[0] + g.dv / 2)):
+            want += quad(lambda u: (env.envelope(v + side * u) - f0) * u ** (-1 - 2 * S), dist, rho)[0]
+        assert got == pytest.approx(want, rel=1e-4)
+
+    def test_exterior_gain_against_quad(self):
+        # the closure's gain per node: int of K times the envelope beyond each box edge
+        k = FractionalLaplacian(c=1.0, s=S)
+        env = PowerLawEnvelope(amplitude=0.05, exponent=2.0)
+        grid = _vgrid(32, 4.0)
+        op = assemble_operator_matrix(k, grid, closure=env)
+        lo, hi = grid.v_axis[0] - grid.dv / 2, grid.v_axis[-1] + grid.dv / 2
+        for i in (0, 9, 16, 31):
+            v = grid.v_axis[i]
+            want = sum(
+                quad(lambda u: env.envelope(v + side * u) * u ** (-1 - 2 * S), dist, np.inf)[0]
+                for side, dist in ((+1, hi - v), (-1, v - lo))
+            )
+            assert op.gain[i] == pytest.approx(want, rel=1e-4)
 
     def test_tail_functional_constant_field(self):
         # f = 1 inside the box with matching far field: the tail integral
