@@ -456,7 +456,7 @@ def decay_envelope_check(
     ring = max(abs(tab.meta.get("ringing", 0.0)), 1e-300)
     if kind == "NashOnDiag":
         ts = np.geomspace(tab.t / 10.0, tab.t, t_decade)
-        vals = np.array([float(tab.sample(0.0, 0.0, t=float(t))) * t**beta for t in ts])
+        vals = tab.sample(0.0, 0.0, t=ts) * ts**beta
         return DecayEnvelope(
             kind=kind,
             s=s,

@@ -21,6 +21,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -67,24 +68,41 @@ def _json_default(o):
 
 
 class Emitter:
-    """Deterministic output writer with a manifest."""
+    """Deterministic output writer with a manifest.
+
+    The output directory is created on the first write, so a run that
+    fails validation leaves none.  Each file is written to a temporary
+    name in that directory and renamed into place, so no output is ever
+    left half-written.
+    """
 
     def __init__(self, out_dir: str, config_text: str):
         self.out_dir = out_dir
         self.files: list[str] = []
         self.config_text = config_text
-        os.makedirs(out_dir, exist_ok=True)
+
+    @contextlib.contextmanager
+    def _writer(self, name: str):
+        os.makedirs(self.out_dir, exist_ok=True)
+        path = os.path.join(self.out_dir, name)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
 
     def json(self, name: str, obj) -> None:
-        path = os.path.join(self.out_dir, name)
-        with open(path, "w") as fh:
+        with self._writer(name) as fh:
             json.dump(obj, fh, sort_keys=True, indent=2, default=_json_default)
             fh.write("\n")
         self.files.append(name)
 
     def csv(self, name: str, header: list[str], rows) -> None:
-        path = os.path.join(self.out_dir, name)
-        with open(path, "w") as fh:
+        with self._writer(name) as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(repr(float(c)) if isinstance(c, (int, float, np.floating)) else str(c) for c in row) + "\n")
@@ -103,8 +121,7 @@ class Emitter:
             "version": __version__,
             "outputs": inventory,
         }
-        path = os.path.join(self.out_dir, "manifest.json")
-        with open(path, "w") as fh:
+        with self._writer("manifest.json") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")
 

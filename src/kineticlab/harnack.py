@@ -64,15 +64,9 @@ def fundamental_field(tab: FundamentalSolutionTable, t_offset: float = 1.0) -> A
         t, x, v = np.broadcast_arrays(t, x, v)
         out = np.zeros_like(t)
         tt = t + t_offset
-        ok = tt > 0
+        ok = (tt > 0) & (tt < np.inf)  # J vanishes as t -> inf
         if np.any(ok):
-            # per-time evaluation (the self-similar rescaling depends on t)
-            vals = np.empty(ok.sum())
-            tv, xv, vv = tt[ok].ravel(), x[ok].ravel(), v[ok].ravel()
-            for tu in np.unique(tv):
-                m = tv == tu
-                vals[m] = tab.sample(xv[m], vv[m], t=float(tu))
-            out[ok] = vals
+            out[ok] = tab.sample(x[ok], v[ok], t=tt[ok])
         return out
 
     return AnalyticField(fn)

@@ -3,10 +3,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from kineticlab import cli
+import kineticlab
+from kineticlab import cli, fundsol
 from kineticlab.cli import main
 
 
@@ -125,6 +129,25 @@ class TestExitCodes:
     def test_bad_flag_is_usage_error(self, tmp_path):
         assert main(["fundsol", "--frequency", "12"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["fundsol", "--t", "nan"],
+        ["fundsol", "--t", "inf"],
+        ["fundsol", "--t", "0"],
+        ["harnack", "lower", "--t", "nan"],
+        ["aronson", "envelope", "--t", "-1"],
+    ])
+    def test_bad_table_time_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
+        assert "t must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_table_mass_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        x_axis, v_axis, vals, meta = fundsol._unit_profile(128, 0.5)
+        monkeypatch.setattr(fundsol, "_unit_profile", lambda *a: (x_axis, v_axis, np.full_like(vals, np.nan), meta))
+        assert main(["fundsol", "--n-freq", "128", "--out", str(tmp_path / "x")]) == 3
+        assert "mass deficit" in capsys.readouterr().err
+
     def test_internal_type_error_is_not_config_error(self, tmp_path, monkeypatch):
         def broken(args, em):
             raise TypeError("internal bug")
@@ -132,6 +155,35 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_run_fundsol", broken)
         with pytest.raises(TypeError, match="internal bug"):
             main(["fundsol", "--out", str(tmp_path / "x")])
+
+
+class TestEmitter:
+    def test_config_error_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["fundsol", "--s", "1.5", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_success_leaves_no_temporary_file(self, tmp_path):
+        out = tmp_path / "f"
+        assert main(["fundsol", "--n-freq", "128", "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["fundsol.json", "manifest.json"]
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        em = cli.Emitter(str(tmp_path / "w"), "")
+        em.json("good.json", {"a": 1})
+        with pytest.raises(TypeError):
+            em.json("bad.json", {"a": object()})
+        assert os.listdir(tmp_path / "w") == ["good.json"]
+        assert em.files == ["good.json"]
+
+
+class TestColdStart:
+    def test_cli_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kineticlab.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, kineticlab.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "[]"
 
 
 class TestDeterminism:

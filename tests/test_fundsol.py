@@ -1,12 +1,18 @@
 """Explicit fundamental solution: symbol, tables, composition, Duhamel."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RectBivariateSpline
 
+from kineticlab import fundsol
+from kineticlab.aronson import decay_envelope_check
 from kineticlab.fields import PhaseGrid
 from kineticlab.fundsol import (
+    FundamentalSolutionTable,
     chapman_kolmogorov_residual,
     duhamel_solve,
     j0_hat,
@@ -15,6 +21,7 @@ from kineticlab.fundsol import (
     modified_convolution,
     peak_decay_exponent,
 )
+from kineticlab.harnack import fundamental_field
 
 S = 0.5
 
@@ -78,6 +85,152 @@ class TestTable:
     def test_rejects_bad_time(self):
         with pytest.raises(ValueError):
             j0_table(-1.0, S)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_time_rejected(self, tab256, t):
+        with pytest.raises(ValueError, match="finite and positive"):
+            j0_table(t, S, n_freq=128)
+        with pytest.raises(ValueError, match="finite and positive"):
+            tab256.at_time(t)
+        with pytest.raises(ValueError, match="finite and positive"):
+            tab256.sample(0.0, 0.0, t=t)
+        with pytest.raises(ValueError, match="finite and positive"):
+            tab256.sample(np.zeros(3), 0.0, t=np.array([1.0, t, 2.0]))
+
+    def test_nan_mass_is_a_numerical_failure(self, monkeypatch):
+        x_axis, v_axis, vals, meta = fundsol._unit_profile(128, S)
+        monkeypatch.setattr(fundsol, "_unit_profile", lambda *a: (x_axis, v_axis, np.full_like(vals, np.nan), meta))
+        with pytest.raises(RuntimeError, match="mass deficit"):
+            j0_table(1.0, S, n_freq=128)
+
+
+def _reference_spline(tab):
+    """FITPACK's interpolating bicubic on the table's unit-time axes."""
+    st = tab.t ** (1 + 1 / (2 * tab.s))
+    sv = tab.t ** (1 / (2 * tab.s))
+    unit = tab.values * tab.t ** peak_decay_exponent(tab.s, tab.d)
+    spline = RectBivariateSpline(tab.x_axis / st, tab.v_axis / sv, unit, kx=3, ky=3)
+    return lambda x, v: tab.t ** -peak_decay_exponent(tab.s, tab.d) * spline.ev(x / st, v / sv)
+
+
+def _box_edges(tab, n=101):
+    x0, x1 = tab.x_axis[0], tab.x_axis[-1]
+    v0, v1 = tab.v_axis[0], tab.v_axis[-1]
+    xs = np.linspace(x0, x1, n)
+    vs = np.linspace(v0, v1, n)
+    x = np.concatenate([xs, xs, np.full(n, x0), np.full(n, x1), [x0, x0, x1, x1]])
+    v = np.concatenate([np.full(n, v0), np.full(n, v1), vs, vs, [v0, v1, v0, v1]])
+    return x, v
+
+
+class TestSampler:
+    """The numpy not-a-knot sampler against FITPACK's ``RectBivariateSpline``."""
+
+    def _assert_matches(self, tab, x, v):
+        ref = _reference_spline(tab)(x, v)
+        got = tab.sample(x, v)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(tab.values))
+
+    def test_random_interior_points(self, tab256):
+        rng = np.random.default_rng(1)
+        x = rng.uniform(tab256.x_axis[0], tab256.x_axis[-1], 20000)
+        v = rng.uniform(tab256.v_axis[0], tab256.v_axis[-1], 20000)
+        self._assert_matches(tab256, x, v)
+
+    def test_table_nodes(self, tab256):
+        X, V = np.meshgrid(tab256.x_axis, tab256.v_axis, indexing="ij")
+        self._assert_matches(tab256, X.ravel(), V.ravel())
+        got = tab256.sample(X, V)
+        assert np.max(np.abs(got - tab256.values)) <= 1e-12 * tab256.peak()
+
+    def test_box_edges_and_corners(self, tab256):
+        self._assert_matches(tab256, *_box_edges(tab256))
+
+    def test_unequal_axis_lengths(self):
+        rng = np.random.default_rng(2)
+        nx, nv = 37, 11
+        x_axis = np.linspace(-2.0, 3.0, nx)
+        v_axis = np.linspace(-1.0, 1.0, nv)
+        tab = FundamentalSolutionTable(s=S, t=1.0, x_axis=x_axis, v_axis=v_axis,
+                                       values=rng.standard_normal((nx, nv)))
+        x = np.concatenate([rng.uniform(-2.0, 3.0, 5000), _box_edges(tab)[0]])
+        v = np.concatenate([rng.uniform(-1.0, 1.0, 5000), _box_edges(tab)[1]])
+        self._assert_matches(tab, x, v)
+
+    def test_at_time_copy(self, tab256):
+        rng = np.random.default_rng(3)
+        tab = tab256.at_time(1.7)
+        x = np.concatenate([rng.uniform(tab.x_axis[0], tab.x_axis[-1], 5000), _box_edges(tab)[0]])
+        v = np.concatenate([rng.uniform(tab.v_axis[0], tab.v_axis[-1], 5000), _box_edges(tab)[1]])
+        self._assert_matches(tab, x, v)
+
+    def test_outside_and_nan_points_are_zero(self, tab256):
+        x0, x1 = tab256.x_axis[0], tab256.x_axis[-1]
+        v0, v1 = tab256.v_axis[0], tab256.v_axis[-1]
+        x = np.array([np.nextafter(x0, -np.inf), np.nextafter(x1, np.inf), 0.0, 0.0, np.nan, 0.0, np.inf, -np.inf])
+        v = np.array([0.0, 0.0, np.nextafter(v0, -np.inf), np.nextafter(v1, np.inf), 0.0, np.nan, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tab256.sample(x, v)
+        assert np.array_equal(got, np.zeros(len(x)))
+
+    def test_scalar_and_shape(self, tab256):
+        assert np.shape(tab256.sample(0.0, 0.0)) == ()
+        assert tab256.sample(np.zeros((3, 1)), np.zeros(4)).shape == (3, 4)
+
+    def test_non_uniform_axes_rejected(self):
+        x_axis = np.array([0.0, 1.0, 2.0, 3.5, 4.0])
+        v_axis = np.linspace(0.0, 1.0, 5)
+        tab = FundamentalSolutionTable(s=S, t=1.0, x_axis=x_axis, v_axis=v_axis, values=np.ones((5, 5)))
+        with pytest.raises(ValueError, match="uniform"):
+            tab.sample(1.0, 0.5)
+
+    def test_too_few_nodes_rejected(self):
+        axis = np.linspace(0.0, 1.0, 3)
+        tab = FundamentalSolutionTable(s=S, t=1.0, x_axis=axis, v_axis=axis, values=np.ones((3, 3)))
+        with pytest.raises(ValueError, match="4 nodes"):
+            tab.sample(0.5, 0.5)
+
+    def test_time_array_bit_identical_to_per_time_calls(self, tab256):
+        rng = np.random.default_rng(4)
+        times = np.array([0.3, 0.75, 1.0, 2.5])
+        t = rng.choice(times, size=(40, 50))
+        x = rng.uniform(-2.0, 2.0, (40, 50))
+        v = rng.uniform(-3.0, 3.0, (40, 1))
+        got = tab256.sample(x, v, t=t)
+        want = np.empty_like(got)
+        X, V = np.broadcast_arrays(x, v)
+        for tu in times:
+            m = t == tu
+            want[m] = tab256.sample(X[m], V[m], t=float(tu))
+        assert np.array_equal(got, want)
+
+    def test_fundamental_field_one_call(self, tab256, monkeypatch):
+        rng = np.random.default_rng(5)
+        f = fundamental_field(tab256, t_offset=1.0)
+        t = rng.choice([-0.5, 0.0, 0.25, 1.0, -1.0, -3.0, np.inf, np.nan], size=500)
+        x = rng.uniform(-1.0, 1.0, 500)
+        v = rng.uniform(-2.0, 2.0, 500)
+        # the field is 0 where t + t_offset is not a positive finite time
+        want = np.zeros(500)
+        for tu in (-0.5, 0.0, 0.25, 1.0):
+            m = t == tu
+            want[m] = tab256.sample(x[m], v[m], t=float(tu + 1.0))
+        calls = []
+        sample = FundamentalSolutionTable.sample
+        monkeypatch.setattr(FundamentalSolutionTable, "sample", lambda *a, **k: calls.append(1) or sample(*a, **k))
+        assert np.array_equal(f.sample(t, x, v), want)
+        assert len(calls) == 1
+
+    def test_nash_on_diagonal_one_call(self, tab256, monkeypatch):
+        calls = []
+        sample = FundamentalSolutionTable.sample
+        monkeypatch.setattr(FundamentalSolutionTable, "sample", lambda *a, **k: calls.append(1) or sample(*a, **k))
+        rep = decay_envelope_check(tab256, "NashOnDiag")
+        assert len(calls) == 1
+        ts = np.asarray(rep.extra["times"])
+        per_time = np.array([float(sample(tab256, 0.0, 0.0, t=float(t))) for t in ts]) * ts ** peak_decay_exponent(S)
+        assert rep.constant == float(per_time.max())
 
 
 class TestComposition:
