@@ -19,9 +19,15 @@ decay envelopes of the fundamental solution.
 
 ``barrier_residual`` and ``barrier_residual_parts`` take one phase point
 ``z = (t, x, v)`` and return Python scalars, or an ``(N, 3)`` array of
-points and return arrays; both go through the same vectorized code, in
-which every point has seven quadrature segments (breakpoints clipped to
-the ball, empty segments weighted zero).  Kernels see flattened 1-D
+points and return arrays; both go through the same vectorized code.  Each
+point's state (spatial offset, branch arguments, ``delta``, log factor) is
+computed once and shared by the transport and jump terms.  The jump term
+skips points where the barrier is flat on the ball: if
+``(|v - w0| + rho)/(3 rho) < max(1, gx)``, with ``gx`` the spatial branch
+argument, then ``m = max(1, gx)`` at ``v`` and at every velocity of
+``B_rho(v)``, so the integrand, and the integral, is exactly 0.0.  Every
+other point has seven quadrature segments (breakpoints clipped to the
+ball, empty segments weighted zero).  Kernels see flattened 1-D
 ``t, x, v, w`` node arrays.
 """
 
@@ -68,6 +74,8 @@ class BarrierParams:
     s: float
 
     def __post_init__(self):
+        if not all(math.isfinite(f) for f in (self.rho, self.k, self.tau0, self.sigma, self.y0, self.w0, self.s)):
+            raise ValueError("rho, k, tau0, sigma, y0, w0 and s must be finite")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.k < 1:
@@ -92,11 +100,23 @@ class BarrierParams:
         return np.abs(np.asarray(x, dtype=float) - self.y0 - (self.sigma + t - 2 * self.tau0) * self.w0)
 
 
-def _multiplier(p: BarrierParams, t, x, v):
-    """The exponent multiplier m and its two competing branch values."""
+def _state(p: BarrierParams, t, x, v):
+    """Per-point quantities shared by the barrier, its transport term and
+    its jump term: ``(u, |u|, gv, gx, delta, L)``.
+
+    ``u = x - y0 - (sigma + t - 2 tau0) w0`` is the spatial offset, ``gv``
+    and ``gx`` are the velocity and spatial branch arguments of ``m`` (so
+    ``m = max(1, gv, gx)``), and ``L = log(rho^{2s} / (k delta(t)))``.  The
+    expressions are those of ``spatial_arg``, ``delta`` and ``log_factor``.
+    """
+    t = np.asarray(t, dtype=float)
+    u = np.asarray(x, dtype=float) - p.y0 - (p.sigma + t - 2 * p.tau0) * p.w0
+    absu = np.abs(u)
     gv = np.abs(np.asarray(v, dtype=float) - p.w0) / (3 * p.rho)
-    gx = p.spatial_arg(t, x) ** (1.0 / (1 + 2 * p.s)) / (3 * p.rho)
-    return np.maximum(1.0, np.maximum(gv, gx)), gv, gx
+    gx = absu ** (1.0 / (1 + 2 * p.s)) / (3 * p.rho)
+    delta = p.delta(t)
+    L = np.log(p.rho ** (2 * p.s) / (p.k * delta))
+    return u, absu, gv, gx, delta, L
 
 
 def barrier_values(p: BarrierParams, t, x, v):
@@ -104,8 +124,8 @@ def barrier_values(p: BarrierParams, t, x, v):
     t = np.asarray(t, dtype=float)
     if np.any(t < p.tau0 - 1e-12) or np.any(t > p.sigma + 1e-12):
         raise ValueError("time outside [tau0, sigma]")
-    m, _, _ = _multiplier(p, t, x, v)
-    return np.exp(-m * p.log_factor(t))
+    _, _, gv, gx, _, L = _state(p, t, x, v)
+    return np.exp(-np.maximum(1.0, np.maximum(gv, gx)) * L)
 
 
 def barrier_eval(p: BarrierParams, z) -> float:
@@ -134,19 +154,17 @@ def barrier_region(p: BarrierParams, z) -> int:
     return 6
 
 
-def _transport_term(p: BarrierParams, t, x, v, tie_rtol: float = 1e-7):
-    """Analytic transport derivative ``TH`` of the active branch, per point.
+def _transport_term(p: BarrierParams, state, v, tie_rtol: float = 1e-7):
+    """Analytic transport derivative ``TH`` of the active branch, per point,
+    from the point's ``_state``.
 
     Returns ``(TH, tie)`` where ``tie`` marks points within relative
     tolerance of a branch kink (there the derivative is one-sided; a
     caller may fall back to finite differences).
     """
-    m, gv, gx = _multiplier(p, t, x, v)
-    L = p.log_factor(t)
-    H = np.exp(-m * L)
-    delta = p.delta(t)
-    u = x - p.y0 - (p.sigma + t - 2 * p.tau0) * p.w0
-    absu = np.abs(u)
+    u, absu, gv, gx, delta, L = state
+    top = np.maximum(gv, gx)
+    H = np.exp(-np.maximum(1.0, top) * L)
     # transport derivative of u along (d/dt + v d/dx) is (v - w0); the
     # spatial branch is only active where u != 0
     root = np.power(absu, -2 * p.s / (1 + 2 * p.s), out=np.zeros_like(absu), where=absu > 0)
@@ -156,7 +174,6 @@ def _transport_term(p: BarrierParams, t, x, v, tie_rtol: float = 1e-7):
 
     # a kink only matters where the active branch could switch: at the
     # core boundary, or between the two growing branches
-    top = np.maximum(gv, gx)
     tie = (np.abs(top - 1.0) <= tie_rtol) | ((top > 1.0) & (np.abs(gv - gx) <= tie_rtol * top))
     return TH, tie
 
@@ -177,28 +194,39 @@ def _as_points(z):
 _JUMP_BLOCK = 1024
 
 
-def _jump_quadratic(p: BarrierParams, kspec: KernelSpec, t, x, v, quad_n: int = 24):
+def _jump_quadratic(p: BarrierParams, kspec: KernelSpec, t, x, v, gx, L, quad_n: int = 24):
     """``int_{B_rho(v)} (sqrt(H)(v) - sqrt(H)(w))^2 [K(v,w)+K(w,v)] dw`` per
-    point, by piecewise Gauss-Legendre with breakpoints at the branch kinks.
+    point, by piecewise Gauss-Legendre with breakpoints at the branch kinks;
+    ``gx`` and ``L`` are the points' spatial branch argument and log factor.
 
-    Points are integrated in blocks of ``_JUMP_BLOCK``; each point's value
-    does not depend on the blocking.
+    Flat-ball rule: every node ``w`` lies in ``[v - rho, v + rho]``, so
+    ``|w - w0|/(3 rho) <= reach = (|v - w0| + rho)/(3 rho)``.  Where
+    ``reach < max(1, gx)`` the multiplier is ``max(1, gx)`` at every node
+    and at ``v``, each factor ``(sqrt(H)(v) - sqrt(H)(w))^2`` is exactly
+    0.0, and so is the integral; such points get 0 without evaluating the
+    kernel.  The quadrature runs on the rest, ``reach >= max(1, gx)`` less a
+    1e-12 relative margin for the rounding of the node positions.
+
+    Live points are integrated in blocks of ``_JUMP_BLOCK``; each point's
+    value does not depend on the blocking or on the other points.
     """
-    if len(v) <= _JUMP_BLOCK:
-        return _jump_block(p, kspec, t, x, v, quad_n)
-    blocks = (slice(i, i + _JUMP_BLOCK) for i in range(0, len(v), _JUMP_BLOCK))
-    return np.concatenate([_jump_block(p, kspec, t[b], x[b], v[b], quad_n) for b in blocks])
+    reach = (np.abs(v - p.w0) + p.rho) / (3 * p.rho)
+    live = np.flatnonzero(reach >= np.maximum(1.0, gx) * (1 - 1e-12))
+    I = np.zeros(len(v))
+    for i in range(0, len(live), _JUMP_BLOCK):
+        b = live[i : i + _JUMP_BLOCK]
+        I[b] = _jump_block(p, kspec, t[b], x[b], v[b], gx[b], L[b], quad_n)
+    return I
 
 
-def _jump_block(p: BarrierParams, kspec: KernelSpec, t, x, v, quad_n: int):
-    """``_jump_quadratic`` on one block of points.
+def _jump_block(p: BarrierParams, kspec: KernelSpec, t, x, v, gx, L, quad_n: int):
+    """``_jump_quadratic`` on one block of points, over the full ball.
 
     The eight candidate breakpoints are clipped to ``[v - rho, v + rho]``
     and sorted, so every point has seven segments; segments narrower than
     1e-14 and nodes within 1e-12 of ``v`` get zero weight.
     """
     rho = p.rho
-    gx = p.spatial_arg(t, x) ** (1.0 / (1 + 2 * p.s)) / (3 * rho)
     mX = np.maximum(1.0, gx)
     lo, hi = v - rho, v + rho
     w0 = np.full_like(v, p.w0)
@@ -214,7 +242,7 @@ def _jump_block(p: BarrierParams, kspec: KernelSpec, t, x, v, quad_n: int):
     w = np.where(keep, w, v3 + rho)
 
     # sqrt(H) at velocity w, with the spatial branch and log factor of each point
-    gx3, L3 = gx[:, None, None], p.log_factor(t)[:, None, None]
+    gx3, L3 = gx[:, None, None], L[:, None, None]
 
     def sqrtH(vel):
         return np.exp(-0.5 * np.maximum(1.0, np.maximum(np.abs(vel - p.w0) / (3 * rho), gx3)) * L3)
@@ -233,8 +261,9 @@ def barrier_residual_parts(p: BarrierParams, kspec: KernelSpec, z, quad_n: int =
     or an ``(N, 3)`` array of points (arrays come back).
     """
     t, x, v, single = _as_points(z)
-    TH, tie = _transport_term(p, t, x, v)
-    I = _jump_quadratic(p, kspec, t, x, v, quad_n)
+    state = _state(p, t, x, v)
+    TH, tie = _transport_term(p, state, v)
+    I = _jump_quadratic(p, kspec, t, x, v, state[3], state[5], quad_n)
     if single:
         return float(TH[0]), float(I[0]), bool(tie[0])
     return TH, I, tie
@@ -247,8 +276,9 @@ def barrier_residual(p: BarrierParams, kspec: KernelSpec, z, c: float = 2.0, qua
     for an ``(N, 3)`` array of points.
     """
     t, x, v, single = _as_points(z)
-    TH, tie = _transport_term(p, t, x, v)
-    if np.any(tie):
+    state = _state(p, t, x, v)
+    TH, tie = _transport_term(p, state, v)
+    if tie.any():
         # one-sided derivative at a kink: fall back to a flow-aligned
         # finite difference of H
         h = 1e-7 * max(p.sigma - p.tau0, 1e-12)
@@ -256,7 +286,7 @@ def barrier_residual(p: BarrierParams, kspec: KernelSpec, z, c: float = 2.0, qua
         Hp = barrier_values(p, tp, x + (tp - t) * v, v)
         Hm = barrier_values(p, tm, x + (tm - t) * v, v)
         TH = np.where(tie, (Hp - Hm) / (tp - tm), TH)
-    res = TH + c * _jump_quadratic(p, kspec, t, x, v, quad_n)
+    res = TH + c * _jump_quadratic(p, kspec, t, x, v, state[3], state[5], quad_n)
     return float(res[0]) if single else res
 
 
@@ -284,8 +314,9 @@ def region_samples(p: BarrierParams, n_per_region: int, rng: np.random.Generator
                 Xr = rng.uniform(3.1 * rho, max(3.2 * rho, dv))
             if region == 6:
                 Xr = rng.uniform(max(3.1 * rho, dv * 1.01), 14.0 * rho)
-            v = p.w0 + rng.choice([-1.0, 1.0]) * dv
-            x = p.y0 + (p.sigma + t - 2 * p.tau0) * p.w0 + rng.choice([-1.0, 1.0]) * Xr ** (1 + 2 * p.s)
+            # the draw Generator.choice([-1.0, 1.0]) makes, without its overhead
+            v = p.w0 + (-1.0, 1.0)[rng.integers(0, 2)] * dv
+            x = p.y0 + (p.sigma + t - 2 * p.tau0) * p.w0 + (-1.0, 1.0)[rng.integers(0, 2)] * Xr ** (1 + 2 * p.s)
             z = (t, x, v)
             if barrier_region(p, z) == region:
                 out.append(z)

@@ -6,7 +6,7 @@ Subcommands::
     kineticlab solve        --s 0.5 --t 1.0 [grid/stepper flags]
     kineticlab ellipticity  --kernel frac [--fit]
     kineticlab harnack  {weak,strong,l1linf,tail,degiorgi,chain,lower} ...
-    kineticlab aronson  {barrier,k-threshold,energy,envelope,meyers} ...
+    kineticlab aronson  {barrier,k-threshold,energy,envelope} ...
     kineticlab sweep    harnack-strong --refinements 3
 
 Every run writes its reports (JSON) and series (CSV) into ``--out`` and
@@ -252,7 +252,6 @@ def _run_aronson(args, em: Emitter) -> None:
         barrier_residual,
         decay_envelope_check,
         k_threshold,
-        meyers_check,
     )
 
     s = _check_s(args.s)
@@ -293,8 +292,6 @@ def _run_aronson(args, em: Emitter) -> None:
         tab = j0_table(args.t, s, n_freq=args.n_freq)
         rep = decay_envelope_check(tab, args.kind)
         em.json("aronson_envelope.json", rep.as_dict())
-    elif sub == "meyers":
-        raise ConfigError("meyers needs two saved tables; use the library API (meyers_check)")
     else:
         raise ConfigError(f"unknown aronson subcommand {sub!r}")
 
@@ -398,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aronson", help="barrier and decay-envelope checks")
     _add_common(p)
     asub = p.add_subparsers(dest="aronson_cmd", required=True)
-    for name in ("barrier", "k-threshold", "energy", "envelope", "meyers"):
+    for name in ("barrier", "k-threshold", "energy", "envelope"):
         q = asub.add_parser(name)
         q.add_argument("--rho", type=float, default=1.0)
         q.add_argument("--k", type=float, default=4.0)

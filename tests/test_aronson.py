@@ -38,6 +38,14 @@ class TestBarrierParams:
         with pytest.raises(ValueError):
             BarrierParams(rho=1.0, k=0.5, tau0=0.0, sigma=0.1, y0=0.0, w0=0.0, s=S)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["rho", "k", "tau0", "sigma", "y0", "w0", "s"])
+    def test_rejects_non_finite_fields(self, field, value):
+        good = dict(rho=1.0, k=2.0, tau0=0.0, sigma=0.125, y0=0.0, w0=0.0, s=S)
+        BarrierParams(**good)
+        with pytest.raises(ValueError, match="rho, k, tau0, sigma, y0, w0 and s must be finite"):
+            BarrierParams(**{**good, field: value})
+
     def test_log_factor_positive_on_window(self):
         p = _params()
         ts = np.linspace(p.tau0, p.sigma, 9)
@@ -64,7 +72,48 @@ class TestBarrierValues:
             barrier_values(p, p.sigma + 0.1, 0.0, 0.0)
 
 
+def _region_samples_reference(p, n_per_region, rng):
+    """``region_samples`` as first written: signs drawn by ``Generator.choice``."""
+    rho = p.rho
+    out = []
+    for region in range(1, 7):
+        count = 0
+        while count < n_per_region:
+            t = rng.uniform(p.tau0, p.sigma)
+            if region in (1, 3, 5):
+                Xr = rng.uniform(0.0, 2.9 * rho)
+            else:
+                Xr = rng.uniform(3.1 * rho, 12.0 * rho)
+            if region in (1, 2):
+                dv = rng.uniform(0.0, 1.9 * rho)
+            elif region in (3, 4):
+                dv = rng.uniform(2.1 * rho, 2.9 * rho)
+            else:
+                dv = rng.uniform(3.1 * rho, 12.0 * rho)
+            if region == 5 and Xr > 3 * rho:
+                Xr = rng.uniform(3.1 * rho, max(3.2 * rho, dv))
+            if region == 6:
+                Xr = rng.uniform(max(3.1 * rho, dv * 1.01), 14.0 * rho)
+            v = p.w0 + rng.choice([-1.0, 1.0]) * dv
+            x = p.y0 + (p.sigma + t - 2 * p.tau0) * p.w0 + rng.choice([-1.0, 1.0]) * Xr ** (1 + 2 * p.s)
+            z = (t, x, v)
+            if barrier_region(p, z) == region:
+                out.append(z)
+                count += 1
+    return out
+
+
 class TestRegions:
+    @pytest.mark.parametrize("seed", [0, 17])
+    @pytest.mark.parametrize("kw", [{}, dict(rho=0.6, k=1.5, tau0=0.2, y0=0.7, w0=-1.3)])
+    def test_matches_choice_reference(self, seed, kw):
+        p = _params(**kw)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = region_samples(p, 25, rng)
+        want = _region_samples_reference(p, 25, ref_rng)
+        np.testing.assert_array_equal(np.array(got), np.array(want))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_all_regions_reachable(self):
         p = _params()
         zs = region_samples(p, 3, np.random.default_rng(0))
@@ -132,6 +181,17 @@ def _jump_quadratic_reference(p, kspec, t, x, v, quad_n=24):
     return acc
 
 
+def _flat(p, v, gx):
+    """Points whose ball ``B_rho(v)`` the jump quadrature skips."""
+    return (np.abs(v - p.w0) + p.rho) / (3 * p.rho) < np.maximum(1.0, gx) * (1 - 1e-12)
+
+
+def _asymmetric(s):
+    # (t, x)-dependent and asymmetric: each node must see its own point
+    base = normalized_fractional(s)
+    return CustomKernel(lambda t, x, v, w: (1.5 + np.cos(3 * x + t) * np.tanh(w)) * base._eval(t, x, v, w), s=s)
+
+
 class TestBatchedResidual:
     def _batch(self, p):
         # all six regions, plus a kink point |v - w0| = 3 rho in the same batch
@@ -143,10 +203,7 @@ class TestBatchedResidual:
     @pytest.mark.parametrize("modulated", [False, True])
     def test_batch_matches_point_loop(self, modulated):
         p = _params()
-        k = base = normalized_fractional(S)
-        if modulated:
-            # (t, x)-dependent and asymmetric: each node must see its own point
-            k = CustomKernel(lambda t, x, v, w: (1.5 + np.cos(3 * x + t) * np.tanh(w)) * base._eval(t, x, v, w), s=S)
+        k = _asymmetric(S) if modulated else normalized_fractional(S)
         Z = self._batch(p)
         assert {barrier_region(p, z) for z in Z} == {1, 2, 3, 4, 5, 6}
         res = barrier_residual(p, k, Z, c=2.0)
@@ -160,16 +217,27 @@ class TestBatchedResidual:
         ref = [_jump_quadratic_reference(p, k, *z) for z in Z]
         np.testing.assert_allclose(I, ref, rtol=1e-12, atol=1e-15)
 
-    def test_blocked_batch_is_bit_identical(self):
-        # N straddles a block boundary; the last block holds 3 points
+    def test_blocked_batch_is_bit_identical(self, monkeypatch):
+        # N straddles a block boundary, and flat points are interleaved
+        # with live ones
         p = _params()
         k = normalized_fractional(S)
         n = aronson._JUMP_BLOCK + 3
-        zs = np.array(region_samples(p, -(-n // 6), np.random.default_rng(5))[:n])
+        zs = region_samples(p, -(-n // 6), np.random.default_rng(5))
+        zs = np.array(zs)[np.random.default_rng(6).permutation(len(zs))[:n]]
         t, x, v = zs.T
-        blocked = aronson._jump_quadratic(p, k, t, x, v)
-        np.testing.assert_array_equal(blocked, aronson._jump_block(p, k, t, x, v, 24))
+        _, _, _, gx, _, L = aronson._state(p, t, x, v)
+        flat = _flat(p, v, gx)
+        assert flat.any() and not flat.all()
+        blocked = aronson._jump_quadratic(p, k, t, x, v, gx, L)
+        np.testing.assert_array_equal(blocked, aronson._jump_block(p, k, t, x, v, gx, L, 24))
         np.testing.assert_array_equal(barrier_residual_parts(p, k, zs)[1], blocked)
+        np.testing.assert_array_equal(blocked, [barrier_residual_parts(p, k, z)[1] for z in zs])
+        np.testing.assert_array_equal(barrier_residual(p, k, zs), [barrier_residual(p, k, z) for z in zs])
+        # the live points span many blocks, the last one partly filled
+        monkeypatch.setattr(aronson, "_JUMP_BLOCK", 7)
+        assert (~flat).sum() % 7
+        np.testing.assert_array_equal(aronson._jump_quadratic(p, k, t, x, v, gx, L), blocked)
 
     def test_ties_in_batch_use_flow_difference(self):
         # the velocity/spatial tie gv = gx = 2 is a kink where the analytic
@@ -202,6 +270,47 @@ class TestBatchedResidual:
         p = _params()
         with pytest.raises(ValueError):
             barrier_residual(p, normalized_fractional(S), np.zeros((4, 2)))
+
+
+class TestFlatBall:
+    KERNELS = [normalized_fractional, _asymmetric]
+
+    @pytest.mark.parametrize("make_kernel", KERNELS)
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
+    @pytest.mark.parametrize("y0, w0", [(0.0, 0.0), (0.7, -1.3)])
+    def test_skipped_points_integrate_to_zero(self, make_kernel, s, y0, w0):
+        k = make_kernel(s)
+        p = BarrierParams(rho=0.8, k=2.0, tau0=0.1, sigma=0.1 + 0.8 ** (2 * s) / 8, y0=y0, w0=w0, s=s)
+        zs = np.array(region_samples(p, 12, np.random.default_rng(4)))
+        assert {barrier_region(p, z) for z in zs} == {1, 2, 3, 4, 5, 6}
+        t, x, v = zs.T
+        _, _, _, gx, _, L = aronson._state(p, t, x, v)
+        flat = _flat(p, v, gx)
+        assert {barrier_region(p, z) for z in zs[flat]} == {1, 2, 4, 6}
+        # the full-ball quadrature is exactly 0.0 wherever the skip applies
+        full = aronson._jump_block(p, k, t, x, v, gx, L, 24)
+        assert np.all(full[flat] == 0.0)
+        np.testing.assert_array_equal(aronson._jump_quadratic(p, k, t, x, v, gx, L), full)
+
+    @pytest.mark.parametrize("make_kernel", KERNELS)
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_points_at_the_margin_match_full_quadrature(self, make_kernel, side):
+        # |v - w0| = 2.5 rho, so reach = 3.5/3 > 1; gx is set within a few
+        # 1e-12 of reach on both sides of the skip margin
+        p = _params(rho=0.8, k=2.0, tau0=0.1, y0=0.7, w0=-1.3)
+        k = make_kernel(S)
+        rel = np.array([-3e-12, -1e-12, -1e-13, 0.0, 1e-13, 5e-13, 1e-12, 1.5e-12, 3e-12, 1e-11])
+        t = np.full(len(rel), 0.5 * (p.tau0 + p.sigma))
+        v = np.full(len(rel), p.w0 + side * 2.5 * p.rho)
+        reach = (np.abs(v - p.w0) + p.rho) / (3 * p.rho)
+        x = p.y0 + (p.sigma + t - 2 * p.tau0) * p.w0 + side * (3 * p.rho * reach * (1 + rel)) ** (1 + 2 * S)
+        _, _, _, gx, _, L = aronson._state(p, t, x, v)
+        flat = _flat(p, v, gx)
+        assert flat.any() and not flat.all()
+        full = aronson._jump_block(p, k, t, x, v, gx, L, 24)
+        assert np.all(full[flat] == 0.0)
+        np.testing.assert_array_equal(aronson._jump_quadratic(p, k, t, x, v, gx, L), full)
+        np.testing.assert_array_equal(barrier_residual_parts(p, k, np.column_stack([t, x, v]))[1], full)
 
 
 class TestThreshold:

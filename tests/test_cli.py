@@ -89,6 +89,21 @@ class TestSubcommands:
             rep = json.load(fh)
         assert rep["residual"] <= 1e-8
 
+    def test_aronson_k_threshold(self, tmp_path):
+        code = main(["aronson", "--out", str(tmp_path / "a"), "k-threshold", "--samples", "3"])
+        assert code == 0
+        with open(tmp_path / "a" / "aronson_kthreshold.json") as fh:
+            rep = json.load(fh)
+        assert rep["k_star"] >= 1.0
+        assert rep["worst_residual"] <= 0.0
+
+    def test_aronson_energy(self, tmp_path):
+        code = main(["aronson", "--out", str(tmp_path / "a"), "energy", "--nx", "16", "--nv", "32", "--steps", "2"])
+        assert code == 0
+        with open(tmp_path / "a" / "aronson_energy.json") as fh:
+            rep = json.load(fh)
+        assert math.isfinite(rep["constant"]) and rep["constant"] >= 0.0
+
     def test_sweep(self, tmp_path):
         code = main([
             "sweep", "harnack-strong", "--n-freq", "128", "--refinements", "2",
@@ -125,6 +140,17 @@ class TestExitCodes:
 
     def test_meyers_needs_api(self, tmp_path):
         assert main(["aronson", "--out", str(tmp_path / "x"), "meyers"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["k-threshold", "--rho", "nan"],
+        ["k-threshold", "--w0=-inf"],
+        ["barrier", "--y0", "inf"],
+    ])
+    def test_non_finite_barrier_params_are_config_errors(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main(["aronson", "--out", str(out)] + argv) == 2
+        assert "rho, k, tau0, sigma, y0, w0 and s must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_flag_is_usage_error(self, tmp_path):
         assert main(["fundsol", "--frequency", "12"]) == 2
