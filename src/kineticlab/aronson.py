@@ -19,9 +19,13 @@ decay envelopes of the fundamental solution.
 
 ``barrier_residual`` and ``barrier_residual_parts`` take one phase point
 ``z = (t, x, v)`` and return Python scalars, or an ``(N, 3)`` array of
-points and return arrays; both go through the same vectorized code.  Each
-point's state (spatial offset, branch arguments, ``delta``, log factor) is
-computed once and shared by the transport and jump terms.  The jump term
+points and return arrays; both go through the same vectorized code.  One
+point runs through it as numpy float scalars, not length-1 arrays: scalar
+arithmetic costs far less per operation, and the ufuncs (``np.exp``,
+``np.log``, ``np.power``) run the same loops as on arrays, so a point's
+residual is bit-identical alone and in a batch.  Each point's state
+(spatial offset, branch arguments, ``delta``, log factor) is computed once
+and shared by the transport and jump terms.  The jump term
 skips points where the barrier is flat on the ball: if
 ``(|v - w0| + rho)/(3 rho) < max(1, gx)``, with ``gx`` the spatial branch
 argument, then ``m = max(1, gx)`` at ``v`` and at every velocity of
@@ -108,20 +112,22 @@ def _state(p: BarrierParams, t, x, v):
     and ``gx`` are the velocity and spatial branch arguments of ``m`` (so
     ``m = max(1, gv, gx)``), and ``L = log(rho^{2s} / (k delta(t)))``.  The
     expressions are those of ``spatial_arg``, ``delta`` and ``log_factor``.
+    ``t, x, v`` are float arrays or numpy float scalars; the root is taken
+    with ``np.power`` because ``**`` on a numpy scalar calls the C library's
+    ``pow``, which can differ from numpy's array loop in the last bit.
     """
-    t = np.asarray(t, dtype=float)
-    u = np.asarray(x, dtype=float) - p.y0 - (p.sigma + t - 2 * p.tau0) * p.w0
+    u = x - p.y0 - (p.sigma + t - 2 * p.tau0) * p.w0
     absu = np.abs(u)
-    gv = np.abs(np.asarray(v, dtype=float) - p.w0) / (3 * p.rho)
-    gx = absu ** (1.0 / (1 + 2 * p.s)) / (3 * p.rho)
-    delta = p.delta(t)
+    gv = np.abs(v - p.w0) / (3 * p.rho)
+    gx = np.power(absu, 1.0 / (1 + 2 * p.s)) / (3 * p.rho)
+    delta = 2.0 * (p.sigma - p.tau0) - (t - p.tau0)
     L = np.log(p.rho ** (2 * p.s) / (p.k * delta))
     return u, absu, gv, gx, delta, L
 
 
 def barrier_values(p: BarrierParams, t, x, v):
     """Vectorized barrier evaluation; ``t`` must lie in [tau0, sigma]."""
-    t = np.asarray(t, dtype=float)
+    t, x, v = (np.asarray(q, dtype=float) for q in (t, x, v))
     if np.any(t < p.tau0 - 1e-12) or np.any(t > p.sigma + 1e-12):
         raise ValueError("time outside [tau0, sigma]")
     _, _, gv, gx, _, L = _state(p, t, x, v)
@@ -154,6 +160,17 @@ def barrier_region(p: BarrierParams, z) -> int:
     return 6
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _where(cond, a, b):
+    """``np.where`` for arrays; for one point (a numpy bool), the chosen
+    operand itself."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
 def _transport_term(p: BarrierParams, state, v, tie_rtol: float = 1e-7):
     """Analytic transport derivative ``TH`` of the active branch, per point,
     from the point's ``_state``.
@@ -166,11 +183,12 @@ def _transport_term(p: BarrierParams, state, v, tie_rtol: float = 1e-7):
     top = np.maximum(gv, gx)
     H = np.exp(-np.maximum(1.0, top) * L)
     # transport derivative of u along (d/dt + v d/dx) is (v - w0); the
-    # spatial branch is only active where u != 0
-    root = np.power(absu, -2 * p.s / (1 + 2 * p.s), out=np.zeros_like(absu), where=absu > 0)
+    # spatial branch is only selected where gx > 1, so u != 0 there and
+    # the clamp only keeps the unselected root finite at u = 0
+    root = np.power(np.maximum(absu, _TINY), -2 * p.s / (1 + 2 * p.s))
     dm = (1.0 / (3 * p.rho * (1 + 2 * p.s))) * root * np.sign(u) * (v - p.w0)
     core = (gv <= 1.0) & (gx <= 1.0)
-    TH = np.where(core, -p.k / p.rho ** (2 * p.s), np.where(gv >= gx, -H * gv / delta, -H * (gx / delta + L * dm)))
+    TH = _where(core, -p.k / p.rho ** (2 * p.s), _where(gv >= gx, -H * gv / delta, -H * (gx / delta + L * dm)))
 
     # a kink only matters where the active branch could switch: at the
     # core boundary, or between the two growing branches
@@ -179,13 +197,14 @@ def _transport_term(p: BarrierParams, state, v, tie_rtol: float = 1e-7):
 
 
 def _as_points(z):
-    """``(t, x, v, single)`` from one phase point or an ``(N, 3)`` array."""
+    """``(t, x, v, single)`` from one phase point (numpy float scalars) or
+    an ``(N, 3)`` array (column views)."""
     Z = np.asarray(z, dtype=float)
     if Z.shape[-1:] != (3,) or Z.ndim > 2:
         raise ValueError("phase points must have shape (3,) or (N, 3)")
-    single = Z.ndim == 1
-    Z = Z.reshape(-1, 3)
-    return Z[:, 0], Z[:, 1], Z[:, 2], single
+    if Z.ndim == 1:
+        return Z[0], Z[1], Z[2], True
+    return Z[:, 0], Z[:, 1], Z[:, 2], False
 
 
 # Points per block of ``_jump_quadratic``: a block holds several arrays
@@ -208,10 +227,15 @@ def _jump_quadratic(p: BarrierParams, kspec: KernelSpec, t, x, v, gx, L, quad_n:
     1e-12 relative margin for the rounding of the node positions.
 
     Live points are integrated in blocks of ``_JUMP_BLOCK``; each point's
-    value does not depend on the blocking or on the other points.
+    value does not depend on the blocking or on the other points.  One
+    point (numpy scalars) gives a float and builds no array unless its
+    ball is live.
     """
     reach = (np.abs(v - p.w0) + p.rho) / (3 * p.rho)
-    live = np.flatnonzero(reach >= np.maximum(1.0, gx) * (1 - 1e-12))
+    live = reach >= np.maximum(1.0, gx) * (1 - 1e-12)
+    if not isinstance(live, np.ndarray):
+        return float(_jump_block(p, kspec, *np.atleast_1d(t, x, v, gx, L), quad_n)[0]) if live else 0.0
+    live = np.flatnonzero(live)
     I = np.zeros(len(v))
     for i in range(0, len(live), _JUMP_BLOCK):
         b = live[i : i + _JUMP_BLOCK]
@@ -229,9 +253,12 @@ def _jump_block(p: BarrierParams, kspec: KernelSpec, t, x, v, gx, L, quad_n: int
     rho = p.rho
     mX = np.maximum(1.0, gx)
     lo, hi = v - rho, v + rho
-    w0 = np.full_like(v, p.w0)
-    cand = np.stack([lo, hi, v, w0, w0 - 3 * rho * mX, w0 + 3 * rho * mX, w0 - 2 * rho, w0 + 2 * rho], axis=1)
-    brk = np.sort(np.clip(cand, lo[:, None], hi[:, None]), axis=1)
+    brk = np.empty((len(v), 8))
+    brk[:, :3] = p.w0, p.w0 - 2 * rho, p.w0 + 2 * rho
+    brk[:, 3], brk[:, 4], brk[:, 5] = lo, hi, v
+    brk[:, 6], brk[:, 7] = p.w0 - 3 * rho * mX, p.w0 + 3 * rho * mX
+    np.clip(brk, lo[:, None], hi[:, None], out=brk)
+    brk.sort(axis=1)
     a, b = brk[:, :-1, None], brk[:, 1:, None]  # (N, 7, 1)
     nodes, weights = gauss_legendre(quad_n)
     w = 0.5 * (b - a) * nodes + 0.5 * (a + b)  # (N, 7, quad_n)
@@ -265,7 +292,7 @@ def barrier_residual_parts(p: BarrierParams, kspec: KernelSpec, z, quad_n: int =
     TH, tie = _transport_term(p, state, v)
     I = _jump_quadratic(p, kspec, t, x, v, state[3], state[5], quad_n)
     if single:
-        return float(TH[0]), float(I[0]), bool(tie[0])
+        return float(TH), I, bool(tie)
     return TH, I, tie
 
 
@@ -285,9 +312,9 @@ def barrier_residual(p: BarrierParams, kspec: KernelSpec, z, c: float = 2.0, qua
         tp, tm = np.minimum(t + h, p.sigma), np.maximum(t - h, p.tau0)
         Hp = barrier_values(p, tp, x + (tp - t) * v, v)
         Hm = barrier_values(p, tm, x + (tm - t) * v, v)
-        TH = np.where(tie, (Hp - Hm) / (tp - tm), TH)
+        TH = _where(tie, (Hp - Hm) / (tp - tm), TH)
     res = TH + c * _jump_quadratic(p, kspec, t, x, v, state[3], state[5], quad_n)
-    return float(res[0]) if single else res
+    return float(res) if single else res
 
 
 def region_samples(p: BarrierParams, n_per_region: int, rng: np.random.Generator):

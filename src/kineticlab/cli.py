@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -96,9 +97,14 @@ class Emitter:
             raise
 
     def json(self, name: str, obj) -> None:
+        """Write ``obj`` as JSON; a NaN or infinity in it is a numerical
+        failure (``RuntimeError``), since JSON has no literal for it."""
+        try:
+            text = json.dumps(obj, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
+        except ValueError as exc:
+            raise RuntimeError(f"{name}: {exc}") from exc
         with self._writer(name) as fh:
-            json.dump(obj, fh, sort_keys=True, indent=2, default=_json_default)
-            fh.write("\n")
+            fh.write(text + "\n")
         self.files.append(name)
 
     def csv(self, name: str, header: list[str], rows) -> None:
@@ -315,8 +321,26 @@ def _run_sweep(args, em: Emitter) -> None:
 # argument parsing
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: nan and +-inf are rejected."""
+    with contextlib.suppress(ValueError):
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    raise argparse.ArgumentTypeError("must be a finite number")
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    with contextlib.suppress(ValueError):
+        value = int(text)
+        if value >= 1:
+            return value
+    raise argparse.ArgumentTypeError("must be a positive integer")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--s", type=float, default=0.5, help="jump order parameter, in (0, 1)")
+    p.add_argument("--s", type=_finite_float, default=0.5, help="jump order parameter, in (0, 1)")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--n-freq", type=int, default=256, help="frequency grid size per axis")
     p.add_argument("--kernel", default="frac", help="kernel family name ('frac')")
@@ -342,16 +366,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fundsol", help="fundamental-solution table and composition residual")
     _add_common(p)
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--t", type=_finite_float, default=1.0)
     p.set_defaults(func=_run_fundsol)
 
     p = sub.add_parser("solve", help="run the split-step solver")
     _add_common(p)
     p.add_argument("--nx", type=int, default=256)
     p.add_argument("--nv", type=int, default=256)
-    p.add_argument("--x-period", type=float, default=8.0)
-    p.add_argument("--v-extent", type=float, default=12.0)
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--x-period", type=_finite_float, default=8.0)
+    p.add_argument("--v-extent", type=_finite_float, default=12.0)
+    p.add_argument("--dt", type=_finite_float, default=0.01)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--scheme", choices=["explicit", "implicit", "cn"], default="cn")
     p.add_argument("--no-torus", action="store_true")
@@ -371,25 +395,25 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("strong", "weak", "l1linf", "tail", "degiorgi", "chain", "lower"):
         q = hs.add_parser(name)
         q.add_argument("--field", default=None, help="saved field path (default: explicit solution)")
-        q.add_argument("--t0", type=float, default=0.0)
-        q.add_argument("--x0", type=float, default=0.0)
-        q.add_argument("--v0", type=float, default=0.0)
-        q.add_argument("--t-offset", dest="t_offset", type=float, default=1.0)
+        q.add_argument("--t0", type=_finite_float, default=0.0)
+        q.add_argument("--x0", type=_finite_float, default=0.0)
+        q.add_argument("--v0", type=_finite_float, default=0.0)
+        q.add_argument("--t-offset", dest="t_offset", type=_finite_float, default=1.0)
         q.add_argument("--nodes", type=int, default=8)
-        q.add_argument("--r0", type=float, default=0.125)
-        q.add_argument("--R", type=float, default=0.5)
-        q.add_argument("--zeta", type=float, default=0.5)
-        q.add_argument("--level", type=float, default=0.0)
-        q.add_argument("--delta", type=float, default=0.5)
-        q.add_argument("--p", type=float, default=1.05)
-        q.add_argument("--tau0", type=float, default=1.0)
-        q.add_argument("--y0", type=float, default=0.0)
-        q.add_argument("--w0", type=float, default=0.0)
-        q.add_argument("--t1", type=float, default=2.0)
-        q.add_argument("--x1", type=float, default=1.0)
-        q.add_argument("--v1", type=float, default=1.0)
-        q.add_argument("--t", type=float, default=1.0)
-        q.add_argument("--alpha", type=float, default=1.0)
+        q.add_argument("--r0", type=_finite_float, default=0.125)
+        q.add_argument("--R", type=_finite_float, default=0.5)
+        q.add_argument("--zeta", type=_finite_float, default=0.5)
+        q.add_argument("--level", type=_finite_float, default=0.0)
+        q.add_argument("--delta", type=_finite_float, default=0.5)
+        q.add_argument("--p", type=_finite_float, default=1.05)
+        q.add_argument("--tau0", type=_finite_float, default=1.0)
+        q.add_argument("--y0", type=_finite_float, default=0.0)
+        q.add_argument("--w0", type=_finite_float, default=0.0)
+        q.add_argument("--t1", type=_finite_float, default=2.0)
+        q.add_argument("--x1", type=_finite_float, default=1.0)
+        q.add_argument("--v1", type=_finite_float, default=1.0)
+        q.add_argument("--t", type=_finite_float, default=1.0)
+        q.add_argument("--alpha", type=_finite_float, default=1.0)
     p.set_defaults(func=_run_harnack)
 
     p = sub.add_parser("aronson", help="barrier and decay-envelope checks")
@@ -397,24 +421,24 @@ def build_parser() -> argparse.ArgumentParser:
     asub = p.add_subparsers(dest="aronson_cmd", required=True)
     for name in ("barrier", "k-threshold", "energy", "envelope"):
         q = asub.add_parser(name)
-        q.add_argument("--rho", type=float, default=1.0)
-        q.add_argument("--k", type=float, default=4.0)
-        q.add_argument("--c", type=float, default=2.0)
-        q.add_argument("--tau0", type=float, default=0.0)
-        q.add_argument("--y0", type=float, default=0.0)
-        q.add_argument("--w0", type=float, default=0.0)
-        q.add_argument("--x1", type=float, default=0.0)
-        q.add_argument("--v1", type=float, default=0.0)
+        q.add_argument("--rho", type=_finite_float, default=1.0)
+        q.add_argument("--k", type=_finite_float, default=4.0)
+        q.add_argument("--c", type=_finite_float, default=2.0)
+        q.add_argument("--tau0", type=_finite_float, default=0.0)
+        q.add_argument("--y0", type=_finite_float, default=0.0)
+        q.add_argument("--w0", type=_finite_float, default=0.0)
+        q.add_argument("--x1", type=_finite_float, default=0.0)
+        q.add_argument("--v1", type=_finite_float, default=0.0)
         q.add_argument("--samples", type=int, default=30)
-        q.add_argument("--t", type=float, default=1.0)
+        q.add_argument("--t", type=_finite_float, default=1.0)
         q.add_argument("--kind", default="NashOnDiag",
                        choices=["NashOnDiag", "UpperUnconditional", "UpperConditional", "LowerExponential"])
         q.add_argument("--variant", choices=["kinetic", "parabolic"], default="kinetic")
         q.add_argument("--nx", type=int, default=64)
         q.add_argument("--nv", type=int, default=128)
-        q.add_argument("--x-period", type=float, default=8.0)
-        q.add_argument("--v-extent", type=float, default=8.0)
-        q.add_argument("--dt", type=float, default=0.01)
+        q.add_argument("--x-period", type=_finite_float, default=8.0)
+        q.add_argument("--v-extent", type=_finite_float, default=8.0)
+        q.add_argument("--dt", type=_finite_float, default=0.01)
         q.add_argument("--steps", type=int, default=10)
         q.add_argument("--scheme", choices=["explicit", "implicit", "cn"], default="cn")
     p.set_defaults(func=_run_aronson)
@@ -422,12 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="refinement sweeps (CSV)")
     _add_common(p)
     p.add_argument("what", choices=["harnack-strong"])
-    p.add_argument("--refinements", type=int, default=3)
-    p.add_argument("--r0", type=float, default=0.125)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--v0", type=float, default=0.0)
-    p.add_argument("--t-offset", dest="t_offset", type=float, default=1.0)
+    p.add_argument("--refinements", type=_positive_int, default=3)
+    p.add_argument("--r0", type=_finite_float, default=0.125)
+    p.add_argument("--t0", type=_finite_float, default=0.0)
+    p.add_argument("--x0", type=_finite_float, default=0.0)
+    p.add_argument("--v0", type=_finite_float, default=0.0)
+    p.add_argument("--t-offset", dest="t_offset", type=_finite_float, default=1.0)
     p.add_argument("--field", default=None)
     p.add_argument("--nodes", type=int, default=4)
     p.set_defaults(func=_run_sweep)

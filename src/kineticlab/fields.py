@@ -41,10 +41,12 @@ class PhaseGrid:
     d: int = 1
 
     def __post_init__(self):
+        if self.nx < 2 or self.nv < 2:
+            raise ValueError("nx and nv must be at least 2")
         if self.nx % 2 or self.nv % 2:
             raise ValueError("nx and nv must be even")
-        if self.x_period <= 0 or self.v_extent <= 0:
-            raise ValueError("box sizes must be positive")
+        if not (0 < self.x_period < np.inf and 0 < self.v_extent < np.inf):
+            raise ValueError("x_period and v_extent must be finite and positive")
         if self.nt < 1:
             raise ValueError("need at least one time slice")
 

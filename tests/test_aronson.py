@@ -1,6 +1,7 @@
 """Barrier weight, supersolution residual, energy decay, envelopes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -208,14 +209,33 @@ class TestBatchedResidual:
         assert {barrier_region(p, z) for z in Z} == {1, 2, 3, 4, 5, 6}
         res = barrier_residual(p, k, Z, c=2.0)
         assert isinstance(res, np.ndarray) and res.shape == (len(Z),)
-        np.testing.assert_allclose(res, [barrier_residual(p, k, z, c=2.0) for z in Z], rtol=1e-13, atol=1e-15)
+        np.testing.assert_array_equal(res, [barrier_residual(p, k, z, c=2.0) for z in Z])
         TH, I, tie = barrier_residual_parts(p, k, Z)
         assert tie[-1] and not tie[:-1].any()
         loop = [barrier_residual_parts(p, k, z) for z in Z]
-        np.testing.assert_allclose(TH, [a for a, _, _ in loop], rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(I, [b for _, b, _ in loop], rtol=1e-13, atol=1e-15)
+        np.testing.assert_array_equal(TH, [a for a, _, _ in loop])
+        np.testing.assert_array_equal(I, [b for _, b, _ in loop])
+        np.testing.assert_array_equal(tie, [c for _, _, c in loop])
         ref = [_jump_quadratic_reference(p, k, *z) for z in Z]
         np.testing.assert_allclose(I, ref, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
+    def test_single_points_match_batch_at_every_order(self, s):
+        # the spatial root has exponent 1/(1+2s); away from s = 1/2 the C
+        # library's scalar pow and numpy's array loop can round it apart
+        k = _asymmetric(s)
+        p = BarrierParams(rho=0.8, k=2.0, tau0=0.1, sigma=0.1 + 0.8 ** (2 * s) / 8, y0=0.7, w0=-1.3, s=s)
+        t = 0.5 * (p.tau0 + p.sigma)
+        u0 = [(t, p.y0 + (p.sigma + t - 2 * p.tau0) * p.w0, p.w0 + dv) for dv in (0.5, 5.0)]  # u = 0 exactly
+        Z = np.array(region_samples(p, 40, np.random.default_rng(8)) + u0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = barrier_residual(p, k, Z)
+            np.testing.assert_array_equal(res, [barrier_residual(p, k, z) for z in Z])
+            TH, I, tie = barrier_residual_parts(p, k, Z)
+            loop = [barrier_residual_parts(p, k, z) for z in Z]
+        np.testing.assert_array_equal(np.column_stack([TH, I, tie]), loop)
+        np.testing.assert_array_equal(barrier_values(p, *Z.T), [barrier_eval(p, z) for z in Z])
 
     def test_blocked_batch_is_bit_identical(self, monkeypatch):
         # N straddles a block boundary, and flat points are interleaved
@@ -270,6 +290,28 @@ class TestBatchedResidual:
         p = _params()
         with pytest.raises(ValueError):
             barrier_residual(p, normalized_fractional(S), np.zeros((4, 2)))
+
+    def test_single_flat_point_never_evaluates_the_kernel(self, monkeypatch):
+        p = _params()
+        k = normalized_fractional(S)
+        Z = self._batch(p)
+        t, x, v = Z.T
+        flat = _flat(p, v, aronson._state(p, t, x, v)[3])
+        assert flat.any()
+        want = barrier_residual(p, k, Z[flat])
+
+        def no_kernel(*args):
+            raise AssertionError("kernel evaluated on a flat ball")
+
+        monkeypatch.setattr(type(k), "_eval", no_kernel)
+        assert [barrier_residual_parts(p, k, z)[1] for z in Z[flat]] == [0.0] * flat.sum()
+        np.testing.assert_array_equal([barrier_residual(p, k, z) for z in Z[flat]], want)
+
+    def test_scalar_where_returns_the_chosen_operand(self):
+        a, b = np.float64(1.5), [2.0]
+        assert aronson._where(np.True_, a, b) is a
+        assert aronson._where(np.False_, a, b) is b
+        np.testing.assert_array_equal(aronson._where(np.array([True, False]), 1.0, np.array([3.0, 4.0])), [1.0, 4.0])
 
 
 class TestFlatBall:

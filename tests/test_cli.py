@@ -1,5 +1,6 @@
 """Experiment runner: subcommands, exit codes, manifests, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -149,7 +150,53 @@ class TestExitCodes:
     def test_non_finite_barrier_params_are_config_errors(self, tmp_path, capsys, argv):
         out = tmp_path / "x"
         assert main(["aronson", "--out", str(out)] + argv) == 2
-        assert "rho, k, tau0, sigma, y0, w0 and s must be finite" in capsys.readouterr().err
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fundsol", "--s", "nan"],
+        ["solve", "--v-extent", "nan"],
+        ["ellipticity", "--s", "inf"],
+        ["harnack", "lower", "--alpha", "nan"],
+        ["harnack", "chain", "--t1", "nan"],
+        ["aronson", "barrier", "--x1", "inf"],
+        ["sweep", "harnack-strong", "--r0", "nan"],
+    ])
+    def test_non_finite_flag_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
+        assert f"argument {argv[-2]}: must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_float_flag_is_finite(self):
+        def parsers(ap):
+            yield ap
+            for action in ap._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from parsers(sub)
+
+        types = [a.type for ap in parsers(cli.build_parser()) for a in ap._actions]
+        assert float not in types
+        assert cli._finite_float in types
+
+    @pytest.mark.parametrize("argv, rule", [
+        (["solve", "--nx", "0"], "nx and nv must be at least 2"),
+        (["solve", "--nv", "1"], "nx and nv must be at least 2"),
+        (["solve", "--x-period", "-1"], "x_period and v_extent must be finite and positive"),
+        (["sweep", "harnack-strong", "--refinements", "0"], "argument --refinements: must be a positive integer"),
+    ])
+    def test_bad_counts_and_boxes_are_config_errors(self, tmp_path, capsys, argv, rule):
+        out = tmp_path / "x"
+        assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
+        assert rule in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_in_report_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "lower_bound_check", lambda tab, alpha: {"C1": float("nan")})
+        out = tmp_path / "x"
+        assert main(["harnack", "--n-freq", "128", "--out", str(out), "lower"]) == 3
+        assert "harnack_lower.json" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_flag_is_usage_error(self, tmp_path):
@@ -165,7 +212,9 @@ class TestExitCodes:
     def test_bad_table_time_is_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "x"
         assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
-        assert "t must be finite and positive" in capsys.readouterr().err
+        # nan and inf stop at the flag; 0 and -1 reach the table's check
+        rule = "t must be finite and positive" if math.isfinite(float(argv[-1])) else "--t: must be a finite number"
+        assert rule in capsys.readouterr().err
         assert not out.exists()
 
     def test_nan_table_mass_is_numerical_failure(self, tmp_path, capsys, monkeypatch):

@@ -33,6 +33,17 @@ class TestPhaseGrid:
         with pytest.raises(ValueError):
             PhaseGrid(nt=1, nx=16, nv=16, x_period=-1.0, v_extent=1.0)
 
+    @pytest.mark.parametrize("nx, nv", [(0, 16), (16, 0), (-2, 16), (16, 1)])
+    def test_rejects_fewer_than_two_cells(self, nx, nv):
+        with pytest.raises(ValueError, match="at least 2"):
+            PhaseGrid(nt=1, nx=nx, nv=nv, x_period=1.0, v_extent=1.0)
+
+    @pytest.mark.parametrize("box", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_non_finite_boxes(self, box):
+        for kw in ({"x_period": box, "v_extent": 1.0}, {"x_period": 1.0, "v_extent": box}):
+            with pytest.raises(ValueError, match="finite and positive"):
+                PhaseGrid(nt=1, nx=16, nv=16, **kw)
+
 
 class TestClosures:
     def test_zero_extension(self):
