@@ -342,7 +342,7 @@ def _positive_int(text: str) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s", type=_finite_float, default=0.5, help="jump order parameter, in (0, 1)")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--n-freq", type=int, default=256, help="frequency grid size per axis")
+    p.add_argument("--n-freq", type=_positive_int, default=256, help="frequency grid size per axis")
     p.add_argument("--kernel", default="frac", help="kernel family name ('frac')")
     p.add_argument("--kernel-config", default=None, help="kernel key=value config file")
     p.add_argument("--seed", type=int, default=0)
@@ -371,12 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the split-step solver")
     _add_common(p)
-    p.add_argument("--nx", type=int, default=256)
-    p.add_argument("--nv", type=int, default=256)
+    p.add_argument("--nx", type=_positive_int, default=256)
+    p.add_argument("--nv", type=_positive_int, default=256)
     p.add_argument("--x-period", type=_finite_float, default=8.0)
     p.add_argument("--v-extent", type=_finite_float, default=12.0)
     p.add_argument("--dt", type=_finite_float, default=0.01)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=_positive_int, default=100)
     p.add_argument("--scheme", choices=["explicit", "implicit", "cn"], default="cn")
     p.add_argument("--no-torus", action="store_true")
     p.add_argument("--cross-validate", action="store_true",
@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ellipticity", help="symmetry / upper-bound / coercivity checks")
     _add_common(p)
     p.add_argument("--fit", action="store_true", help="also fit the coercivity ratio")
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=_positive_int, default=64)
     p.set_defaults(func=_run_ellipticity)
 
     p = sub.add_parser("harnack", help="Harnack-type measurements")
@@ -399,13 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--x0", type=_finite_float, default=0.0)
         q.add_argument("--v0", type=_finite_float, default=0.0)
         q.add_argument("--t-offset", dest="t_offset", type=_finite_float, default=1.0)
-        q.add_argument("--nodes", type=int, default=8)
+        q.add_argument("--nodes", type=_positive_int, default=8)
         q.add_argument("--r0", type=_finite_float, default=0.125)
         q.add_argument("--R", type=_finite_float, default=0.5)
         q.add_argument("--zeta", type=_finite_float, default=0.5)
         q.add_argument("--level", type=_finite_float, default=0.0)
         q.add_argument("--delta", type=_finite_float, default=0.5)
-        q.add_argument("--p", type=_finite_float, default=1.05)
+        q.add_argument("--p", type=_finite_float, default=1.14)
         q.add_argument("--tau0", type=_finite_float, default=1.0)
         q.add_argument("--y0", type=_finite_float, default=0.0)
         q.add_argument("--w0", type=_finite_float, default=0.0)
@@ -429,17 +429,17 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--w0", type=_finite_float, default=0.0)
         q.add_argument("--x1", type=_finite_float, default=0.0)
         q.add_argument("--v1", type=_finite_float, default=0.0)
-        q.add_argument("--samples", type=int, default=30)
+        q.add_argument("--samples", type=_positive_int, default=30)
         q.add_argument("--t", type=_finite_float, default=1.0)
         q.add_argument("--kind", default="NashOnDiag",
                        choices=["NashOnDiag", "UpperUnconditional", "UpperConditional", "LowerExponential"])
         q.add_argument("--variant", choices=["kinetic", "parabolic"], default="kinetic")
-        q.add_argument("--nx", type=int, default=64)
-        q.add_argument("--nv", type=int, default=128)
+        q.add_argument("--nx", type=_positive_int, default=64)
+        q.add_argument("--nv", type=_positive_int, default=128)
         q.add_argument("--x-period", type=_finite_float, default=8.0)
         q.add_argument("--v-extent", type=_finite_float, default=8.0)
         q.add_argument("--dt", type=_finite_float, default=0.01)
-        q.add_argument("--steps", type=int, default=10)
+        q.add_argument("--steps", type=_positive_int, default=10)
         q.add_argument("--scheme", choices=["explicit", "implicit", "cn"], default="cn")
     p.set_defaults(func=_run_aronson)
 
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v0", type=_finite_float, default=0.0)
     p.add_argument("--t-offset", dest="t_offset", type=_finite_float, default=1.0)
     p.add_argument("--field", default=None)
-    p.add_argument("--nodes", type=int, default=4)
+    p.add_argument("--nodes", type=_positive_int, default=4)
     p.set_defaults(func=_run_sweep)
 
     return ap

@@ -17,9 +17,13 @@ every ``s``:
     int_0^1 |a - tau b|^p dtau = Phi(1) - Phi(0),
     Phi(tau) = -(a - tau b) |a - tau b|^p / (b (p + 1)).
 
-Tables are built by a 2-d inverse FFT of the sampled symbol; the
-frequency extents are grown automatically until the symbol is below a
-target at the boundary.
+Tables are built by one real 2-d inverse FFT of the half spectrum
+``xi >= 0`` of the sampled symbol: the symbol is real and
+point-symmetric, so this equals the real part of the full complex
+inverse FFT, once the Nyquist line ``phi = -Phi`` (which has no ``+Phi``
+partner on the grid) is replaced by the average of its ``xi`` and
+``-xi`` values.  The frequency extents are grown automatically until
+the symbol is below a target at the boundary.
 
 ``FundamentalSolutionTable.sample`` reads the unit-time profile by the
 tensor-product not-a-knot cubic interpolant on its uniform axes (the
@@ -59,19 +63,16 @@ def _abs_power_integral(a, b, p):
     """``int_0^1 |a - tau b|^p dtau``, exact, vectorized."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    a, b = np.broadcast_arrays(a, b)
-    out = np.empty_like(a)
+    abs_a_p = np.abs(a) ** p
     # for |b| << |a| the antiderivative difference cancels catastrophically;
     # the integrand is then constant |a|^p to relative accuracy ~ p |b/a|
     zero = np.abs(b) < np.maximum(1e-300, 1e-9 * np.abs(a))
-    out[zero] = np.abs(a[zero]) ** p
-    bz = b[~zero]
-    az = a[~zero]
-    u1 = az - bz
-    phi1 = -(u1 * np.abs(u1) ** p) / (bz * (p + 1))
-    phi0 = -(az * np.abs(az) ** p) / (bz * (p + 1))
-    out[~zero] = phi1 - phi0
-    return out
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u1 = a - b
+        den = b * (p + 1)
+        phi1 = -(u1 * np.abs(u1) ** p) / den
+        phi0 = -(a * abs_a_p) / den
+        return np.where(zero, abs_a_p, phi1 - phi0)
 
 
 def j0_hat_exponent(phi, xi, s: float):
@@ -112,6 +113,15 @@ def _unit_profile(n_freq: int, s: float, target: float = 1e-8):
     sampled at the reflected frequency, ``j0_hat(-phi, xi)``, which is
     the convention that solves the forward-transport equation (see
     module docstring).
+
+    The symbol is real and point-symmetric, ``G(-phi, -xi) = G(phi, xi)``
+    bit for bit, so the real part of the full inverse FFT is the real
+    inverse FFT of the half spectrum ``xi >= 0`` (the first ``n // 2 + 1``
+    ``xi`` frequencies).  For even ``n`` the one exception is the Nyquist
+    line ``phi = -Phi``, whose mirror ``+Phi`` is not on the grid.  The
+    full array is not Hermitian on that line, and the real part of its
+    transform reads the average of each ``xi`` value and its ``-xi``
+    partner, so the half spectrum carries that average there.
     """
     key = (n_freq, round(s, 12), target)
     if key in _PROFILE_CACHE:
@@ -121,9 +131,18 @@ def _unit_profile(n_freq: int, s: float, target: float = 1e-8):
     dphi, dxi = 2 * Phi / n, 2 * Xi / n
     phi = dphi * (np.fft.fftfreq(n) * n)
     xi = dxi * (np.fft.fftfreq(n) * n)
-    G = j0_hat(-phi[:, None], xi[None, :], s)
-    vals = np.fft.ifft2(G) * (n * n * dphi * dxi) / (2 * np.pi) ** 2
-    vals = np.fft.fftshift(vals.real)
+    # the spectrum is held transposed, (xi, phi), so that the (x, v) profile
+    # comes out in Fortran order: the layout the sampler's first pass reads
+    half = np.arange(n // 2 + 1)
+    G = j0_hat(-phi[None, :], xi[half, None], s)
+    if n % 2 == 0:
+        # the xi-mirror of row j is row -j (mod n); at j = n/2 it is itself
+        G[:, n // 2] += j0_hat(-phi[n // 2], xi[-half], s)
+        G[:, n // 2] *= 0.5
+    vals = np.fft.irfft2(G, s=(n, n), axes=(1, 0)).T
+    vals *= n * n * dphi * dxi
+    vals /= (2 * np.pi) ** 2
+    vals = np.fft.fftshift(vals)
     dx = 2 * np.pi / (n * dphi)
     dv = 2 * np.pi / (n * dxi)
     x_axis = dx * (np.arange(n) - n // 2)
@@ -225,7 +244,8 @@ class _BicubicSampler:
         self.h = (_uniform_step(x_axis), _uniform_step(v_axis))
         self.n = values.shape
         coef = _not_a_knot_coefficients(np.ascontiguousarray(values.T, dtype=float))
-        self.coef = _not_a_knot_coefficients(np.ascontiguousarray(coef.T)).ravel()
+        coef = np.ascontiguousarray(coef.T)  # frees the first pass before the second
+        self.coef = _not_a_knot_coefficients(coef).ravel()
 
     def __call__(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Interpolated values at broadcast ``(x, v)``; 0 outside the box
@@ -296,7 +316,9 @@ class FundamentalSolutionTable:
         if self._sampler is None:
             xu = self.x_axis / self.t ** (1 + 1 / (2 * s))
             vu = self.v_axis / self.t ** (1 / (2 * s))
-            self._sampler = _BicubicSampler(xu, vu, self.values * self.t**beta)
+            # scaled into the transposed layout the sampler reads, in one pass
+            scaled = np.multiply(self.values.T, self.t**beta, order="C").T
+            self._sampler = _BicubicSampler(xu, vu, scaled)
         t = _positive_time(self.t if t is None else t)
         xu = np.asarray(x, dtype=float) / t ** (1 + 1 / (2 * s))
         vu = np.asarray(v, dtype=float) / t ** (1 / (2 * s))
@@ -321,6 +343,8 @@ class FundamentalSolutionTable:
 def j0_table(t: float, s: float, n_freq: int = 256, target: float = 1e-8) -> FundamentalSolutionTable:
     """Build the fundamental-solution table at time ``t``."""
     t = float(_positive_time(t))
+    if n_freq < 4:
+        raise ValueError("n_freq must be at least 4")
     x_axis, v_axis, vals, meta = _unit_profile(n_freq, s, target)
     beta = peak_decay_exponent(s, 1)
     tab = FundamentalSolutionTable(

@@ -385,6 +385,12 @@ def degiorgi_trace(
     sup_f = float(bv.max())
     A0 = trunc_mass(R, 0.0)
     L = degiorgi_level_cap(A0, R, delta, p, zeta, sup_f, h_sup, s)
+    if not math.isfinite(L):
+        q = p / (p - 1.0)
+        raise ValueError(
+            f"p = {p} overflows the level cap L (its factor 2^(4q^2) with "
+            f"q = p/(p - 1) = {q:.4g}); take a larger p in (1, {p_hi})"
+        )
 
     seq = []
     decay_ok = True

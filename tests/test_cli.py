@@ -20,6 +20,19 @@ def _manifest(out):
         return json.load(fh)
 
 
+def _parsers(ap):
+    """``ap`` and every subcommand parser below it."""
+    yield ap
+    for action in ap._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def _flag_actions():
+    return [a for ap in _parsers(cli.build_parser()) for a in ap._actions]
+
+
 class TestSubcommands:
     def test_fundsol(self, tmp_path):
         code = main(["fundsol", "--t", "1.0", "--n-freq", "128", "--out", str(tmp_path / "f")])
@@ -105,6 +118,15 @@ class TestSubcommands:
             rep = json.load(fh)
         assert math.isfinite(rep["constant"]) and rep["constant"] >= 0.0
 
+    def test_harnack_degiorgi_default_p(self, tmp_path):
+        code = main(["harnack", "--n-freq", "128", "--out", str(tmp_path / "g"), "degiorgi", "--t0", "1.0"])
+        assert code == 0
+        with open(tmp_path / "g" / "harnack_degiorgi.json") as fh:
+            rep = json.load(fh)
+        assert rep["p"] == 1.14
+        assert math.isfinite(rep["L"]) and rep["decay_ok"]
+        assert (tmp_path / "g" / "degiorgi.csv").exists()
+
     def test_sweep(self, tmp_path):
         code = main([
             "sweep", "harnack-strong", "--n-freq", "128", "--refinements", "2",
@@ -169,19 +191,46 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_every_float_flag_is_finite(self):
-        def parsers(ap):
-            yield ap
-            for action in ap._actions:
-                if isinstance(action, argparse._SubParsersAction):
-                    for sub in action.choices.values():
-                        yield from parsers(sub)
-
-        types = [a.type for ap in parsers(cli.build_parser()) for a in ap._actions]
+        types = [a.type for a in _flag_actions()]
         assert float not in types
         assert cli._finite_float in types
 
+    def test_every_count_flag_is_positive(self):
+        actions = [a for a in _flag_actions() if a.type in (int, cli._positive_int)]
+        assert {a.option_strings[0] for a in actions if a.type is int} == {"--seed", "--d"}
+        assert any(a.type is cli._positive_int for a in actions)
+
+    @pytest.mark.parametrize("argv", [
+        ["fundsol", "--n-freq", "0"],
+        ["harnack", "strong", "--nodes", "0"],
+        ["sweep", "harnack-strong", "--nodes", "-1"],
+        ["ellipticity", "--samples", "0"],
+        ["aronson", "k-threshold", "--samples", "0"],
+        ["solve", "--nx", "0"],
+        ["aronson", "energy", "--nv", "0"],
+        ["solve", "--steps", "0"],
+        ["aronson", "energy", "--steps", "-2"],
+    ])
+    def test_non_positive_count_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
+        assert f"argument {argv[-2]}: must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_few_frequencies_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["fundsol", "--n-freq", "3", "--out", str(out)]) == 2
+        assert "n_freq must be at least 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_degiorgi_cap_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["harnack", "--n-freq", "128", "--out", str(out), "degiorgi", "--p", "1.05"]) == 2
+        assert "p = 1.05 overflows the level cap L" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, rule", [
-        (["solve", "--nx", "0"], "nx and nv must be at least 2"),
+        (["solve", "--nx", "1"], "nx and nv must be at least 2"),
         (["solve", "--nv", "1"], "nx and nv must be at least 2"),
         (["solve", "--x-period", "-1"], "x_period and v_extent must be finite and positive"),
         (["sweep", "harnack-strong", "--refinements", "0"], "argument --refinements: must be a positive integer"),

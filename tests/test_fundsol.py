@@ -1,5 +1,6 @@
 """Explicit fundamental solution: symbol, tables, composition, Duhamel."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -86,6 +87,11 @@ class TestTable:
         with pytest.raises(ValueError):
             j0_table(-1.0, S)
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_too_few_frequencies_rejected(self, n):
+        with pytest.raises(ValueError, match="n_freq must be at least 4"):
+            j0_table(1.0, S, n_freq=n)
+
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_non_finite_or_non_positive_time_rejected(self, tab256, t):
         with pytest.raises(ValueError, match="finite and positive"):
@@ -102,6 +108,68 @@ class TestTable:
         monkeypatch.setattr(fundsol, "_unit_profile", lambda *a: (x_axis, v_axis, np.full_like(vals, np.nan), meta))
         with pytest.raises(RuntimeError, match="mass deficit"):
             j0_table(1.0, S, n_freq=128)
+
+
+def _masked_abs_power_integral(a, b, p):
+    """The boolean-mask formula the vectorized closed form replaced."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    out = np.empty_like(a)
+    zero = np.abs(b) < np.maximum(1e-300, 1e-9 * np.abs(a))
+    out[zero] = np.abs(a[zero]) ** p
+    bz, az = b[~zero], a[~zero]
+    u1 = az - bz
+    phi1 = -(u1 * np.abs(u1) ** p) / (bz * (p + 1))
+    phi0 = -(az * np.abs(az) ** p) / (bz * (p + 1))
+    out[~zero] = phi1 - phi0
+    return out
+
+
+def _full_spectrum_profile(n, s):
+    """The profile as the real part of the full complex inverse FFT."""
+    _, _, _, meta = fundsol._unit_profile(n, s)
+    Phi, Xi = meta["phi_extent"], meta["xi_extent"]
+    dphi, dxi = 2 * Phi / n, 2 * Xi / n
+    phi = dphi * (np.fft.fftfreq(n) * n)
+    xi = dxi * (np.fft.fftfreq(n) * n)
+    G = j0_hat(-phi[:, None], xi[None, :], s)
+    return np.fft.fftshift(np.fft.ifft2(G).real) * (n * n * dphi * dxi) / (2 * np.pi) ** 2
+
+
+class TestHalfSpectrumBuild:
+    @pytest.mark.parametrize("n", [129, 256, 1024])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
+    def test_matches_full_complex_transform(self, n, s):
+        ref = _full_spectrum_profile(n, s)
+        vals = fundsol._unit_profile(n, s)[2]
+        assert vals.shape == (n, n)
+        # rounding only: mirroring the Nyquist corner at the off-grid +Xi
+        # instead of at itself already moves s = 0.25 by 7.6e-12 of the peak
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * ref.max()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.6])
+    def test_closed_form_bit_identical_to_masked_formula(self, p):
+        # b = 0, 0 < |b| < 1e-9 |a| (down to a subnormal b, whose discarded
+        # antiderivative overflows), a = 0, and both signs of each
+        a = np.array([-5.0, -2.5, -1e-12, 0.0, 1e-12, 0.7, 5.0])[:, None]
+        b = np.array([-3.0, -4e-9, -1e-12, -5e-324, 0.0, 1e-12, 4e-9, 0.7, 3.0])[None, :]
+        freq = 0.3 * np.fft.fftfreq(64) * 64
+        for x, y in ((a, b), (freq[None, :], -freq[:, None]), (1.5, 0.0)):
+            got = fundsol._abs_power_integral(x, y, p)
+            np.testing.assert_array_equal(got, _masked_abs_power_integral(x, y, p))
+            assert got.shape == np.broadcast_shapes(np.shape(x), np.shape(y))
+
+    def test_cold_build_peak_memory(self, monkeypatch):
+        monkeypatch.setattr(fundsol, "_PROFILE_CACHE", {})
+        tracemalloc.start()
+        try:
+            vals = fundsol._unit_profile(1024, 0.5)[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        # the sampler's first pass reads the transpose without a copy
+        assert vals.T.flags.c_contiguous
 
 
 def _reference_spline(tab):
@@ -163,6 +231,15 @@ class TestSampler:
         x = np.concatenate([rng.uniform(tab.x_axis[0], tab.x_axis[-1], 5000), _box_edges(tab)[0]])
         v = np.concatenate([rng.uniform(tab.v_axis[0], tab.v_axis[-1], 5000), _box_edges(tab)[1]])
         self._assert_matches(tab, x, v)
+
+    def test_coefficients_independent_of_table_layout(self, tab256):
+        tab = tab256.at_time(1.7)
+        c_tab = FundamentalSolutionTable(s=tab.s, t=tab.t, x_axis=tab.x_axis, v_axis=tab.v_axis,
+                                         values=np.ascontiguousarray(tab.values))
+        assert tab.values.flags.f_contiguous and c_tab.values.flags.c_contiguous
+        tab.sample(0.0, 0.0)
+        c_tab.sample(0.0, 0.0)
+        np.testing.assert_array_equal(tab._sampler.coef, c_tab._sampler.coef)
 
     def test_outside_and_nan_points_are_zero(self, tab256):
         x0, x1 = tab256.x_axis[0], tab256.x_axis[-1]

@@ -8,6 +8,7 @@ import pytest
 from kineticlab.geometry import CylinderKind, PhasePoint, make_cylinder
 from kineticlab.harnack import (
     AnalyticField,
+    degiorgi_level_cap,
     degiorgi_trace,
     fundamental_field,
     harnack_chain,
@@ -140,6 +141,13 @@ class TestDeGiorgi:
             degiorgi_trace(field, z, 0.5, delta=0.5, p=2.0, s=S)
         with pytest.raises(ValueError):
             degiorgi_trace(field, z, 0.5, delta=1.5, p=1.1, s=S)
+
+    def test_overflowing_level_cap_rejected(self, solver_run):
+        _, field = solver_run
+        z = PhasePoint(1.0, 0.0, 0.0)
+        assert math.isinf(degiorgi_level_cap(1.0, 0.5, 0.5, 1.05, 0.5, 1.0, 0.0, S))
+        with pytest.raises(ValueError, match=r"p = 1.05 overflows the level cap"):
+            degiorgi_trace(field, z, 0.5, delta=0.5, p=1.05, s=S)
 
     def test_sequence_properties(self, solver_run):
         _, field = solver_run
