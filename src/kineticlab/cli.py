@@ -45,6 +45,7 @@ from .harnack import (
     weak_harnack_ratio,
 )
 from .kernels import (
+    SymmetricPerturbation,
     check_coercivity,
     check_symmetry,
     check_upper_bound,
@@ -159,10 +160,20 @@ def _field_from_args(args, s: float):
 # subcommand bodies
 
 
+# a table whose physical-box edge is above this fraction of its peak is
+# flagged in the fundsol report
+_EDGE_LEVEL_LIMIT = 1e-3
+
+
 def _run_fundsol(args, em: Emitter) -> None:
     s = _check_s(args.s)
     tab = j0_table(args.t, s, n_freq=args.n_freq)
     ck = chapman_kolmogorov_residual(args.t / 2, args.t / 2, s, n_freq=min(args.n_freq, 128))
+    notes = []
+    edge = tab.meta["edge_level"]
+    if edge > _EDGE_LEVEL_LIMIT:
+        notes.append(f"the physical-box edge reads {edge:.3g} of the peak (above {_EDGE_LEVEL_LIMIT:g}): "
+                     "periodic images of the tail fold back into the box; raise --n-freq")
     em.json("fundsol.json", {
         "s": s,
         "t": args.t,
@@ -170,6 +181,7 @@ def _run_fundsol(args, em: Emitter) -> None:
         "peak": tab.peak(),
         "meta": tab.meta,
         "chapman_kolmogorov": ck,
+        "notes": notes,
     })
 
 
@@ -205,7 +217,10 @@ def _run_ellipticity(args, em: Emitter) -> None:
     upper = check_upper_bound(k)
     report = {"symmetry": sym, "upper_bound": upper}
     if args.fit:
-        report["coercivity"] = check_coercivity(k)
+        # against the kernel's own lower constant: c for the fractional
+        # kernel, a_min c for its perturbation
+        lambda0 = k.a_min * k.base.c if isinstance(k, SymmetricPerturbation) else k.c
+        report["coercivity"] = check_coercivity(k, lambda0=lambda0)
     em.json("ellipticity.json", report)
 
 

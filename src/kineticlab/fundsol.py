@@ -147,12 +147,16 @@ def _unit_profile(n_freq: int, s: float, target: float = 1e-8):
     dv = 2 * np.pi / (n * dxi)
     x_axis = dx * (np.arange(n) - n // 2)
     v_axis = dv * (np.arange(n) - n // 2)
+    # the largest |value| on the physical-box edge, where the periodic
+    # images of the tail fold back into the box; recorded against the peak
+    edge = max(np.abs(vals[[0, -1], :]).max(), np.abs(vals[:, [0, -1]]).max())
     meta = {
         "n_freq": n,
         "phi_extent": Phi,
         "xi_extent": Xi,
         "boundary_target": target,
         "ringing": float(min(vals.min(), 0.0)),
+        "edge_level": float(edge / vals[n // 2, n // 2]),
     }
     _PROFILE_CACHE[key] = (x_axis, v_axis, vals, meta)
     return _PROFILE_CACHE[key]

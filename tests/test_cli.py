@@ -43,6 +43,19 @@ class TestSubcommands:
         man = _manifest(tmp_path / "f")
         assert "fundsol.json" in man["outputs"]
 
+    @pytest.mark.parametrize("s, n_freq, flagged", [(0.25, 256, True), (0.5, 1024, False)])
+    def test_fundsol_flags_box_edge(self, tmp_path, s, n_freq, flagged):
+        # at s = 0.25 the periodized tail reaches the physical-box edge at a
+        # third of the peak; a converged table is not flagged
+        out = tmp_path / "f"
+        assert main(["fundsol", "--s", str(s), "--n-freq", str(n_freq), "--out", str(out)]) == 0
+        with open(out / "fundsol.json") as fh:
+            rep = json.load(fh)
+        edge = rep["meta"]["edge_level"]
+        assert (edge > 1e-3) is flagged
+        assert len(rep["notes"]) == flagged
+        assert all("physical-box edge" in note for note in rep["notes"])
+
     def test_solve_writes_diagnostics(self, tmp_path):
         code = main([
             "solve", "--nx", "32", "--nv", "32", "--x-period", "8", "--v-extent", "6",
@@ -67,10 +80,32 @@ class TestSubcommands:
         with open(tmp_path / "e" / "ellipticity.json") as fh:
             rep = json.load(fh)
         # np.bool_ verdicts serialize as JSON booleans; the normalized kernel
-        # is 1/pi times the unit Gagliardo kernel on both quadrature sides
-        assert isinstance(rep["coercivity"]["pass"], bool)
-        assert rep["coercivity"]["fitted_constant"] == pytest.approx(1 / math.pi, rel=1e-9)
+        # is compared with its own constant lambda0 = 1/pi, so it fits 1
+        assert rep["coercivity"]["pass"] is True
+        assert rep["coercivity"]["lambda0"] == pytest.approx(1 / math.pi, rel=1e-15)
+        assert rep["coercivity"]["fitted_constant"] == pytest.approx(1.0, rel=1e-9)
         assert "ellipticity.json" in _manifest(tmp_path / "e")["outputs"]
+
+    def test_ellipticity_fit_perturbed_config(self, tmp_path):
+        # a perturbed kernel is compared with a_min c, below which it never falls
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(f"kind = perturbed\nc = {1 / math.pi!r}\ns = 0.5\na_min = 0.5\na_max = 1.5\n")
+        code = main(["ellipticity", "--fit", "--kernel-config", str(cfg), "--out", str(tmp_path / "e")])
+        assert code == 0
+        with open(tmp_path / "e" / "ellipticity.json") as fh:
+            coer = json.load(fh)["coercivity"]
+        assert coer["lambda0"] == pytest.approx(0.5 / math.pi, rel=1e-15)
+        assert coer["pass"] is True and coer["fitted_constant"] >= 1.0
+
+    @pytest.mark.parametrize("sub, kind", [("weak", "Weak"), ("l1linf", "L1Linf")])
+    def test_harnack_weak_and_l1linf(self, tmp_path, sub, kind):
+        code = main(["harnack", "--n-freq", "128", "--out", str(tmp_path / "h"), sub, "--t0", "1.0"])
+        assert code == 0
+        with open(tmp_path / "h" / f"harnack_{sub}.json") as fh:
+            rep = json.load(fh)
+        assert rep["kind"] == kind
+        assert all(math.isfinite(rep[key]) for key in ("sup", "inf", "ratio"))
+        assert rep["ratio"] > 0.0
 
     def test_harnack_strong(self, tmp_path):
         code = main([

@@ -12,6 +12,7 @@ from scipy.special import gamma
 from kineticlab import kernels
 from kineticlab.fields import PowerLawEnvelope
 from kineticlab.kernels import (
+    CustomKernel,
     EllipticityParams,
     FractionalLaplacian,
     KernelSpec,
@@ -70,7 +71,7 @@ class TestFractionalKernel:
         # stays accurate for slowly decaying tails (small s) too
         k = FractionalLaplacian(c=1.3, s=s)
         quad = KernelSpec.one_sided_tail(k, 0.0, r)
-        assert k.one_sided_tail(0.0, r) == pytest.approx(quad, rel=1e-4)
+        assert k.one_sided_tail(0.0, r) == pytest.approx(quad, rel=1e-12)
 
     @pytest.mark.parametrize("c, s, r", [(1.0, 0.5, 0.5), (1.3, 0.3, 2.0), (1 / math.pi, 0.75, 0.25)])
     def test_two_sided_tail_is_twice_the_closed_form(self, c, s, r):
@@ -97,38 +98,72 @@ def _perturbed(c=1 / math.pi, s=0.5):
 class TestFarFieldQuadrature:
     """``KernelSpec.one_sided_tail`` is the one far-field rule of the package."""
 
-    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
-    @pytest.mark.parametrize("amplitude, p", [(0.05, 2.0), (1.0, 1.0)])
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("amplitude", [0.05, 1.0])
     @pytest.mark.parametrize("side", [+1, -1])
-    def test_power_law_envelope_closed_form(self, s, amplitude, p, side):
-        # int_dist^inf c u^{-(1+2s)} A u^{-p} du = c A dist^{-(2s+p)} / (2s+p) at v = 0
+    def test_power_law_envelope_closed_form(self, s, p, amplitude, side):
+        # int_dist^inf c u^{-(1+2s)} A u^{-p} du = c A dist^{-(2s+p)} / (2s+p) at v = 0;
+        # the remainder past the cut decays like u^{-(1+2s+p)}, weight included
         k = FractionalLaplacian(c=1.3, s=s)
         env = PowerLawEnvelope(amplitude, p).envelope
-        for dist in (0.5, 3.0):
+        for dist in (0.25, 0.5, 3.0):
             want = 1.3 * amplitude * dist ** (-(2 * s + p)) / (2 * s + p)
-            assert k.one_sided_tail(0.0, dist, side=side, weight=env) == pytest.approx(want, rel=1e-4)
+            assert k.one_sided_tail(0.0, dist, side=side, weight=env) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("v", [0.0, 0.7, -1.3])
     @pytest.mark.parametrize("side", [+1, -1])
     def test_perturbed_kernel_against_quad(self, v, side):
         # a = 1 + 0.5 cos(v + w) with w = v + side u splits into
-        # cos(2v) cos(u) - side sin(2v) sin(u): two Fourier integrals
-        k = _perturbed()
-        c, s = k.base.c, k.s
+        # cos(2v) cos(u) - side sin(2v) sin(u): two Fourier integrals (QAWF)
+        for s in (0.1, 0.25, 0.5, 0.75):
+            k = _perturbed(s=s)
+            c = k.base.c
 
-        def power(u):
-            return c * u ** (-(1 + 2 * s))
+            def power(u):
+                return c * u ** (-(1 + 2 * s))
 
-        for dist in (0.25, 1.0, 2.0):
-            cos_part = quad(power, dist, np.inf, weight="cos", wvar=1.0)[0]
-            sin_part = quad(power, dist, np.inf, weight="sin", wvar=1.0)[0]
-            want = c * dist ** (-2 * s) / (2 * s) + 0.5 * (math.cos(2 * v) * cos_part - side * math.sin(2 * v) * sin_part)
-            assert k.one_sided_tail(v, dist, side=side) == pytest.approx(want, rel=1e-3)
+            for dist in (0.25, 1.0, 2.0):
+                cos_part = quad(power, dist, np.inf, weight="cos", wvar=1.0)[0]
+                sin_part = quad(power, dist, np.inf, weight="sin", wvar=1.0)[0]
+                want = c * dist ** (-2 * s) / (2 * s) + 0.5 * (
+                    math.cos(2 * v) * cos_part - side * math.sin(2 * v) * sin_part)
+                assert k.one_sided_tail(v, dist, side=side) == pytest.approx(want, rel=1e-8), (s, dist)
+
+    def test_evaluations_per_point_and_side(self, monkeypatch):
+        # every kernel class spends at most 2000 kernel evaluations on one
+        # point and side; the plain power law takes the 80-node log rule
+        counted = []
+        frac_eval = FractionalLaplacian._eval
+
+        def counting(self, t, x, v, w):
+            counted.append(np.size(w))
+            return frac_eval(self, t, x, v, w)
+
+        monkeypatch.setattr(FractionalLaplacian, "_eval", counting)
+        base, pert = FractionalLaplacian(c=1.0, s=0.3), _perturbed(s=0.3)
+        family = {
+            "fractional": base,
+            "perturbed": pert,
+            "custom": CustomKernel(evaluator=base._eval, s=0.3),
+            "modulated": TimeSpaceModulated(inner=pert, modulation=lambda t, x: 2.0, m_min=2.0, m_max=2.0),
+            "scaled": kernel_scale(pert, 0.5),
+        }
+        env = PowerLawEnvelope(0.05, 2.0).envelope
+        v = np.linspace(-1.0, 1.0, 50)
+        per_point = {}
+        for name, k in family.items():
+            for weight in (None, env):
+                counted.clear()
+                k.one_sided_tail(v, 0.5, side=-1, weight=weight)
+                per_point[name, weight is None] = sum(counted) / v.size
+        assert max(per_point.values()) <= 2000
+        assert per_point["fractional", False] == 80 and per_point["fractional", True] == 0
 
     def test_blocks_do_not_change_values(self):
         # more points than one block: each point's value is the one-point value
         k = _perturbed()
-        n = kernels._TAIL_BLOCK + 3
+        n = kernels._TAIL_BLOCK // (kernels._TAIL_ORDER * kernels._TAIL_CAPPED_PANELS) + 3
         v, dist = np.linspace(-2.0, 2.0, n), np.linspace(0.1, 3.0, n)
         batch = k.one_sided_tail(v, dist, side=-1)
         single = [k.one_sided_tail(a, b, side=-1) for a, b in zip(v, dist)]
@@ -215,8 +250,6 @@ class TestEllipticityChecks:
         assert rep["max_relative_asymmetry"] == 0.0
 
     def test_symmetry_detects_asymmetric_kernel(self):
-        from kineticlab.kernels import CustomKernel
-
         k = CustomKernel(evaluator=lambda t, x, v, w: np.abs(v - w) ** -2.0 * (1.0 + 0.1 * np.sign(w - v)), s=0.5)
         rep = check_symmetry(k)
         assert not rep["pass"]
