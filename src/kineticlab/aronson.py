@@ -25,14 +25,21 @@ arithmetic costs far less per operation, and the ufuncs (``np.exp``,
 ``np.log``, ``np.power``) run the same loops as on arrays, so a point's
 residual is bit-identical alone and in a batch.  Each point's state
 (spatial offset, branch arguments, ``delta``, log factor) is computed once
-and shared by the transport and jump terms.  The jump term
-skips points where the barrier is flat on the ball: if
-``(|v - w0| + rho)/(3 rho) < max(1, gx)``, with ``gx`` the spatial branch
-argument, then ``m = max(1, gx)`` at ``v`` and at every velocity of
-``B_rho(v)``, so the integrand, and the integral, is exactly 0.0.  Every
-other point has seven quadrature segments (breakpoints clipped to the
-ball, empty segments weighted zero).  Kernels see flattened 1-D
-``t, x, v, w`` node arrays.
+and shared by the transport and jump terms.
+
+The jump term integrates only what can contribute.  It skips points where
+the barrier is flat on the ball: if ``(|v - w0| + rho)/(3 rho) < max(1, gx)``,
+with ``gx`` the spatial branch argument, then ``m = max(1, gx)`` at ``v``
+and at every velocity of ``B_rho(v)``, so the integrand, and the integral,
+is exactly 0.0.  Every other point has seven quadrature segments
+(breakpoints clipped to the ball), and of these it integrates only the
+ones whose integrand is not identically 0.0.  The others are segments
+narrower than 1e-14, whose weights are zero, and, when ``v`` lies in the
+flat zone ``|v - w0|/(3 rho) <= max(1, gx)``, segments whose nodes all lie
+in it too: there ``m = max(1, gx)`` at ``v`` and at every node.  The sums
+of the integrated segments go back into their seven slots, 0.0 elsewhere,
+and are summed as before, so each point's integral is bit for bit that of
+all seven segments.  Kernels see flattened 1-D ``t, x, v, w`` node arrays.
 """
 
 from __future__ import annotations
@@ -150,7 +157,8 @@ def barrier_region(p: BarrierParams, z) -> int:
     t, x, v = float(z[0]), float(z[1]), float(z[2])
     rho = p.rho
     dv = abs(v - p.w0)
-    X = p.spatial_arg(t, x) ** (1.0 / (1 + 2 * p.s))
+    # on Python floats: the same C library pow a numpy float scalar's ``**`` calls
+    X = abs(x - p.y0 - (p.sigma + t - 2 * p.tau0) * p.w0) ** (1.0 / (1 + 2 * p.s))
     if dv <= 2 * rho:
         return 1 if X <= 3 * rho else 2
     if dv <= 3 * rho:
@@ -207,16 +215,16 @@ def _as_points(z):
     return Z[:, 0], Z[:, 1], Z[:, 2], False
 
 
-# Points per block of ``_jump_quadratic``: a block holds several arrays
-# of 7 * quad_n nodes per point, so blocking bounds the memory of a large
-# batch (about 10 MB per block at quad_n = 24).
+# Points per block of ``_jump_quadratic``: a block holds a few arrays of
+# at most 7 * quad_n nodes per point, so blocking bounds the memory of a
+# large batch (at most about 10 MB per block at quad_n = 24).
 _JUMP_BLOCK = 1024
 
 
-def _jump_quadratic(p: BarrierParams, kspec: KernelSpec, t, x, v, gx, L, quad_n: int = 24):
+def _jump_quadratic(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L, quad_n: int = 24):
     """``int_{B_rho(v)} (sqrt(H)(v) - sqrt(H)(w))^2 [K(v,w)+K(w,v)] dw`` per
     point, by piecewise Gauss-Legendre with breakpoints at the branch kinks;
-    ``gx`` and ``L`` are the points' spatial branch argument and log factor.
+    ``gv``, ``gx`` and ``L`` are the points' branch arguments and log factor.
 
     Flat-ball rule: every node ``w`` lies in ``[v - rho, v + rho]``, so
     ``|w - w0|/(3 rho) <= reach = (|v - w0| + rho)/(3 rho)``.  Where
@@ -226,29 +234,72 @@ def _jump_quadratic(p: BarrierParams, kspec: KernelSpec, t, x, v, gx, L, quad_n:
     kernel.  The quadrature runs on the rest, ``reach >= max(1, gx)`` less a
     1e-12 relative margin for the rounding of the node positions.
 
+    Segment rule: a live point has seven segments (breakpoints clipped to
+    the ball), and only those that can contribute are integrated.  A
+    segment adds exactly 0.0 when it is narrower than 1e-14 (its weights
+    are zero) or when ``v`` and all its nodes lie in the flat zone
+    ``|w - w0|/(3 rho) <= max(1, gx)`` (``_flat_segment``).  The segment
+    sums are scattered back into seven slots per point, zeros elsewhere,
+    and summed as the full quadrature sums them; adding 0.0 changes no sum,
+    so each value is bit for bit that of integrating all seven segments.
+
     Live points are integrated in blocks of ``_JUMP_BLOCK``; each point's
     value does not depend on the blocking or on the other points.  One
-    point (numpy scalars) gives a float and builds no array unless its
-    ball is live.
+    point (numpy scalars) gives a float; its segments are built from Python
+    floats, whose ``min``/``max`` and ``sorted`` give the breakpoints of the
+    array clip and sort.
     """
     reach = (np.abs(v - p.w0) + p.rho) / (3 * p.rho)
     live = reach >= np.maximum(1.0, gx) * (1 - 1e-12)
     if not isinstance(live, np.ndarray):
-        return float(_jump_block(p, kspec, *np.atleast_1d(t, x, v, gx, L), quad_n)[0]) if live else 0.0
+        return _jump_point(p, kspec, t, x, v, gv, gx, L, quad_n) if live else 0.0
     live = np.flatnonzero(live)
     I = np.zeros(len(v))
     for i in range(0, len(live), _JUMP_BLOCK):
         b = live[i : i + _JUMP_BLOCK]
-        I[b] = _jump_block(p, kspec, t[b], x[b], v[b], gx[b], L[b], quad_n)
+        I[b] = _jump_block(p, kspec, t[b], x[b], v[b], gv[b], gx[b], L[b], quad_n)
     return I
 
 
-def _jump_block(p: BarrierParams, kspec: KernelSpec, t, x, v, gx, L, quad_n: int):
-    """``_jump_quadratic`` on one block of points, over the full ball.
+def _flat_segment(p: BarrierParams, half, mid, mX, quad_n: int):
+    """Whether every node ``half * x_i + mid`` of a segment has multiplier
+    ``mX``, i.e. ``|w - w0|/(3 rho) <= mX``; on floats or elementwise.
+
+    The nodes are monotone in the abscissa ``x_i`` after rounding too, and
+    ``|w - w0|`` is convex, so the two end nodes, computed as every node
+    is, bound the multiplier of every node.
+    """
+    nodes, _ = gauss_legendre(quad_n)
+    first, last = (abs(half * float(e) + mid - p.w0) / (3 * p.rho) <= mX for e in (nodes[0], nodes[-1]))
+    return first & last
+
+
+def _jump_point(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L, quad_n: int) -> float:
+    """``_jump_quadratic`` at one live point (numpy float scalars)."""
+    rho, w0, vf, mX = p.rho, p.w0, float(v), max(1.0, float(gx))
+    lo, hi = vf - rho, vf + rho
+    candidates = (w0, w0 - 2 * rho, w0 + 2 * rho, lo, hi, vf, w0 - 3 * rho * mX, w0 + 3 * rho * mX)
+    brk = sorted(min(max(q, lo), hi) for q in candidates)
+    v_flat = gv <= mX
+    cols, segs = [], []
+    for j, (a, b) in enumerate(zip(brk[:-1], brk[1:])):
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        if b - a >= 1e-14 and not (v_flat and _flat_segment(p, half, mid, mX, quad_n)):
+            cols.append(j)
+            segs.append((half, mid))
+    sums = np.zeros(7)
+    if cols:
+        hm = np.array(segs)
+        sums[cols] = _segment_sums(p, kspec, t, x, v, gv, mX, L, hm[:, :1], hm[:, 1:], quad_n)
+    return float(sums.sum())
+
+
+def _jump_block(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L, quad_n: int):
+    """``_jump_quadratic`` on one block of live points.
 
     The eight candidate breakpoints are clipped to ``[v - rho, v + rho]``
-    and sorted, so every point has seven segments; segments narrower than
-    1e-14 and nodes within 1e-12 of ``v`` get zero weight.
+    and sorted, so every point has seven segments; the ones that can
+    contribute are integrated, the others hold 0.0.
     """
     rho = p.rho
     mX = np.maximum(1.0, gx)
@@ -259,26 +310,37 @@ def _jump_block(p: BarrierParams, kspec: KernelSpec, t, x, v, gx, L, quad_n: int
     brk[:, 6], brk[:, 7] = p.w0 - 3 * rho * mX, p.w0 + 3 * rho * mX
     np.clip(brk, lo[:, None], hi[:, None], out=brk)
     brk.sort(axis=1)
-    a, b = brk[:, :-1, None], brk[:, 1:, None]  # (N, 7, 1)
+    a, b = brk[:, :-1], brk[:, 1:]  # (N, 7)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    flat = (gv <= mX)[:, None] & _flat_segment(p, half, mid, mX[:, None], quad_n)
+    i, j = np.nonzero((b - a >= 1e-14) & ~flat)
+    sums = np.zeros(a.shape)
+    owner = (q[i, None] for q in (t, x, v, gv, mX, L))
+    sums[i, j] = _segment_sums(p, kspec, *owner, half[i, j, None], mid[i, j, None], quad_n)
+    return sums.sum(axis=1)
+
+
+def _segment_sums(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, mX, L, half, mid, quad_n: int):
+    """Gauss-Legendre sums of the jump integrand over segments with nodes
+    ``half * x_i + mid`` (``half, mid`` of shape ``(M, 1)``), one per row.
+
+    ``t, x, v, gv, L`` and ``mX = max(1, gx)`` are the owning points' values,
+    shape ``(M, 1)``, or one point's scalars.  Nodes within 1e-12 of ``v``
+    get zero weight.  Kernels see flattened 1-D ``t, x, v, w`` node arrays.
+    """
     nodes, weights = gauss_legendre(quad_n)
-    w = 0.5 * (b - a) * nodes + 0.5 * (a + b)  # (N, 7, quad_n)
-    v3 = v[:, None, None]
-    keep = (b - a >= 1e-14) & (np.abs(w - v3) > 1e-12)
-    ww = np.where(keep, 0.5 * (b - a) * weights, 0.0)
+    w = half * nodes + mid  # (M, quad_n)
+    keep = np.abs(w - v) > 1e-12
+    ww = np.where(keep, half * weights, 0.0)
     # dropped nodes are moved off the diagonal so the kernel stays finite
-    w = np.where(keep, w, v3 + rho)
-
-    # sqrt(H) at velocity w, with the spatial branch and log factor of each point
-    gx3, L3 = gx[:, None, None], L[:, None, None]
-
-    def sqrtH(vel):
-        return np.exp(-0.5 * np.maximum(1.0, np.maximum(np.abs(vel - p.w0) / (3 * rho), gx3)) * L3)
-
-    tt, xx, vv = (np.repeat(q, w.shape[1] * w.shape[2]) for q in (t, x, v))
+    w = np.where(keep, w, v + p.rho)
+    # sqrt(H) with multiplier max(1, |vel - w0|/(3 rho), gx) = max(|vel - w0|/(3 rho), mX)
+    sqrtH_v = np.exp(-0.5 * np.maximum(gv, mX) * L)
+    sqrtH_w = np.exp(-0.5 * np.maximum(np.abs(w - p.w0) / (3 * p.rho), mX) * L)
+    tt, xx, vv = (np.full(w.shape, q).ravel() for q in (t, x, v))
     wf = w.ravel()
     Ks = np.asarray(kspec._eval(tt, xx, vv, wf), dtype=float) + np.asarray(kspec._eval(tt, xx, wf, vv), dtype=float)
-    quad = (sqrtH(v3) - sqrtH(w)) ** 2 * Ks.reshape(w.shape) * ww
-    return quad.sum(axis=2).sum(axis=1)
+    return ((sqrtH_v - sqrtH_w) ** 2 * Ks.reshape(w.shape) * ww).sum(axis=1)
 
 
 def barrier_residual_parts(p: BarrierParams, kspec: KernelSpec, z, quad_n: int = 24):
@@ -289,8 +351,9 @@ def barrier_residual_parts(p: BarrierParams, kspec: KernelSpec, z, quad_n: int =
     """
     t, x, v, single = _as_points(z)
     state = _state(p, t, x, v)
+    _, _, gv, gx, _, L = state
     TH, tie = _transport_term(p, state, v)
-    I = _jump_quadratic(p, kspec, t, x, v, state[3], state[5], quad_n)
+    I = _jump_quadratic(p, kspec, t, x, v, gv, gx, L, quad_n)
     if single:
         return float(TH), I, bool(tie)
     return TH, I, tie
@@ -304,6 +367,7 @@ def barrier_residual(p: BarrierParams, kspec: KernelSpec, z, c: float = 2.0, qua
     """
     t, x, v, single = _as_points(z)
     state = _state(p, t, x, v)
+    _, _, gv, gx, _, L = state
     TH, tie = _transport_term(p, state, v)
     if tie.any():
         # one-sided derivative at a kink: fall back to a flow-aligned
@@ -313,34 +377,37 @@ def barrier_residual(p: BarrierParams, kspec: KernelSpec, z, c: float = 2.0, qua
         Hp = barrier_values(p, tp, x + (tp - t) * v, v)
         Hm = barrier_values(p, tm, x + (tm - t) * v, v)
         TH = _where(tie, (Hp - Hm) / (tp - tm), TH)
-    res = TH + c * _jump_quadratic(p, kspec, t, x, v, state[3], state[5], quad_n)
+    res = TH + c * _jump_quadratic(p, kspec, t, x, v, gv, gx, L, quad_n)
     return float(res) if single else res
 
 
 def region_samples(p: BarrierParams, n_per_region: int, rng: np.random.Generator):
     """Random sample points covering all six case regions (d = 1)."""
     rho = p.rho
+
+    def uniform(lo, hi):
+        # Generator.uniform's own formula on the same stream, without its overhead
+        return lo + (hi - lo) * rng.random()
+
     out = []
     for region in range(1, 7):
         count = 0
         while count < n_per_region:
-            t = rng.uniform(p.tau0, p.sigma)
+            t = uniform(p.tau0, p.sigma)
             if region in (1, 3, 5):
-                Xr = rng.uniform(0.0, 2.9 * rho)
+                Xr = uniform(0.0, 2.9 * rho)
             else:
-                Xr = rng.uniform(3.1 * rho, 12.0 * rho)
-            if region == 1:
-                dv = rng.uniform(0.0, 1.9 * rho)
-            elif region == 2:
-                dv = rng.uniform(0.0, 1.9 * rho)
+                Xr = uniform(3.1 * rho, 12.0 * rho)
+            if region in (1, 2):
+                dv = uniform(0.0, 1.9 * rho)
             elif region in (3, 4):
-                dv = rng.uniform(2.1 * rho, 2.9 * rho)
+                dv = uniform(2.1 * rho, 2.9 * rho)
             else:
-                dv = rng.uniform(3.1 * rho, 12.0 * rho)
+                dv = uniform(3.1 * rho, 12.0 * rho)
             if region == 5 and Xr > 3 * rho:
-                Xr = rng.uniform(3.1 * rho, max(3.2 * rho, dv))
+                Xr = uniform(3.1 * rho, max(3.2 * rho, dv))
             if region == 6:
-                Xr = rng.uniform(max(3.1 * rho, dv * 1.01), 14.0 * rho)
+                Xr = uniform(max(3.1 * rho, dv * 1.01), 14.0 * rho)
             # the draw Generator.choice([-1.0, 1.0]) makes, without its overhead
             v = p.w0 + (-1.0, 1.0)[rng.integers(0, 2)] * dv
             x = p.y0 + (p.sigma + t - 2 * p.tau0) * p.w0 + (-1.0, 1.0)[rng.integers(0, 2)] * Xr ** (1 + 2 * p.s)

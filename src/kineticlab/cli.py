@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -363,20 +364,30 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-class _Subparser(argparse.ArgumentParser):
-    """Subcommand parser with option abbreviation disabled, so short flags
-    like ``--k`` are not mistaken for prefixes of ``--kernel``."""
+# argparse reads an argument that starts with "-" as an option name unless
+# it matches the parser's negative-number pattern, whose default misses
+# exponents and the non-finite spellings ("-1e-3", "-inf", "-nan").  This
+# one matches every negative spelling float() reads, so such a value after
+# a space reaches the flag's own type check.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:(?:\d[\d_]*\.?[\d_]*|\.\d[\d_]*)(?:e[+-]?\d[\d_]*)?|inf(?:inity)?|nan)$",
+                              re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parser of the program and of every subcommand.  Option abbreviation
+    is disabled, so short flags like ``--k`` are not mistaken for prefixes of
+    ``--kernel``, and a negative number after a space is read as a value."""
 
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="kineticlab", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter,
-                                 allow_abbrev=False)
-    sub = ap.add_subparsers(dest="cmd", required=True, parser_class=_Subparser)
+    ap = _Parser(prog="kineticlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    # add_subparsers makes every subcommand parser, at any depth, a _Parser too
+    sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("fundsol", help="fundamental-solution table and composition residual")
     _add_common(p)

@@ -146,7 +146,7 @@ def test_11_barrier_validity(frac_kernel):
     k2 = 2.0 * k_star
     p = BarrierParams(rho=1.0, k=k2, tau0=0.1, sigma=0.1 + 1.0 / (4 * k2), y0=0.0, w0=0.0, s=S)
     zs = region_samples(p, 1667, np.random.default_rng(11))  # 6 x 1667 > 10^4
-    res = max(barrier_residual(p, frac_kernel, z, c=2.0) for z in zs)
+    res = float(np.max(barrier_residual(p, frac_kernel, np.array(zs), c=2.0)))
     elapsed = time.perf_counter() - t0
     ok = math.isfinite(k_star) and res <= 1e-8 and elapsed < 120.0
     _verdict(11, "barrier supersolution", ok,

@@ -1,5 +1,6 @@
 """Barrier weight, supersolution residual, energy decay, envelopes."""
 
+import dataclasses
 import math
 import warnings
 
@@ -27,9 +28,9 @@ from kineticlab.kernels import CustomKernel, FractionalLaplacian, normalized_fra
 S = 0.5
 
 
-def _params(rho=1.0, k=2.0, tau0=0.0, y0=0.0, w0=0.0):
-    sigma = tau0 + rho ** (2 * S) / (4 * k)
-    return BarrierParams(rho=rho, k=k, tau0=tau0, sigma=sigma, y0=y0, w0=w0, s=S)
+def _params(rho=1.0, k=2.0, tau0=0.0, y0=0.0, w0=0.0, s=S):
+    sigma = tau0 + rho ** (2 * s) / (4 * k)
+    return BarrierParams(rho=rho, k=k, tau0=tau0, sigma=sigma, y0=y0, w0=w0, s=s)
 
 
 class TestBarrierParams:
@@ -73,8 +74,24 @@ class TestBarrierValues:
             barrier_values(p, p.sigma + 0.1, 0.0, 0.0)
 
 
+def _barrier_region_reference(p, z):
+    """``barrier_region`` as first written: the spatial root taken on numpy scalars."""
+    t, x, v = float(z[0]), float(z[1]), float(z[2])
+    rho = p.rho
+    dv = abs(v - p.w0)
+    X = p.spatial_arg(t, x) ** (1.0 / (1 + 2 * p.s))
+    if dv <= 2 * rho:
+        return 1 if X <= 3 * rho else 2
+    if dv <= 3 * rho:
+        return 3 if X <= 3 * rho else 4
+    if X <= 3 * rho or X <= dv:
+        return 5
+    return 6
+
+
 def _region_samples_reference(p, n_per_region, rng):
-    """``region_samples`` as first written: signs drawn by ``Generator.choice``."""
+    """``region_samples`` as first written: draws by ``Generator.uniform``,
+    signs by ``Generator.choice``, regions by ``_barrier_region_reference``."""
     rho = p.rho
     out = []
     for region in range(1, 7):
@@ -98,7 +115,7 @@ def _region_samples_reference(p, n_per_region, rng):
             v = p.w0 + rng.choice([-1.0, 1.0]) * dv
             x = p.y0 + (p.sigma + t - 2 * p.tau0) * p.w0 + rng.choice([-1.0, 1.0]) * Xr ** (1 + 2 * p.s)
             z = (t, x, v)
-            if barrier_region(p, z) == region:
+            if _barrier_region_reference(p, z) == region:
                 out.append(z)
                 count += 1
     return out
@@ -114,6 +131,18 @@ class TestRegions:
         want = _region_samples_reference(p, 25, ref_rng)
         np.testing.assert_array_equal(np.array(got), np.array(want))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
+    @pytest.mark.parametrize("y0, w0", [(0.0, 0.0), (0.7, -1.3)])
+    def test_matches_reference_at_every_order(self, s, y0, w0):
+        # the spatial root has exponent 1/(1 + 2s): the Python float root of
+        # barrier_region must classify as the numpy scalar one did
+        p = _params(rho=0.8, tau0=0.1, y0=y0, w0=w0, s=s)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = np.array(region_samples(p, 200, rng))
+        np.testing.assert_array_equal(got, np.array(_region_samples_reference(p, 200, ref_rng)))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert [barrier_region(p, z) for z in got] == [_barrier_region_reference(p, z) for z in got]
 
     def test_all_regions_reachable(self):
         p = _params()
@@ -182,6 +211,70 @@ def _jump_quadratic_reference(p, kspec, t, x, v, quad_n=24):
     return acc
 
 
+def _jump_block_reference(p, kspec, t, x, v, gx, L, quad_n=24):
+    """The jump quadrature as first vectorized: every point over all seven
+    segments of its ball, with the segment sums added along each row."""
+    rho = p.rho
+    mX = np.maximum(1.0, gx)
+    lo, hi = v - rho, v + rho
+    brk = np.empty((len(v), 8))
+    brk[:, :3] = p.w0, p.w0 - 2 * rho, p.w0 + 2 * rho
+    brk[:, 3], brk[:, 4], brk[:, 5] = lo, hi, v
+    brk[:, 6], brk[:, 7] = p.w0 - 3 * rho * mX, p.w0 + 3 * rho * mX
+    np.clip(brk, lo[:, None], hi[:, None], out=brk)
+    brk.sort(axis=1)
+    a, b = brk[:, :-1, None], brk[:, 1:, None]  # (N, 7, 1)
+    nodes, weights = np.polynomial.legendre.leggauss(quad_n)
+    w = 0.5 * (b - a) * nodes + 0.5 * (a + b)  # (N, 7, quad_n)
+    v3 = v[:, None, None]
+    keep = (b - a >= 1e-14) & (np.abs(w - v3) > 1e-12)
+    ww = np.where(keep, 0.5 * (b - a) * weights, 0.0)
+    w = np.where(keep, w, v3 + rho)
+    gx3, L3 = gx[:, None, None], L[:, None, None]
+
+    def sqrtH(vel):
+        return np.exp(-0.5 * np.maximum(1.0, np.maximum(np.abs(vel - p.w0) / (3 * rho), gx3)) * L3)
+
+    tt, xx, vv = (np.repeat(q, w.shape[1] * w.shape[2]) for q in (t, x, v))
+    wf = w.ravel()
+    Ks = np.asarray(kspec._eval(tt, xx, vv, wf), dtype=float) + np.asarray(kspec._eval(tt, xx, wf, vv), dtype=float)
+    quad = (sqrtH(v3) - sqrtH(w)) ** 2 * Ks.reshape(w.shape) * ww
+    return quad.sum(axis=2).sum(axis=1)
+
+
+def _contributing_segments(p, v, gv, gx, quad_n=24):
+    """Per point, how many segments of the full quadrature have an integrand
+    that is not identically 0.0: segments at least 1e-14 wide with ``v`` or
+    some node outside the flat zone ``|w - w0|/(3 rho) <= max(1, gx)``."""
+    nodes, _ = np.polynomial.legendre.leggauss(quad_n)
+    counts = []
+    for vi, gvi, gxi in zip(v, gv, gx):
+        mX = max(1.0, gxi)
+        lo, hi = vi - p.rho, vi + p.rho
+        pts = [p.w0, p.w0 - 2 * p.rho, p.w0 + 2 * p.rho, lo, hi, vi, p.w0 - 3 * p.rho * mX, p.w0 + 3 * p.rho * mX]
+        brk = np.sort(np.clip(pts, lo, hi))
+        n = 0
+        for a, b in zip(brk[:-1], brk[1:]):
+            w = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+            flat = gvi <= mX and np.all(np.abs(w - p.w0) / (3 * p.rho) <= mX)
+            n += bool(b - a >= 1e-14 and not flat)
+        counts.append(n)
+    return np.array(counts)
+
+
+def _kernel_sizes(monkeypatch, k):
+    """A list that records the node count of every later ``k._eval`` call."""
+    sizes = []
+    real = type(k)._eval
+
+    def counting(self, t, x, v, w):
+        sizes.append(np.size(w))
+        return real(self, t, x, v, w)
+
+    monkeypatch.setattr(type(k), "_eval", counting)
+    return sizes
+
+
 def _flat(p, v, gx):
     """Points whose ball ``B_rho(v)`` the jump quadrature skips."""
     return (np.abs(v - p.w0) + p.rho) / (3 * p.rho) < np.maximum(1.0, gx) * (1 - 1e-12)
@@ -246,18 +339,18 @@ class TestBatchedResidual:
         zs = region_samples(p, -(-n // 6), np.random.default_rng(5))
         zs = np.array(zs)[np.random.default_rng(6).permutation(len(zs))[:n]]
         t, x, v = zs.T
-        _, _, _, gx, _, L = aronson._state(p, t, x, v)
+        _, _, gv, gx, _, L = aronson._state(p, t, x, v)
         flat = _flat(p, v, gx)
         assert flat.any() and not flat.all()
-        blocked = aronson._jump_quadratic(p, k, t, x, v, gx, L)
-        np.testing.assert_array_equal(blocked, aronson._jump_block(p, k, t, x, v, gx, L, 24))
+        blocked = aronson._jump_quadratic(p, k, t, x, v, gv, gx, L)
+        np.testing.assert_array_equal(blocked, _jump_block_reference(p, k, t, x, v, gx, L))
         np.testing.assert_array_equal(barrier_residual_parts(p, k, zs)[1], blocked)
         np.testing.assert_array_equal(blocked, [barrier_residual_parts(p, k, z)[1] for z in zs])
         np.testing.assert_array_equal(barrier_residual(p, k, zs), [barrier_residual(p, k, z) for z in zs])
         # the live points span many blocks, the last one partly filled
         monkeypatch.setattr(aronson, "_JUMP_BLOCK", 7)
         assert (~flat).sum() % 7
-        np.testing.assert_array_equal(aronson._jump_quadratic(p, k, t, x, v, gx, L), blocked)
+        np.testing.assert_array_equal(aronson._jump_quadratic(p, k, t, x, v, gv, gx, L), blocked)
 
     def test_ties_in_batch_use_flow_difference(self):
         # the velocity/spatial tie gv = gx = 2 is a kink where the analytic
@@ -326,13 +419,13 @@ class TestFlatBall:
         zs = np.array(region_samples(p, 12, np.random.default_rng(4)))
         assert {barrier_region(p, z) for z in zs} == {1, 2, 3, 4, 5, 6}
         t, x, v = zs.T
-        _, _, _, gx, _, L = aronson._state(p, t, x, v)
+        _, _, gv, gx, _, L = aronson._state(p, t, x, v)
         flat = _flat(p, v, gx)
         assert {barrier_region(p, z) for z in zs[flat]} == {1, 2, 4, 6}
         # the full-ball quadrature is exactly 0.0 wherever the skip applies
-        full = aronson._jump_block(p, k, t, x, v, gx, L, 24)
+        full = _jump_block_reference(p, k, t, x, v, gx, L)
         assert np.all(full[flat] == 0.0)
-        np.testing.assert_array_equal(aronson._jump_quadratic(p, k, t, x, v, gx, L), full)
+        np.testing.assert_array_equal(aronson._jump_quadratic(p, k, t, x, v, gv, gx, L), full)
 
     @pytest.mark.parametrize("make_kernel", KERNELS)
     @pytest.mark.parametrize("side", [-1.0, 1.0])
@@ -346,13 +439,88 @@ class TestFlatBall:
         v = np.full(len(rel), p.w0 + side * 2.5 * p.rho)
         reach = (np.abs(v - p.w0) + p.rho) / (3 * p.rho)
         x = p.y0 + (p.sigma + t - 2 * p.tau0) * p.w0 + side * (3 * p.rho * reach * (1 + rel)) ** (1 + 2 * S)
-        _, _, _, gx, _, L = aronson._state(p, t, x, v)
+        _, _, gv, gx, _, L = aronson._state(p, t, x, v)
         flat = _flat(p, v, gx)
         assert flat.any() and not flat.all()
-        full = aronson._jump_block(p, k, t, x, v, gx, L, 24)
+        full = _jump_block_reference(p, k, t, x, v, gx, L)
         assert np.all(full[flat] == 0.0)
-        np.testing.assert_array_equal(aronson._jump_quadratic(p, k, t, x, v, gx, L), full)
+        np.testing.assert_array_equal(aronson._jump_quadratic(p, k, t, x, v, gv, gx, L), full)
         np.testing.assert_array_equal(barrier_residual_parts(p, k, np.column_stack([t, x, v]))[1], full)
+
+
+class TestSegmentSkip:
+    KERNELS = [normalized_fractional, _asymmetric]
+
+    @staticmethod
+    def _params(s):
+        return BarrierParams(rho=0.8, k=2.0, tau0=0.1, sigma=0.1 + 0.8 ** (2 * s) / 8, y0=0.7, w0=-1.3, s=s)
+
+    @pytest.mark.parametrize("make_kernel", KERNELS)
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_segment_ends_at_the_flat_zone_edge(self, monkeypatch, make_kernel, s, side):
+        # the flat zone ends at e = w0 + side 3 rho mX; v, or one end v -+ rho
+        # of its ball, is put within +-1e-13 to 1e-11 (relative) of e, with
+        # mX = 1 and with mX = gx > 1.  v is also put 1e-14 to 1e-12 inside
+        # e, so that the segment [v, e] is very short
+        k = make_kernel(s)
+        p = dataclasses.replace(self._params(s), w0=1.3 * side)
+        rel = [-1e-11, -1e-12, -1e-13, 0.0, 1e-13, 1e-12, 1e-11]
+        t = 0.5 * (p.tau0 + p.sigma)
+
+        def zone(g):
+            # a spatial offset whose branch argument is about g, and mX there
+            x = p.y0 + (p.sigma + t - 2 * p.tau0) * p.w0 + side * (3 * p.rho * g) ** (1 + 2 * s)
+            return x, max(1.0, float(aronson._state(p, t, x, 0.0)[3]))
+
+        def rounds_out(mX):
+            return abs(p.w0 + side * (3 * p.rho * mX) - p.w0) / (3 * p.rho) > mX
+
+        # also an mX whose edge e itself rounds to a multiplier above mX: the
+        # end node of [v, e] can then lie outside the zone while the nodes
+        # next to it lie inside
+        out = [g for g in np.linspace(1.01, 1.99, 99) if rounds_out(zone(g)[1])]
+        assert out
+        zs = []
+        for g in [0.5, 1.3] + out[:1]:
+            x, mX = zone(g)
+            reach = 3 * p.rho * mX
+            for shift in (0.0, -p.rho, p.rho):
+                zs += [(t, x, p.w0 + side * (reach * (1 + r) + shift)) for r in rel]
+            zs += [(t, x, p.w0 + side * reach - side * d) for d in np.geomspace(1e-14, 1e-12, 25)]
+        Z = np.array(zs)
+        t, x, v = Z.T
+        _, _, gv, gx, _, L = aronson._state(p, t, x, v)
+        mX, flat = np.maximum(1.0, gx), _flat(p, v, gx)
+        assert (gv <= mX).any() and (gv > mX).any() and flat.any() and not flat.all()
+        full = _jump_block_reference(p, k, t, x, v, gx, L)
+        np.testing.assert_array_equal(aronson._jump_quadratic(p, k, t, x, v, gv, gx, L), full)
+        sizes = _kernel_sizes(monkeypatch, k)
+        np.testing.assert_array_equal(barrier_residual_parts(p, k, Z)[1], full)
+        np.testing.assert_array_equal([barrier_residual_parts(p, k, z)[1] for z in Z], full)
+        # every segment with an integrand not identically 0.0 is integrated,
+        # in the batch and one point at a time
+        assert sum(sizes) == 2 * 2 * 24 * _contributing_segments(p, v, gv, gx).sum()
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
+    def test_live_points_evaluate_only_contributing_segments(self, monkeypatch, s):
+        k = _asymmetric(s)
+        p = self._params(s)
+        Z = np.array(region_samples(p, 12, np.random.default_rng(4)))
+        t, x, v = Z.T
+        _, _, gv, gx, _, _ = aronson._state(p, t, x, v)
+        want = _contributing_segments(p, v, gv, gx)
+        live = ~_flat(p, v, gx)
+        assert 0 < want.sum() < 7 * live.sum()
+        sizes = _kernel_sizes(monkeypatch, k)
+        # two kernel calls on quad_n = 24 nodes per contributing segment
+        for z, n in zip(Z, want):
+            sizes.clear()
+            barrier_residual_parts(p, k, z)
+            assert sizes == ([24 * n] * 2 if n else [])
+        sizes.clear()
+        barrier_residual_parts(p, k, Z)
+        assert sizes == [24 * want.sum()] * 2
 
 
 class TestThreshold:

@@ -1,14 +1,19 @@
 """Experiment runner: subcommands, exit codes, manifests, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kineticlab
 from kineticlab import cli, fundsol
@@ -31,6 +36,42 @@ def _parsers(ap):
 
 def _flag_actions():
     return [a for ap in _parsers(cli.build_parser()) for a in ap._actions]
+
+
+def _completion(ap):
+    """Positionals that complete a command line for ``ap``: its first
+    subcommand (with that one's completion) or first choice."""
+    out = []
+    for action in ap._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            name, sub = next(iter(action.choices.items()))
+            out += [name] + _completion(sub)
+        elif not action.option_strings and action.choices:
+            out.append(next(iter(action.choices)))
+    return out
+
+
+def _numeric_flags(ap, path=()):
+    """``(path, flag, dest, completion, type)`` of every float and count flag
+    below ``ap``: ``path + [flag, value] + completion`` is a command line."""
+    for action in ap._actions:
+        if action.type in (cli._finite_float, cli._positive_int, int):
+            yield list(path), action.option_strings[0], action.dest, _completion(ap), action.type
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _numeric_flags(sub, path + (name,))
+
+
+PARSER = cli.build_parser()
+NUMERIC_FLAGS = list(_numeric_flags(PARSER))
+NON_FINITE = ["nan", "-nan", "NaN", "inf", "-inf", "+inf", "Infinity", "-Infinity", "-iNF"]
+RULES = {cli._finite_float: "must be a finite number", cli._positive_int: "must be a positive integer",
+         int: "invalid int value"}
+SPELLINGS = [repr, str, "{:e}".format, "{:.3E}".format, "{:g}".format, "{:.17g}".format, "{:f}".format]
+
+
+def _flag_and_value(data, flag, value):
+    return data.draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
 
 
 class TestSubcommands:
@@ -314,6 +355,57 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_run_fundsol", broken)
         with pytest.raises(TypeError, match="internal bug"):
             main(["fundsol", "--out", str(tmp_path / "x")])
+
+
+class TestNumericFlags:
+    """Every float and count flag of every parser, in both spellings
+    ``--flag value`` and ``--flag=value``; parsing only."""
+
+    def test_every_kind_is_walked(self):
+        assert {kind for *_, kind in NUMERIC_FLAGS} == set(RULES)
+        assert len({(tuple(path), flag) for path, flag, *_ in NUMERIC_FLAGS}) == len(NUMERIC_FLAGS)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bad_values_exit_2_and_write_nothing(self, data):
+        path, flag, _, rest, kind = data.draw(st.sampled_from(NUMERIC_FLAGS))
+        bad = st.sampled_from(NON_FINITE)
+        if kind is cli._positive_int:
+            bad = bad | st.integers(max_value=0).map(str)
+        pair = _flag_and_value(data, flag, data.draw(bad))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(path[:1] + ["--out", out] + path[1:] + pair + rest)
+            assert code == 2
+            assert f"argument {flag}: {RULES[kind]}" in err.getvalue()
+            assert not os.path.exists(out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_finite_values_parse_in_every_spelling(self, data):
+        path, flag, dest, rest, kind = data.draw(st.sampled_from(NUMERIC_FLAGS))
+        if kind is cli._finite_float:
+            x = data.draw(st.floats(min_value=-1e300, max_value=1e300))
+            text = data.draw(st.sampled_from([f(x) for f in SPELLINGS] + ["-1e-3", "-.5", "-1.", "-2E+3", "-1_000.5"]))
+            want = float(text)
+        else:
+            want = data.draw(st.integers(min_value=1 if kind is cli._positive_int else None, max_value=10**9))
+            text = str(want)
+        args = PARSER.parse_args(path + _flag_and_value(data, flag, text) + rest)
+        assert getattr(args, dest) == want
+
+    @pytest.mark.parametrize("value, code", [("-1e-3", 0), ("-inf", 2), ("-nan", 2), ("-Infinity", 2)])
+    def test_negative_value_after_a_space(self, tmp_path, capsys, value, code):
+        # argparse's own pattern took these for option names: "expected one argument"
+        out = tmp_path / "a"
+        assert main(["aronson", "--out", str(out), "barrier", "--w0", value]) == code
+        err = capsys.readouterr().err
+        assert "expected one argument" not in err
+        assert out.exists() == (code == 0)
+        if code:
+            assert "argument --w0: must be a finite number" in err
 
 
 class TestEmitter:
