@@ -194,7 +194,9 @@ def _run_solve(args, em: Emitter) -> None:
     s = _check_s(args.s)
     grid = _grid_from_args(args)
     k = _kernel_from_args(args)
-    config = SolverConfig(dt=args.dt, steps=args.steps, scheme=args.scheme, torus=not args.no_torus)
+    # the reports read the diagnostics and the final slice only
+    config = SolverConfig(dt=args.dt, steps=args.steps, scheme=args.scheme, torus=not args.no_torus,
+                          save_every=args.steps)
     if args.cross_validate:
         rep = fundamental_approx(k, grid, args.dt * args.steps, config, s, n_freq=args.n_freq)
         em.json("solve.json", rep)
@@ -391,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fundsol", help="fundamental-solution table and composition residual")
     _add_common(p)
-    p.add_argument("--d", type=int, default=1)
     p.add_argument("--t", type=_finite_float, default=1.0)
     p.set_defaults(func=_run_fundsol)
 

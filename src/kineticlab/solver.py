@@ -1,12 +1,20 @@
 """Strang-split time stepper for the kinetic jump equation.
 
 One step of size ``dt`` applies a half step of free transport, a full
-collision step, and another half transport step.  Transport is exact
-(a real-FFT phase shift per velocity column, with the phase table cached
-per grid and step size); the collision step is one precomputed affine
-map ``f <- f M^T + b`` per scheme (explicit Euler, implicit Euler or
-Crank-Nicolson), built once from the dense velocity operator by
-``collision_propagator``.
+collision step, and another half transport step.  Transport is diagonal
+in the x-wavenumber and the velocity, and the collision map acts on the
+velocity alone, so ``solve`` keeps its state in x-Fourier space between
+steps: ``G = rfft_x(f)``, held as a C-contiguous ``(nv, nx//2 + 1)``
+complex array.  A transport half step is then one product with a cached
+phase table ``exp(-i phi dt/2 v)``.  The collision step is one
+precomputed affine map ``f <- M f + b`` per velocity column (explicit
+Euler, implicit Euler or Crank-Nicolson, built once from the dense
+velocity operator by ``collision_propagator``); the real ``M`` acts on
+the interleaved real and imaginary parts of ``G``, and ``b`` only enters
+the k = 0 column.  Each step makes one inverse transform, for the
+recorded diagnostics and the saved slices.  ``step_transport`` and
+``step_collision`` are the same two maps on a physical ``(nx, nv)``
+slice.
 
 The kernel is frozen at ``(t, x) = (t_freeze, 0)`` when the velocity
 matrix is assembled, so kernels with genuine (t, x) dependence are
@@ -16,7 +24,7 @@ treated in frozen-coefficient fashion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -105,9 +113,17 @@ class Trajectory:
 
 @lru_cache(maxsize=8)
 def _transport_phase(grid: PhaseGrid, dt: float) -> np.ndarray:
-    """Read-only ``exp(-i phi dt v)`` on the ``rfft`` frequencies in x."""
+    """Read-only ``exp(-i phi dt v)`` on the ``rfft`` frequencies in x,
+    laid out ``(nv, nx//2 + 1)`` like the state of ``solve``.
+
+    For even ``nx`` the Nyquist column keeps only its real part: the
+    Nyquist coefficient of a real slice is real, and ``irfft`` would
+    drop the imaginary part a full phase gives it.
+    """
     phi = 2 * np.pi * np.fft.rfftfreq(grid.nx, d=grid.dx)
-    phase = np.exp(-1j * phi[:, None] * dt * grid.v_axis[None, :])
+    phase = np.exp(-1j * grid.v_axis[:, None] * dt * phi[None, :])
+    if grid.nx % 2 == 0:
+        phase[:, -1] = phase[:, -1].real
     phase.flags.writeable = False
     return phase
 
@@ -116,7 +132,7 @@ def step_transport(f: np.ndarray, dt: float, grid: PhaseGrid) -> np.ndarray:
     """Exact free transport ``f(x, v) -> f(x - dt v, v)`` by Fourier
     phase shift (periodic in x)."""
     Fh = np.fft.rfft(f, axis=0)
-    Fh *= _transport_phase(grid, dt)
+    Fh *= _transport_phase(grid, dt).T
     return np.fft.irfft(Fh, n=grid.nx, axis=0)
 
 
@@ -148,6 +164,21 @@ def step_collision(f: np.ndarray, dt: float, op: OperatorMatrix, scheme: str, pr
     return out
 
 
+def _x_spectrum(h, grid: PhaseGrid, what: str) -> np.ndarray:
+    """``rfft_x`` of an ``(nx, nv)`` slice as a C-contiguous ``(nv, nx//2 + 1)`` array."""
+    h = np.asarray(h, dtype=float)
+    if h.shape != (grid.nx, grid.nv):
+        raise ValueError(f"{what} shape does not match grid")
+    return np.fft.rfft(h, axis=0).T.copy()
+
+
+def _source_step(h, grid: PhaseGrid, dt: float) -> tuple[np.ndarray, float]:
+    """What a source slice ``h`` adds over one step: ``dt rfft_x(h)`` and
+    its mass ``dt sum(h) dx dv``."""
+    h = np.asarray(h, dtype=float)
+    return dt * _x_spectrum(h, grid, "source slice"), dt * float(h.sum() * grid.dx * grid.dv)
+
+
 def solve(
     k: KernelSpec,
     f0: np.ndarray,
@@ -158,34 +189,41 @@ def solve(
 ) -> Trajectory:
     """Run the Strang-split scheme from the slice ``f0``.
 
-    ``source`` may be ``None``, a slice, or a callable of time; it is
-    added with the collision step.  The collision matrix is assembled
-    once (kernel frozen at ``t_freeze``).
+    ``source`` may be ``None``, a slice, or a callable of time (called
+    once per step, at its midpoint); it is added with the collision
+    step.  The collision matrix is assembled once (kernel frozen at
+    ``t_freeze``).  Diagnostics are recorded at every step; a slice is
+    kept every ``save_every`` steps and at the last one.
     """
     if closure is None:
         closure = ZeroExtension()
-    f = np.asarray(f0, dtype=float).copy()
-    if f.shape != (grid.nx, grid.nv):
-        raise ValueError("initial slice shape does not match grid")
+    f = np.asarray(f0, dtype=float)
+    G = _x_spectrum(f, grid, "initial slice")
+    dt = config.dt
     op = assemble_operator_matrix(k, grid, t=config.t_freeze, x=0.0, closure=closure, torus=config.torus)
-    prop = collision_propagator(op, config.dt, config.scheme)
+    M, b = collision_propagator(op, dt, config.scheme)
+    b_hat = grid.nx * b  # rfft_x of the x-independent gain: the k = 0 column only
+    half = _transport_phase(grid, 0.5 * dt)
+    if source is not None and not callable(source):
+        source_hat, source_mass = _source_step(source, grid, dt)
 
     traj = Trajectory(grid=grid)
     traj.record(0.0, f, keep_slice=True)
     for n in range(1, config.steps + 1):
-        f = step_transport(f, 0.5 * config.dt, grid)
-        before = f.sum() * grid.dx * grid.dv
-        # passed positionally, so a wrapper that names the fifth parameter
-        # differently still accepts it
-        f = step_collision(f, config.dt, op, config.scheme, prop)
-        traj.leak_total += float(before - f.sum() * grid.dx * grid.dv)
+        G *= half
+        before = G[:, 0].real.sum()
+        # the real M acts on the interleaved real and imaginary parts
+        G = (M @ G.view(float)).view(complex)
+        G[:, 0] += b_hat
+        traj.leak_total += float((before - G[:, 0].real.sum()) * grid.dx * grid.dv)
         if source is not None:
-            t_half = (n - 0.5) * config.dt
-            h = source(t_half) if callable(source) else np.asarray(source, dtype=float)
-            f = f + config.dt * h
-            traj.leak_total -= config.dt * float(h.sum() * grid.dx * grid.dv)
-        f = step_transport(f, 0.5 * config.dt, grid)
-        traj.record(n * config.dt, f, keep_slice=(n % config.save_every == 0 or n == config.steps))
+            if callable(source):
+                source_hat, source_mass = _source_step(source((n - 0.5) * dt), grid, dt)
+            G += source_hat
+            traj.leak_total -= source_mass
+        G *= half
+        f = np.fft.irfft(G, n=grid.nx, axis=1).T
+        traj.record(n * dt, f, keep_slice=(n % config.save_every == 0 or n == config.steps))
     return traj
 
 
@@ -243,7 +281,8 @@ def fundamental_approx(
     if abs(config.dt * config.steps - T) > 1e-12:
         raise ValueError("config horizon does not match T")
     f0 = mollified_delta(grid, s)
-    traj = solve(k, f0, grid, config)
+    # only the final slice is read
+    traj = solve(k, f0, grid, replace(config, save_every=config.steps))
     fT = traj.final
 
     tab = j0_table(T, s, n_freq)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kineticlab
-from kineticlab import cli, fundsol
+from kineticlab import cli, fundsol, solver
 from kineticlab.cli import main
 
 
@@ -107,6 +107,22 @@ class TestSubcommands:
         with open(tmp_path / "s" / "solve.json") as fh:
             rep = json.load(fh)
         assert rep["mass_drift"] < 1e-8
+
+    def test_solve_keeps_initial_and_final_slices_only(self, tmp_path, monkeypatch):
+        runs, real_solve = [], solver.solve
+
+        def recording_solve(*args, **kwargs):
+            runs.append(real_solve(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "solve", recording_solve)
+        code = main(["solve", "--nx", "32", "--nv", "32", "--x-period", "8", "--v-extent", "6",
+                     "--dt", "0.05", "--steps", "5", "--out", str(tmp_path / "s")])
+        assert code == 0
+        [traj] = runs
+        assert len(traj.times) == 6
+        assert len(traj.slices) == 2
+        assert traj.final.shape == (32, 32)
 
     def test_ellipticity(self, tmp_path):
         code = main(["ellipticity", "--out", str(tmp_path / "e")])
@@ -273,7 +289,7 @@ class TestExitCodes:
 
     def test_every_count_flag_is_positive(self):
         actions = [a for a in _flag_actions() if a.type in (int, cli._positive_int)]
-        assert {a.option_strings[0] for a in actions if a.type is int} == {"--seed", "--d"}
+        assert {a.option_strings[0] for a in actions if a.type is int} == {"--seed"}
         assert any(a.type is cli._positive_int for a in actions)
 
     @pytest.mark.parametrize("argv", [
@@ -326,6 +342,13 @@ class TestExitCodes:
 
     def test_bad_flag_is_usage_error(self, tmp_path):
         assert main(["fundsol", "--frequency", "12"]) == 2
+
+    def test_fundsol_has_no_dimension_flag(self, tmp_path, capsys):
+        # the table is the d = 1 solution; a dimension flag would be ignored
+        out = tmp_path / "x"
+        assert main(["fundsol", "--d", "3", "--n-freq", "64", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --d 3" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["fundsol", "--t", "nan"],

@@ -1,18 +1,22 @@
 """Split-step solver: schemes, conservation, diagnostics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
+from kineticlab import solver
 from kineticlab.fields import PhaseField, PhaseGrid, PowerLawEnvelope, ZeroExtension
 from kineticlab.kernels import normalized_fractional
 from kineticlab.operators import assemble_operator_matrix
 from kineticlab.solver import (
     SolverConfig,
+    Trajectory,
     _transport_phase,
     collision_propagator,
+    fundamental_approx,
     mollified_delta,
     solve,
     step_collision,
@@ -72,7 +76,7 @@ class TestTransportStep:
         g = PhaseGrid(nt=1, nx=16, nv=4, x_period=2.0, v_extent=1.0)
         phase = _transport_phase(g, 0.1)
         assert phase is _transport_phase(PhaseGrid(nt=1, nx=16, nv=4, x_period=2.0, v_extent=1.0), 0.1)
-        assert phase.shape == (g.nx // 2 + 1, g.nv)
+        assert phase.shape == (g.nv, g.nx // 2 + 1)
         with pytest.raises(ValueError):
             phase[0, 0] = 0.0
 
@@ -158,9 +162,100 @@ class TestSolve:
         assert traj.mass[-1] == pytest.approx(expected, rel=3e-2)
 
     def test_shape_mismatch_rejected(self, setup):
-        k, g, _ = setup
-        with pytest.raises(ValueError):
+        k, g, f0 = setup
+        with pytest.raises(ValueError, match="initial slice"):
             solve(k, np.zeros((3, 3)), g, SolverConfig(dt=0.1, steps=1))
+        with pytest.raises(ValueError, match="source slice"):
+            solve(k, f0, g, SolverConfig(dt=0.1, steps=1), source=np.ones(g.nv))
+        with pytest.raises(ValueError, match="source slice"):
+            solve(k, f0, g, SolverConfig(dt=0.1, steps=1), source=lambda t: np.ones((3, 3)))
+
+
+def _physical_reference(k, f0, g, cfg, closure, source):
+    """The Strang loop on physical slices, one ``step_transport`` half step,
+    one ``step_collision`` and another half step per step."""
+    op = assemble_operator_matrix(k, g, t=cfg.t_freeze, x=0.0, closure=closure, torus=cfg.torus)
+    prop = collision_propagator(op, cfg.dt, cfg.scheme)
+    f = f0.copy()
+    traj = Trajectory(grid=g)
+    traj.record(0.0, f, keep_slice=True)
+    for n in range(1, cfg.steps + 1):
+        f = step_transport(f, 0.5 * cfg.dt, g)
+        before = f.sum() * g.dx * g.dv
+        f = step_collision(f, cfg.dt, op, cfg.scheme, prop)
+        traj.leak_total += float(before - f.sum() * g.dx * g.dv)
+        if source is not None:
+            h = source((n - 0.5) * cfg.dt) if callable(source) else source
+            f = f + cfg.dt * h
+            traj.leak_total -= cfg.dt * float(h.sum() * g.dx * g.dv)
+        f = step_transport(f, 0.5 * cfg.dt, g)
+        traj.record(n * cfg.dt, f, keep_slice=(n % cfg.save_every == 0 or n == cfg.steps))
+    return traj
+
+
+class TestSpectralLoop:
+    """``solve`` keeps its state in x-Fourier space; it must reproduce the
+    physical-space loop to rounding."""
+
+    # nx != nv, so a transposed layout cannot pass
+    GRID = PhaseGrid(nt=1, nx=40, nv=28, x_period=6.0, v_extent=5.0)
+
+    @staticmethod
+    def _source(kind, g):
+        X, V = np.meshgrid(g.x_axis, g.v_axis, indexing="ij")
+        h = np.exp(-X ** 2 - (V - 0.5) ** 2) * (1 + 0.3 * np.sin(2 * np.pi * X / g.x_period))
+        if kind == "array":
+            return h
+        if kind == "callable":
+            return lambda t: (1 + t) * np.roll(h, int(10 * t), axis=0)
+        return None
+
+    @pytest.mark.parametrize("save_every", [1, 3])
+    @pytest.mark.parametrize("source", [None, "array", "callable"])
+    @pytest.mark.parametrize("torus", [True, False])
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit", "cn"])
+    def test_matches_physical_loop(self, scheme, torus, source, save_every):
+        k, g = normalized_fractional(S), self.GRID
+        f0 = mollified_delta(g, S, x0=0.7, v0=-0.4)
+        closure = PowerLawEnvelope(0.05, 2.0)  # a nonzero gain b off the torus
+        cfg = SolverConfig(dt=0.03, steps=7, scheme=scheme, torus=torus, save_every=save_every)
+        h = self._source(source, g)
+        got = solve(k, f0, g, cfg, closure=closure, source=h)
+        want = _physical_reference(k, f0, g, cfg, closure, h)
+
+        tol = 1e-13 * max(want.maximum)
+        assert got.times == want.times
+        assert len(got.slices) == len(want.slices) == (8 if save_every == 1 else 4)
+        for a, b in zip(got.slices, want.slices):
+            assert np.abs(a - b).max() <= tol
+        for name in ("mass", "minimum", "maximum", "l2"):
+            assert np.abs(np.subtract(getattr(got, name), getattr(want, name))).max() <= tol, name
+        assert abs(got.leak_total - want.leak_total) <= 1e-14
+        if not torus and source is None:
+            assert want.leak_total > 1e-6  # mass leaves through the far field
+
+        if save_every > 1:
+            every = solve(k, f0, g, replace(cfg, save_every=1), closure=closure, source=h)
+            assert got.times == every.times
+            kept = [0, 3, 6, 7]
+            assert all(np.array_equal(a, every.slices[i]) for a, i in zip(got.slices, kept))
+
+
+class TestFundamentalApprox:
+    def test_keeps_initial_and_final_slices_only(self, setup, monkeypatch):
+        k, g, _ = setup
+        runs, real_solve = [], solver.solve
+
+        def recording_solve(*args, **kwargs):
+            runs.append(real_solve(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(solver, "solve", recording_solve)
+        rep = fundamental_approx(k, g, 0.2, SolverConfig(dt=0.05, steps=4), S, n_freq=64)
+        [traj] = runs
+        assert len(traj.times) == 5
+        assert len(traj.slices) == 2
+        assert rep["computed_peak"] == float(traj.final.max())
 
 
 class TestTrajectoryField:
