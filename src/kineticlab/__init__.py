@@ -7,8 +7,7 @@ The package implements the transport equation
 where ``L`` is a principal-value jump operator in the velocity variable
 with a symmetric, possibly rough kernel.  It provides
 
-* phase-space geometry (Galilean group, kinetic scaling, slanted
-  cylinders) in :mod:`kineticlab.geometry`,
+* phase points and slanted cylinders in :mod:`kineticlab.geometry`,
 * jump-kernel models and ellipticity diagnostics in
   :mod:`kineticlab.kernels`,
 * gridded fields and discrete operators in :mod:`kineticlab.fields`

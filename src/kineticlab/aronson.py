@@ -64,11 +64,8 @@ __all__ = [
     "k_threshold",
     "region_samples",
     "aronson_energy_check",
-    "gamma_of",
-    "rho_choice",
     "DecayEnvelope",
     "decay_envelope_check",
-    "meyers_check",
 ]
 
 
@@ -449,18 +446,19 @@ def k_threshold(
         i = int(np.argmax(res))
         return bool(res[i] <= 0.0), res[i], zs[i]
 
-    lo, lo_ok = 1.0, None
-    lo_ok, lo_res, lo_z = feasible(lo)
-    if lo_ok:
-        return {"k_star": 1.0, "worst_residual": lo_res, "worst_sample": lo_z, "c": c}
+    lo = 1.0
+    ok, res, z = feasible(lo)
+    if ok:
+        return {"k_star": 1.0, "worst_residual": res, "worst_sample": z, "c": c}
     hi = 2.0
     while hi <= k_max:
-        hi_ok, hi_res, hi_z = feasible(hi)
-        if hi_ok:
+        ok, res, z = feasible(hi)
+        if ok:
             break
         hi *= 2.0
     else:
-        raise RuntimeError(f"no feasible k below {k_max}; worst residual {hi_res} at {hi_z}")
+        # res and z are those of the largest k tried
+        raise RuntimeError(f"no feasible k below {k_max}; worst residual {res} at {z}")
     while hi / lo > 1 + tol:
         mid = math.sqrt(lo * hi)
         ok, _, _ = feasible(mid)
@@ -489,10 +487,9 @@ def aronson_energy_check(
         raise ValueError("variant must be 'kinetic' or 'parabolic'")
     g = traj.grid
     d = g.d
-    times = [t for t in traj.times if p.tau0 <= t <= p.sigma]
-    if not times:
+    if not any(p.tau0 <= t <= p.sigma for t in traj.times):
         raise ValueError("trajectory times do not intersect [tau0, sigma]")
-    keep = [i for i, t in enumerate(traj.times) if p.tau0 <= t <= p.sigma and i < len(traj.slices)]
+    keep = [(f, t) for f, t in zip(traj.slices, traj.slice_times) if p.tau0 <= t <= p.sigma]
     if len(keep) < 2:
         raise ValueError("need at least two saved slices inside [tau0, sigma]")
     X, V = np.meshgrid(g.x_axis, g.v_axis, indexing="ij")
@@ -500,10 +497,8 @@ def aronson_energy_check(
     H_sup = 0.0
     l2_time = 0.0
     l2l1_time = 0.0
-    dt_slices = np.diff([traj.times[i] for i in keep])
-    for j, i in enumerate(keep):
-        f = traj.slices[i]
-        t = traj.times[i]
+    dt_slices = np.diff([t for _, t in keep])
+    for j, (f, t) in enumerate(keep):
         if variant == "parabolic":
             if not pointwise_bounded:
                 raise ValueError("parabolic variant needs a pointwise-bounded kernel")
@@ -529,23 +524,6 @@ def aronson_energy_check(
         "H_sup": H_sup,
         "norm_term": denom,
     }
-
-
-def gamma_of(x, v, y0: float, w0: float, sigma: float, tau0: float, s: float):
-    """``gamma = (1/4) max(|v - w0|, |x - y0 - (sigma - tau0) w0|^{1/(1+2s)})``
-    and whether ``|sigma - tau0|^{1/(2s)} <= 4 gamma``."""
-    spatial = abs(float(x) - y0 - (sigma - tau0) * w0) ** (1.0 / (1 + 2 * s))
-    gamma = 0.25 * max(abs(float(v) - w0), spatial)
-    flag = abs(sigma - tau0) ** (1.0 / (2 * s)) <= 4 * gamma
-    return gamma, flag
-
-
-def rho_choice(gamma: float, s: float, d: int = 1) -> float:
-    """``rho = (gamma/12) (1/4 + (2d(1+s)+2s)/(2s))^{-1}``."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    bracket = 0.25 + (2 * d * (1 + s) + 2 * s) / (2 * s)
-    return (gamma / 12.0) / bracket
 
 
 @dataclass
@@ -607,16 +585,3 @@ def decay_envelope_check(
         rep = lower_bound_check(tab)
         return DecayEnvelope(kind=kind, s=s, d=d, constant=rep["C1"], extra=rep)
     raise ValueError(f"unknown envelope kind {kind!r}")
-
-
-def meyers_check(J_full: np.ndarray, J_cutoff: np.ndarray, rho: float, s: float, d: int, elapsed: float) -> float:
-    """Smallest ``c`` with ``J <= J_rho + c (sigma - tau0) rho^{-(2d(1+s)+2s)}``
-    over shared grid nodes."""
-    J_full = np.asarray(J_full, dtype=float)
-    J_cutoff = np.asarray(J_cutoff, dtype=float)
-    if J_full.shape != J_cutoff.shape:
-        raise ValueError("tables must share a grid")
-    if rho <= 0 or elapsed <= 0:
-        raise ValueError("rho and elapsed time must be positive")
-    scale = elapsed * rho ** -(2 * d * (1 + s) + 2 * s)
-    return float(max(np.max((J_full - J_cutoff) / scale), 0.0))

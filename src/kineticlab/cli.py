@@ -271,6 +271,7 @@ def _run_harnack(args, em: Emitter) -> None:
 def _run_aronson(args, em: Emitter) -> None:
     from .aronson import (
         BarrierParams,
+        aronson_energy_check,
         barrier_eval,
         barrier_region,
         barrier_residual,
@@ -297,8 +298,6 @@ def _run_aronson(args, em: Emitter) -> None:
                           c=args.c, n_per_region=args.samples, seed=args.seed)
         em.json("aronson_kthreshold.json", rep)
     elif sub == "energy":
-        from .aronson import aronson_energy_check
-
         grid = _grid_from_args(args)
         kspec = _kernel_from_args(args)
         config = SolverConfig(dt=args.dt, steps=args.steps, scheme=args.scheme, torus=True)

@@ -130,9 +130,6 @@ class PhaseField:
         self.values = values
         self.farfield = farfield if farfield is not None else ZeroExtension()
 
-    def slice(self, it: int) -> np.ndarray:
-        return self.values[it]
-
     def sample(self, t, x, v):
         """Trilinear interpolation, vectorized over broadcastable inputs."""
         g = self.grid
@@ -167,9 +164,6 @@ class PhaseField:
                 for dv_, wv in ((iv, 1 - av), (iv1, av)):
                     out += wt * wx * wv * V[dt_, dx_, dv_]
         return out
-
-    def copy(self) -> "PhaseField":
-        return PhaseField(self.grid, self.values.copy(), self.farfield)
 
 
 def save_field(f: PhaseField, path: str) -> None:

@@ -40,8 +40,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import PhaseGrid
-
 __all__ = [
     "j0_hat_exponent",
     "j0_hat",
@@ -49,7 +47,6 @@ __all__ = [
     "FundamentalSolutionTable",
     "modified_convolution",
     "chapman_kolmogorov_residual",
-    "duhamel_solve",
     "peak_decay_exponent",
 ]
 
@@ -275,9 +272,8 @@ class _BicubicSampler:
 class FundamentalSolutionTable:
     """Gridded values of ``J`` at a fixed time.
 
-    The table stores the unit-time profile and exposes the
-    self-similar rescaling, so two tables at different times share the
-    same underlying array.
+    ``sample`` reads ``J`` at any time from these values through the
+    self-similar rescaling.
     """
 
     s: float
@@ -327,21 +323,6 @@ class FundamentalSolutionTable:
         xu = np.asarray(x, dtype=float) / t ** (1 + 1 / (2 * s))
         vu = np.asarray(v, dtype=float) / t ** (1 / (2 * s))
         return t**-beta * self._sampler(*np.broadcast_arrays(xu, vu))
-
-    def at_time(self, t: float) -> "FundamentalSolutionTable":
-        """Same profile rescaled to another time (shared array)."""
-        t = float(_positive_time(t))
-        s, beta = self.s, peak_decay_exponent(self.s, self.d)
-        ratio = t / self.t
-        return FundamentalSolutionTable(
-            s=self.s,
-            t=t,
-            x_axis=self.x_axis * ratio ** (1 + 1 / (2 * s)),
-            v_axis=self.v_axis * ratio ** (1 / (2 * s)),
-            values=self.values * ratio**-beta,
-            meta=self.meta,
-            d=self.d,
-        )
 
 
 def j0_table(t: float, s: float, n_freq: int = 256, target: float = 1e-8) -> FundamentalSolutionTable:
@@ -411,40 +392,3 @@ def chapman_kolmogorov_residual(t1: float, t2: float, s: float, n_freq: int = 12
         "residual_max": resid,
         "peak": tab.peak(),
     }
-
-
-def duhamel_solve(
-    f0: np.ndarray,
-    h,
-    T: float,
-    steps: int,
-    s: float,
-    grid: PhaseGrid,
-    n_freq: int = 128,
-) -> list[np.ndarray]:
-    """Constant-coefficient evolution by the explicit propagator.
-
-    ``f(t) = f0 *_t J(t) + sum_j h(t_j) *_{t - t_j} J(t - t_j) dt``.
-    Returns the slices at ``t_k = k T / steps`` (``k = 0..steps``);
-    ``h`` may be ``None``, a single slice, or a callable of time.
-    """
-    if T <= 0:
-        raise ValueError("final time must be positive")
-    tab = j0_table(1.0, s, n_freq)
-    X, V = np.meshgrid(grid.x_axis, grid.v_axis, indexing="ij")
-    dt = T / steps
-    out = [np.asarray(f0, dtype=float)]
-    for k in range(1, steps + 1):
-        t = k * dt
-        Jt = tab.sample(X, V, t=t)
-        acc = modified_convolution(out[0], Jt, t, grid.dx, grid.dv, warn=False)
-        if h is not None:
-            for j in range(k):
-                tj = j * dt
-                lag = t - tj
-                hj = h(tj) if callable(h) else np.asarray(h, dtype=float)
-                Jlag = tab.sample(X, V, t=lag) if lag > 0 else None
-                if Jlag is not None:
-                    acc = acc + modified_convolution(hj, Jlag, lag, grid.dx, grid.dv, warn=False) * dt
-        out.append(acc)
-    return out

@@ -1,13 +1,7 @@
-"""Phase-space points, the Galilean group, kinetic scaling and cylinders.
+"""Phase-space points and slanted kinetic cylinders.
 
 A phase point is ``z = (t, x, v)`` with ``x, v`` vectors of the same
-dimension ``d``.  The Galilean group acts by
-
-    z0 o z = (t0 + t, x0 + x + t * v0, v0 + v)
-
-and leaves the kinetic equation invariant.  Kinetic scaling acts by
-
-    S_r z = (r^{2s} t, r^{1+2s} x, r v).
+dimension ``d``.
 
 Cylinders are anisotropic neighborhoods with scales ``(r^{2s},
 r^{1+2s}, r)`` whose position ball is slanted along the free flow of
@@ -26,12 +20,8 @@ import numpy as np
 
 __all__ = [
     "PhasePoint",
-    "GalileanElement",
     "CylinderKind",
     "KineticCylinder",
-    "galilean_compose",
-    "galilean_inverse",
-    "kinetic_scale_point",
     "make_cylinder",
 ]
 
@@ -63,53 +53,6 @@ class PhasePoint:
     @property
     def d(self) -> int:
         return self.x.size
-
-    def isclose(self, other: "PhasePoint", tol: float = 1e-12) -> bool:
-        return (
-            abs(self.t - other.t) <= tol
-            and np.allclose(self.x, other.x, atol=tol, rtol=0.0)
-            and np.allclose(self.v, other.v, atol=tol, rtol=0.0)
-        )
-
-
-@dataclass(frozen=True)
-class GalileanElement:
-    """Group element acting on phase points; identity is ``(0, 0, 0)``."""
-
-    z0: PhasePoint
-
-    @classmethod
-    def of(cls, t, x, v) -> "GalileanElement":
-        return cls(PhasePoint(t, x, v))
-
-    @classmethod
-    def identity(cls, d: int = 1) -> "GalileanElement":
-        zero = np.zeros(d)
-        return cls(PhasePoint(0.0, zero, zero))
-
-
-def galilean_compose(a: GalileanElement, z: PhasePoint) -> PhasePoint:
-    """Apply ``a`` to ``z``: ``(t0+t, x0+x+t*v0, v0+v)``."""
-    z0 = a.z0
-    return PhasePoint(z0.t + z.t, z0.x + z.x + z.t * z0.v, z0.v + z.v)
-
-
-def galilean_inverse(a: GalileanElement) -> GalileanElement:
-    """Inverse element: ``(-t0, -x0 + t0*v0, -v0)``."""
-    z0 = a.z0
-    return GalileanElement(PhasePoint(-z0.t, -z0.x + z0.t * z0.v, -z0.v))
-
-
-def kinetic_scale_point(z: PhasePoint, r: float, s: float) -> PhasePoint:
-    """Scaled point ``(r^{2s} t, r^{1+2s} x, r v)``.
-
-    Requires ``r > 0`` and ``s`` in (0, 1).
-    """
-    if r <= 0:
-        raise ValueError("scaling factor r must be positive")
-    if not 0.0 < s < 1.0:
-        raise ValueError("order parameter s must lie in (0, 1)")
-    return PhasePoint(r ** (2 * s) * z.t, r ** (1 + 2 * s) * z.x, r * z.v)
 
 
 class CylinderKind(enum.Enum):

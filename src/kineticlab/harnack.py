@@ -2,10 +2,10 @@
 
 Every routine measures an implied constant of one inequality — the
 strong and weak Harnack ratios, the L1-to-Linf bound, the level-set
-tail bound, the De Giorgi level sequence, the absorption iteration
-lemma, Harnack chains, and the exponential lower-bound sufficient
-condition.  Constants are measured, never asserted against theoretical
-values; the meaningful check is stability under refinement.
+tail bound, the De Giorgi level sequence, Harnack chains, and the
+exponential lower-bound sufficient condition.  Constants are measured,
+never asserted against theoretical values; the meaningful check is
+stability under refinement.
 
 Fields are anything with a vectorized ``sample(t, x, v)`` method
 (:class:`~kineticlab.fields.PhaseField` or :class:`AnalyticField`).
@@ -36,7 +36,6 @@ __all__ = [
     "l1_linf_ratio",
     "tail_bound_ratio",
     "degiorgi_trace",
-    "iteration_absorb",
     "harnack_chain",
     "lower_bound_check",
 ]
@@ -413,33 +412,6 @@ def degiorgi_trace(
                 cheb_ok = False
         prev_A = A_k
     return DeGiorgiTrace(R=R, delta=delta, p=p, zeta=zeta, L=L, sequence=seq, decay_ok=decay_ok, chebyshev_ok=cheb_ok)
-
-
-def iteration_absorb(samples, A: float, alpha: float, delta: float) -> float:
-    """Smallest empirical ``c`` with ``phi(r) <= c A (r_end - r)^{-alpha}``
-    for samples satisfying ``phi(r) <= A (R - r)^{-alpha} + delta phi(R)``.
-
-    ``samples`` is a sequence of ``(r, phi(r))`` pairs; the hypothesis is
-    verified on every ordered pair and a violation raises with the
-    witness.
-    """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError("delta must lie in [0, 1)")
-    if A <= 0 or alpha <= 0:
-        raise ValueError("A and alpha must be positive")
-    pts = sorted((float(r), float(p)) for r, p in samples)
-    if len(pts) < 2:
-        raise ValueError("need at least two samples")
-    for i, (ri, pi) in enumerate(pts):
-        for rj, pj in pts[i + 1 :]:
-            bound = A * (rj - ri) ** -alpha + delta * pj
-            if pi > bound * (1 + 1e-12):
-                raise ValueError(f"hypothesis violated at pair r={ri}, R={rj}: {pi} > {bound}")
-    r_end = pts[-1][0]
-    c = 0.0
-    for ri, pi in pts[:-1]:
-        c = max(c, pi * (r_end - ri) ** alpha / A)
-    return c
 
 
 def harnack_chain(start, end, s: float, sigma_cap: float = 1.0, T: float | None = None) -> dict:

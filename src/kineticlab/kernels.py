@@ -23,19 +23,14 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "EllipticityParams",
     "KernelSpec",
     "FractionalLaplacian",
     "SymmetricPerturbation",
-    "TimeSpaceModulated",
-    "CustomKernel",
     "frac_normalization",
     "gauss_legendre",
-    "kernel_scale",
     "check_symmetry",
     "check_upper_bound",
     "check_coercivity",
-    "kernel_to_config",
     "kernel_from_config",
 ]
 
@@ -57,22 +52,6 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
-
-
-@dataclass(frozen=True)
-class EllipticityParams:
-    s: float
-    lambda0: float
-    Lambda0: float
-    d: int = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ValueError("s must lie in (0, 1)")
-        if not 0.0 < self.lambda0 <= self.Lambda0:
-            raise ValueError("require 0 < lambda0 <= Lambda0")
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
 
 
 # The far-field rule of ``KernelSpec.one_sided_tail``: Gauss-Legendre
@@ -151,7 +130,7 @@ class KernelSpec:
 
     Evaluation is vectorized over ``v`` and ``w``; the batched barrier
     residual also passes ``t`` and ``x`` as 1-D arrays of the same length.
-    ``v == w`` is a singularity and rejected for scalar arguments.
+    ``v == w`` is a singularity.
 
     ``oscillation_length`` is a velocity length over which the kernel's
     multiplier ``|v - w|^{d+2s} K`` may oscillate.  No far-field panel is
@@ -168,14 +147,6 @@ class KernelSpec:
 
     def _eval(self, t, x, v, w):  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def __call__(self, t, x, v, w):
-        return self._eval(t, x, np.asarray(v, dtype=float), np.asarray(w, dtype=float))
-
-    def eval_point(self, t, x, v, w) -> float:
-        if np.all(np.asarray(v) == np.asarray(w)):
-            raise ValueError("kernel is singular at v = w")
-        return float(self._eval(t, x, np.asarray(v, float), np.asarray(w, float)))
 
     def one_sided_tail(self, v, dist, t=0.0, x=0.0, side: int = +1, weight=None):
         """One-sided far field ``int_dist^inf K(t, x, v, v + side u) weight(v + side u) du``
@@ -320,72 +291,6 @@ class SymmetricPerturbation(KernelSpec):
         return self._a(v, w) * self.base._eval(t, x, v, w)
 
 
-@dataclass(frozen=True)
-class TimeSpaceModulated(KernelSpec):
-    """``m(t, x) * inner`` with a bounded positive modulation."""
-
-    inner: KernelSpec
-    modulation: object  # callable m(t, x)
-    m_min: float = 1.0
-    m_max: float = 1.0
-
-    @property
-    def s(self):
-        return self.inner.s
-
-    @property
-    def d(self):
-        return self.inner.d
-
-    def _eval(self, t, x, v, w):
-        return self.modulation(t, x) * self.inner._eval(t, x, v, w)
-
-    def one_sided_tail(self, v, dist, t=0.0, x=0.0, side=+1, weight=None):
-        return self.modulation(t, x) * self.inner.one_sided_tail(v, dist, t, x, side, weight)
-
-
-@dataclass(frozen=True)
-class CustomKernel(KernelSpec):
-    evaluator: object  # callable K(t, x, v, w)
-    s: float
-    d: int = 1
-
-    def _eval(self, t, x, v, w):
-        return self.evaluator(t, x, v, w)
-
-
-@dataclass(frozen=True)
-class _ScaledKernel(KernelSpec):
-    inner: KernelSpec
-    r: float
-
-    @property
-    def s(self):
-        return self.inner.s
-
-    @property
-    def d(self):
-        return self.inner.d
-
-    def _eval(self, t, x, v, w):
-        r, s, d = self.r, self.inner.s, self.inner.d
-        return r ** (d + 2 * s) * self.inner._eval(
-            r ** (2 * s) * t, r ** (1 + 2 * s) * x, r * np.asarray(v), r * np.asarray(w)
-        )
-
-
-def kernel_scale(k: KernelSpec, r: float) -> KernelSpec:
-    """Kinetically scaled kernel ``r^{d+2s} K(r^{2s}t, r^{1+2s}x, rv, rw)``.
-
-    The plain fractional kernel is a fixed point, returned unchanged.
-    """
-    if not 0.0 < r <= 1.0:
-        raise ValueError("scaling factor must lie in (0, 1]")
-    if r == 1.0 or isinstance(k, FractionalLaplacian):
-        return k
-    return _ScaledKernel(k, float(r))
-
-
 # ---------------------------------------------------------------------------
 # ellipticity checks
 # ---------------------------------------------------------------------------
@@ -511,21 +416,8 @@ def check_coercivity(k: KernelSpec, test_functions=None, tol: float = 0.05, lamb
 
 
 # ---------------------------------------------------------------------------
-# declarative config serialization
+# declarative kernel config
 # ---------------------------------------------------------------------------
-
-
-def kernel_to_config(k: KernelSpec) -> str:
-    """Serialize bundled kernels to a key-value config (one pair per line)."""
-    if isinstance(k, FractionalLaplacian):
-        return f"kind = fractional\nc = {k.c!r}\ns = {k.s!r}\nd = {k.d}\n"
-    if isinstance(k, SymmetricPerturbation):
-        return (
-            "kind = perturbed\n"
-            f"c = {k.base.c!r}\ns = {k.base.s!r}\nd = {k.base.d}\n"
-            f"a_min = {k.a_min!r}\na_max = {k.a_max!r}\n"
-        )
-    raise ValueError(f"kernel {type(k).__name__} has no config form")
 
 
 def kernel_from_config(text: str) -> KernelSpec:

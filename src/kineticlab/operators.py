@@ -1,4 +1,4 @@
-"""Discrete nonlocal, cutoff, tail and transport operators.
+"""Discrete nonlocal operators.
 
 The principal-value operator
 
@@ -11,10 +11,10 @@ kernel), and a far-field contribution from the declared closure.  The
 same pieces assemble into a dense velocity-operator matrix whose rows
 annihilate constants up to the far-field leak.
 
-Every integral beyond the velocity box (the exterior loss and gain, the
-torus leak, the cutoff remainder and the tail functional) is one
-vectorized call per side of ``KernelSpec.one_sided_tail``, the single
-far-field quadrature; a closure enters as its ``weight``.
+Every integral beyond the velocity box (the exterior loss and gain and
+the torus leak) is one vectorized call per side of
+``KernelSpec.one_sided_tail``, the single far-field quadrature; a
+closure enters as its ``weight``.
 """
 
 from __future__ import annotations
@@ -23,16 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PhaseField, PhaseGrid, PowerLawEnvelope, ZeroExtension  # noqa: F401
+from .fields import PhaseGrid, ZeroExtension
 from .kernels import FractionalLaplacian, KernelSpec, gauss_legendre
 
 __all__ = [
     "OperatorMatrix",
     "assemble_operator_matrix",
-    "nonlocal_apply",
     "nonlocal_profile",
-    "tail_functional",
-    "transport_apply",
 ]
 
 
@@ -73,7 +70,7 @@ class OperatorMatrix:
     """Dense velocity-space representation of ``L`` for a frozen (t, x).
 
     ``apply(f) = matrix @ f + gain``.  ``leak`` is the per-node
-    far-field loss coefficient (zero on the torus variant), so
+    far-field loss coefficient (zero under a cutoff ``rho``), so
     ``sum(matrix @ f) * dv = -sum(leak * f) * dv`` for symmetric
     kernels.
     """
@@ -81,15 +78,9 @@ class OperatorMatrix:
     matrix: np.ndarray
     gain: np.ndarray
     leak: np.ndarray
-    dv: float
-    torus: bool
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         return f @ self.matrix.T + self.gain if f.ndim == 2 else self.matrix @ f + self.gain
-
-    @property
-    def symmetric_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.T)))
 
 
 def assemble_operator_matrix(
@@ -171,7 +162,7 @@ def assemble_operator_matrix(
         lo, hi = v_axis[0] - dv / 2, v_axis[-1] + dv / 2
         gain, leak = _exterior_terms(k, closure, v_axis, lo, hi, t, x)
         A[idx, idx] -= leak
-    return OperatorMatrix(matrix=A, gain=gain, leak=leak, dv=dv, torus=torus)
+    return OperatorMatrix(matrix=A, gain=gain, leak=leak)
 
 
 def nonlocal_profile(
@@ -186,91 +177,3 @@ def nonlocal_profile(
     """Apply ``L`` (or the cutoff operator) to a velocity profile."""
     op = assemble_operator_matrix(k, grid, t, x, closure=closure, rho=rho)
     return op.apply(np.asarray(profile, dtype=float))
-
-
-def _locate(f: PhaseField, z) -> tuple[int, int, int]:
-    g = f.grid
-    it = int(round((z.t - g.t0) / g.dt)) if g.nt > 1 else 0
-    ix = int(round((z.x[0] + 0.5 * g.x_period) / g.dx)) % g.nx
-    iv = int(round((z.v[0] + g.v_extent) / g.dv))
-    if not 0 <= it < g.nt or not 0 <= iv < g.nv:
-        raise ValueError("phase point is outside the field grid")
-    return it, ix, iv
-
-
-def nonlocal_apply(k: KernelSpec, f: PhaseField, z, rho: float | None = None) -> float:
-    """``L f`` (or the cutoff operator for finite ``rho``) at grid point z."""
-    if k.s >= 1.0:
-        raise ValueError("jump order 2s must be below 2")
-    it, ix, iv = _locate(f, z)
-    g = f.grid
-    prof = f.values[it, ix, :]
-    out = nonlocal_profile(k, prof, g, closure=f.farfield, t=z.t, x=float(z.x[0]), rho=rho)
-    if rho is None:
-        return float(out[iv])
-    # the cutoff operator never sees the far field, but jumps beyond the
-    # box within |u| < rho still need the closure: the tail from the box
-    # edge minus the tail from rho
-    lo, hi = g.v_axis[0] - g.dv / 2, g.v_axis[-1] + g.dv / 2
-    v, t, x = g.v_axis[iv], z.t, float(z.x[0])
-    extra = 0.0
-    for side, dist in ((+1, hi - v), (-1, v - lo)):
-        if rho > dist:
-            d = np.array([dist, rho])
-            gain = k.one_sided_tail(v, d, t, x, side, f.farfield.envelope)
-            loss = k.one_sided_tail(v, d, t, x, side)
-            extra += float(gain[0] - gain[1] - prof[iv] * (loss[0] - loss[1]))
-    return float(out[iv]) + extra
-
-
-def tail_functional(
-    k: KernelSpec,
-    f: PhaseField,
-    r: float,
-    R: float,
-    v0: float,
-    v: float,
-    t: float | None = None,
-    x: float = 0.0,
-) -> float:
-    """``int_{|w - v0| > R} f(w) K(v, w) dw`` for ``v`` in ``B_r(v0)``."""
-    if not 0 < r < R:
-        raise ValueError("require 0 < r < R")
-    if abs(v - v0) >= r:
-        raise ValueError("evaluation velocity must lie in B_r(v0)")
-    g = f.grid
-    if t is None:
-        t = g.t0
-    v_axis = g.v_axis
-    mask = np.abs(v_axis - v0) > R
-    fw = f.sample(t, x, v_axis[mask])
-    Kw = np.asarray(k._eval(t, x, np.full(mask.sum(), v), v_axis[mask]), dtype=float)
-    out = float(np.sum(fw * Kw) * g.dv)
-    # far field beyond the velocity box and outside the ball, each side
-    # starting at the farther of the two edges
-    lo, hi = v_axis[0] - g.dv / 2, v_axis[-1] + g.dv / 2
-    env = f.farfield.envelope
-    up, down = max(hi - v, R - (v - v0)), max(v - lo, R + (v - v0))
-    return out + k.one_sided_tail(v, up, t, x, +1, env) + k.one_sided_tail(v, down, t, x, -1, env)
-
-
-def transport_apply(f: PhaseField, z, with_flag: bool = False):
-    """``(d/dt + v d/dx) f`` at a grid node, central differences with
-    periodic wrap in x; one-sided in time at the boundary slices."""
-    it, ix, iv = _locate(f, z)
-    g = f.grid
-    V = f.values
-    flag = "central"
-    if g.nt == 1:
-        raise ValueError("transport needs at least two time slices")
-    if it == 0:
-        dtf = (V[1, ix, iv] - V[0, ix, iv]) / g.dt
-        flag = "one_sided"
-    elif it == g.nt - 1:
-        dtf = (V[-1, ix, iv] - V[-2, ix, iv]) / g.dt
-        flag = "one_sided"
-    else:
-        dtf = (V[it + 1, ix, iv] - V[it - 1, ix, iv]) / (2 * g.dt)
-    dxf = (V[it, (ix + 1) % g.nx, iv] - V[it, (ix - 1) % g.nx, iv]) / (2 * g.dx)
-    val = float(dtf + g.v_axis[iv] * dxf)
-    return (val, flag) if with_flag else val

@@ -29,8 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import PhaseGrid, ZeroExtension
-from .fundsol import j0_table
+from .fields import PhaseField, PhaseGrid, ZeroExtension
+from .fundsol import j0_table, modified_convolution
 from .kernels import KernelSpec
 from .operators import OperatorMatrix, assemble_operator_matrix
 
@@ -81,11 +81,13 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Saved slices plus per-step diagnostics."""
+    """Saved slices, with their times in ``slice_times``, plus per-step
+    diagnostics at every step time in ``times``."""
 
     grid: PhaseGrid
     times: list = field(default_factory=list)
     slices: list = field(default_factory=list)
+    slice_times: list = field(default_factory=list)
     mass: list = field(default_factory=list)
     minimum: list = field(default_factory=list)
     maximum: list = field(default_factory=list)
@@ -101,6 +103,7 @@ class Trajectory:
         self.l2.append(float(np.sqrt((f * f).sum() * g.dx * g.dv)))
         if keep_slice:
             self.slices.append(f.copy())
+            self.slice_times.append(t)
 
     @property
     def final(self) -> np.ndarray:
@@ -227,10 +230,8 @@ def solve(
     return traj
 
 
-def trajectory_field(traj: Trajectory, farfield=None) -> "PhaseField":
+def trajectory_field(traj: Trajectory, farfield=None) -> PhaseField:
     """Bundle the saved slices into a time-resolved field."""
-    from .fields import PhaseField
-
     g = traj.grid
     if len(traj.slices) != len(traj.times):
         raise ValueError("trajectory must be run with save_every=1 to bundle a field")
@@ -276,8 +277,6 @@ def fundamental_approx(
     region where the reference exceeds 1% of its peak, and the mass
     drift of the run.
     """
-    from .fundsol import modified_convolution
-
     if abs(config.dt * config.steps - T) > 1e-12:
         raise ValueError("config horizon does not match T")
     f0 = mollified_delta(grid, s)

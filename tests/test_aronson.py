@@ -17,13 +17,12 @@ from kineticlab.aronson import (
     barrier_residual_parts,
     barrier_values,
     decay_envelope_check,
-    gamma_of,
     k_threshold,
-    meyers_check,
     region_samples,
-    rho_choice,
 )
-from kineticlab.kernels import CustomKernel, FractionalLaplacian, normalized_fractional
+from kineticlab.fields import PhaseGrid
+from kineticlab.kernels import FractionalLaplacian, KernelSpec, normalized_fractional
+from kineticlab.solver import SolverConfig, mollified_delta, solve
 
 S = 0.5
 
@@ -280,10 +279,21 @@ def _flat(p, v, gx):
     return (np.abs(v - p.w0) + p.rho) / (3 * p.rho) < np.maximum(1.0, gx) * (1 - 1e-12)
 
 
+class _Skewed(KernelSpec):
+    """``(1.5 + cos(3x + t) tanh(w))`` times the normalized fractional kernel."""
+
+    d = 1
+
+    def __init__(self, s):
+        self.s, self.base = s, normalized_fractional(s)
+
+    def _eval(self, t, x, v, w):
+        return (1.5 + np.cos(3 * x + t) * np.tanh(w)) * self.base._eval(t, x, v, w)
+
+
 def _asymmetric(s):
     # (t, x)-dependent and asymmetric: each node must see its own point
-    base = normalized_fractional(s)
-    return CustomKernel(lambda t, x, v, w: (1.5 + np.cos(3 * x + t) * np.tanh(w)) * base._eval(t, x, v, w), s=s)
+    return _Skewed(s)
 
 
 class TestBatchedResidual:
@@ -538,6 +548,12 @@ class TestThreshold:
         # the threshold found by the earlier per-point residual loop
         assert rep["k_star"] == pytest.approx(1.8817948740835462, rel=1e-12)
 
+    def test_no_feasible_k_below_k_max(self):
+        # infeasible at k = 1, and the doubling stops before k = 2
+        strong = FractionalLaplacian(c=200.0 / math.pi, s=S)
+        with pytest.raises(RuntimeError, match="no feasible k below 1.5; worst residual"):
+            k_threshold(1.0, 0.1, 0.0, 0.0, S, strong, c=2.0, n_per_region=6, seed=0, k_max=1.5)
+
 
 class TestEnergy:
     def test_kinetic_constant_nonnegative(self, solver_run):
@@ -561,18 +577,18 @@ class TestEnergy:
         with pytest.raises(ValueError):
             aronson_energy_check(traj, p)
 
-
-class TestGeometryHelpers:
-    def test_gamma_of(self):
-        gamma, flag = gamma_of(x=2.0, v=1.0, y0=0.0, w0=0.0, sigma=1.0, tau0=0.5, s=S)
-        assert gamma == pytest.approx(0.25 * max(1.0, 2.0 ** (1 / 2)))
-        assert isinstance(flag, bool)
-
-    def test_rho_choice_closed_form(self):
-        # bracket = 1/4 + (2d(1+s)+2s)/(2s) = 1/4 + 4 at s = 1/2
-        assert rho_choice(1.0, S) == pytest.approx((1.0 / 12.0) / 4.25)
-        with pytest.raises(ValueError):
-            rho_choice(-1.0, S)
+    def test_sparse_slices_pair_with_their_times(self, frac_kernel):
+        # slices kept every 3 steps read as the every-step run cut down to them
+        grid = PhaseGrid(nt=1, nx=32, nv=32, x_period=8.0, v_extent=8.0)
+        f0 = mollified_delta(grid, S)
+        every = solve(frac_kernel, f0, grid, SolverConfig(dt=0.02, steps=10, scheme="cn"))
+        sparse = solve(frac_kernel, f0, grid, SolverConfig(dt=0.02, steps=10, scheme="cn", save_every=3))
+        steps = [0, 3, 6, 9, 10]
+        cut = dataclasses.replace(every, slices=[every.slices[n] for n in steps],
+                                  slice_times=[every.slice_times[n] for n in steps])
+        assert sparse.slice_times == cut.slice_times
+        p = BarrierParams(rho=1.0, k=1.0, tau0=0.0, sigma=0.2, y0=0.0, w0=0.0, s=S)
+        assert aronson_energy_check(sparse, p) == aronson_energy_check(cut, p)
 
 
 class TestEnvelopes:
@@ -612,22 +628,3 @@ class TestEnvelopes:
     def test_unknown_kind(self, tab256):
         with pytest.raises(ValueError):
             decay_envelope_check(tab256, "Sideways")
-
-
-class TestMeyers:
-    def test_identical_tables_zero(self):
-        J = np.random.default_rng(0).random((8, 8))
-        assert meyers_check(J, J, rho=1.0, s=S, d=1, elapsed=0.5) == 0.0
-
-    def test_cutoff_deficit_scaling(self):
-        J = np.ones((4, 4))
-        Jc = J - 0.1
-        # deficit 0.1 against scale elapsed * rho^{-(2d(1+s)+2s)} = elapsed * rho^{-4}
-        got = meyers_check(J, Jc, rho=2.0, s=S, d=1, elapsed=0.5)
-        assert got == pytest.approx(0.1 / (0.5 * 2.0**-4.0), rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            meyers_check(np.ones((2, 2)), np.ones((3, 3)), 1.0, S, 1, 1.0)
-        with pytest.raises(ValueError):
-            meyers_check(np.ones((2, 2)), np.ones((2, 2)), -1.0, S, 1, 1.0)

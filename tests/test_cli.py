@@ -2,10 +2,12 @@
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -458,6 +460,14 @@ class TestColdStart:
         code = "import sys, kineticlab.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert run.stdout.strip() == "[]"
+
+
+class TestExports:
+    @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(kineticlab.__path__)))
+    def test_every_export_resolves(self, name):
+        # a deleted object must not leave its name in __all__
+        module = importlib.import_module(f"kineticlab.{name}")
+        assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
 class TestDeterminism:

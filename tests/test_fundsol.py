@@ -1,4 +1,4 @@
-"""Explicit fundamental solution: symbol, tables, composition, Duhamel."""
+"""Explicit fundamental solution: symbol, tables, composition."""
 
 import tracemalloc
 import warnings
@@ -11,11 +11,9 @@ from scipy.interpolate import RectBivariateSpline
 
 from kineticlab import fundsol
 from kineticlab.aronson import decay_envelope_check
-from kineticlab.fields import PhaseGrid
 from kineticlab.fundsol import (
     FundamentalSolutionTable,
     chapman_kolmogorov_residual,
-    duhamel_solve,
     j0_hat,
     j0_hat_exponent,
     j0_table,
@@ -67,7 +65,7 @@ class TestTable:
     def test_self_similar_rescaling_exact(self, tab256):
         # beta = 2 d (1+s) / (2s) = 3 at s = 1/2
         assert peak_decay_exponent(S, 1) == 3.0
-        assert tab256.at_time(2.0).peak() / tab256.peak() == pytest.approx(2.0**-3, abs=1e-12)
+        assert float(tab256.sample(0.0, 0.0, t=2.0)) / tab256.peak() == pytest.approx(2.0**-3, abs=1e-12)
 
     def test_sample_matches_nodes(self, tab256):
         i, j = 100, 140
@@ -96,8 +94,6 @@ class TestTable:
     def test_non_finite_or_non_positive_time_rejected(self, tab256, t):
         with pytest.raises(ValueError, match="finite and positive"):
             j0_table(t, S, n_freq=128)
-        with pytest.raises(ValueError, match="finite and positive"):
-            tab256.at_time(t)
         with pytest.raises(ValueError, match="finite and positive"):
             tab256.sample(0.0, 0.0, t=t)
         with pytest.raises(ValueError, match="finite and positive"):
@@ -191,6 +187,17 @@ def _box_edges(tab, n=101):
     return x, v
 
 
+def _rescaled(tab, t):
+    """A table of ``tab``'s profile at time ``t``, by the self-similar law."""
+    ratio = t / tab.t
+    return FundamentalSolutionTable(
+        s=tab.s, t=t,
+        x_axis=tab.x_axis * ratio ** (1 + 1 / (2 * tab.s)),
+        v_axis=tab.v_axis * ratio ** (1 / (2 * tab.s)),
+        values=tab.values * ratio ** -peak_decay_exponent(tab.s, tab.d),
+    )
+
+
 class TestSampler:
     """The numpy not-a-knot sampler against FITPACK's ``RectBivariateSpline``."""
 
@@ -227,13 +234,13 @@ class TestSampler:
 
     def test_at_time_copy(self, tab256):
         rng = np.random.default_rng(3)
-        tab = tab256.at_time(1.7)
+        tab = _rescaled(tab256, 1.7)
         x = np.concatenate([rng.uniform(tab.x_axis[0], tab.x_axis[-1], 5000), _box_edges(tab)[0]])
         v = np.concatenate([rng.uniform(tab.v_axis[0], tab.v_axis[-1], 5000), _box_edges(tab)[1]])
         self._assert_matches(tab, x, v)
 
     def test_coefficients_independent_of_table_layout(self, tab256):
-        tab = tab256.at_time(1.7)
+        tab = _rescaled(tab256, 1.7)
         c_tab = FundamentalSolutionTable(s=tab.s, t=tab.t, x_axis=tab.x_axis, v_axis=tab.v_axis,
                                          values=np.ascontiguousarray(tab.values))
         assert tab.values.flags.f_contiguous and c_tab.values.flags.c_contiguous
@@ -335,28 +342,3 @@ class TestComposition:
     def test_rejects_nonpositive_times(self):
         with pytest.raises(ValueError):
             chapman_kolmogorov_residual(-0.5, 0.5, S)
-
-
-class TestDuhamel:
-    def test_zero_source_matches_propagator(self):
-        # the propagator must be resolved by the grid, so keep lags >= 0.5
-        grid = PhaseGrid(nt=1, nx=64, nv=128, x_period=16.0, v_extent=8.0)
-        X, V = np.meshgrid(grid.x_axis, grid.v_axis, indexing="ij")
-        f0 = np.exp(-2 * X**2 - 2 * V**2)
-        out = duhamel_solve(f0, None, 1.0, 2, S, grid, n_freq=128)
-        assert len(out) == 3
-        mass0 = f0.sum() * grid.dx * grid.dv
-        mass1 = out[-1].sum() * grid.dx * grid.dv
-        assert mass1 == pytest.approx(mass0, rel=2e-2)
-
-    def test_constant_source_adds_mass_linearly(self):
-        grid = PhaseGrid(nt=1, nx=64, nv=128, x_period=16.0, v_extent=8.0)
-        X, V = np.meshgrid(grid.x_axis, grid.v_axis, indexing="ij")
-        f0 = np.zeros_like(X)
-        h = np.exp(-4 * X**2 - 4 * V**2)
-        T, steps = 2.0, 2
-        out = duhamel_solve(f0, h, T, steps, S, grid, n_freq=128)
-        h_mass = h.sum() * grid.dx * grid.dv
-        got = out[-1].sum() * grid.dx * grid.dv
-        # left-endpoint rule over `steps` intervals
-        assert got == pytest.approx(h_mass * T, rel=0.1)

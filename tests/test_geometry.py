@@ -1,4 +1,4 @@
-"""Group laws, kinetic scaling and cylinder geometry."""
+"""Phase points and cylinder geometry."""
 
 import math
 
@@ -7,18 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kineticlab.geometry import (
-    CylinderKind,
-    GalileanElement,
-    KineticCylinder,
-    PhasePoint,
-    galilean_compose,
-    galilean_inverse,
-    kinetic_scale_point,
-    make_cylinder,
-)
+from kineticlab.geometry import CylinderKind, KineticCylinder, PhasePoint, make_cylinder
 
-coords = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 radii = st.floats(0.05, 2.0)
 orders = st.floats(0.05, 0.95)
 
@@ -40,45 +30,6 @@ class TestPhasePoint:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             PhasePoint(math.nan, 0.0, 0.0)
-
-
-class TestGalileanGroup:
-    def test_action_formula(self):
-        a = GalileanElement.of(1.0, 2.0, 3.0)
-        z = _pt(0.5, 0.25, -1.0)
-        out = galilean_compose(a, z)
-        # (t0 + t, x0 + x + t v0, v0 + v)
-        assert out.t == 1.5
-        assert out.x[0] == 2.0 + 0.25 + 0.5 * 3.0
-        assert out.v[0] == 2.0
-
-    @given(coords, coords, coords, coords, coords, coords)
-    @settings(max_examples=50, deadline=None)
-    def test_inverse_is_two_sided(self, t0, x0, v0, t, x, v):
-        a = GalileanElement.of(t0, x0, v0)
-        z = _pt(t, x, v)
-        back = galilean_compose(galilean_inverse(a), galilean_compose(a, z))
-        assert back.isclose(z, tol=1e-9)
-
-    def test_identity(self):
-        e = GalileanElement.identity()
-        z = _pt(0.3, -1.0, 2.0)
-        assert galilean_compose(e, z).isclose(z)
-
-    @given(coords, coords, coords, orders, st.floats(0.1, 3.0))
-    @settings(max_examples=50, deadline=None)
-    def test_scaling_is_multiplicative(self, t, x, v, s, r):
-        z = _pt(t, x, v)
-        once = kinetic_scale_point(kinetic_scale_point(z, r, s), 2.0, s)
-        twice = kinetic_scale_point(z, 2.0 * r, s)
-        assert once.isclose(twice, tol=1e-7 * (1 + abs(t) + abs(x) + abs(v)))
-
-    def test_scaling_rejects_bad_parameters(self):
-        z = _pt(0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            kinetic_scale_point(z, -1.0, 0.5)
-        with pytest.raises(ValueError):
-            kinetic_scale_point(z, 1.0, 1.5)
 
 
 class TestCylinders:

@@ -12,7 +12,6 @@ from kineticlab.harnack import (
     degiorgi_trace,
     fundamental_field,
     harnack_chain,
-    iteration_absorb,
     l1_linf_ratio,
     lower_bound_check,
     strong_harnack_ratio,
@@ -158,28 +157,6 @@ class TestDeGiorgi:
         assert all(r1 >= r2 for r1, r2 in zip(rs, rs[1:]))  # radii shrink
         assert all(l1 <= l2 for l1, l2 in zip(ls, ls[1:]))  # levels rise
         assert tr.decay_ok and tr.chebyshev_ok
-
-
-class TestIterationAbsorb:
-    def test_synthetic_family(self):
-        # phi(r) = A (R - r)^{-alpha} with delta = 0 satisfies the hypothesis
-        A, alpha, R = 1.0, 2.0, 1.0
-        rs = np.linspace(0.1, 0.9, 9)
-        samples = [(r, 0.5 * A * (R - r) ** -alpha) for r in rs]
-        samples.append((R - 1e-3, 0.5 * A * 1e-3**-alpha))
-        c = iteration_absorb(samples, A=A, alpha=alpha, delta=0.0)
-        assert c > 0
-
-    def test_violation_raises_with_witness(self):
-        samples = [(0.1, 100.0), (0.9, 0.0)]
-        with pytest.raises(ValueError, match="hypothesis violated"):
-            iteration_absorb(samples, A=1.0, alpha=1.0, delta=0.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            iteration_absorb([(0.1, 1.0)], A=1.0, alpha=1.0, delta=0.0)
-        with pytest.raises(ValueError):
-            iteration_absorb([(0.1, 1.0), (0.2, 1.0)], A=1.0, alpha=1.0, delta=1.0)
 
 
 class TestChain:

@@ -1,4 +1,4 @@
-"""Kernel models, scaling and ellipticity diagnostics."""
+"""Kernel models, the far-field rule and ellipticity diagnostics."""
 
 import math
 
@@ -12,12 +12,9 @@ from scipy.special import gamma
 from kineticlab import kernels
 from kineticlab.fields import PowerLawEnvelope
 from kineticlab.kernels import (
-    CustomKernel,
-    EllipticityParams,
     FractionalLaplacian,
     KernelSpec,
     SymmetricPerturbation,
-    TimeSpaceModulated,
     check_coercivity,
     check_symmetry,
     check_upper_bound,
@@ -25,8 +22,6 @@ from kineticlab.kernels import (
     frac_normalization,
     gauss_legendre,
     kernel_from_config,
-    kernel_scale,
-    kernel_to_config,
     normalized_fractional,
 )
 
@@ -52,12 +47,7 @@ class TestNormalization:
 class TestFractionalKernel:
     def test_pointwise_value(self):
         k = FractionalLaplacian(c=1.0, s=0.5, d=1)
-        assert k.eval_point(0.0, 0.0, 0.0, 2.0) == pytest.approx(2.0**-2)
-
-    def test_diagonal_rejected(self):
-        k = FractionalLaplacian(c=1.0, s=0.5)
-        with pytest.raises(ValueError):
-            k.eval_point(0.0, 0.0, 1.0, 1.0)
+        assert k._eval(0.0, 0.0, 0.0, 2.0) == pytest.approx(2.0**-2)
 
     def test_tail_closed_form(self):
         # int_{|u|>r} c |u|^{-(1+2s)} du = c r^{-2s} / s; c=1, s=1/2 gives 2/r
@@ -141,14 +131,7 @@ class TestFarFieldQuadrature:
             return frac_eval(self, t, x, v, w)
 
         monkeypatch.setattr(FractionalLaplacian, "_eval", counting)
-        base, pert = FractionalLaplacian(c=1.0, s=0.3), _perturbed(s=0.3)
-        family = {
-            "fractional": base,
-            "perturbed": pert,
-            "custom": CustomKernel(evaluator=base._eval, s=0.3),
-            "modulated": TimeSpaceModulated(inner=pert, modulation=lambda t, x: 2.0, m_min=2.0, m_max=2.0),
-            "scaled": kernel_scale(pert, 0.5),
-        }
+        family = {"fractional": FractionalLaplacian(c=1.0, s=0.3), "perturbed": _perturbed(s=0.3)}
         env = PowerLawEnvelope(0.05, 2.0).envelope
         v = np.linspace(-1.0, 1.0, 50)
         per_point = {}
@@ -179,13 +162,6 @@ class TestFarFieldQuadrature:
         frac = FractionalLaplacian(c=1.0, s=0.5)
         np.testing.assert_array_equal(frac.one_sided_tail(v, dist), np.broadcast_to(1.0 / dist, (3, 4)))
 
-    def test_modulation_multiplies_weighted_tail(self):
-        inner = FractionalLaplacian(c=1.0, s=0.5)
-        k = TimeSpaceModulated(inner=inner, modulation=lambda t, x: 1.0 + t, m_min=1.0, m_max=3.0)
-        env = PowerLawEnvelope(0.05, 2.0).envelope
-        want = 3.0 * inner.one_sided_tail(0.0, 0.5, weight=env)
-        assert k.one_sided_tail(0.0, 0.5, t=2.0, weight=env) == want
-
 
 class TestGaussLegendre:
     def test_cached_and_read_only(self):
@@ -194,27 +170,6 @@ class TestGaussLegendre:
         assert weights.sum() == pytest.approx(2.0, rel=1e-14)
         with pytest.raises(ValueError):
             nodes[0] = 0.0
-
-
-class TestScaling:
-    def test_fractional_is_fixed_point(self):
-        k = FractionalLaplacian(c=2.0, s=0.3)
-        assert kernel_scale(k, 0.5) is k
-
-    @given(orders, st.floats(0.1, 1.0), st.floats(0.2, 3.0))
-    @settings(max_examples=30, deadline=None)
-    def test_scaled_kernel_value(self, s, r, dist):
-        # scaling law r^{d+2s} K(.., r v, r w) applied to a perturbed kernel
-        base = FractionalLaplacian(c=1.0, s=s)
-        k = SymmetricPerturbation(base=base, multiplier=lambda v, w: 2.0 + np.cos(v - w), a_min=1.0, a_max=3.0)
-        ks = kernel_scale(k, r)
-        got = float(np.asarray(ks._eval(0.0, 0.0, np.array(0.0), np.array(dist))))
-        want = r ** (1 + 2 * s) * float(np.asarray(k._eval(0.0, 0.0, np.array(0.0), np.array(r * dist))))
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_scale_rejects_bad_factor(self):
-        with pytest.raises(ValueError):
-            kernel_scale(FractionalLaplacian(c=1.0, s=0.5), 2.0)
 
 
 def _coercivity_loop(k, family, n=256, box=2.0):
@@ -250,8 +205,13 @@ class TestEllipticityChecks:
         assert rep["max_relative_asymmetry"] == 0.0
 
     def test_symmetry_detects_asymmetric_kernel(self):
-        k = CustomKernel(evaluator=lambda t, x, v, w: np.abs(v - w) ** -2.0 * (1.0 + 0.1 * np.sign(w - v)), s=0.5)
-        rep = check_symmetry(k)
+        class Skewed(KernelSpec):
+            s, d = 0.5, 1
+
+            def _eval(self, t, x, v, w):
+                return np.abs(v - w) ** -2.0 * (1.0 + 0.1 * np.sign(w - v))
+
+        rep = check_symmetry(Skewed())
         assert not rep["pass"]
 
     def test_upper_bound_unit_kernel(self):
@@ -284,34 +244,18 @@ class TestEllipticityChecks:
         assert rep["fitted_constant"] == pytest.approx(2.0, rel=1e-12)
         assert rep["pass"]
 
-    def test_modulated_kernel_tail(self):
-        inner = FractionalLaplacian(c=1.0, s=0.5)
-        k = TimeSpaceModulated(inner=inner, modulation=lambda t, x: 3.0, m_min=3.0, m_max=3.0)
-        assert k.tail_mass(0.0, 1.0) == pytest.approx(3.0 * 2.0)
-
-
-class TestEllipticityParams:
-    def test_validation(self):
-        EllipticityParams(s=0.5, lambda0=1.0, Lambda0=2.0)
-        with pytest.raises(ValueError):
-            EllipticityParams(s=0.5, lambda0=2.0, Lambda0=1.0)
-        with pytest.raises(ValueError):
-            EllipticityParams(s=1.5, lambda0=1.0, Lambda0=2.0)
-
 
 class TestConfigRoundtrip:
     def test_fractional_roundtrip(self):
         k = FractionalLaplacian(c=1.0 / math.pi, s=0.5, d=1)
-        k2 = kernel_from_config(kernel_to_config(k))
+        k2 = kernel_from_config(f"kind = fractional\nc = {k.c!r}\ns = {k.s!r}\nd = {k.d}\n")
         assert isinstance(k2, FractionalLaplacian)
         assert (k2.c, k2.s, k2.d) == (k.c, k.s, k.d)
 
     def test_perturbed_roundtrip_bounds(self):
-        base = FractionalLaplacian(c=1.0, s=0.4)
-        k = SymmetricPerturbation(base=base, multiplier=lambda v, w: 1.0, a_min=0.5, a_max=2.0)
-        k2 = kernel_from_config(kernel_to_config(k))
+        k2 = kernel_from_config("kind = perturbed\nc = 1.0\ns = 0.4\nd = 1\na_min = 0.5\na_max = 2.0\n")
         assert isinstance(k2, SymmetricPerturbation)
-        assert (k2.a_min, k2.a_max) == (0.5, 2.0)
+        assert (k2.base.c, k2.s, k2.a_min, k2.a_max) == (1.0, 0.4, 0.5, 2.0)
 
     @pytest.mark.parametrize("kind, missing", [
         ("fractional", "s"), ("fractional", "c"), ("perturbed", "a_min"), ("perturbed", "a_max"),

@@ -1,20 +1,12 @@
-"""Discrete jump operators: symbol accuracy, conservation, tails."""
+"""Discrete jump operators: symbol accuracy, conservation, the cutoff and the far field."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kineticlab.fields import PhaseField, PhaseGrid, PowerLawEnvelope, ZeroExtension
-from kineticlab.geometry import PhasePoint
+from kineticlab.fields import PhaseGrid, PowerLawEnvelope
 from kineticlab.kernels import FractionalLaplacian, SymmetricPerturbation, normalized_fractional
-from kineticlab.operators import (
-    _singular_moment,
-    assemble_operator_matrix,
-    nonlocal_apply,
-    nonlocal_profile,
-    tail_functional,
-    transport_apply,
-)
+from kineticlab.operators import _singular_moment, assemble_operator_matrix, nonlocal_profile
 
 S = 0.5
 
@@ -87,46 +79,24 @@ class TestGenericKernelPath:
 
 
 class TestCutoffAndTail:
-    def _field(self, fn, nv=256, v_extent=8.0, farfield=None):
-        g = PhaseGrid(nt=1, nx=4, nv=nv, x_period=2.0, v_extent=v_extent)
-        vals = np.broadcast_to(fn(g.v_axis), (1, g.nx, g.nv)).copy()
-        return PhaseField(g, vals, farfield), g
-
     def test_cutoff_plus_remainder_matches_full(self):
         # for f supported in |v| < 1 and rho beyond the support, the cutoff
         # operator at the origin differs from the full one by f(0) times the
         # kernel tail beyond rho (the exterior gain vanishes)
         k = FractionalLaplacian(c=1.0, s=S)
-        f, g = self._field(lambda v: np.exp(-8 * v**2))
-        z = PhasePoint(g.t0, 0.0, 0.0)
+        g = _vgrid(256, 8.0)
+        prof = np.exp(-8 * g.v_axis**2)
         rho = 3.0
-        full = nonlocal_apply(k, f, z)
-        cut = nonlocal_apply(k, f, z, rho=rho)
-        f0 = float(f.values[0, 0, g.nv // 2])
+        full = nonlocal_profile(k, prof, g)[g.nv // 2]
+        cut = nonlocal_profile(k, prof, g, rho=rho)[g.nv // 2]
         # full = cut + [gain beyond rho (~0)] - f(0) * tail(rho)
-        assert full - cut == pytest.approx(-f0 * k.tail_mass(0.0, rho), rel=2e-2)
+        assert full - cut == pytest.approx(-prof[g.nv // 2] * k.tail_mass(0.0, rho), rel=2e-2)
 
     def test_cutoff_rejects_bad_radius(self):
         k = FractionalLaplacian(c=1.0, s=S)
-        f, g = self._field(lambda v: np.exp(-(v**2)))
+        g = _vgrid(256, 8.0)
         with pytest.raises(ValueError):
-            nonlocal_apply(k, f, PhasePoint(g.t0, 0.0, 0.0), rho=-1.0)
-
-    def test_cutoff_remainder_beyond_box(self):
-        # rho reaches past the box edge: the closure between the edge and
-        # rho enters as the tail from the edge minus the tail from rho
-        k = FractionalLaplacian(c=1.0, s=S)
-        env = PowerLawEnvelope(amplitude=0.05, exponent=2.0)
-        f, g = self._field(lambda v: np.exp(-(v**2)), nv=64, v_extent=4.0, farfield=env)
-        iv = 40
-        z = PhasePoint(g.t0, 0.0, g.v_axis[iv])
-        rho = 6.0
-        got = nonlocal_apply(k, f, z, rho=rho) - nonlocal_profile(k, f.values[0, 0], g, closure=env, rho=rho)[iv]
-        v, f0 = g.v_axis[iv], f.values[0, 0, iv]
-        want = 0.0
-        for side, dist in ((+1, g.v_axis[-1] + g.dv / 2 - v), (-1, v - g.v_axis[0] + g.dv / 2)):
-            want += quad(lambda u: (env.envelope(v + side * u) - f0) * u ** (-1 - 2 * S), dist, rho)[0]
-        assert got == pytest.approx(want, rel=1e-4)
+            nonlocal_profile(k, np.exp(-g.v_axis**2), g, rho=-1.0)
 
     def test_exterior_gain_against_quad(self):
         # the closure's gain per node: int of K times the envelope beyond each box edge
@@ -142,62 +112,3 @@ class TestCutoffAndTail:
                 for side, dist in ((+1, hi - v), (-1, v - lo))
             )
             assert op.gain[i] == pytest.approx(want, rel=1e-4)
-
-    def test_tail_functional_constant_field(self):
-        # f = 1 inside the box with matching far field: the tail integral
-        # equals the kernel tail mass beyond the larger of R and the box cut
-        k = FractionalLaplacian(c=1.0, s=S)
-        f, g = self._field(lambda v: np.ones_like(v), farfield=PowerLawEnvelope(amplitude=1.0, exponent=1e-9))
-        # power-law with ~zero exponent stands in for a constant far field
-        got = tail_functional(k, f, r=0.5, R=2.0, v0=0.0, v=0.0)
-        assert got == pytest.approx(k.tail_mass(0.0, 2.0), rel=5e-2)
-
-    def test_tail_functional_validates_geometry(self):
-        k = FractionalLaplacian(c=1.0, s=S)
-        f, g = self._field(lambda v: np.ones_like(v))
-        with pytest.raises(ValueError):
-            tail_functional(k, f, r=2.0, R=1.0, v0=0.0, v=0.0)
-        with pytest.raises(ValueError):
-            tail_functional(k, f, r=0.5, R=1.0, v0=0.0, v=0.9)
-
-
-class TestTransport:
-    def test_free_streaming_derivative(self):
-        # f(t, x, v) = x - t v satisfies (d/dt + v d/dx) f = -v + v = 0
-        g = PhaseGrid(nt=5, nx=32, nv=8, x_period=8.0, v_extent=1.0, t0=0.0, t1=0.4)
-        T, X, V = np.meshgrid(g.t_axis, g.x_axis, g.v_axis, indexing="ij")
-        # keep the x-profile periodic: use sin(2 pi (x - t v) / period)
-        vals = np.sin(2 * np.pi * (X - T * V) / g.x_period)
-        f = PhaseField(g, vals)
-        z = PhasePoint(g.t_axis[2], g.x_axis[5], g.v_axis[3])
-        val, flag = transport_apply(f, z, with_flag=True)
-        assert flag == "central"
-        assert abs(val) < 5e-2
-
-    def test_one_sided_flag_at_boundary(self):
-        g = PhaseGrid(nt=3, nx=8, nv=8, x_period=2.0, v_extent=1.0)
-        f = PhaseField(g, np.zeros((3, 8, 8)))
-        _, flag = transport_apply(f, PhasePoint(g.t0, 0.0, 0.0), with_flag=True)
-        assert flag == "one_sided"
-
-    def test_single_slice_rejected(self):
-        g = PhaseGrid(nt=1, nx=8, nv=8, x_period=2.0, v_extent=1.0)
-        f = PhaseField(g, np.zeros((1, 8, 8)))
-        with pytest.raises(ValueError):
-            transport_apply(f, PhasePoint(g.t0, 0.0, 0.0))
-
-
-class TestValidation:
-    def test_order_bound(self):
-        k = FractionalLaplacian(c=1.0, s=1.0)
-        g = PhaseGrid(nt=1, nx=4, nv=16, x_period=1.0, v_extent=1.0)
-        f = PhaseField(g, np.zeros((1, 4, 16)))
-        with pytest.raises(ValueError):
-            nonlocal_apply(k, f, PhasePoint(0.0, 0.0, 0.0))
-
-    def test_point_outside_grid(self):
-        k = FractionalLaplacian(c=1.0, s=S)
-        g = PhaseGrid(nt=1, nx=4, nv=16, x_period=1.0, v_extent=1.0)
-        f = PhaseField(g, np.zeros((1, 4, 16)))
-        with pytest.raises(ValueError):
-            nonlocal_apply(k, f, PhasePoint(0.0, 0.0, 5.0))
