@@ -16,12 +16,17 @@ and a timestamp taken from ``SOURCE_DATE_EPOCH`` (0 if unset).
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 failure.
+
+One parser per process reads every command line: ``main`` builds it on
+its first call and keeps it.  The parser holds no handler; each call runs
+the subcommand body looked up by the command's name.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -32,7 +37,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .fields import PhaseGrid, PowerLawEnvelope, load_field
+from .fields import PhaseGrid, load_field
 from .fundsol import chapman_kolmogorov_residual, j0_table
 from .geometry import PhasePoint
 from .harnack import (
@@ -393,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fundsol", help="fundamental-solution table and composition residual")
     _add_common(p)
     p.add_argument("--t", type=_finite_float, default=1.0)
-    p.set_defaults(func=_run_fundsol)
 
     p = sub.add_parser("solve", help="run the split-step solver")
     _add_common(p)
@@ -407,67 +411,67 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-torus", action="store_true")
     p.add_argument("--cross-validate", action="store_true",
                    help="compare against the explicit fundamental solution")
-    p.set_defaults(func=_run_solve)
 
     p = sub.add_parser("ellipticity", help="symmetry / upper-bound / coercivity checks")
     _add_common(p)
     p.add_argument("--fit", action="store_true", help="also fit the coercivity ratio")
     p.add_argument("--samples", type=_positive_int, default=64)
-    p.set_defaults(func=_run_ellipticity)
 
+    # the options every harnack (every aronson) mode shares are declared once
+    # and copied into each mode's parser
+    harnack_opts = argparse.ArgumentParser(add_help=False)
+    harnack_opts.add_argument("--field", default=None, help="saved field path (default: explicit solution)")
+    harnack_opts.add_argument("--t0", type=_finite_float, default=0.0)
+    harnack_opts.add_argument("--x0", type=_finite_float, default=0.0)
+    harnack_opts.add_argument("--v0", type=_finite_float, default=0.0)
+    harnack_opts.add_argument("--t-offset", dest="t_offset", type=_finite_float, default=1.0)
+    harnack_opts.add_argument("--nodes", type=_positive_int, default=8)
+    harnack_opts.add_argument("--r0", type=_finite_float, default=0.125)
+    harnack_opts.add_argument("--R", type=_finite_float, default=0.5)
+    harnack_opts.add_argument("--zeta", type=_finite_float, default=0.5)
+    harnack_opts.add_argument("--level", type=_finite_float, default=0.0)
+    harnack_opts.add_argument("--delta", type=_finite_float, default=0.5)
+    harnack_opts.add_argument("--p", type=_finite_float, default=1.14)
+    harnack_opts.add_argument("--tau0", type=_finite_float, default=1.0)
+    harnack_opts.add_argument("--y0", type=_finite_float, default=0.0)
+    harnack_opts.add_argument("--w0", type=_finite_float, default=0.0)
+    harnack_opts.add_argument("--t1", type=_finite_float, default=2.0)
+    harnack_opts.add_argument("--x1", type=_finite_float, default=1.0)
+    harnack_opts.add_argument("--v1", type=_finite_float, default=1.0)
+    harnack_opts.add_argument("--t", type=_finite_float, default=1.0)
+    harnack_opts.add_argument("--alpha", type=_finite_float, default=1.0)
     p = sub.add_parser("harnack", help="Harnack-type measurements")
     _add_common(p)
     hs = p.add_subparsers(dest="harnack_cmd", required=True)
     for name in ("strong", "weak", "l1linf", "tail", "degiorgi", "chain", "lower"):
-        q = hs.add_parser(name)
-        q.add_argument("--field", default=None, help="saved field path (default: explicit solution)")
-        q.add_argument("--t0", type=_finite_float, default=0.0)
-        q.add_argument("--x0", type=_finite_float, default=0.0)
-        q.add_argument("--v0", type=_finite_float, default=0.0)
-        q.add_argument("--t-offset", dest="t_offset", type=_finite_float, default=1.0)
-        q.add_argument("--nodes", type=_positive_int, default=8)
-        q.add_argument("--r0", type=_finite_float, default=0.125)
-        q.add_argument("--R", type=_finite_float, default=0.5)
-        q.add_argument("--zeta", type=_finite_float, default=0.5)
-        q.add_argument("--level", type=_finite_float, default=0.0)
-        q.add_argument("--delta", type=_finite_float, default=0.5)
-        q.add_argument("--p", type=_finite_float, default=1.14)
-        q.add_argument("--tau0", type=_finite_float, default=1.0)
-        q.add_argument("--y0", type=_finite_float, default=0.0)
-        q.add_argument("--w0", type=_finite_float, default=0.0)
-        q.add_argument("--t1", type=_finite_float, default=2.0)
-        q.add_argument("--x1", type=_finite_float, default=1.0)
-        q.add_argument("--v1", type=_finite_float, default=1.0)
-        q.add_argument("--t", type=_finite_float, default=1.0)
-        q.add_argument("--alpha", type=_finite_float, default=1.0)
-    p.set_defaults(func=_run_harnack)
+        hs.add_parser(name, parents=[harnack_opts])
 
+    aronson_opts = argparse.ArgumentParser(add_help=False)
+    aronson_opts.add_argument("--rho", type=_finite_float, default=1.0)
+    aronson_opts.add_argument("--k", type=_finite_float, default=4.0)
+    aronson_opts.add_argument("--c", type=_finite_float, default=2.0)
+    aronson_opts.add_argument("--tau0", type=_finite_float, default=0.0)
+    aronson_opts.add_argument("--y0", type=_finite_float, default=0.0)
+    aronson_opts.add_argument("--w0", type=_finite_float, default=0.0)
+    aronson_opts.add_argument("--x1", type=_finite_float, default=0.0)
+    aronson_opts.add_argument("--v1", type=_finite_float, default=0.0)
+    aronson_opts.add_argument("--samples", type=_positive_int, default=30)
+    aronson_opts.add_argument("--t", type=_finite_float, default=1.0)
+    aronson_opts.add_argument("--kind", default="NashOnDiag",
+                              choices=["NashOnDiag", "UpperUnconditional", "UpperConditional", "LowerExponential"])
+    aronson_opts.add_argument("--variant", choices=["kinetic", "parabolic"], default="kinetic")
+    aronson_opts.add_argument("--nx", type=_positive_int, default=64)
+    aronson_opts.add_argument("--nv", type=_positive_int, default=128)
+    aronson_opts.add_argument("--x-period", type=_finite_float, default=8.0)
+    aronson_opts.add_argument("--v-extent", type=_finite_float, default=8.0)
+    aronson_opts.add_argument("--dt", type=_finite_float, default=0.01)
+    aronson_opts.add_argument("--steps", type=_positive_int, default=10)
+    aronson_opts.add_argument("--scheme", choices=["explicit", "implicit", "cn"], default="cn")
     p = sub.add_parser("aronson", help="barrier and decay-envelope checks")
     _add_common(p)
     asub = p.add_subparsers(dest="aronson_cmd", required=True)
     for name in ("barrier", "k-threshold", "energy", "envelope"):
-        q = asub.add_parser(name)
-        q.add_argument("--rho", type=_finite_float, default=1.0)
-        q.add_argument("--k", type=_finite_float, default=4.0)
-        q.add_argument("--c", type=_finite_float, default=2.0)
-        q.add_argument("--tau0", type=_finite_float, default=0.0)
-        q.add_argument("--y0", type=_finite_float, default=0.0)
-        q.add_argument("--w0", type=_finite_float, default=0.0)
-        q.add_argument("--x1", type=_finite_float, default=0.0)
-        q.add_argument("--v1", type=_finite_float, default=0.0)
-        q.add_argument("--samples", type=_positive_int, default=30)
-        q.add_argument("--t", type=_finite_float, default=1.0)
-        q.add_argument("--kind", default="NashOnDiag",
-                       choices=["NashOnDiag", "UpperUnconditional", "UpperConditional", "LowerExponential"])
-        q.add_argument("--variant", choices=["kinetic", "parabolic"], default="kinetic")
-        q.add_argument("--nx", type=_positive_int, default=64)
-        q.add_argument("--nv", type=_positive_int, default=128)
-        q.add_argument("--x-period", type=_finite_float, default=8.0)
-        q.add_argument("--v-extent", type=_finite_float, default=8.0)
-        q.add_argument("--dt", type=_finite_float, default=0.01)
-        q.add_argument("--steps", type=_positive_int, default=10)
-        q.add_argument("--scheme", choices=["explicit", "implicit", "cn"], default="cn")
-    p.set_defaults(func=_run_aronson)
+        asub.add_parser(name, parents=[aronson_opts])
 
     p = sub.add_parser("sweep", help="refinement sweeps (CSV)")
     _add_common(p)
@@ -480,16 +484,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-offset", dest="t_offset", type=_finite_float, default=1.0)
     p.add_argument("--field", default=None)
     p.add_argument("--nodes", type=_positive_int, default=4)
-    p.set_defaults(func=_run_sweep)
 
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads every command line with, built on first use.
+    It holds no handler: a handler is looked up by command name per call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     # the output directory is not part of the experiment configuration
@@ -506,7 +515,7 @@ def main(argv=None) -> int:
     config_text = "\n".join(kept)
     em = Emitter(args.out, config_text)
     try:
-        args.func(args, em)
+        globals()[f"_run_{args.cmd}"](args, em)
         em.finish()
     except (ConfigError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,12 +31,19 @@ interpolant of FITPACK's ``regrid`` at ``s = 0``, de Boor 1978), held as
 uniform cubic B-spline coefficients and evaluated with the closed-form
 cardinal weights (Unser 1999).  It is zero outside the tabulated box,
 and its time argument broadcasts with the points.
+
+Unit-time profiles are cached per exact ``(n_freq, s, target)`` and
+held read-only.  Every table ``j0_table`` makes from one profile, at any
+time, samples through one sampler of that profile, built from the
+profile itself on the first ``sample`` of any of them; a table that is
+never sampled builds none.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,13 +107,12 @@ def _auto_extents(s: float, target: float = 1e-8, start: float = 5.0, max_doubli
     raise RuntimeError("frequency extent search did not converge")
 
 
-_PROFILE_CACHE: dict = {}
-
-
+@lru_cache(maxsize=8)
 def _unit_profile(n_freq: int, s: float, target: float = 1e-8):
     """Unit-time profile on a centered (x, v) grid.
 
-    Returns ``(x_axis, v_axis, values, meta)``.  The physical symbol is
+    Returns ``(x_axis, v_axis, values, meta)``, cached per exact
+    ``(n_freq, s, target)``; the arrays are read-only.  The physical symbol is
     sampled at the reflected frequency, ``j0_hat(-phi, xi)``, which is
     the convention that solves the forward-transport equation (see
     module docstring).
@@ -120,9 +126,6 @@ def _unit_profile(n_freq: int, s: float, target: float = 1e-8):
     transform reads the average of each ``xi`` value and its ``-xi``
     partner, so the half spectrum carries that average there.
     """
-    key = (n_freq, round(s, 12), target)
-    if key in _PROFILE_CACHE:
-        return _PROFILE_CACHE[key]
     Phi, Xi = _auto_extents(s, target)
     n = n_freq
     dphi, dxi = 2 * Phi / n, 2 * Xi / n
@@ -155,8 +158,9 @@ def _unit_profile(n_freq: int, s: float, target: float = 1e-8):
         "ringing": float(min(vals.min(), 0.0)),
         "edge_level": float(edge / vals[n // 2, n // 2]),
     }
-    _PROFILE_CACHE[key] = (x_axis, v_axis, vals, meta)
-    return _PROFILE_CACHE[key]
+    for a in (x_axis, v_axis, vals):
+        a.flags.writeable = False
+    return x_axis, v_axis, vals, meta
 
 
 def _positive_time(t):
@@ -247,6 +251,7 @@ class _BicubicSampler:
         coef = _not_a_knot_coefficients(np.ascontiguousarray(values.T, dtype=float))
         coef = np.ascontiguousarray(coef.T)  # frees the first pass before the second
         self.coef = _not_a_knot_coefficients(coef).ravel()
+        self.coef.flags.writeable = False
 
     def __call__(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Interpolated values at broadcast ``(x, v)``; 0 outside the box
@@ -268,6 +273,13 @@ class _BicubicSampler:
         return np.where(inside, out, 0.0)
 
 
+@lru_cache(maxsize=8)
+def _unit_sampler(n_freq: int, s: float, target: float) -> _BicubicSampler:
+    """The sampler of the cached unit-time profile, built once and shared by
+    every table ``j0_table`` makes from that profile."""
+    return _BicubicSampler(*_unit_profile(n_freq, s, target)[:3])
+
+
 @dataclass
 class FundamentalSolutionTable:
     """Gridded values of ``J`` at a fixed time.
@@ -283,7 +295,10 @@ class FundamentalSolutionTable:
     values: np.ndarray
     meta: dict = field(default_factory=dict)
     d: int = 1
-    _sampler: object = None
+    # not constructor arguments, so dataclasses.replace starts a table afresh
+    _sampler: object = field(default=None, init=False, repr=False, compare=False)
+    # (n_freq, s, target) of the cached unit-time profile a j0_table table samples
+    _profile_key: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dx(self) -> float:
@@ -310,15 +325,23 @@ class FundamentalSolutionTable:
         unit-time axes (the same interpolant as FITPACK's ``regrid`` at
         ``s = 0``); points outside the tabulated box, and NaN points,
         give 0.  Uniform axes of at least 4 nodes are required.
+
+        A table made by ``j0_table`` reads the cached unit-time profile it
+        was made from, through the one sampler of that profile, built on
+        the first ``sample`` of any table made from it.  A table made with
+        the constructor builds its own sampler from its ``values``.
         """
         s = self.s
         beta = peak_decay_exponent(s, self.d)
         if self._sampler is None:
-            xu = self.x_axis / self.t ** (1 + 1 / (2 * s))
-            vu = self.v_axis / self.t ** (1 / (2 * s))
-            # scaled into the transposed layout the sampler reads, in one pass
-            scaled = np.multiply(self.values.T, self.t**beta, order="C").T
-            self._sampler = _BicubicSampler(xu, vu, scaled)
+            if self._profile_key is not None:
+                self._sampler = _unit_sampler(*self._profile_key)
+            else:
+                xu = self.x_axis / self.t ** (1 + 1 / (2 * s))
+                vu = self.v_axis / self.t ** (1 / (2 * s))
+                # scaled into the transposed layout the sampler reads, in one pass
+                scaled = np.multiply(self.values.T, self.t**beta, order="C").T
+                self._sampler = _BicubicSampler(xu, vu, scaled)
         t = _positive_time(self.t if t is None else t)
         xu = np.asarray(x, dtype=float) / t ** (1 + 1 / (2 * s))
         vu = np.asarray(v, dtype=float) / t ** (1 / (2 * s))
@@ -340,6 +363,7 @@ def j0_table(t: float, s: float, n_freq: int = 256, target: float = 1e-8) -> Fun
         values=vals * t**-beta,
         meta=dict(meta),
     )
+    tab._profile_key = (n_freq, s, target)
     mass = tab.mass()
     if not abs(mass - 1.0) <= 1e-2:
         raise RuntimeError(

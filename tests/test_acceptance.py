@@ -5,13 +5,11 @@ only provides existentially are checked for stability under refinement
 rather than against a numeric target.
 """
 
-import json
 import math
 import os
 import time
 
 import numpy as np
-import pytest
 
 from kineticlab.aronson import (
     BarrierParams,

@@ -1,6 +1,7 @@
 """Experiment runner: subcommands, exit codes, manifests, determinism."""
 
 import argparse
+import ast
 import contextlib
 import importlib
 import io
@@ -468,6 +469,72 @@ class TestExports:
         # a deleted object must not leave its name in __all__
         module = importlib.import_module(f"kineticlab.{name}")
         assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+    def test_every_import_is_used(self):
+        # an imported name that nothing reads, in the package or its tests;
+        # a name re-exported through __all__ counts as read
+        unused = []
+        for folder in (os.path.dirname(kineticlab.__file__), os.path.dirname(__file__)):
+            for name in sorted(os.listdir(folder)):
+                if not name.endswith(".py"):
+                    continue
+                with open(os.path.join(folder, name)) as fh:
+                    tree = ast.parse(fh.read())
+                imported, read = {}, set()
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Import):
+                        imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+                    elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                        imported.update((a.asname or a.name, node.lineno) for a in node.names)
+                    elif isinstance(node, ast.Name):
+                        read.add(node.id)
+                    elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                        read.update(ast.literal_eval(node.value))
+                unused += [f"{name}:{line} {n}" for n, line in sorted(imported.items()) if n not in read]
+        assert unused == []
+
+
+class TestParserCache:
+    """``main`` reads every command line with one parser per process; what
+    one call parses must not reach the next."""
+
+    @staticmethod
+    def _run(argv, out):
+        return main(argv[:1] + ["--out", str(out)] + argv[1:])
+
+    @staticmethod
+    def _outputs(out):
+        return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+    @pytest.mark.parametrize("first, code", [
+        (["harnack", "--n-freq", "128", "strong", "--t0", "1.0"], 0),
+        (["harnack", "--n-freq", "128", "strong", "--t0", "nan"], 2),
+        (["harnack", "--n-freq", "128", "strong", "--frequency", "12"], 2),
+    ])
+    def test_a_call_leaves_nothing_for_the_next(self, tmp_path, first, code):
+        second = ["harnack", "--n-freq", "128", "strong"]
+        cli._parser.cache_clear()
+        assert self._run(second, tmp_path / "alone") == 0
+        assert self._run(first, tmp_path / "first") == code
+        assert self._run(second, tmp_path / "after") == 0
+        assert self._outputs(tmp_path / "after") == self._outputs(tmp_path / "alone")
+
+    def test_parser_holds_no_handler(self):
+        # a handler held by the parser would outlive a replacement of its
+        # module attribute; main looks it up by command name on each call
+        for ap in _parsers(cli._parser()):
+            assert [v for v in ap._defaults.values() if callable(v)] == []
+
+    def test_subcommand_help_is_unchanged(self, monkeypatch):
+        # every subcommand's help text, captured once from the parser that
+        # declared the harnack and aronson options per mode; the top-level
+        # text is the module docstring and is not compared
+        monkeypatch.setenv("COLUMNS", "80")
+        with open(os.path.join(os.path.dirname(__file__), "cli_help.json")) as fh:
+            want = json.load(fh)
+        for parser in (cli.build_parser(), cli._parser()):
+            got = {ap.prog.split(" ", 1)[1]: ap.format_help() for ap in _parsers(parser) if ap is not parser}
+            assert got == want
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Explicit fundamental solution: symbol, tables, composition."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -11,6 +12,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from kineticlab import fundsol
 from kineticlab.aronson import decay_envelope_check
+from kineticlab.cli import main
 from kineticlab.fundsol import (
     FundamentalSolutionTable,
     chapman_kolmogorov_residual,
@@ -155,11 +157,11 @@ class TestHalfSpectrumBuild:
             np.testing.assert_array_equal(got, _masked_abs_power_integral(x, y, p))
             assert got.shape == np.broadcast_shapes(np.shape(x), np.shape(y))
 
-    def test_cold_build_peak_memory(self, monkeypatch):
-        monkeypatch.setattr(fundsol, "_PROFILE_CACHE", {})
+    def test_cold_build_peak_memory(self):
         tracemalloc.start()
         try:
-            vals = fundsol._unit_profile(1024, 0.5)[2]
+            # the uncached build
+            vals = fundsol._unit_profile.__wrapped__(1024, 0.5)[2]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -315,6 +317,96 @@ class TestSampler:
         ts = np.asarray(rep.extra["times"])
         per_time = np.array([float(sample(tab256, 0.0, 0.0, t=float(t))) for t in ts]) * ts ** peak_decay_exponent(S)
         assert rep.constant == float(per_time.max())
+
+
+def _points(tab, n=5000, seed=6):
+    """Random points of ``tab``'s box and a margin around it, its box edges
+    and its nodes."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(1.05 * tab.x_axis[0], 1.05 * tab.x_axis[-1], n)
+    v = rng.uniform(1.05 * tab.v_axis[0], 1.05 * tab.v_axis[-1], n)
+    X, V = np.meshgrid(tab.x_axis, tab.v_axis, indexing="ij")
+    ex, ev = _box_edges(tab)
+    return np.concatenate([x, ex, X.ravel()]), np.concatenate([v, ev, V.ravel()])
+
+
+class TestSharedSampler:
+    """Tables that ``j0_table`` makes from one cached unit-time profile read
+    it through one sampler, built on their first ``sample``."""
+
+    def test_tables_of_one_profile_share_one_sampler(self):
+        a, b = j0_table(1.0, S, n_freq=64), j0_table(1.0, S, n_freq=64)
+        assert a._sampler is None and b._sampler is None
+        a.sample(0.0, 0.0)
+        b.sample(0.0, 0.0)
+        assert a._sampler is b._sampler
+        for other, shared in ((j0_table(2.0, S, n_freq=64), True), (j0_table(1.0, 0.3, n_freq=64), False)):
+            other.sample(0.0, 0.0)
+            assert (other._sampler is a._sampler) is shared
+
+    @pytest.mark.parametrize("t", [None, 0.3, 1.0, 2.5])
+    def test_bit_identical_to_constructed_table_at_unit_time(self, t):
+        tab = j0_table(1.0, S, n_freq=64)
+        ref = _rescaled(tab, tab.t)
+        x, v = _points(tab)
+        assert np.array_equal(tab.sample(x, v, t=t), ref.sample(x, v, t=t))
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_bit_identical_at_power_of_two_times(self, t):
+        # at s = 1/2 the self-similar factors t^2 and t^3 are exact
+        tab = j0_table(t, S, n_freq=64)
+        x, v = _points(tab)
+        assert np.array_equal(tab.sample(x, v), _rescaled(tab, tab.t).sample(x, v))
+
+    @pytest.mark.parametrize("s", [0.25, S, 0.8])
+    def test_last_bits_at_other_times(self, s):
+        # the constructed table's sampler reads t^-beta values on t-scaled
+        # axes, each scaled back with a rounding: up to 7.3e-16 of the peak
+        tab = j0_table(1.7, s, n_freq=64)
+        ref = _rescaled(tab, tab.t)
+        x, v = _points(tab)
+        for t in (None, 0.7):
+            want = ref.sample(x, v, t=t)
+            assert np.max(np.abs(tab.sample(x, v, t=t) - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_a_fundsol_run_builds_no_sampler_for_its_table(self, tmp_path, monkeypatch):
+        built, unit_sampler, sampler = [], fundsol._unit_sampler, fundsol._BicubicSampler
+
+        class Recording(sampler):
+            def __init__(self, x_axis, v_axis, values):
+                built.append(values.shape)
+                super().__init__(x_axis, v_axis, values)
+
+        # a cached sampler is requested, not built: record the requests too
+        monkeypatch.setattr(fundsol, "_unit_sampler", lambda *key: built.append(key) or unit_sampler(*key))
+        monkeypatch.setattr(fundsol, "_BicubicSampler", Recording)
+        assert main(["fundsol", "--n-freq", "256", "--out", str(tmp_path / "f")]) == 0
+        # only the composition check samples, on its own 128-node table
+        assert built and not [b for b in built if 256 in b]
+
+    def test_a_replaced_table_samples_its_own_values(self):
+        tab = j0_table(1.0, S, n_freq=64)
+        tab.sample(0.0, 0.0)
+        double = dataclasses.replace(tab, values=2.0 * tab.values)
+        x, v = _points(tab, n=500)
+        assert np.array_equal(double.sample(x, v), _rescaled(double, double.t).sample(x, v))
+        assert np.array_equal(double.sample(x, v), 2.0 * tab.sample(x, v))
+
+    def test_cached_arrays_are_read_only(self):
+        x_axis, v_axis, vals, _ = fundsol._unit_profile(64, S)
+        tab = j0_table(2.0, S, n_freq=64)
+        tab.sample(0.0, 0.0)
+        for a in (x_axis, v_axis, vals, tab._sampler.coef):
+            assert not a.flags.writeable
+        assert tab.values.flags.writeable
+
+    def test_profile_cache_keys_on_exact_s(self):
+        # s = 1/2 + 4e-13 once read the s = 1/2 profile when that was built
+        # first: 1.3e-12 away from its own
+        s = S + 4e-13
+        own = fundsol._unit_profile.__wrapped__(128, s)[2]
+        j0_table(1.0, S, n_freq=128)
+        np.testing.assert_array_equal(j0_table(1.0, s, n_freq=128).values, own)
 
 
 class TestComposition:

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from kineticlab import solver
-from kineticlab.fields import PhaseField, PhaseGrid, PowerLawEnvelope, ZeroExtension
+from kineticlab.fields import PhaseGrid, PowerLawEnvelope
 from kineticlab.kernels import normalized_fractional
 from kineticlab.operators import assemble_operator_matrix
 from kineticlab.solver import (
