@@ -18,14 +18,18 @@ kinetic and parabolic variants, and fits the polynomial / exponential
 decay envelopes of the fundamental solution.
 
 ``barrier_residual`` and ``barrier_residual_parts`` take one phase point
-``z = (t, x, v)`` and return Python scalars, or an ``(N, 3)`` array of
-points and return arrays; both go through the same vectorized code.  One
-point runs through it as numpy float scalars, not length-1 arrays: scalar
-arithmetic costs far less per operation, and the ufuncs (``np.exp``,
-``np.log``, ``np.power``) run the same loops as on arrays, so a point's
-residual is bit-identical alone and in a batch.  Each point's state
-(spatial offset, branch arguments, ``delta``, log factor) is computed once
-and shared by the transport and jump terms.
+``z = (t, x, v)`` (a tuple, a list or a 1-D array) and return Python
+scalars, or an ``(N, 3)`` array of points and return arrays; both go
+through the same functions.  Each point's state (spatial offset, branch
+arguments, ``delta``, log factor) is computed once and shared by the
+transport and jump terms.  One point runs on Python floats: plain
+arithmetic, comparisons, ``abs`` and the builtin ``max``, and it computes
+only its active branch (the core needs neither ``exp`` nor the transport
+root, the velocity branch no root).  Numpy is called there only for
+``np.power``, ``np.log`` and ``np.exp``, which run the same loops on a
+float as on an array, so a point's residual is bit-identical alone and in
+a batch.  Every point must have finite coordinates and ``t`` in
+``[tau0, sigma]``.
 
 The jump term integrates only what can contribute.  It skips points where
 the barrier is flat on the ball: if ``(|v - w0| + rho)/(3 rho) < max(1, gx)``,
@@ -108,6 +112,43 @@ class BarrierParams:
         return np.abs(np.asarray(x, dtype=float) - self.y0 - (self.sigma + t - 2 * self.tau0) * self.w0)
 
 
+_TINY = float(np.finfo(float).tiny)
+
+
+# One point runs on Python floats and arrays on numpy; these helpers take
+# either, and give a float or a bool for one point.  The builtin max agrees
+# with np.maximum on the finite values it gets.
+
+
+def _ufunc(f, *args):
+    """``f(*args)`` for a numpy ufunc ``f``; a Python float for one point.
+    The ufunc runs the same loop on a float as on an array, so the value is
+    the same bits; ``**`` and ``math`` call the C library, which can differ
+    from numpy's loop in the last bit."""
+    r = f(*args)
+    return r if isinstance(r, np.ndarray) else float(r)
+
+
+def _max(a, b):
+    return np.maximum(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else max(a, b)
+
+
+def _all(cond):
+    return cond.all() if isinstance(cond, np.ndarray) else cond
+
+
+def _any(cond):
+    return cond.any() if isinstance(cond, np.ndarray) else cond
+
+
+def _where(cond, a, b):
+    """``np.where`` for arrays; for one point (a bool), the chosen operand
+    itself."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
 def _state(p: BarrierParams, t, x, v):
     """Per-point quantities shared by the barrier, its transport term and
     its jump term: ``(u, |u|, gv, gx, delta, L)``.
@@ -116,24 +157,32 @@ def _state(p: BarrierParams, t, x, v):
     and ``gx`` are the velocity and spatial branch arguments of ``m`` (so
     ``m = max(1, gv, gx)``), and ``L = log(rho^{2s} / (k delta(t)))``.  The
     expressions are those of ``spatial_arg``, ``delta`` and ``log_factor``.
-    ``t, x, v`` are float arrays or numpy float scalars; the root is taken
-    with ``np.power`` because ``**`` on a numpy scalar calls the C library's
-    ``pow``, which can differ from numpy's array loop in the last bit.
+    ``t, x, v`` are float arrays or one point's floats.
     """
     u = x - p.y0 - (p.sigma + t - 2 * p.tau0) * p.w0
-    absu = np.abs(u)
-    gv = np.abs(v - p.w0) / (3 * p.rho)
-    gx = np.power(absu, 1.0 / (1 + 2 * p.s)) / (3 * p.rho)
+    absu = abs(u)
+    gv = abs(v - p.w0) / (3 * p.rho)
+    gx = _ufunc(np.power, absu, 1.0 / (1 + 2 * p.s)) / (3 * p.rho)
     delta = 2.0 * (p.sigma - p.tau0) - (t - p.tau0)
-    L = np.log(p.rho ** (2 * p.s) / (p.k * delta))
+    L = _ufunc(np.log, p.rho ** (2 * p.s) / (p.k * delta))
     return u, absu, gv, gx, delta, L
 
 
-def barrier_values(p: BarrierParams, t, x, v):
-    """Vectorized barrier evaluation; ``t`` must lie in [tau0, sigma]."""
-    t, x, v = (np.asarray(q, dtype=float) for q in (t, x, v))
-    if np.any(t < p.tau0 - 1e-12) or np.any(t > p.sigma + 1e-12):
+def _check_points(p: BarrierParams, t, x, v):
+    """Raise ``ValueError`` unless every coordinate is finite and every
+    ``t`` lies in ``[tau0, sigma]`` (to 1e-12); on floats or arrays.  The
+    comparisons are written so that NaN fails them."""
+    if not _all((abs(t) < math.inf) & (abs(x) < math.inf) & (abs(v) < math.inf)):
+        raise ValueError("phase point coordinates must be finite")
+    if not _all((t >= p.tau0 - 1e-12) & (t <= p.sigma + 1e-12)):
         raise ValueError("time outside [tau0, sigma]")
+
+
+def barrier_values(p: BarrierParams, t, x, v):
+    """Vectorized barrier evaluation; coordinates must be finite and ``t``
+    must lie in [tau0, sigma]."""
+    t, x, v = (np.asarray(q, dtype=float) for q in (t, x, v))
+    _check_points(p, t, x, v)
     _, _, gv, gx, _, L = _state(p, t, x, v)
     return np.exp(-np.maximum(1.0, np.maximum(gv, gx)) * L)
 
@@ -165,51 +214,60 @@ def barrier_region(p: BarrierParams, z) -> int:
     return 6
 
 
-_TINY = np.finfo(float).tiny
-
-
-def _where(cond, a, b):
-    """``np.where`` for arrays; for one point (a numpy bool), the chosen
-    operand itself."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
-
-
 def _transport_term(p: BarrierParams, state, v, tie_rtol: float = 1e-7):
     """Analytic transport derivative ``TH`` of the active branch, per point,
     from the point's ``_state``.
 
     Returns ``(TH, tie)`` where ``tie`` marks points within relative
     tolerance of a branch kink (there the derivative is one-sided; a
-    caller may fall back to finite differences).
+    caller may fall back to finite differences).  Arrays compute every
+    branch and select; one point computes only its own, and its ``TH`` may
+    be a numpy float scalar.
     """
     u, absu, gv, gx, delta, L = state
-    top = np.maximum(gv, gx)
-    H = np.exp(-np.maximum(1.0, top) * L)
-    # transport derivative of u along (d/dt + v d/dx) is (v - w0); the
-    # spatial branch is only selected where gx > 1, so u != 0 there and
-    # the clamp only keeps the unselected root finite at u = 0
-    root = np.power(np.maximum(absu, _TINY), -2 * p.s / (1 + 2 * p.s))
-    dm = (1.0 / (3 * p.rho * (1 + 2 * p.s))) * root * np.sign(u) * (v - p.w0)
-    core = (gv <= 1.0) & (gx <= 1.0)
-    TH = _where(core, -p.k / p.rho ** (2 * p.s), _where(gv >= gx, -H * gv / delta, -H * (gx / delta + L * dm)))
+    one = not isinstance(gv, np.ndarray)
+    maximum = max if one else np.maximum
+    top = maximum(gv, gx)
+    core, velocity = top <= 1.0, gv >= gx
+    TH = -p.k / p.rho ** (2 * p.s)
+    if not (one and core):
+        H = np.exp(-maximum(1.0, top) * L)
+        TH = _where(core, TH, -H * gv / delta)
+        if not (one and velocity):
+            # transport derivative of u along (d/dt + v d/dx) is (v - w0);
+            # the spatial branch is only selected where gx > 1, so u != 0
+            # there and u / clamp is sign(u); the clamp only keeps the
+            # unselected root finite at u = 0
+            clamp = maximum(absu, _TINY)
+            root = np.power(clamp, -2 * p.s / (1 + 2 * p.s))
+            dm = (1.0 / (3 * p.rho * (1 + 2 * p.s))) * root * (u / clamp) * (v - p.w0)
+            TH = _where(core | velocity, TH, -H * (gx / delta + L * dm))
 
     # a kink only matters where the active branch could switch: at the
     # core boundary, or between the two growing branches
-    tie = (np.abs(top - 1.0) <= tie_rtol) | ((top > 1.0) & (np.abs(gv - gx) <= tie_rtol * top))
+    tie = (abs(top - 1.0) <= tie_rtol) | ((top > 1.0) & (abs(gv - gx) <= tie_rtol * top))
     return TH, tie
 
 
-def _as_points(z):
-    """``(t, x, v, single)`` from one phase point (numpy float scalars) or
-    an ``(N, 3)`` array (column views)."""
-    Z = np.asarray(z, dtype=float)
-    if Z.shape[-1:] != (3,) or Z.ndim > 2:
-        raise ValueError("phase points must have shape (3,) or (N, 3)")
-    if Z.ndim == 1:
-        return Z[0], Z[1], Z[2], True
-    return Z[:, 0], Z[:, 1], Z[:, 2], False
+def _as_points(p: BarrierParams, z):
+    """``(t, x, v, single)`` from one phase point (a tuple, list or 1-D
+    array of three numbers; Python floats come back) or an ``(N, 3)`` array
+    (column views), after ``_check_points``."""
+    single = z.shape == (3,) if isinstance(z, np.ndarray) else isinstance(z, (tuple, list)) and len(z) == 3
+    if single:
+        t, x, v = z
+        # np.float64 is a float; other numbers take the np.asarray path
+        single = isinstance(t, (float, int)) and isinstance(x, (float, int)) and isinstance(v, (float, int))
+    if not single:
+        z = np.asarray(z, dtype=float)
+        if z.shape[-1:] != (3,) or z.ndim > 2:
+            raise ValueError("phase points must have shape (3,) or (N, 3)")
+        single = z.ndim == 1
+        t, x, v = z.T
+    if single:
+        t, x, v = float(t), float(x), float(v)
+    _check_points(p, t, x, v)
+    return t, x, v, single
 
 
 # Points per block of ``_jump_quadratic``: a block holds a few arrays of
@@ -242,12 +300,12 @@ def _jump_quadratic(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L, qua
 
     Live points are integrated in blocks of ``_JUMP_BLOCK``; each point's
     value does not depend on the blocking or on the other points.  One
-    point (numpy scalars) gives a float; its segments are built from Python
-    floats, whose ``min``/``max`` and ``sorted`` give the breakpoints of the
-    array clip and sort.
+    point (Python floats) gives a float; its breakpoints come from Python
+    comparisons and ``sorted``, which give those of the array clip and
+    sort.
     """
-    reach = (np.abs(v - p.w0) + p.rho) / (3 * p.rho)
-    live = reach >= np.maximum(1.0, gx) * (1 - 1e-12)
+    reach = (abs(v - p.w0) + p.rho) / (3 * p.rho)
+    live = reach >= _max(1.0, gx) * (1 - 1e-12)
     if not isinstance(live, np.ndarray):
         return _jump_point(p, kspec, t, x, v, gv, gx, L, quad_n) if live else 0.0
     live = np.flatnonzero(live)
@@ -258,30 +316,37 @@ def _jump_quadratic(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L, qua
     return I
 
 
-def _flat_segment(p: BarrierParams, half, mid, mX, quad_n: int):
+def _end_nodes(quad_n: int):
+    """The first and last Gauss-Legendre abscissae, as Python floats."""
+    nodes, _ = gauss_legendre(quad_n)
+    return float(nodes[0]), float(nodes[-1])
+
+
+def _flat_segment(p: BarrierParams, half, mid, mX, ends):
     """Whether every node ``half * x_i + mid`` of a segment has multiplier
     ``mX``, i.e. ``|w - w0|/(3 rho) <= mX``; on floats or elementwise.
+    ``ends`` are the first and last abscissae ``x_i`` (``_end_nodes``).
 
     The nodes are monotone in the abscissa ``x_i`` after rounding too, and
     ``|w - w0|`` is convex, so the two end nodes, computed as every node
     is, bound the multiplier of every node.
     """
-    nodes, _ = gauss_legendre(quad_n)
-    first, last = (abs(half * float(e) + mid - p.w0) / (3 * p.rho) <= mX for e in (nodes[0], nodes[-1]))
-    return first & last
+    first, last = ends
+    return (abs(half * first + mid - p.w0) / (3 * p.rho) <= mX) & (abs(half * last + mid - p.w0) / (3 * p.rho) <= mX)
 
 
 def _jump_point(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L, quad_n: int) -> float:
-    """``_jump_quadratic`` at one live point (numpy float scalars)."""
-    rho, w0, vf, mX = p.rho, p.w0, float(v), max(1.0, float(gx))
-    lo, hi = vf - rho, vf + rho
-    candidates = (w0, w0 - 2 * rho, w0 + 2 * rho, lo, hi, vf, w0 - 3 * rho * mX, w0 + 3 * rho * mX)
-    brk = sorted(min(max(q, lo), hi) for q in candidates)
-    v_flat = gv <= mX
+    """``_jump_quadratic`` at one live point (Python floats)."""
+    rho, w0, mX = p.rho, p.w0, max(1.0, gx)
+    lo, hi = v - rho, v + rho
+    # lo, v and hi lie in the ball already; the others are clipped to it
+    outer = (w0, w0 - 2 * rho, w0 + 2 * rho, w0 - 3 * rho * mX, w0 + 3 * rho * mX)
+    brk = sorted([lo, hi, v] + [lo if q < lo else hi if q > hi else q for q in outer])
+    v_flat, ends = gv <= mX, _end_nodes(quad_n)
     cols, segs = [], []
     for j, (a, b) in enumerate(zip(brk[:-1], brk[1:])):
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        if b - a >= 1e-14 and not (v_flat and _flat_segment(p, half, mid, mX, quad_n)):
+        if b - a >= 1e-14 and not (v_flat and _flat_segment(p, half, mid, mX, ends)):
             cols.append(j)
             segs.append((half, mid))
     sums = np.zeros(7)
@@ -309,7 +374,7 @@ def _jump_block(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L, quad_n:
     brk.sort(axis=1)
     a, b = brk[:, :-1], brk[:, 1:]  # (N, 7)
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    flat = (gv <= mX)[:, None] & _flat_segment(p, half, mid, mX[:, None], quad_n)
+    flat = (gv <= mX)[:, None] & _flat_segment(p, half, mid, mX[:, None], _end_nodes(quad_n))
     i, j = np.nonzero((b - a >= 1e-14) & ~flat)
     sums = np.zeros(a.shape)
     owner = (q[i, None] for q in (t, x, v, gv, mX, L))
@@ -322,19 +387,25 @@ def _segment_sums(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, mX, L, half,
     ``half * x_i + mid`` (``half, mid`` of shape ``(M, 1)``), one per row.
 
     ``t, x, v, gv, L`` and ``mX = max(1, gx)`` are the owning points' values,
-    shape ``(M, 1)``, or one point's scalars.  Nodes within 1e-12 of ``v``
+    shape ``(M, 1)``, or one point's floats.  Nodes within 1e-12 of ``v``
     get zero weight.  Kernels see flattened 1-D ``t, x, v, w`` node arrays.
     """
     nodes, weights = gauss_legendre(quad_n)
     w = half * nodes + mid  # (M, quad_n)
-    keep = np.abs(w - v) > 1e-12
-    ww = np.where(keep, half * weights, 0.0)
-    # dropped nodes are moved off the diagonal so the kernel stays finite
-    w = np.where(keep, w, v + p.rho)
+    keep = abs(w - v) > 1e-12
+    ww = half * weights
+    if not keep.all():
+        # dropped nodes get no weight and are moved off the diagonal so the
+        # kernel stays finite
+        ww = np.where(keep, ww, 0.0)
+        w = np.where(keep, w, v + p.rho)
     # sqrt(H) with multiplier max(1, |vel - w0|/(3 rho), gx) = max(|vel - w0|/(3 rho), mX)
-    sqrtH_v = np.exp(-0.5 * np.maximum(gv, mX) * L)
-    sqrtH_w = np.exp(-0.5 * np.maximum(np.abs(w - p.w0) / (3 * p.rho), mX) * L)
-    tt, xx, vv = (np.full(w.shape, q).ravel() for q in (t, x, v))
+    sqrtH_v = np.exp(-0.5 * _max(gv, mX) * L)
+    sqrtH_w = np.exp(-0.5 * np.maximum(abs(w - p.w0) / (3 * p.rho), mX) * L)
+    # each owner's t, x and v at every node of its segment
+    txv = np.empty((3,) + w.shape)
+    txv[0], txv[1], txv[2] = t, x, v
+    tt, xx, vv = txv.reshape(3, -1)
     wf = w.ravel()
     Ks = np.asarray(kspec._eval(tt, xx, vv, wf), dtype=float) + np.asarray(kspec._eval(tt, xx, wf, vv), dtype=float)
     return ((sqrtH_v - sqrtH_w) ** 2 * Ks.reshape(w.shape) * ww).sum(axis=1)
@@ -344,9 +415,11 @@ def barrier_residual_parts(p: BarrierParams, kspec: KernelSpec, z, quad_n: int =
     """Return ``(TH, I, tie)`` so that the residual is ``TH + c I``.
 
     ``z`` is one phase point ``(t, x, v)`` (floats and a bool come back)
-    or an ``(N, 3)`` array of points (arrays come back).
+    or an ``(N, 3)`` array of points (arrays come back).  Raises
+    ``ValueError`` unless every coordinate is finite and every time lies
+    in ``[tau0, sigma]``.
     """
-    t, x, v, single = _as_points(z)
+    t, x, v, single = _as_points(p, z)
     state = _state(p, t, x, v)
     _, _, gv, gx, _, L = state
     TH, tie = _transport_term(p, state, v)
@@ -360,13 +433,14 @@ def barrier_residual(p: BarrierParams, kspec: KernelSpec, z, c: float = 2.0, qua
     """Supersolution residual; nonpositive residuals certify the barrier.
 
     A float for one phase point ``z = (t, x, v)``, an array of length N
-    for an ``(N, 3)`` array of points.
+    for an ``(N, 3)`` array of points.  Raises ``ValueError`` unless every
+    coordinate is finite and every time lies in ``[tau0, sigma]``.
     """
-    t, x, v, single = _as_points(z)
+    t, x, v, single = _as_points(p, z)
     state = _state(p, t, x, v)
     _, _, gv, gx, _, L = state
     TH, tie = _transport_term(p, state, v)
-    if tie.any():
+    if _any(tie):
         # one-sided derivative at a kink: fall back to a flow-aligned
         # finite difference of H
         h = 1e-7 * max(p.sigma - p.tau0, 1e-12)

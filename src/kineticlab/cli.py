@@ -16,10 +16,6 @@ and a timestamp taken from ``SOURCE_DATE_EPOCH`` (0 if unset).
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 failure.
-
-One parser per process reads every command line: ``main`` builds it on
-its first call and keeps it.  The parser holds no handler; each call runs
-the subcommand body looked up by the command's name.
 """
 
 from __future__ import annotations

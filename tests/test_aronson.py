@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 import warnings
 
 import numpy as np
@@ -30,6 +31,15 @@ S = 0.5
 def _params(rho=1.0, k=2.0, tau0=0.0, y0=0.0, w0=0.0, s=S):
     sigma = tau0 + rho ** (2 * s) / (4 * k)
     return BarrierParams(rho=rho, k=k, tau0=tau0, sigma=sigma, y0=y0, w0=w0, s=s)
+
+
+# The forms one phase point can take: a tuple of Python floats (what
+# region_samples returns), a list, and a row of an (N, 3) array
+ONE_POINT_FORMS = {
+    "tuple": lambda row: tuple(float(q) for q in row),
+    "list": lambda row: [float(q) for q in row],
+    "array-row": lambda row: row,
+}
 
 
 class TestBarrierParams:
@@ -188,6 +198,51 @@ class TestResidual:
         assert math.isfinite(r)
 
 
+class TestPointsWithoutBarrier:
+    # the barrier lives on finite (x, v) and t in [tau0, sigma]; before the
+    # check, (0.15, 0.2, inf) gave residual 0.0, certifying the point, and
+    # (0.5, 0, 0) gave -2.0
+    P = BarrierParams(rho=1.0, k=2.0, tau0=0.1, sigma=0.225, y0=0.0, w0=0.0, s=S)
+    GOOD = (0.15, 0.2, 0.3)
+    BAD = {
+        "inf-v": ((0.15, 0.2, math.inf), "finite"),
+        "-inf-x": ((0.15, -math.inf, 0.3), "finite"),
+        "nan-x": ((0.15, math.nan, 0.3), "finite"),
+        "nan-t": ((math.nan, 0.2, 0.3), "finite"),
+        "inf-t": ((math.inf, 0.2, 0.3), "finite"),
+        "late-t": ((0.5, 0.0, 0.0), "time outside"),
+        "early-t": ((0.1 - 1e-9, 0.0, 0.0), "time outside"),
+    }
+
+    @pytest.mark.parametrize("name", BAD)
+    @pytest.mark.parametrize("fn", [barrier_residual, barrier_residual_parts])
+    def test_residual_rejects_single_and_batched(self, fn, name):
+        z, rule = self.BAD[name]
+        k = normalized_fractional(S)
+        for form in ONE_POINT_FORMS.values():
+            with pytest.raises(ValueError, match=rule):
+                fn(self.P, k, form(np.array(z)))
+        with pytest.raises(ValueError, match=rule):
+            fn(self.P, k, np.array([self.GOOD, z, self.GOOD]))
+
+    @pytest.mark.parametrize("name", BAD)
+    def test_barrier_values_reject(self, name):
+        z, rule = self.BAD[name]
+        with pytest.raises(ValueError, match=rule):
+            barrier_eval(self.P, z)
+        with pytest.raises(ValueError, match=rule):
+            barrier_values(self.P, *np.array([self.GOOD, z]).T)
+
+    def test_window_tolerance_is_that_of_barrier_values(self):
+        # times within 1e-12 outside the window are accepted by every path
+        k = normalized_fractional(S)
+        Z = np.array([(self.P.tau0 - 5e-13, 0.2, 0.3), (self.P.sigma + 5e-13, 0.2, 0.3)])
+        res = barrier_residual(self.P, k, Z)
+        assert np.isfinite(res).all()
+        np.testing.assert_array_equal(res, [barrier_residual(self.P, k, tuple(z)) for z in Z])
+        np.testing.assert_array_equal(barrier_values(self.P, *Z.T), [barrier_eval(self.P, z) for z in Z])
+
+
 def _jump_quadratic_reference(p, kspec, t, x, v, quad_n=24):
     """One point at a time, one Gauss-Legendre pass per breakpoint segment."""
     rho = p.rho
@@ -334,10 +389,12 @@ class TestBatchedResidual:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = barrier_residual(p, k, Z)
-            np.testing.assert_array_equal(res, [barrier_residual(p, k, z) for z in Z])
             TH, I, tie = barrier_residual_parts(p, k, Z)
-            loop = [barrier_residual_parts(p, k, z) for z in Z]
-        np.testing.assert_array_equal(np.column_stack([TH, I, tie]), loop)
+            for form in ONE_POINT_FORMS.values():
+                points = [form(z) for z in Z]
+                np.testing.assert_array_equal(res, [barrier_residual(p, k, z) for z in points])
+                loop = [barrier_residual_parts(p, k, z) for z in points]
+                np.testing.assert_array_equal(np.column_stack([TH, I, tie]), loop)
         np.testing.assert_array_equal(barrier_values(p, *Z.T), [barrier_eval(p, z) for z in Z])
 
     def test_blocked_batch_is_bit_identical(self, monkeypatch):
@@ -384,10 +441,46 @@ class TestBatchedResidual:
     def test_single_point_returns_python_scalars(self):
         p = _params()
         k = normalized_fractional(S)
-        z = tuple(self._batch(p)[0])
-        assert type(barrier_residual(p, k, z)) is float
-        TH, I, tie = barrier_residual_parts(p, k, z)
-        assert (type(TH), type(I), type(tie)) == (float, float, bool)
+        Z = self._batch(p)
+        t, x, v = Z.T
+        flat = _flat(p, v, aronson._state(p, t, x, v)[3])
+        # a live point, a flat point and the kink point that ends the batch
+        for row in (Z[np.flatnonzero(~flat)[0]], Z[np.flatnonzero(flat)[0]], Z[-1]):
+            for form in ONE_POINT_FORMS.values():
+                z = form(row)
+                assert type(barrier_residual(p, k, z)) is float
+                TH, I, tie = barrier_residual_parts(p, k, z)
+                assert (type(TH), type(I), type(tie)) == (float, float, bool)
+
+    def test_one_point_calls_numpy_only_for_exp_log_and_power(self, monkeypatch):
+        # a flat point in the core and in the spatial branch runs on Python
+        # floats alone, but for np.exp, np.log and np.power, and keeps the
+        # bits of its batched value
+        p = _params(rho=0.8, k=2.0, tau0=0.1, y0=0.7, w0=-1.3)
+        k = normalized_fractional(S)
+        t = 0.5 * (p.tau0 + p.sigma)
+        x0 = p.y0 + (p.sigma + t - 2 * p.tau0) * p.w0
+        core = (t, x0 + 0.3, p.w0 + 0.5 * p.rho)
+        spatial = (t, x0 - (6.0 * p.rho) ** (1 + 2 * S), p.w0 + 0.5 * p.rho)
+        velocity = (t, x0 + 0.3, p.w0 - 6.0 * p.rho)
+        Z = np.array([core, spatial, velocity])
+        _, _, gv, gx, _, _ = state = aronson._state(p, *Z.T)
+        assert max(gv[0], gx[0]) <= 1.0 and gv[1] < gx[1] and gx[1] > 1.0 and gv[2] > max(1.0, gx[2])
+        assert _flat(p, Z[:, 2], gx).tolist() == [True, True, False]
+        res = barrier_residual(p, k, Z)
+        TH, I, tie = barrier_residual_parts(p, k, Z)
+        TH_state, tie_state = aronson._transport_term(p, state, Z[:, 2])
+        monkeypatch.setattr(aronson, "np", types.SimpleNamespace(ndarray=np.ndarray, exp=np.exp, log=np.log, power=np.power))
+        for i, z in enumerate((core, spatial)):
+            assert barrier_residual(p, k, z) == res[i]
+            assert barrier_residual_parts(p, k, z) == (TH[i], 0.0, False)
+        # the ball of a velocity-branch point reaches past its multiplier,
+        # (|v - w0| + rho)/(3 rho) > gv >= max(1, gx), so it is never flat
+        # and its jump term runs the numpy quadrature; its state and
+        # transport term run on Python floats
+        got = aronson._state(p, *velocity)
+        assert got == tuple(float(q[2]) for q in state)
+        assert aronson._transport_term(p, got, velocity[2]) == (TH_state[2], False)
 
     def test_rejects_bad_shape(self):
         p = _params()

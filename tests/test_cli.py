@@ -537,6 +537,18 @@ class TestParserCache:
             assert got == want
 
 
+    def test_top_level_help_is_user_facing(self, capsys):
+        # the module docstring is the description: subcommands, outputs
+        # and exit codes, and nothing about how main reads a command line
+        assert main(["--help"]) == 0
+        text = capsys.readouterr().out
+        for cmd in ("fundsol", "solve", "ellipticity", "harnack", "aronson", "sweep"):
+            assert f"kineticlab {cmd} " in text
+        assert "manifest.json" in text
+        assert "Exit codes: 0 success, 2 configuration/validation error, 3 numerical" in text
+        assert "parser" not in text and "handler" not in text
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         def args(out):
