@@ -10,7 +10,8 @@ which for large enough ``k`` satisfies
 
     TH + c int_{B_rho(v)} (sqrt(H)(v) - sqrt(H)(w))^2 [K(v,w) + K(w,v)] dw <= 0,
 
-where ``T = d/dt + v d/dx`` is the transport derivative.  The module
+where ``T = d/dt + v d/dx`` is the transport derivative, with one
+position and one velocity dimension.  The module
 measures this residual pointwise (analytic branch-wise transport term,
 piecewise Gauss-Legendre quadrature for the jump term), finds the
 threshold ``k*`` by bisection, checks the weighted energy decay in its
@@ -99,18 +100,6 @@ class BarrierParams:
         if self.sigma - self.tau0 > self.rho ** (2 * self.s) / (4 * self.k) * (1 + 1e-12):
             raise ValueError("need sigma - tau0 <= rho^{2s}/(4k)")
 
-    def delta(self, t):
-        return 2.0 * (self.sigma - self.tau0) - (np.asarray(t, dtype=float) - self.tau0)
-
-    def log_factor(self, t):
-        """``log(rho^{2s} / (k delta(t)))``; positive on [tau0, sigma]."""
-        return np.log(self.rho ** (2 * self.s) / (self.k * self.delta(t)))
-
-    def spatial_arg(self, t, x):
-        """``|x - y0 - (sigma + t - 2 tau0) w0|`` (before the 1/(1+2s) root)."""
-        t = np.asarray(t, dtype=float)
-        return np.abs(np.asarray(x, dtype=float) - self.y0 - (self.sigma + t - 2 * self.tau0) * self.w0)
-
 
 _TINY = float(np.finfo(float).tiny)
 
@@ -155,9 +144,9 @@ def _state(p: BarrierParams, t, x, v):
 
     ``u = x - y0 - (sigma + t - 2 tau0) w0`` is the spatial offset, ``gv``
     and ``gx`` are the velocity and spatial branch arguments of ``m`` (so
-    ``m = max(1, gv, gx)``), and ``L = log(rho^{2s} / (k delta(t)))``.  The
-    expressions are those of ``spatial_arg``, ``delta`` and ``log_factor``.
-    ``t, x, v`` are float arrays or one point's floats.
+    ``m = max(1, gv, gx)``), and ``L = log(rho^{2s} / (k delta(t)))``
+    with ``delta(t) = 2 (sigma - tau0) - (t - tau0)``.  ``t, x, v`` are
+    float arrays or one point's floats.
     """
     u = x - p.y0 - (p.sigma + t - 2 * p.tau0) * p.w0
     absu = abs(u)
@@ -453,7 +442,7 @@ def barrier_residual(p: BarrierParams, kspec: KernelSpec, z, c: float = 2.0, qua
 
 
 def region_samples(p: BarrierParams, n_per_region: int, rng: np.random.Generator):
-    """Random sample points covering all six case regions (d = 1)."""
+    """Random sample points covering all six case regions."""
     rho = p.rho
 
     def uniform(lo, hi):
@@ -555,12 +544,11 @@ def aronson_energy_check(
     Kinetic variant:  ``sup_t int f^2 H <= int f^2(tau0) H(tau0)
     + C rho^{-2s} |H|_inf |f|^2_{L^2(t,x,v)}``.
     Parabolic variant (x-constant data, pointwise-bounded kernel):
-    the weight is ``rho^{-(d+2s)}`` against the squared L^2_t L^1_v norm.
+    the weight is ``rho^{-(1+2s)}`` against the squared L^2_t L^1_v norm.
     """
     if variant not in ("kinetic", "parabolic"):
         raise ValueError("variant must be 'kinetic' or 'parabolic'")
     g = traj.grid
-    d = g.d
     if not any(p.tau0 <= t <= p.sigma for t in traj.times):
         raise ValueError("trajectory times do not intersect [tau0, sigma]")
     keep = [(f, t) for f, t in zip(traj.slices, traj.slice_times) if p.tau0 <= t <= p.sigma]
@@ -588,7 +576,7 @@ def aronson_energy_check(
     if variant == "kinetic":
         denom = p.rho ** (-2 * p.s) * H_sup * l2_time
     else:
-        denom = p.rho ** -(d + 2 * p.s) * H_sup * l2l1_time
+        denom = p.rho ** -(1 + 2 * p.s) * H_sup * l2l1_time
     C = gain / denom if denom > 0 else 0.0
     return {
         "variant": variant,
@@ -604,20 +592,20 @@ def aronson_energy_check(
 class DecayEnvelope:
     kind: str
     s: float
-    d: int
     constant: float
     extra: dict
 
     def as_dict(self) -> dict:
-        return {"kind": self.kind, "s": self.s, "d": self.d, "constant": self.constant, "extra": self.extra}
+        # "d": the report format names the velocity dimension, which is 1
+        return {"kind": self.kind, "s": self.s, "d": 1, "constant": self.constant, "extra": self.extra}
 
 
 def _upper_envelope(tab: FundamentalSolutionTable, exponent: float, X, V):
     """``t^{-beta} [1 + max(|v|^{2s}, |x - t v|^{2s/(1+2s)}) / t]^{exponent}``
     (base point at the origin)."""
-    s, d, t = tab.s, tab.d, tab.t
+    s, t = tab.s, tab.t
     arg = np.maximum(np.abs(V) ** (2 * s), np.abs(X - t * V) ** (2 * s / (1 + 2 * s)))
-    beta = peak_decay_exponent(s, d)
+    beta = peak_decay_exponent(s)
     return t**-beta * (1.0 + arg / t) ** exponent
 
 
@@ -628,8 +616,8 @@ def decay_envelope_check(
     t_decade: int = 8,
 ) -> DecayEnvelope:
     """Fit the envelope constant of the requested kind on the table."""
-    s, d = tab.s, tab.d
-    beta = peak_decay_exponent(s, d)
+    s = tab.s
+    beta = peak_decay_exponent(s)
     ring = max(abs(tab.meta.get("ringing", 0.0)), 1e-300)
     if kind == "NashOnDiag":
         ts = np.geomspace(tab.t / 10.0, tab.t, t_decade)
@@ -637,13 +625,12 @@ def decay_envelope_check(
         return DecayEnvelope(
             kind=kind,
             s=s,
-            d=d,
             constant=float(vals.max()),
             extra={"variation": float(vals.max() - vals.min()), "times": ts.tolist()},
         )
     if kind in ("UpperUnconditional", "UpperConditional"):
         if bracket_exponent is None:
-            bracket_exponent = -0.25 if kind == "UpperUnconditional" else -(2 * d * (1 + s) + 2 * s) / (2 * s)
+            bracket_exponent = -0.25 if kind == "UpperUnconditional" else -(2 * (1 + s) + 2 * s) / (2 * s)
         X, V, J = _eval_window(tab)
         env = _upper_envelope(tab, bracket_exponent, X, V)
         pos = J > 10.0 * ring
@@ -651,11 +638,10 @@ def decay_envelope_check(
         return DecayEnvelope(
             kind=kind,
             s=s,
-            d=d,
             constant=C,
             extra={"bracket_exponent": bracket_exponent, "excluded_nodes": int((~pos).sum())},
         )
     if kind == "LowerExponential":
         rep = lower_bound_check(tab)
-        return DecayEnvelope(kind=kind, s=s, d=d, constant=rep["C1"], extra=rep)
+        return DecayEnvelope(kind=kind, s=s, constant=rep["C1"], extra=rep)
     raise ValueError(f"unknown envelope kind {kind!r}")

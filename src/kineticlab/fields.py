@@ -4,7 +4,8 @@ A :class:`PhaseField` lives on a uniform ``(t, x, v)`` grid with
 periodic position and a declared far-field closure in velocity, which
 stands in for the values of the field outside the velocity box.
 Import/export uses a flat binary array plus a JSON header and is
-bit-exact.
+bit-exact.  Position and velocity are one-dimensional; the header states
+this as ``"d": 1``.
 """
 
 from __future__ import annotations
@@ -25,11 +26,16 @@ __all__ = [
 ]
 
 
+def _is_int(n) -> bool:
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 @dataclass(frozen=True)
 class PhaseGrid:
     """Uniform grid; ``x`` is periodic on ``[-x_period/2, x_period/2)``,
     ``v`` covers ``[-v_extent, v_extent)``.  Node-based in x and v so
-    FFT shifts are exact; cell counts must be even."""
+    FFT shifts are exact; cell counts must be even.  ``nt`` slices span
+    ``[t0, t1]`` forward in time."""
 
     nt: int
     nx: int
@@ -38,9 +44,10 @@ class PhaseGrid:
     v_extent: float
     t0: float = 0.0
     t1: float = 1.0
-    d: int = 1
 
     def __post_init__(self):
+        if not all(_is_int(n) for n in (self.nt, self.nx, self.nv)):
+            raise ValueError("nt, nx and nv must be integers")
         if self.nx < 2 or self.nv < 2:
             raise ValueError("nx and nv must be at least 2")
         if self.nx % 2 or self.nv % 2:
@@ -49,6 +56,10 @@ class PhaseGrid:
             raise ValueError("x_period and v_extent must be finite and positive")
         if self.nt < 1:
             raise ValueError("need at least one time slice")
+        if not (np.isfinite(self.t0) and np.isfinite(self.t1)):
+            raise ValueError("t0 and t1 must be finite")
+        if self.nt > 1 and not self.t0 < self.t1:
+            raise ValueError("t1 must exceed t0 when nt > 1")
 
     @property
     def dt(self) -> float:
@@ -171,7 +182,7 @@ def save_field(f: PhaseField, path: str) -> None:
     ``path + '.json'`` (header)."""
     g = f.grid
     header = {
-        "d": g.d,
+        "d": 1,
         "nt": g.nt,
         "nx": g.nx,
         "nv": g.nv,
@@ -189,9 +200,17 @@ def save_field(f: PhaseField, path: str) -> None:
     f.values.astype("<f8").tofile(path)
 
 
+_HEADER_KEYS = ("d", "nt", "nx", "nv", "x_period", "v_extent", "t0", "t1", "farfield")
+
+
 def load_field(path: str) -> PhaseField:
     with open(path + ".json") as fh:
         header = json.load(fh)
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise ValueError(f"field header {path}.json lacks the keys {missing}")
+    if not (_is_int(header["d"]) and header["d"] == 1):
+        raise ValueError(f"field header 'd' = {header['d']!r} violates the rule d = 1 (one velocity dimension)")
     grid = PhaseGrid(
         nt=header["nt"],
         nx=header["nx"],
@@ -200,10 +219,9 @@ def load_field(path: str) -> PhaseField:
         v_extent=header["v_extent"],
         t0=header["t0"],
         t1=header["t1"],
-        d=header["d"],
     )
     count = grid.nt * grid.nx * grid.nv
-    values = np.fromfile(path, dtype="<f8", count=count).reshape(grid.nt, grid.nx, grid.nv)
     if os.path.getsize(path) != count * 8:
         raise ValueError("binary payload size does not match header")
+    values = np.fromfile(path, dtype="<f8", count=count).reshape(grid.nt, grid.nx, grid.nv)
     return PhaseField(grid, values, _closure_from_tag(header["farfield"]))

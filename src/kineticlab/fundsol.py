@@ -1,9 +1,10 @@
 """Explicit fundamental solution of the fractional Kolmogorov equation.
 
 For the constant-coefficient equation ``d/dt f + v d/dx f = -(-Lap_v)^s f``
-the fundamental solution is self-similar,
+with one position and one velocity dimension, the fundamental solution
+is self-similar,
 
-    J(t, x, v) = t^{-2d(1+s)/(2s)} Jcal(x t^{-(1+1/(2s))}, v t^{-1/(2s)}),
+    J(t, x, v) = t^{-2(1+s)/(2s)} Jcal(x t^{-(1+1/(2s))}, v t^{-1/(2s)}),
 
 where the unit-time profile has the Fourier representation
 
@@ -58,9 +59,9 @@ __all__ = [
 ]
 
 
-def peak_decay_exponent(s: float, d: int = 1) -> float:
-    """Self-similar decay rate ``2d(1+s)/(2s)`` of the peak."""
-    return 2 * d * (1 + s) / (2 * s)
+def peak_decay_exponent(s: float) -> float:
+    """Self-similar decay rate ``2(1+s)/(2s)`` of the peak."""
+    return 2 * (1 + s) / (2 * s)
 
 
 def _abs_power_integral(a, b, p):
@@ -294,7 +295,6 @@ class FundamentalSolutionTable:
     v_axis: np.ndarray
     values: np.ndarray
     meta: dict = field(default_factory=dict)
-    d: int = 1
     # not constructor arguments, so dataclasses.replace starts a table afresh
     _sampler: object = field(default=None, init=False, repr=False, compare=False)
     # (n_freq, s, target) of the cached unit-time profile a j0_table table samples
@@ -332,7 +332,7 @@ class FundamentalSolutionTable:
         the constructor builds its own sampler from its ``values``.
         """
         s = self.s
-        beta = peak_decay_exponent(s, self.d)
+        beta = peak_decay_exponent(s)
         if self._sampler is None:
             if self._profile_key is not None:
                 self._sampler = _unit_sampler(*self._profile_key)
@@ -354,7 +354,7 @@ def j0_table(t: float, s: float, n_freq: int = 256, target: float = 1e-8) -> Fun
     if n_freq < 4:
         raise ValueError("n_freq must be at least 4")
     x_axis, v_axis, vals, meta = _unit_profile(n_freq, s, target)
-    beta = peak_decay_exponent(s, 1)
+    beta = peak_decay_exponent(s)
     tab = FundamentalSolutionTable(
         s=s,
         t=t,

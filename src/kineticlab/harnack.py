@@ -144,7 +144,7 @@ def strong_harnack_ratio(
         ratio = (sup - h_sup) / inf if h_sup else sup / inf
     return HarnackReport(
         kind="Strong",
-        params={"r0": r0, "s": s, "h_sup": h_sup, "center": [z0.t, float(z0.x[0]), float(z0.v[0])]},
+        params={"r0": r0, "s": s, "h_sup": h_sup, "center": [z0.t, z0.x, z0.v]},
         sup=sup,
         inf=inf,
         ratio=ratio,
@@ -203,10 +203,9 @@ def l1_linf_ratio(
     nodes: tuple = (8, 8, 8),
 ) -> HarnackReport:
     """Supremum over the eighth cylinder against the scaled L1 mass
-    ``R^{-(2d(1+s)+2s)} int_{Q_R} f``."""
+    ``R^{-(2(1+s)+2s)} int_{Q_R} f``."""
     if R <= 0:
         raise ValueError("radius must be positive")
-    d = z0.d
     big = make_cylinder(z0, R, s, CylinderKind.CURRENT)
     small = make_cylinder(z0, R / 8, s, CylinderKind.CURRENT)
     _check_resolution(f, big)
@@ -215,7 +214,7 @@ def l1_linf_ratio(
     sv, _ = _cyl_values(f, small, nodes)
     sup = float(sv.max())
     mass = float(bv.sum() * w)
-    scaled = R ** -(2 * d * (1 + s) + 2 * s) * mass
+    scaled = R ** -(2 * (1 + s) + 2 * s) * mass
     notes = []
     if scaled <= 0 and sup <= 0:
         ratio = math.nan
@@ -258,7 +257,7 @@ def tail_bound_ratio(
     if not isinstance(f, PhaseField):
         raise TypeError("tail measurement needs a gridded field with a far-field closure")
     g = f.grid
-    v0 = float(z0.v[0])
+    v0 = z0.v
     inner = make_cylinder(z0, R / 2, s, CylinderKind.CURRENT)
     outer = make_cylinder(z0, R, s, CylinderKind.CURRENT)
     T, X, V, w = inner.nodes(*nodes)
@@ -367,8 +366,7 @@ def degiorgi_trace(
 ) -> DeGiorgiTrace:
     """Level sequence ``l_k = L(1 - 2^{-k})``, shrinking radii
     ``r_k = R/8 + 2^{-k}(7R/8)`` and truncated masses ``A_k``."""
-    d = z0.d
-    p_hi = 1.0 + s / (2 * d * (1 + s) + s)
+    p_hi = 1.0 + s / (2 * (1 + s) + s)
     if not 1.0 < p < p_hi:
         raise ValueError(f"p must lie in (1, {p_hi})")
     if not 0.0 < delta < 1.0:
@@ -477,8 +475,8 @@ def lower_bound_check(
     cone_nodes: int = 64,
 ) -> dict:
     """Cone-mass sufficient condition plus an exponential lower-envelope
-    fit ``J >= C1 t^{-2d(1+s)/(2s)} exp(-C2 (|x|^{2s}/t^{1+2s} + |v|^{2s}/t))``."""
-    s, d = tab.s, tab.d
+    fit ``J >= C1 t^{-2(1+s)/(2s)} exp(-C2 (|x|^{2s}/t^{1+2s} + |v|^{2s}/t))``."""
+    s = tab.s
     if times is None:
         times = tab.t * np.array([0.25, 0.5, 0.75, 1.0])
     cone_masses = []
@@ -495,7 +493,7 @@ def lower_bound_check(
     if M <= 0:
         return {"M": M, "C1": 0.0, "C2": math.inf, "alpha": alpha, "flagged": "cone mass nonpositive"}
 
-    beta = peak_decay_exponent(s, d)
+    beta = peak_decay_exponent(s)
     t = tab.t
     X, V, J = _eval_window(tab)
     ring = max(abs(tab.meta.get("ringing", 0.0)), 1e-300)

@@ -1,7 +1,7 @@
 """Jump-kernel models and ellipticity diagnostics.
 
 A kernel ``K(t, x, v, w)`` is the density of jumps from velocity ``v``
-to ``w``.  The ellipticity class consists of three conditions:
+to ``w``; the velocity variable is one-dimensional.  The ellipticity class consists of three conditions:
 
 * coercivity: the energy form dominates ``lambda0`` times the
   fractional Gagliardo form,
@@ -35,14 +35,14 @@ __all__ = [
 ]
 
 
-def frac_normalization(d: int, s: float) -> float:
-    """Constant ``C(d, s)`` such that the operator with kernel
-    ``C(d,s) |v-w|^{-(d+2s)}`` has Fourier symbol ``-|xi|^{2s}``.
+def frac_normalization(s: float) -> float:
+    """Constant ``C(s)`` such that the operator with kernel
+    ``C(s) |v-w|^{-(1+2s)}`` has Fourier symbol ``-|xi|^{2s}``.
 
-    ``C(d, s) = 4^s Gamma(d/2 + s) s / (pi^{d/2} Gamma(1 - s))``.
-    For ``d = 1, s = 1/2`` this is ``1/pi``.
+    ``C(s) = 4^s Gamma(1/2 + s) s / (pi^{1/2} Gamma(1 - s))``.
+    For ``s = 1/2`` this is ``1/pi``.
     """
-    return 4.0**s * math.gamma(d / 2 + s) * s / (math.pi ** (d / 2) * math.gamma(1 - s))
+    return 4.0**s * math.gamma(0.5 + s) * s / (math.pi**0.5 * math.gamma(1 - s))
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +133,7 @@ class KernelSpec:
     ``v == w`` is a singularity.
 
     ``oscillation_length`` is a velocity length over which the kernel's
-    multiplier ``|v - w|^{d+2s} K`` may oscillate.  No far-field panel is
+    multiplier ``|v - w|^{1+2s} K`` may oscillate.  No far-field panel is
     wider, and the far part averages out an oscillation whose period lies
     between about 0.6 and 4 such lengths (measured: relative error below
     1e-7; a slower one is not averaged out).  ``None`` declares a pure
@@ -142,7 +142,6 @@ class KernelSpec:
     """
 
     s: float
-    d: int
     oscillation_length: float | None = 2.0
 
     def _eval(self, t, x, v, w):  # pragma: no cover - abstract
@@ -150,7 +149,7 @@ class KernelSpec:
 
     def one_sided_tail(self, v, dist, t=0.0, x=0.0, side: int = +1, weight=None):
         """One-sided far field ``int_dist^inf K(t, x, v, v + side u) weight(v + side u) du``
-        (d = 1, ``side`` is +1 or -1), vectorized over broadcastable ``v, dist, t, x``.
+        (``side`` is +1 or -1), vectorized over broadcastable ``v, dist, t, x``.
 
         ``weight`` is an optional far-field envelope ``weight(w)``.  The
         rule is composite Gauss-Legendre, ``_TAIL_ORDER`` nodes per panel.
@@ -194,24 +193,24 @@ class KernelSpec:
         step = max(1, _TAIL_BLOCK // len(y))
         for i in range(0, len(out), step):
             b = slice(i, i + step)
-            d = dist[b]
+            db = dist[b]
             # nodes u and du/dy
             if length is None:
-                u = d * r_y
+                u = db * r_y
                 jac = u * _TAIL_LOG_RATIO
-                end = d[:, 0] * _TAIL_CUT
+                end = db[:, 0] * _TAIL_CUT
             else:
                 # log panels while they are narrower than the length, then
                 # uniform ones from the knee, the start of panel j
-                j = np.ceil(np.log(length / (math.expm1(_TAIL_LOG_RATIO) * d)) / _TAIL_LOG_RATIO)
+                j = np.ceil(np.log(length / (math.expm1(_TAIL_LOG_RATIO) * db)) / _TAIL_LOG_RATIO)
                 j = np.clip(j, 0, panels)
-                knee = d * np.exp(_TAIL_LOG_RATIO * j)
+                knee = db * np.exp(_TAIL_LOG_RATIO * j)
                 u = length * y + (knee - length * j)
                 jac = np.full_like(u, length)
                 k = int(j.max()) * _TAIL_ORDER
                 if k:
                     log_part = y[:k] < j
-                    u[:, :k] = np.where(log_part, d * r_y[:k], u[:, :k])
+                    u[:, :k] = np.where(log_part, db * r_y[:k], u[:, :k])
                     jac[:, :k] = np.where(log_part, u[:, :k] * _TAIL_LOG_RATIO, length)
                 end = (knee + length * (panels - j))[:, 0]
             w = v[b] + u if side > 0 else v[b] - u
@@ -235,36 +234,33 @@ class KernelSpec:
         return float(out[0]) if shape == () else out.reshape(shape)
 
     def tail_mass(self, v, r, t=0.0, x=0.0):
-        """Two-sided tail ``int_{|w - v| > r} K(v, w) dw`` (d = 1)."""
+        """Two-sided tail ``int_{|w - v| > r} K(v, w) dw``."""
         return self.one_sided_tail(v, r, t, x, +1) + self.one_sided_tail(v, r, t, x, -1)
 
 
 @dataclass(frozen=True)
 class FractionalLaplacian(KernelSpec):
-    """Kernel ``c |v - w|^{-(d + 2s)}``; a fixed point of kinetic scaling."""
+    """Kernel ``c |v - w|^{-(1 + 2s)}``; a fixed point of kinetic scaling."""
 
     c: float
     s: float
-    d: int = 1
     oscillation_length = None
 
     def _eval(self, t, x, v, w):
-        # d > 1 stacks the components on the leading axis
-        dist = np.abs(v - w) if self.d == 1 else np.linalg.norm(v - w, axis=0)
-        return self.c * dist ** -(self.d + 2 * self.s)
+        return self.c * np.abs(v - w) ** -(1 + 2 * self.s)
 
     def one_sided_tail(self, v, dist, t=0.0, x=0.0, side=+1, weight=None):
         if weight is not None:
             return super().one_sided_tail(v, dist, t, x, side, weight)
-        # int_dist^inf c u^{-(1+2s)} du = c dist^{-2s} / (2s)   (d = 1)
+        # int_dist^inf c u^{-(1+2s)} du = c dist^{-2s} / (2s)
         shape = np.broadcast_shapes(*map(np.shape, (v, dist, t, x)))
         tail = self.c * np.asarray(dist, dtype=float) ** (-2 * self.s) / (2 * self.s)
         return float(tail) if shape == () else np.broadcast_to(tail, shape).copy()
 
 
-def normalized_fractional(s: float, d: int = 1) -> FractionalLaplacian:
+def normalized_fractional(s: float) -> FractionalLaplacian:
     """The fractional kernel whose operator has symbol ``-|xi|^{2s}``."""
-    return FractionalLaplacian(c=frac_normalization(d, s), s=s, d=d)
+    return FractionalLaplacian(c=frac_normalization(s), s=s)
 
 
 @dataclass(frozen=True)
@@ -279,10 +275,6 @@ class SymmetricPerturbation(KernelSpec):
     @property
     def s(self):
         return self.base.s
-
-    @property
-    def d(self):
-        return self.base.d
 
     def _a(self, v, w):
         return 0.5 * (self.multiplier(v, w) + self.multiplier(w, v))
@@ -370,14 +362,14 @@ def check_coercivity(k: KernelSpec, test_functions=None, tol: float = 0.05, lamb
     """
     if test_functions is None:
         test_functions = default_test_family(box)
-    s, d = k.s, k.d
+    s = k.s
     grid = np.linspace(-2 * box, 2 * box, n, endpoint=False)
     h = grid[1] - grid[0]
     V, W = np.meshgrid(grid, grid, indexing="ij")
     off = ~np.eye(n, dtype=bool)
     KVW = np.zeros((n, n))
     KVW[off] = np.asarray(k._eval(0.0, 0.0, V[off], W[off]), dtype=float)
-    ref = FractionalLaplacian(c=1.0, s=s, d=d)
+    ref = FractionalLaplacian(c=1.0, s=s)
     GVW = np.zeros((n, n))
     GVW[off] = ref._eval(0.0, 0.0, V[off], W[off])
 
@@ -437,8 +429,11 @@ def kernel_from_config(text: str) -> KernelSpec:
 
     if kind not in ("fractional", "perturbed"):
         raise ValueError(f"unknown kernel kind {kind!r}")
+    # the one velocity dimension may be stated, as "d = 1"
+    if pairs.get("d", "1") != "1":
+        raise ValueError(f"kernel config key 'd' = {pairs['d']!r} violates the rule d = 1 (one velocity dimension)")
     s = number("s")
-    base = FractionalLaplacian(c=number("c"), s=s, d=int(pairs.get("d", 1)))
+    base = FractionalLaplacian(c=number("c"), s=s)
     if kind == "fractional":
         return base
     a_min, a_max = number("a_min"), number("a_max")

@@ -34,7 +34,7 @@ __all__ = [
 
 
 def _singular_moment(k: KernelSpec, v_axis: np.ndarray, h: float, t: float, x: float) -> np.ndarray:
-    """``int_{|u|<h} u^2 K(v, v+u) du`` per node (d = 1).
+    """``int_{|u|<h} u^2 K(v, v+u) du`` per node.
 
     Closed form for the plain fractional kernel, Gauss-Legendre
     otherwise; the integrand is bounded for s < 1.

@@ -236,7 +236,7 @@ def trajectory_field(traj: Trajectory, farfield=None) -> PhaseField:
     if len(traj.slices) != len(traj.times):
         raise ValueError("trajectory must be run with save_every=1 to bundle a field")
     grid = PhaseGrid(nt=len(traj.slices), nx=g.nx, nv=g.nv, x_period=g.x_period,
-                     v_extent=g.v_extent, t0=traj.times[0], t1=traj.times[-1], d=g.d)
+                     v_extent=g.v_extent, t0=traj.times[0], t1=traj.times[-1])
     values = np.stack(traj.slices, axis=0)
     return PhaseField(grid, values, farfield)
 

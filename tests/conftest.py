@@ -23,7 +23,7 @@ def tab512():
 
 @pytest.fixture(scope="session")
 def frac_kernel():
-    return normalized_fractional(S, d=1)
+    return normalized_fractional(S)
 
 
 @pytest.fixture(scope="session")

@@ -60,7 +60,8 @@ class TestBarrierParams:
     def test_log_factor_positive_on_window(self):
         p = _params()
         ts = np.linspace(p.tau0, p.sigma, 9)
-        assert np.all(p.log_factor(ts) > 0)
+        L = aronson._state(p, ts, np.zeros_like(ts), np.zeros_like(ts))[-1]
+        assert np.all(L > 0)
 
 
 class TestBarrierValues:
@@ -68,7 +69,8 @@ class TestBarrierValues:
         # where both branch arguments are below 1, H = k delta(t) / rho^{2s}
         p = _params()
         t = 0.5 * (p.tau0 + p.sigma)
-        want = p.k * float(p.delta(t)) / p.rho ** (2 * S)
+        delta = 2.0 * (p.sigma - p.tau0) - (t - p.tau0)
+        want = p.k * delta / p.rho ** (2 * S)
         assert barrier_eval(p, (t, p.y0 + (p.sigma + t - 2 * p.tau0) * p.w0, p.w0)) == pytest.approx(want, rel=1e-12)
 
     def test_decays_in_velocity(self):
@@ -88,7 +90,7 @@ def _barrier_region_reference(p, z):
     t, x, v = float(z[0]), float(z[1]), float(z[2])
     rho = p.rho
     dv = abs(v - p.w0)
-    X = p.spatial_arg(t, x) ** (1.0 / (1 + 2 * p.s))
+    X = np.float64(abs(x - p.y0 - (p.sigma + t - 2 * p.tau0) * p.w0)) ** (1.0 / (1 + 2 * p.s))
     if dv <= 2 * rho:
         return 1 if X <= 3 * rho else 2
     if dv <= 3 * rho:
@@ -246,7 +248,8 @@ class TestPointsWithoutBarrier:
 def _jump_quadratic_reference(p, kspec, t, x, v, quad_n=24):
     """One point at a time, one Gauss-Legendre pass per breakpoint segment."""
     rho = p.rho
-    mX = max(1.0, float(p.spatial_arg(t, x)) ** (1.0 / (1 + 2 * p.s)) / (3 * rho))
+    u = float(abs(x - p.y0 - (p.sigma + t - 2 * p.tau0) * p.w0))
+    mX = max(1.0, u ** (1.0 / (1 + 2 * p.s)) / (3 * rho))
     pts = {v - rho, v + rho, v, p.w0, p.w0 - 3 * rho * mX, p.w0 + 3 * rho * mX, p.w0 - 2 * rho, p.w0 + 2 * rho}
     brk = sorted(q for q in pts if v - rho <= q <= v + rho)
     nodes, weights = np.polynomial.legendre.leggauss(quad_n)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import kineticlab
 from kineticlab import cli, fundsol, solver
 from kineticlab.cli import main
+from kineticlab.fields import PhaseField, PhaseGrid, save_field
 
 
 def _manifest(out):
@@ -240,7 +241,44 @@ class TestExitCodes:
         assert "s in (0, 1)" in capsys.readouterr().err
 
     def test_unknown_kernel(self, tmp_path):
+        # the fractional kernel is the default; any other comes from --kernel-config
         assert main(["ellipticity", "--kernel", "weird", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["ellipticity", "--fit"],
+        ["solve", "--nx", "16", "--nv", "16", "--steps", "2"],
+    ])
+    @pytest.mark.parametrize("kind", ["fractional", "perturbed"])
+    def test_kernel_config_of_two_dimensions_is_config_error(self, tmp_path, capsys, argv, kind):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(f"kind = {kind}\nc = {1 / math.pi!r}\ns = 0.5\nd = 2\na_min = 0.5\na_max = 1.5\n")
+        out = tmp_path / "x"
+        assert main(argv[:1] + ["--kernel-config", str(cfg), "--out", str(out)] + argv[1:]) == 2
+        assert "violates the rule d = 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, rule", [
+        ({"t0": 1.0, "t1": 0.0}, "t1 must exceed t0 when nt > 1"),
+        ({"t1": math.nan}, "t0 and t1 must be finite"),
+        ({"d": None}, "lacks the keys ['d']"),
+        ({"nx": 128.0}, "nt, nx and nv must be integers"),
+        ({"d": 2}, "violates the rule d = 1"),
+        ({"d": 1.0}, "violates the rule d = 1"),
+    ])
+    def test_bad_field_header_is_config_error(self, tmp_path, capsys, change, rule):
+        grid = PhaseGrid(nt=3, nx=128, nv=32, x_period=8.0, v_extent=8.0, t0=0.0, t1=1.0)
+        path = str(tmp_path / "field.bin")
+        save_field(PhaseField(grid, np.ones((3, 128, 32))), path)
+        with open(path + ".json") as fh:
+            header = json.load(fh)
+        header.update(change)
+        with open(path + ".json", "w") as fh:
+            json.dump({key: value for key, value in header.items() if value is not None}, fh)
+        out = tmp_path / "x"
+        argv = ["harnack", "--out", str(out), "weak", "--field", path, "--t0", "0.6", "--r0", "0.3"]
+        assert main(argv) == 2
+        assert rule in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_field_file(self, tmp_path):
         code = main([

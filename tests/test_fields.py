@@ -1,5 +1,8 @@
 """Gridded fields: grids, interpolation, closures, and I/O."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +46,26 @@ class TestPhaseGrid:
         for kw in ({"x_period": box, "v_extent": 1.0}, {"x_period": 1.0, "v_extent": box}):
             with pytest.raises(ValueError, match="finite and positive"):
                 PhaseGrid(nt=1, nx=16, nv=16, **kw)
+
+    @pytest.mark.parametrize("nt", [1, 3])
+    @pytest.mark.parametrize("t0, t1", [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)])
+    def test_rejects_non_finite_times(self, nt, t0, t1):
+        with pytest.raises(ValueError, match="t0 and t1 must be finite"):
+            PhaseGrid(nt=nt, nx=16, nv=16, x_period=1.0, v_extent=1.0, t0=t0, t1=t1)
+
+    @pytest.mark.parametrize("t0, t1", [(1.0, 0.0), (0.5, 0.5)])
+    def test_rejects_time_axis_not_forward(self, t0, t1):
+        with pytest.raises(ValueError, match="t1 must exceed t0 when nt > 1"):
+            PhaseGrid(nt=2, nx=16, nv=16, x_period=1.0, v_extent=1.0, t0=t0, t1=t1)
+        # one slice has no time step, so its two ends may coincide
+        assert PhaseGrid(nt=1, nx=16, nv=16, x_period=1.0, v_extent=1.0, t0=t0, t1=t0).dt == 0.0
+
+    @pytest.mark.parametrize("counts", [(1, 16.0, 16), (1, 16, np.float64(16)), (2.0, 16, 16), (True, 16, 16)])
+    def test_rejects_non_integer_counts(self, counts):
+        nt, nx, nv = counts
+        with pytest.raises(ValueError, match="nt, nx and nv must be integers"):
+            PhaseGrid(nt=nt, nx=nx, nv=nv, x_period=1.0, v_extent=1.0)
+        assert PhaseGrid(nt=np.int64(2), nx=np.int32(16), nv=16, x_period=1.0, v_extent=1.0).nx == 16
 
 
 class TestClosures:
@@ -107,3 +130,9 @@ class TestFieldIO:
             fh.write(b"\x00" * 8)
         with pytest.raises(ValueError):
             load_field(path)
+
+    def test_header_states_one_dimension(self, tmp_path):
+        path = str(tmp_path / "field.bin")
+        save_field(PhaseField(_grid(), np.zeros((3, 16, 16))), path)
+        with open(path + ".json") as fh:
+            assert json.load(fh)["d"] == 1

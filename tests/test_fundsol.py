@@ -65,8 +65,8 @@ class TestTable:
         assert tab256.peak() == pytest.approx(0.7244342658395153, rel=1e-9)
 
     def test_self_similar_rescaling_exact(self, tab256):
-        # beta = 2 d (1+s) / (2s) = 3 at s = 1/2
-        assert peak_decay_exponent(S, 1) == 3.0
+        # beta = 2 (1+s) / (2s) = 3 at s = 1/2
+        assert peak_decay_exponent(S) == 3.0
         assert float(tab256.sample(0.0, 0.0, t=2.0)) / tab256.peak() == pytest.approx(2.0**-3, abs=1e-12)
 
     def test_sample_matches_nodes(self, tab256):
@@ -174,9 +174,9 @@ def _reference_spline(tab):
     """FITPACK's interpolating bicubic on the table's unit-time axes."""
     st = tab.t ** (1 + 1 / (2 * tab.s))
     sv = tab.t ** (1 / (2 * tab.s))
-    unit = tab.values * tab.t ** peak_decay_exponent(tab.s, tab.d)
+    unit = tab.values * tab.t ** peak_decay_exponent(tab.s)
     spline = RectBivariateSpline(tab.x_axis / st, tab.v_axis / sv, unit, kx=3, ky=3)
-    return lambda x, v: tab.t ** -peak_decay_exponent(tab.s, tab.d) * spline.ev(x / st, v / sv)
+    return lambda x, v: tab.t ** -peak_decay_exponent(tab.s) * spline.ev(x / st, v / sv)
 
 
 def _box_edges(tab, n=101):
@@ -196,7 +196,7 @@ def _rescaled(tab, t):
         s=tab.s, t=t,
         x_axis=tab.x_axis * ratio ** (1 + 1 / (2 * tab.s)),
         v_axis=tab.v_axis * ratio ** (1 / (2 * tab.s)),
-        values=tab.values * ratio ** -peak_decay_exponent(tab.s, tab.d),
+        values=tab.values * ratio ** -peak_decay_exponent(tab.s),
     )
 
 

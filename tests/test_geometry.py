@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,14 +18,17 @@ def _pt(t, x, v):
 
 
 class TestPhasePoint:
-    def test_dimension_and_types(self):
-        z = PhasePoint(1.0, [1.0, 2.0], [3.0, 4.0])
-        assert z.d == 2
-        assert z.t == 1.0
+    def test_components_are_floats(self):
+        z = PhasePoint(1, np.float64(2.0), np.array(3.0))
+        assert (z.t, z.x, z.v) == (1.0, 2.0, 3.0)
+        assert all(type(c) is float for c in (z.t, z.x, z.v))
 
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            PhasePoint(0.0, [1.0, 2.0], [1.0])
+    @pytest.mark.parametrize("t, x, v", [
+        (0.0, [1.0, 2.0], [3.0, 4.0]), (0.0, 0.0, np.array([1.0])), (np.zeros(2), 0.0, 0.0),
+    ])
+    def test_rejects_vector_component(self, t, x, v):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            PhasePoint(t, x, v)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -81,7 +81,7 @@ class TestL1Linf:
 
 def _tail_lhs_loop(f, k, z0, R, l, nodes):
     """Reference: the level-set tail of ``tail_bound_ratio`` node by node."""
-    g, v0 = f.grid, float(z0.v[0])
+    g, v0 = f.grid, z0.v
     T, X, V, w = make_cylinder(z0, R / 2, S, CylinderKind.CURRENT).nodes(*nodes)
     v_far = g.v_axis[np.abs(g.v_axis - v0) > R]
     lo, hi = g.v_axis[0] - g.dv / 2, g.v_axis[-1] + g.dv / 2

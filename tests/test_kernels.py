@@ -31,22 +31,22 @@ orders = st.floats(0.1, 0.9)
 class TestNormalization:
     def test_value_at_half(self):
         # 4^{1/2} Gamma(1) (1/2) / (pi^{1/2} Gamma(1/2)) = 1/pi
-        assert frac_normalization(1, 0.5) == pytest.approx(1.0 / math.pi, rel=1e-14)
+        assert frac_normalization(0.5) == pytest.approx(1.0 / math.pi, rel=1e-14)
 
     @pytest.mark.parametrize("s", [0.1, 0.25, 0.3, 0.4, 0.5, 0.75, 0.9])
     def test_matches_scipy_gamma(self, s):
         want = 4.0**s * gamma(0.5 + s) * s / (math.pi**0.5 * gamma(1 - s))
-        assert frac_normalization(1, s) == pytest.approx(want, rel=1e-15)
+        assert frac_normalization(s) == pytest.approx(want, rel=1e-15)
 
     def test_normalized_kernel_carries_constant(self):
         k = normalized_fractional(0.5)
         assert k.c == pytest.approx(1.0 / math.pi)
-        assert k.s == 0.5 and k.d == 1
+        assert k.s == 0.5
 
 
 class TestFractionalKernel:
     def test_pointwise_value(self):
-        k = FractionalLaplacian(c=1.0, s=0.5, d=1)
+        k = FractionalLaplacian(c=1.0, s=0.5)
         assert k._eval(0.0, 0.0, 0.0, 2.0) == pytest.approx(2.0**-2)
 
     def test_tail_closed_form(self):
@@ -69,12 +69,7 @@ class TestFractionalKernel:
         assert FractionalLaplacian(c=c, s=s).tail_mass(0.3, r) == c * r ** (-2 * s) / s
 
     def test_multi_dimensional_distance(self):
-        # d > 1 stacks components on the leading axis; d = 1 arrays of any
-        # rank are taken elementwise
-        k2 = FractionalLaplacian(c=1.0, s=0.5, d=2)
-        v = np.zeros((2, 3))
-        w = np.array([[3.0, 0.0, 1.0], [4.0, 2.0, 0.0]])
-        np.testing.assert_allclose(k2._eval(0.0, 0.0, v, w), np.array([5.0, 2.0, 1.0]) ** -3.0)
+        # velocity arrays of any rank are taken elementwise
         k1 = FractionalLaplacian(c=1.0, s=0.5)
         W = np.array([[1.0, 2.0], [4.0, 0.5]])
         np.testing.assert_allclose(k1._eval(0.0, 0.0, np.zeros_like(W), W), W**-2.0)
@@ -247,10 +242,14 @@ class TestEllipticityChecks:
 
 class TestConfigRoundtrip:
     def test_fractional_roundtrip(self):
-        k = FractionalLaplacian(c=1.0 / math.pi, s=0.5, d=1)
-        k2 = kernel_from_config(f"kind = fractional\nc = {k.c!r}\ns = {k.s!r}\nd = {k.d}\n")
-        assert isinstance(k2, FractionalLaplacian)
-        assert (k2.c, k2.s, k2.d) == (k.c, k.s, k.d)
+        k = FractionalLaplacian(c=1.0 / math.pi, s=0.5)
+        k2 = kernel_from_config(f"kind = fractional\nc = {k.c!r}\ns = {k.s!r}\nd = 1\n")
+        assert k2 == k
+
+    @pytest.mark.parametrize("d", ["2", "1.0"])
+    def test_dimension_other_than_one_rejected(self, d):
+        with pytest.raises(ValueError, match="violates the rule d = 1"):
+            kernel_from_config(f"kind = fractional\nc = 1.0\ns = 0.5\nd = {d}\n")
 
     def test_perturbed_roundtrip_bounds(self):
         k2 = kernel_from_config("kind = perturbed\nc = 1.0\ns = 0.4\nd = 1\na_min = 0.5\na_max = 2.0\n")
