@@ -11,6 +11,7 @@ this as ``"d": 1``.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -28,6 +29,10 @@ __all__ = [
 
 def _is_int(n) -> bool:
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+def _is_real(a) -> bool:
+    return isinstance(a, numbers.Real) and not isinstance(a, bool)
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,8 @@ class PhaseGrid:
     def __post_init__(self):
         if not all(_is_int(n) for n in (self.nt, self.nx, self.nv)):
             raise ValueError("nt, nx and nv must be integers")
+        if not all(_is_real(a) for a in (self.x_period, self.v_extent, self.t0, self.t1)):
+            raise ValueError("x_period, v_extent, t0 and t1 must be real numbers")
         if self.nx < 2 or self.nv < 2:
             raise ValueError("nx and nv must be at least 2")
         if self.nx % 2 or self.nv % 2:
@@ -105,6 +112,8 @@ class PowerLawEnvelope:
     exponent: float
 
     def __post_init__(self):
+        if not (_is_real(self.amplitude) and _is_real(self.exponent)):
+            raise ValueError("power-law amplitude and exponent must be real numbers")
         if self.exponent <= 0:
             raise ValueError("power-law exponent must be positive")
 
@@ -116,10 +125,15 @@ class PowerLawEnvelope:
         return {"kind": "power_law", "amplitude": self.amplitude, "exponent": self.exponent}
 
 
-def _closure_from_tag(tag: dict):
+def _closure_from_tag(tag):
+    if not (isinstance(tag, dict) and "kind" in tag):
+        raise ValueError(f"far-field tag {tag!r} violates the rule: an object with a 'kind' key")
     if tag["kind"] == "zero":
         return ZeroExtension()
     if tag["kind"] == "power_law":
+        missing = [key for key in ("amplitude", "exponent") if key not in tag]
+        if missing:
+            raise ValueError(f"power-law far-field tag lacks the keys {missing}")
         return PowerLawEnvelope(tag["amplitude"], tag["exponent"])
     raise ValueError(f"unknown far-field closure {tag!r}")
 

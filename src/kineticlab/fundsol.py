@@ -18,13 +18,14 @@ every ``s``:
     int_0^1 |a - tau b|^p dtau = Phi(1) - Phi(0),
     Phi(tau) = -(a - tau b) |a - tau b|^p / (b (p + 1)).
 
-Tables are built by one real 2-d inverse FFT of the half spectrum
-``xi >= 0`` of the sampled symbol: the symbol is real and
-point-symmetric, so this equals the real part of the full complex
-inverse FFT, once the Nyquist line ``phi = -Phi`` (which has no ``+Phi``
-partner on the grid) is replaced by the average of its ``xi`` and
-``-xi`` values.  The frequency extents are grown automatically until
-the symbol is below a target at the boundary.
+``j0_lattice`` builds ``J(t)`` on any centred lattice by one real 2-d
+inverse FFT of the half spectrum ``xi >= 0`` of the sampled symbol: the
+symbol is real and point-symmetric, so this equals the real part of the
+full complex inverse FFT, once the Nyquist line ``phi = -Phi`` (which
+has no ``+Phi`` partner on the grid) is replaced by the average of its
+``xi`` and ``-xi`` values.  Tables read the unit-time profile, which is
+``j0_lattice`` at ``t = 1`` on the lattice dual to frequency extents
+grown automatically until the symbol is below a target at the boundary.
 
 ``FundamentalSolutionTable.sample`` reads the unit-time profile by the
 tensor-product not-a-knot cubic interpolant on its uniform axes (the
@@ -51,6 +52,7 @@ import numpy as np
 __all__ = [
     "j0_hat_exponent",
     "j0_hat",
+    "j0_lattice",
     "j0_table",
     "FundamentalSolutionTable",
     "modified_convolution",
@@ -108,44 +110,62 @@ def _auto_extents(s: float, target: float = 1e-8, start: float = 5.0, max_doubli
     raise RuntimeError("frequency extent search did not converge")
 
 
+def j0_lattice(t: float, s: float, mx: int, mv: int, dx: float, dv: float) -> np.ndarray:
+    """``J(t)`` on the centred ``(mx, mv)`` lattice with spacing ``(dx, dv)``.
+
+    Node ``(i, j)`` sits at ``(dx (i - mx // 2), dv (j - mv // 2))``.  The
+    symbol of ``J(t)`` is ``exp(-t int_0^1 |xi + tau t phi|^{2s} dtau)``,
+    the unit-time symbol at the self-similar frequencies; it is sampled on
+    the lattice's dual frequencies and inverted by one FFT, which is the
+    trapezoid rule of the Fourier integral.  The result therefore carries
+    the periodic images of ``J(t)`` on the ``mx dx`` by ``mv dv`` box
+    (aliasing) and drops the symbol beyond ``pi / dx`` and ``pi / dv``
+    (truncation).
+
+    The symbol is real and point-symmetric, ``G(-phi, -xi) = G(phi, xi)``
+    bit for bit, so the real part of the full inverse FFT is the real
+    inverse FFT of the half spectrum ``xi >= 0`` (the first ``mv // 2 + 1``
+    ``xi`` frequencies).  For even ``mx`` the one exception is the Nyquist
+    line ``phi = -pi / dx``, whose mirror ``+pi / dx`` is not on the grid.
+    The full array is not Hermitian on that line, and the real part of its
+    transform reads the average of each ``xi`` value and its ``-xi``
+    partner, so the half spectrum carries that average there.
+    """
+    t = float(_positive_time(t))
+
+    def symbol(phi, xi):
+        return np.exp(-t * j0_hat_exponent(-t * phi, xi, s))
+
+    dphi, dxi = 2 * np.pi / (mx * dx), 2 * np.pi / (mv * dv)
+    phi = dphi * (np.fft.fftfreq(mx) * mx)
+    xi = dxi * (np.fft.fftfreq(mv) * mv)
+    # the spectrum is held transposed, (xi, phi), so that the (x, v) values
+    # come out in Fortran order: the layout the sampler's first pass reads
+    half = np.arange(mv // 2 + 1)
+    G = symbol(phi[None, :], xi[half, None])
+    if mx % 2 == 0:
+        # the xi-mirror of row j is row -j (mod mv); at j = mv/2 it is itself
+        G[:, mx // 2] += symbol(phi[mx // 2], xi[-half])
+        G[:, mx // 2] *= 0.5
+    vals = np.fft.irfft2(G, s=(mx, mv), axes=(1, 0)).T
+    vals *= mx * mv * dphi * dxi
+    vals /= (2 * np.pi) ** 2
+    return np.fft.fftshift(vals)
+
+
 @lru_cache(maxsize=8)
 def _unit_profile(n_freq: int, s: float, target: float = 1e-8):
     """Unit-time profile on a centered (x, v) grid.
 
     Returns ``(x_axis, v_axis, values, meta)``, cached per exact
-    ``(n_freq, s, target)``; the arrays are read-only.  The physical symbol is
-    sampled at the reflected frequency, ``j0_hat(-phi, xi)``, which is
-    the convention that solves the forward-transport equation (see
-    module docstring).
-
-    The symbol is real and point-symmetric, ``G(-phi, -xi) = G(phi, xi)``
-    bit for bit, so the real part of the full inverse FFT is the real
-    inverse FFT of the half spectrum ``xi >= 0`` (the first ``n // 2 + 1``
-    ``xi`` frequencies).  For even ``n`` the one exception is the Nyquist
-    line ``phi = -Phi``, whose mirror ``+Phi`` is not on the grid.  The
-    full array is not Hermitian on that line, and the real part of its
-    transform reads the average of each ``xi`` value and its ``-xi``
-    partner, so the half spectrum carries that average there.
+    ``(n_freq, s, target)``; the arrays are read-only.  The values are
+    ``j0_lattice`` at ``t = 1`` on the ``n_freq``-square lattice whose dual
+    frequencies span the extents ``(Phi, Xi)`` of ``_auto_extents``.
     """
     Phi, Xi = _auto_extents(s, target)
     n = n_freq
-    dphi, dxi = 2 * Phi / n, 2 * Xi / n
-    phi = dphi * (np.fft.fftfreq(n) * n)
-    xi = dxi * (np.fft.fftfreq(n) * n)
-    # the spectrum is held transposed, (xi, phi), so that the (x, v) profile
-    # comes out in Fortran order: the layout the sampler's first pass reads
-    half = np.arange(n // 2 + 1)
-    G = j0_hat(-phi[None, :], xi[half, None], s)
-    if n % 2 == 0:
-        # the xi-mirror of row j is row -j (mod n); at j = n/2 it is itself
-        G[:, n // 2] += j0_hat(-phi[n // 2], xi[-half], s)
-        G[:, n // 2] *= 0.5
-    vals = np.fft.irfft2(G, s=(n, n), axes=(1, 0)).T
-    vals *= n * n * dphi * dxi
-    vals /= (2 * np.pi) ** 2
-    vals = np.fft.fftshift(vals)
-    dx = 2 * np.pi / (n * dphi)
-    dv = 2 * np.pi / (n * dxi)
+    dx, dv = np.pi / Phi, np.pi / Xi
+    vals = j0_lattice(1.0, s, n, n, dx, dv)
     x_axis = dx * (np.arange(n) - n // 2)
     v_axis = dv * (np.arange(n) - n // 2)
     # the largest |value| on the physical-box edge, where the periodic

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import PhaseField, PhaseGrid, ZeroExtension
-from .fundsol import j0_table, modified_convolution
+from .fundsol import j0_lattice, modified_convolution
 from .kernels import KernelSpec
 from .operators import OperatorMatrix, assemble_operator_matrix
 
@@ -269,25 +269,31 @@ def fundamental_approx(
     """Evolve a mollified point mass and compare with the explicit
     fundamental solution at time ``T``.
 
-    The comparison convolves the tabulated propagator with the same
-    mollifier (sheared convolution at time ``T``), so the two fields
-    approximate the same object.  The reference table needs a finer
-    frequency grid than the default: the slow velocity tails otherwise
-    alias back into the box at the percent level.  Reports the sup-relative error on the
-    region where the reference exceeds 1% of its peak, and the mass
-    drift of the run.
+    The reference is ``J(T)`` built by ``j0_lattice`` on a lattice with
+    the solve grid's spacing and ``P`` times its box, of which the centre
+    ``(nx, nv)`` block is kept.  ``P = max(2, ceil(n_freq / max(nx, nv)))``,
+    so the reference's frequency grid has at least ``n_freq`` points along
+    the longer axis; a larger box pushes the periodic images of the slow
+    velocity tails further out.  The reference is convolved with the same
+    mollifier (sheared convolution at time ``T``, periodic on the solve
+    box), so the two fields approximate the same object.  Reports the
+    sup-relative error on the region where the reference exceeds 1% of
+    its peak, and the mass drift of the run.
     """
     if abs(config.dt * config.steps - T) > 1e-12:
         raise ValueError("config horizon does not match T")
+    if n_freq < 4:
+        raise ValueError("n_freq must be at least 4")
     f0 = mollified_delta(grid, s)
     # only the final slice is read
     traj = solve(k, f0, grid, replace(config, save_every=config.steps))
     fT = traj.final
 
-    tab = j0_table(T, s, n_freq)
-    X, V = np.meshgrid(grid.x_axis, grid.v_axis, indexing="ij")
-    Jt = tab.sample(X, V)
-    ref = modified_convolution(f0, Jt, T, grid.dx, grid.dv, warn=False)
+    nx, nv = grid.nx, grid.nv
+    P = max(2, math.ceil(n_freq / max(nx, nv)))
+    J = j0_lattice(T, s, P * nx, P * nv, grid.dx, grid.dv)
+    i, j = (P - 1) * nx // 2, (P - 1) * nv // 2
+    ref = modified_convolution(f0, J[i:i + nx, j:j + nv], T, grid.dx, grid.dv, warn=False)
 
     peak = ref.max()
     mask = ref > 0.01 * peak

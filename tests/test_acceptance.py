@@ -89,7 +89,7 @@ def test_06_solver_cross_validation(frac_kernel):
     grid = PhaseGrid(nt=1, nx=256, nv=256, x_period=16.0, v_extent=12.0)
     config = SolverConfig(dt=0.01, steps=100, scheme="cn", torus=True)
     rep = fundamental_approx(frac_kernel, grid, 1.0, config, S, n_freq=1024)
-    ok = rep["sup_rel_error"] < 0.05 and rep["mass_drift"] < 1e-3
+    ok = rep["sup_rel_error"] < 0.01 and rep["mass_drift"] < 1e-3
     _verdict(6, "solver vs explicit solution", ok,
              f"sup rel err={rep['sup_rel_error']:.4f}, mass drift={rep['mass_drift']:.2e}")
 

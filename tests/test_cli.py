@@ -112,6 +112,23 @@ class TestSubcommands:
             rep = json.load(fh)
         assert rep["mass_drift"] < 1e-8
 
+    def test_solve_cross_validate(self, tmp_path):
+        # the reference is built on the solve lattice: no unit-time profile
+        # (and no table sampler) is made along the way
+        profiles = fundsol._unit_profile.cache_info().currsize
+        samplers = fundsol._unit_sampler.cache_info().currsize
+        code = main(["solve", "--cross-validate", "--nx", "64", "--nv", "64", "--x-period", "8",
+                     "--v-extent", "6", "--dt", "0.02", "--steps", "10", "--n-freq", "128",
+                     "--out", str(tmp_path / "s")])
+        assert code == 0
+        with open(tmp_path / "s" / "solve.json") as fh:
+            rep = json.load(fh)
+        assert sorted(rep) == ["computed_peak", "mass_drift", "mass_final", "mass_initial",
+                               "reference_peak", "sup_rel_error"]
+        assert rep["sup_rel_error"] < 0.05
+        assert fundsol._unit_profile.cache_info().currsize == profiles
+        assert fundsol._unit_sampler.cache_info().currsize == samplers
+
     def test_solve_keeps_initial_and_final_slices_only(self, tmp_path, monkeypatch):
         runs, real_solve = [], solver.solve
 
@@ -264,6 +281,11 @@ class TestExitCodes:
         ({"nx": 128.0}, "nt, nx and nv must be integers"),
         ({"d": 2}, "violates the rule d = 1"),
         ({"d": 1.0}, "violates the rule d = 1"),
+        ({"x_period": "8"}, "x_period, v_extent, t0 and t1 must be real numbers"),
+        ({"farfield": "zero"}, "violates the rule: an object with a 'kind' key"),
+        ({"farfield": {"kind": "power_law", "exponent": 2.0}}, "lacks the keys ['amplitude']"),
+        ({"farfield": {"kind": "power_law", "amplitude": "1", "exponent": 2.0}},
+         "power-law amplitude and exponent must be real numbers"),
     ])
     def test_bad_field_header_is_config_error(self, tmp_path, capsys, change, rule):
         grid = PhaseGrid(nt=3, nx=128, nv=32, x_period=8.0, v_extent=8.0, t0=0.0, t1=1.0)
@@ -350,9 +372,10 @@ class TestExitCodes:
         assert f"argument {argv[-2]}: must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_too_few_frequencies_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [["fundsol"], ["solve", "--cross-validate", "--nx", "16", "--nv", "16"]])
+    def test_too_few_frequencies_is_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "x"
-        assert main(["fundsol", "--n-freq", "3", "--out", str(out)]) == 2
+        assert main(argv + ["--n-freq", "3", "--out", str(out)]) == 2
         assert "n_freq must be at least 4" in capsys.readouterr().err
         assert not out.exists()
 

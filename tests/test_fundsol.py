@@ -1,6 +1,7 @@
 """Explicit fundamental solution: symbol, tables, composition."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 import warnings
 
@@ -168,6 +169,56 @@ class TestHalfSpectrumBuild:
         assert peak < 32 * 2**20
         # the sampler's first pass reads the transpose without a copy
         assert vals.T.flags.c_contiguous
+
+
+# sha256 (first 16 hex digits) of x_axis, v_axis and values of the unit
+# profile as the per-table build made it before it moved into j0_lattice
+# (numpy 2.4; a numpy whose FFT rounds differently changes them too)
+_PROFILE_DIGESTS = {
+    (128, 0.25): "656e0246cc13a8cf",
+    (128, 0.5): "1f8d8b4555326755",
+    (128, 0.8): "37017cdaf4a0c144",
+    (256, 0.25): "89583e97b0f096f4",
+    (256, 0.5): "8e4fe3a95c4a0d77",
+    (256, 0.8): "00db6761b0ddb97f",
+    (1024, 0.25): "dffefd00297427ba",
+    (1024, 0.5): "5a6c5cdebf4eb475",
+    (1024, 0.8): "9e4db36457176692",
+}
+
+
+def _periodic_cauchy(y, gamma, period):
+    """``sum_k gamma / pi / ((y + k period)^2 + gamma^2)`` in closed form."""
+    a = 2 * np.pi / period
+    return np.sinh(a * gamma) / (period * (np.cosh(a * gamma) - np.cos(a * y)))
+
+
+class TestLattice:
+    @pytest.mark.parametrize("n, s", sorted(_PROFILE_DIGESTS))
+    def test_unit_profile_keeps_its_bits(self, n, s):
+        x_axis, v_axis, vals, _ = fundsol._unit_profile.__wrapped__(n, s)
+        digest = hashlib.sha256(x_axis.tobytes() + v_axis.tobytes() + vals.tobytes()).hexdigest()
+        assert digest[:16] == _PROFILE_DIGESTS[n, s]
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_half_order_marginals_are_periodic_cauchy(self, t):
+        # at s = 1/2 the v-marginal of J(t) is the Cauchy density of scale t
+        # and the x-marginal that of scale t^2 / 2; on the lattice each is
+        # periodized and loses the symbol beyond pi / h, a defect of about
+        # exp(-gamma pi / h) of the peak
+        m, dx, dv = 1024, 1 / 16, 3 / 32
+        J = fundsol.j0_lattice(t, 0.5, m, m, dx, dv)
+        nodes = np.arange(m) - m // 2
+        for marginal, h, gamma in ((J.sum(axis=0) * dx, dv, t), (J.sum(axis=1) * dv, dx, t * t / 2)):
+            exact = _periodic_cauchy(h * nodes, gamma, m * h)
+            err = np.max(np.abs(marginal - exact)) / exact.max()
+            assert err <= 2 * np.exp(-gamma * np.pi / h) + 1e-13
+
+    def test_centre_node_is_the_origin(self):
+        # odd and even sides alike put x = v = 0 on node (mx // 2, mv // 2)
+        for mx, mv in ((64, 64), (65, 48), (48, 65)):
+            J = fundsol.j0_lattice(1.0, S, mx, mv, 0.25, 0.25)
+            assert np.unravel_index(np.argmax(J), J.shape) == (mx // 2, mv // 2)
 
 
 def _reference_spline(tab):

@@ -257,6 +257,14 @@ class TestFundamentalApprox:
         assert len(traj.slices) == 2
         assert rep["computed_peak"] == float(traj.final.max())
 
+    def test_reference_error_does_not_grow_with_padding(self, setup):
+        # a four-fold box folds less of the slow velocity tail back into
+        # the reference than a two-fold one
+        k, g, _ = setup
+        errs = [fundamental_approx(k, g, 0.2, SolverConfig(dt=0.05, steps=4), S, n_freq=p * g.nx)["sup_rel_error"]
+                for p in (2, 4)]
+        assert errs[1] <= errs[0]
+
 
 class TestTrajectoryField:
     def test_bundles_all_slices(self, solver_run):
