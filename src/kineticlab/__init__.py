@@ -5,7 +5,8 @@ The package implements the transport equation
     d/dt f + v . grad_x f = L f + h
 
 where ``L`` is a principal-value jump operator in the velocity variable
-with a symmetric, possibly rough kernel.  It provides
+with a symmetric, possibly rough kernel; the solver runs it with
+``h = 0``.  It provides
 
 * phase points and slanted cylinders in :mod:`kineticlab.geometry`,
 * jump-kernel models and ellipticity diagnostics in

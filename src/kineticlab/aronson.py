@@ -14,9 +14,9 @@ where ``T = d/dt + v d/dx`` is the transport derivative, with one
 position and one velocity dimension.  The module
 measures this residual pointwise (analytic branch-wise transport term,
 piecewise Gauss-Legendre quadrature for the jump term), finds the
-threshold ``k*`` by bisection, checks the weighted energy decay in its
-kinetic and parabolic variants, and fits the polynomial / exponential
-decay envelopes of the fundamental solution.
+threshold ``k*`` by bisection, checks the kinetic weighted energy
+decay, and fits the polynomial / exponential decay envelopes of the
+fundamental solution.
 
 ``barrier_residual`` and ``barrier_residual_parts`` take one phase point
 ``z = (t, x, v)`` (a tuple, a list or a 1-D array) and return Python
@@ -533,21 +533,13 @@ def k_threshold(
     return {"k_star": hi, "worst_residual": res, "worst_sample": z, "c": c}
 
 
-def aronson_energy_check(
-    traj: Trajectory,
-    p: BarrierParams,
-    variant: str = "kinetic",
-    pointwise_bounded: bool = False,
-) -> dict:
-    """Implied constant of the weighted energy decay.
+def aronson_energy_check(traj: Trajectory, p: BarrierParams) -> dict:
+    """Implied constant ``C`` of the kinetic weighted energy decay
 
-    Kinetic variant:  ``sup_t int f^2 H <= int f^2(tau0) H(tau0)
-    + C rho^{-2s} |H|_inf |f|^2_{L^2(t,x,v)}``.
-    Parabolic variant (x-constant data, pointwise-bounded kernel):
-    the weight is ``rho^{-(1+2s)}`` against the squared L^2_t L^1_v norm.
+        sup_t int f^2 H <= int f^2(tau0) H(tau0) + C rho^{-2s} |H|_inf |f|^2_{L^2(t,x,v)}
+
+    over the saved slices in ``[tau0, sigma]``.
     """
-    if variant not in ("kinetic", "parabolic"):
-        raise ValueError("variant must be 'kinetic' or 'parabolic'")
     g = traj.grid
     if not any(p.tau0 <= t <= p.sigma for t in traj.times):
         raise ValueError("trajectory times do not intersect [tau0, sigma]")
@@ -558,28 +550,18 @@ def aronson_energy_check(
     weighted = []
     H_sup = 0.0
     l2_time = 0.0
-    l2l1_time = 0.0
     dt_slices = np.diff([t for _, t in keep])
     for j, (f, t) in enumerate(keep):
-        if variant == "parabolic":
-            if not pointwise_bounded:
-                raise ValueError("parabolic variant needs a pointwise-bounded kernel")
-            if float(np.max(np.abs(f - f.mean(axis=0, keepdims=True)))) > 1e-8 * max(1.0, float(np.abs(f).max())):
-                raise ValueError("parabolic variant needs an x-constant trajectory")
         H = barrier_values(p, t, X, V)
         H_sup = max(H_sup, float(H.max()))
         weighted.append(float((f * f * H).sum() * g.dx * g.dv))
         if j < len(dt_slices):
             l2_time += float((f * f).sum() * g.dx * g.dv) * dt_slices[j]
-            l2l1_time += float(((np.abs(f).sum(axis=1) * g.dv) ** 2).sum() * g.dx) * dt_slices[j]
     gain = max(weighted) - weighted[0]
-    if variant == "kinetic":
-        denom = p.rho ** (-2 * p.s) * H_sup * l2_time
-    else:
-        denom = p.rho ** -(1 + 2 * p.s) * H_sup * l2l1_time
+    denom = p.rho ** (-2 * p.s) * H_sup * l2_time
     C = gain / denom if denom > 0 else 0.0
     return {
-        "variant": variant,
+        "variant": "kinetic",
         "constant": max(C, 0.0),
         "initial_weighted": weighted[0],
         "sup_weighted": max(weighted),
@@ -609,18 +591,18 @@ def _upper_envelope(tab: FundamentalSolutionTable, exponent: float, X, V):
     return t**-beta * (1.0 + arg / t) ** exponent
 
 
-def decay_envelope_check(
-    tab: FundamentalSolutionTable,
-    kind: str,
-    bracket_exponent: float | None = None,
-    t_decade: int = 8,
-) -> DecayEnvelope:
-    """Fit the envelope constant of the requested kind on the table."""
+def decay_envelope_check(tab: FundamentalSolutionTable, kind: str) -> DecayEnvelope:
+    """Fit the envelope constant of the requested kind on the table.
+
+    ``NashOnDiag`` reads ``t^beta J(t, 0, 0)`` at eight times spaced
+    geometrically over ``[t/10, t]``; the upper kinds divide by
+    ``_upper_envelope`` with the bracket exponent of the kind.
+    """
     s = tab.s
     beta = peak_decay_exponent(s)
     ring = max(abs(tab.meta.get("ringing", 0.0)), 1e-300)
     if kind == "NashOnDiag":
-        ts = np.geomspace(tab.t / 10.0, tab.t, t_decade)
+        ts = np.geomspace(tab.t / 10.0, tab.t, 8)
         vals = tab.sample(0.0, 0.0, t=ts) * ts**beta
         return DecayEnvelope(
             kind=kind,
@@ -629,8 +611,7 @@ def decay_envelope_check(
             extra={"variation": float(vals.max() - vals.min()), "times": ts.tolist()},
         )
     if kind in ("UpperUnconditional", "UpperConditional"):
-        if bracket_exponent is None:
-            bracket_exponent = -0.25 if kind == "UpperUnconditional" else -(2 * (1 + s) + 2 * s) / (2 * s)
+        bracket_exponent = -0.25 if kind == "UpperUnconditional" else -(2 * (1 + s) + 2 * s) / (2 * s)
         X, V, J = _eval_window(tab)
         env = _upper_envelope(tab, bracket_exponent, X, V)
         pos = J > 10.0 * ring

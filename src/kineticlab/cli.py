@@ -304,8 +304,7 @@ def _run_aronson(args, em: Emitter) -> None:
         p = BarrierParams(rho=rho, k=args.k, tau0=0.0,
                           sigma=min(T, rho ** (2 * s) / (4 * args.k)),
                           y0=args.y0, w0=args.w0, s=s)
-        rep = aronson_energy_check(traj, p, variant=args.variant,
-                                   pointwise_bounded=args.variant == "parabolic")
+        rep = aronson_energy_check(traj, p)
         em.json("aronson_energy.json", rep)
     else:  # envelope
         tab = j0_table(args.t, s, n_freq=args.n_freq)
@@ -445,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     aronson_opts.add_argument("--t", type=_finite_float, default=1.0)
     aronson_opts.add_argument("--kind", default="NashOnDiag",
                               choices=["NashOnDiag", "UpperUnconditional", "UpperConditional", "LowerExponential"])
-    aronson_opts.add_argument("--variant", choices=["kinetic", "parabolic"], default="kinetic")
     aronson_opts.add_argument("--nx", type=_positive_int, default=64)
     aronson_opts.add_argument("--nv", type=_positive_int, default=128)
     aronson_opts.add_argument("--x-period", type=_finite_float, default=8.0)

@@ -6,9 +6,8 @@ R^{1+2d}.
 
 Cylinders are anisotropic neighborhoods with scales ``(r^{2s},
 r^{1+2s}, r)`` whose position interval is slanted along the free flow
-of the center velocity.  Ball constraints are strict; the time window
-is half-open at its past end (except for the detached quarter window,
-which is closed).
+of the center velocity.  The lab only integrates over cylinders, by
+the midpoint nodes of ``KineticCylinder.nodes``.
 """
 
 from __future__ import annotations
@@ -89,42 +88,19 @@ class KineticCylinder:
     def x_radius(self) -> float:
         return self.ball_radius ** (1 + 2 * self.s)
 
-    def time_window(self) -> tuple[float, float, bool]:
-        """Return ``(lo, hi, closed_lo)`` relative to absolute time.
-
-        ``closed_lo`` tells whether the past end is included; the
-        future end is always included.
-        """
+    def time_window(self) -> tuple[float, float]:
+        """Return ``(lo, hi)`` in absolute time."""
         t0, s, r = self.center.t, self.s, self.r
         if self.kind is CylinderKind.CURRENT:
-            return t0 - r ** (2 * s), t0, False
+            return t0 - r ** (2 * s), t0
         if self.kind is CylinderKind.TILDE_PAST_QUARTER:
             # t2 = (5/2) r^{2s} - (1/2) (r/2)^{2s},   t3 = t2 + (r/4)^{2s}
             t2 = 2.5 * r ** (2 * s) - 0.5 * (r / 2) ** (2 * s)
             t3 = t2 + (r / 4) ** (2 * s)
-            return t0 - t3, t0 - t2, True
+            return t0 - t3, t0 - t2
         half = self.r / 2
         tc = t0 - 2.5 * r ** (2 * s) + 0.5 * half ** (2 * s)
-        return tc - half ** (2 * s), tc, False
-
-    def measure(self) -> float:
-        """Lebesgue measure: time length times the two interval lengths."""
-        lo, hi, _ = self.time_window()
-        return (hi - lo) * (2 * self.x_radius) * (2 * self.ball_radius)
-
-    # -- membership ------------------------------------------------------
-
-    def contains(self, z: PhasePoint) -> bool:
-        lo, hi, closed_lo = self.time_window()
-        if closed_lo:
-            if not lo <= z.t <= hi:
-                return False
-        else:
-            if not lo < z.t <= hi:
-                return False
-        c = self.center
-        slant = z.x - c.x - (z.t - c.t) * c.v
-        return abs(slant) < self.x_radius and abs(z.v - c.v) < self.ball_radius
+        return tc - half ** (2 * s), tc
 
     # -- quadrature ------------------------------------------------------
 
@@ -136,7 +112,7 @@ class KineticCylinder:
         continuum one.  Returns ``(T, X, V, w)`` with flat arrays of
         length ``nt*nx*nv`` and scalar weight ``w``.
         """
-        lo, hi, _ = self.time_window()
+        lo, hi = self.time_window()
         c = self.center
         tau = lo + (np.arange(nt) + 0.5) / nt * (hi - lo)
         xi = -1.0 + (np.arange(nx) + 0.5) / nx * 2.0

@@ -98,7 +98,7 @@ def _check_resolution(f, cyl: KineticCylinder):
     if not isinstance(f, PhaseField):
         return
     g = f.grid
-    lo, hi, _ = cyl.time_window()
+    lo, hi = cyl.time_window()
     if g.nt > 1 and (hi - lo) < 4 * g.dt:
         raise ValueError("time axis does not resolve the cylinder (need >= 4 cells)")
     if 2 * cyl.x_radius < 4 * g.dx:
@@ -412,21 +412,19 @@ def degiorgi_trace(
     return DeGiorgiTrace(R=R, delta=delta, p=p, zeta=zeta, L=L, sequence=seq, decay_ok=decay_ok, chebyshev_ok=cheb_ok)
 
 
-def harnack_chain(start, end, s: float, sigma_cap: float = 1.0, T: float | None = None) -> dict:
+def harnack_chain(start, end, s: float) -> dict:
     """Chain construction from ``start = (tau0, y0, w0)`` to
     ``end = (t, x, v)``: the number of links, the intermediate points,
-    and the exponent bracket of the resulting pointwise bound."""
+    and the exponent bracket of the resulting pointwise bound.  The
+    horizon is the end time ``t``, so the link radius is
+    ``sigma = min(1, t^{1/(2s)})``."""
     tau0, y0, w0 = float(start[0]), float(start[1]), float(start[2])
     t, x, v = float(end[0]), float(end[1]), float(end[2])
     if tau0 <= 0:
         raise ValueError("tau0 must be positive")
     if t <= tau0:
         raise ValueError("end time must exceed start time")
-    if T is None:
-        T = t
-    if t > T:
-        raise ValueError("end time exceeds the horizon T")
-    sigma = min(sigma_cap, T ** (1.0 / (2 * s)))
+    sigma = min(1.0, t ** (1.0 / (2 * s)))
     dt = t - tau0
     dx = x - y0 - dt * w0
     dv = v - w0
@@ -468,19 +466,20 @@ def _eval_window(tab: FundamentalSolutionTable, n: int = 129):
     return X, V, J
 
 
-def lower_bound_check(
-    tab: FundamentalSolutionTable,
-    alpha: float = 1.0,
-    times=None,
-    cone_nodes: int = 64,
-) -> dict:
+def lower_bound_check(tab: FundamentalSolutionTable, alpha: float = 1.0) -> dict:
     """Cone-mass sufficient condition plus an exponential lower-envelope
-    fit ``J >= C1 t^{-2(1+s)/(2s)} exp(-C2 (|x|^{2s}/t^{1+2s} + |v|^{2s}/t))``."""
+    fit ``J >= C1 t^{-2(1+s)/(2s)} exp(-C2 (|x|^{2s}/t^{1+2s} + |v|^{2s}/t))``.
+
+    The cone mass is taken at a quarter, half, three quarters and all of
+    the table time, by the midpoint rule on 64 x 64 nodes of the cone's
+    bounding box.
+    """
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
     s = tab.s
-    if times is None:
-        times = tab.t * np.array([0.25, 0.5, 0.75, 1.0])
+    cone_nodes = 64
     cone_masses = []
-    for t in np.asarray(times, dtype=float):
+    for t in tab.t * np.array([0.25, 0.5, 0.75, 1.0]):
         xr = (alpha * t) ** ((1 + 2 * s) / (2 * s))
         vr = (alpha * t) ** (1.0 / (2 * s))
         xs = xr * (-1 + (2 * np.arange(cone_nodes) + 1.0) / cone_nodes)

@@ -7,18 +7,17 @@ velocity alone, so ``solve`` keeps its state in x-Fourier space between
 steps: ``G = rfft_x(f)``, held as a C-contiguous ``(nv, nx//2 + 1)``
 complex array.  A transport half step is then one product with a cached
 phase table ``exp(-i phi dt/2 v)``.  The collision step is one
-precomputed affine map ``f <- M f + b`` per velocity column (explicit
+precomputed linear map ``f <- M f`` per velocity column (explicit
 Euler, implicit Euler or Crank-Nicolson, built once from the dense
 velocity operator by ``collision_propagator``); the real ``M`` acts on
-the interleaved real and imaginary parts of ``G``, and ``b`` only enters
-the k = 0 column.  Each step makes one inverse transform, for the
-recorded diagnostics and the saved slices.  ``step_transport`` and
-``step_collision`` are the same two maps on a physical ``(nx, nv)``
-slice.
+the interleaved real and imaginary parts of ``G``.  Each step makes one
+inverse transform, for the recorded diagnostics and the saved slices.
+``step_transport`` and ``step_collision`` are the same two maps on a
+physical ``(nx, nv)`` slice.
 
-The kernel is frozen at ``(t, x) = (t_freeze, 0)`` when the velocity
-matrix is assembled, so kernels with genuine (t, x) dependence are
-treated in frozen-coefficient fashion.
+The kernel is frozen at ``(t, x) = (0, 0)`` when the velocity matrix
+is assembled, so kernels with genuine (t, x) dependence are treated in
+frozen-coefficient fashion.
 """
 
 from __future__ import annotations
@@ -29,10 +28,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import PhaseField, PhaseGrid, ZeroExtension
+from .fields import PhaseField, PhaseGrid
 from .fundsol import j0_lattice, modified_convolution
 from .kernels import KernelSpec
-from .operators import OperatorMatrix, assemble_operator_matrix
+from .operators import assemble_operator_matrix
 
 __all__ = [
     "SolverConfig",
@@ -58,7 +57,7 @@ class SolverConfig:
     diagonal as a small leak.  Otherwise mass leaks through the far
     field at the analytically expected rate.  Either way the leak is
     tracked, so ``Trajectory.mass_drift`` stays at rounding level.
-    ``dt`` and ``t_freeze`` must be finite.
+    ``dt`` must be finite.
     """
 
     dt: float
@@ -66,11 +65,10 @@ class SolverConfig:
     scheme: str = "cn"
     torus: bool = True
     save_every: int = 1
-    t_freeze: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and math.isfinite(self.t_freeze)):
-            raise ValueError("dt and t_freeze must be finite")
+        if not math.isfinite(self.dt):
+            raise ValueError("dt must be finite")
         if self.dt <= 0 or self.steps < 1:
             raise ValueError("need dt > 0 and steps >= 1")
         if self.scheme not in ("explicit", "implicit", "cn"):
@@ -139,76 +137,43 @@ def step_transport(f: np.ndarray, dt: float, grid: PhaseGrid) -> np.ndarray:
     return np.fft.irfft(Fh, n=grid.nx, axis=0)
 
 
-def collision_propagator(op: OperatorMatrix, dt: float, scheme: str) -> tuple[np.ndarray, np.ndarray]:
-    """``(M, b)`` such that one collision step of ``scheme`` is
-    ``f <- f @ M.T + b`` for the operator ``A f + gain``:
+def collision_propagator(A: np.ndarray, dt: float, scheme: str) -> np.ndarray:
+    """``M`` such that one collision step of ``scheme`` for the operator
+    ``A`` is ``f <- f @ M.T``:
 
-    * explicit: ``M = I + dt A``, ``b = dt gain``;
-    * implicit: ``M = (I - dt A)^{-1}``, ``b = dt M gain``;
-    * cn: ``M = (I - dt/2 A)^{-1} (I + dt/2 A)``, ``b = dt (I - dt/2 A)^{-1} gain``.
+    * explicit: ``M = I + dt A``;
+    * implicit: ``M = (I - dt A)^{-1}``;
+    * cn: ``M = (I - dt/2 A)^{-1} (I + dt/2 A)``.
     """
-    A, eye = op.matrix, np.eye(op.matrix.shape[0])
+    eye = np.eye(A.shape[0])
     if scheme == "explicit":
-        return eye + dt * A, dt * op.gain
+        return eye + dt * A
     theta = 1.0 if scheme == "implicit" else 0.5
-    lhs = eye - theta * dt * A
-    rhs = np.column_stack([eye + (1.0 - theta) * dt * A, dt * op.gain])
-    sol = np.linalg.solve(lhs, rhs)
-    return sol[:, :-1], sol[:, -1]
+    return np.linalg.solve(eye - theta * dt * A, eye + (1.0 - theta) * dt * A)
 
 
-def step_collision(f: np.ndarray, dt: float, op: OperatorMatrix, scheme: str, prop=None) -> np.ndarray:
-    """One collision step on a ``(nx, nv)`` slice; ``prop`` is the
-    ``collision_propagator(op, dt, scheme)`` of the run, built here when
-    not given."""
-    M, b = collision_propagator(op, dt, scheme) if prop is None else prop
-    out = f @ M.T
-    out += b
-    return out
+def step_collision(f: np.ndarray, dt: float, op: np.ndarray, scheme: str, prop=None) -> np.ndarray:
+    """One collision step on a ``(nx, nv)`` slice for the operator ``op``;
+    ``prop`` is the ``collision_propagator(op, dt, scheme)`` of the run,
+    built here when not given."""
+    M = collision_propagator(op, dt, scheme) if prop is None else prop
+    return f @ M.T
 
 
-def _x_spectrum(h, grid: PhaseGrid, what: str) -> np.ndarray:
-    """``rfft_x`` of an ``(nx, nv)`` slice as a C-contiguous ``(nv, nx//2 + 1)`` array."""
-    h = np.asarray(h, dtype=float)
-    if h.shape != (grid.nx, grid.nv):
-        raise ValueError(f"{what} shape does not match grid")
-    return np.fft.rfft(h, axis=0).T.copy()
-
-
-def _source_step(h, grid: PhaseGrid, dt: float) -> tuple[np.ndarray, float]:
-    """What a source slice ``h`` adds over one step: ``dt rfft_x(h)`` and
-    its mass ``dt sum(h) dx dv``."""
-    h = np.asarray(h, dtype=float)
-    return dt * _x_spectrum(h, grid, "source slice"), dt * float(h.sum() * grid.dx * grid.dv)
-
-
-def solve(
-    k: KernelSpec,
-    f0: np.ndarray,
-    grid: PhaseGrid,
-    config: SolverConfig,
-    closure=None,
-    source=None,
-) -> Trajectory:
+def solve(k: KernelSpec, f0: np.ndarray, grid: PhaseGrid, config: SolverConfig) -> Trajectory:
     """Run the Strang-split scheme from the slice ``f0``.
 
-    ``source`` may be ``None``, a slice, or a callable of time (called
-    once per step, at its midpoint); it is added with the collision
-    step.  The collision matrix is assembled once (kernel frozen at
-    ``t_freeze``).  Diagnostics are recorded at every step; a slice is
-    kept every ``save_every`` steps and at the last one.
+    The collision matrix is assembled once.  Diagnostics are recorded at
+    every step; a slice is kept every ``save_every`` steps and at the
+    last one.
     """
-    if closure is None:
-        closure = ZeroExtension()
     f = np.asarray(f0, dtype=float)
-    G = _x_spectrum(f, grid, "initial slice")
+    if f.shape != (grid.nx, grid.nv):
+        raise ValueError("initial slice shape does not match grid")
+    G = np.fft.rfft(f, axis=0).T.copy()
     dt = config.dt
-    op = assemble_operator_matrix(k, grid, t=config.t_freeze, x=0.0, closure=closure, torus=config.torus)
-    M, b = collision_propagator(op, dt, config.scheme)
-    b_hat = grid.nx * b  # rfft_x of the x-independent gain: the k = 0 column only
+    M = collision_propagator(assemble_operator_matrix(k, grid, torus=config.torus), dt, config.scheme)
     half = _transport_phase(grid, 0.5 * dt)
-    if source is not None and not callable(source):
-        source_hat, source_mass = _source_step(source, grid, dt)
 
     traj = Trajectory(grid=grid)
     traj.record(0.0, f, keep_slice=True)
@@ -217,13 +182,7 @@ def solve(
         before = G[:, 0].real.sum()
         # the real M acts on the interleaved real and imaginary parts
         G = (M @ G.view(float)).view(complex)
-        G[:, 0] += b_hat
         traj.leak_total += float((before - G[:, 0].real.sum()) * grid.dx * grid.dv)
-        if source is not None:
-            if callable(source):
-                source_hat, source_mass = _source_step(source((n - 0.5) * dt), grid, dt)
-            G += source_hat
-            traj.leak_total -= source_mass
         G *= half
         f = np.fft.irfft(G, n=grid.nx, axis=1).T
         traj.record(n * dt, f, keep_slice=(n % config.save_every == 0 or n == config.steps))

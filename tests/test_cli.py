@@ -390,6 +390,8 @@ class TestExitCodes:
         (["solve", "--nv", "1"], "nx and nv must be at least 2"),
         (["solve", "--x-period", "-1"], "x_period and v_extent must be finite and positive"),
         (["sweep", "harnack-strong", "--refinements", "0"], "argument --refinements: must be a positive integer"),
+        (["harnack", "--n-freq", "128", "lower", "--alpha", "0"], "alpha must be positive"),
+        (["harnack", "--n-freq", "128", "lower", "--alpha", "-1"], "alpha must be positive"),
     ])
     def test_bad_counts_and_boxes_are_config_errors(self, tmp_path, capsys, argv, rule):
         out = tmp_path / "x"

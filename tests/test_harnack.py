@@ -58,7 +58,9 @@ class TestWeakRatio:
         zeta = 0.5
         rep = weak_harnack_ratio(_const_field(), Z0, r0, zeta=zeta, s=S)
         win = make_cylinder(Z0, r0, S, CylinderKind.TILDE_PAST_HALF)
-        assert rep.ratio == pytest.approx(win.measure() ** (1 / zeta), rel=1e-12)
+        lo, hi = win.time_window()
+        measure = (hi - lo) * (2 * win.x_radius) * (2 * win.ball_radius)
+        assert rep.ratio == pytest.approx(measure ** (1 / zeta), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

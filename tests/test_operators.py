@@ -1,10 +1,10 @@
-"""Discrete jump operators: symbol accuracy, conservation, the cutoff and the far field."""
+"""Discrete jump operators: symbol accuracy, conservation and the far field."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kineticlab.fields import PhaseGrid, PowerLawEnvelope
+from kineticlab.fields import PhaseGrid
 from kineticlab.kernels import FractionalLaplacian, SymmetricPerturbation, normalized_fractional
 from kineticlab.operators import _singular_moment, assemble_operator_matrix, nonlocal_profile
 
@@ -24,8 +24,8 @@ class TestSymbol:
         prof = np.cos(kappa * grid.v_axis)
         out = nonlocal_profile(k, prof, grid)
         want = -abs(kappa) ** (2 * S) * prof
-        # compare away from the box edge, where the vanishing-extension
-        # closure truncates the oscillatory gain tail
+        # compare away from the box edge, where zero extension truncates
+        # the oscillatory tail of the profile
         inner = np.abs(grid.v_axis) <= 8 * np.pi
         err = np.max(np.abs(out - want)[inner]) / np.max(np.abs(want))
         assert err < 1e-3
@@ -33,16 +33,16 @@ class TestSymbol:
     def test_annihilates_constants_on_torus(self):
         k = normalized_fractional(S)
         grid = _vgrid(128, 6.0)
-        op = assemble_operator_matrix(k, grid, torus=True)
-        ones = np.ones(grid.nv)
-        # rows sum to -leak (the restored loss rate of beyond-box jumps)
-        assert np.max(np.abs(op.matrix @ ones + op.leak)) < 1e-10
+        A = assemble_operator_matrix(k, grid, torus=True)
+        # rows sum to minus the restored loss rate of jumps longer than half the period
+        leak = k.tail_mass(grid.v_axis, grid.v_extent)
+        assert np.max(np.abs(A.sum(axis=1) + leak)) < 1e-10
 
     def test_matrix_symmetric_for_symmetric_kernel(self):
         k = normalized_fractional(S)
         grid = _vgrid(64, 4.0)
-        op = assemble_operator_matrix(k, grid, torus=True)
-        off = op.matrix - np.diag(np.diag(op.matrix))
+        A = assemble_operator_matrix(k, grid, torus=True)
+        off = A - np.diag(np.diag(A))
         assert np.max(np.abs(off - off.T)) == 0.0
 
 
@@ -58,57 +58,35 @@ class TestGenericKernelPath:
         base, unit = self._pair()
         v_axis = _vgrid(64, 4.0).v_axis
         h = 0.5 * (v_axis[1] - v_axis[0])
-        want = _singular_moment(base, v_axis, h, 0.0, 0.0)
-        got = _singular_moment(unit, v_axis, h, 0.0, 0.0)
+        want = _singular_moment(base, v_axis, h)
+        got = _singular_moment(unit, v_axis, h)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_assembled_operator(self):
         base, unit = self._pair()
         grid = _vgrid(64, 4.0)
-        cut = {"rho": 2.0}  # no far field: every entry is kernel or moment
-        np.testing.assert_allclose(
-            assemble_operator_matrix(unit, grid, **cut).matrix,
-            assemble_operator_matrix(base, grid, **cut).matrix,
-            rtol=1e-12, atol=1e-12,
-        )
-        # the far-field leak of the generic path is a quadrature of the closed form
+        # off the diagonal every torus entry is a kernel value or a moment
+        torus_unit = assemble_operator_matrix(unit, grid, torus=True)
+        torus_base = assemble_operator_matrix(base, grid, torus=True)
+        off = ~np.eye(grid.nv, dtype=bool)
+        np.testing.assert_allclose(torus_unit[off], torus_base[off], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(np.diag(torus_unit), np.diag(torus_base), rtol=1e-8)
+        # the far-field loss of the generic path is a quadrature of the closed form
         full_unit = assemble_operator_matrix(unit, grid)
         full_base = assemble_operator_matrix(base, grid)
-        np.testing.assert_allclose(full_unit.leak, full_base.leak, rtol=1e-4)
-        np.testing.assert_allclose(full_unit.matrix, full_base.matrix, rtol=1e-4, atol=1e-12)
+        np.testing.assert_allclose(full_unit.sum(axis=1), full_base.sum(axis=1), rtol=1e-4)
+        np.testing.assert_allclose(full_unit, full_base, rtol=1e-4, atol=1e-12)
 
 
-class TestCutoffAndTail:
-    def test_cutoff_plus_remainder_matches_full(self):
-        # for f supported in |v| < 1 and rho beyond the support, the cutoff
-        # operator at the origin differs from the full one by f(0) times the
-        # kernel tail beyond rho (the exterior gain vanishes)
+class TestFarField:
+    def test_box_rows_sum_to_exit_rate(self):
+        # with zero extension each row sums to minus the rate of jumps out
+        # of the box: int of K beyond each box edge
         k = FractionalLaplacian(c=1.0, s=S)
-        g = _vgrid(256, 8.0)
-        prof = np.exp(-8 * g.v_axis**2)
-        rho = 3.0
-        full = nonlocal_profile(k, prof, g)[g.nv // 2]
-        cut = nonlocal_profile(k, prof, g, rho=rho)[g.nv // 2]
-        # full = cut + [gain beyond rho (~0)] - f(0) * tail(rho)
-        assert full - cut == pytest.approx(-prof[g.nv // 2] * k.tail_mass(0.0, rho), rel=2e-2)
-
-    def test_cutoff_rejects_bad_radius(self):
-        k = FractionalLaplacian(c=1.0, s=S)
-        g = _vgrid(256, 8.0)
-        with pytest.raises(ValueError):
-            nonlocal_profile(k, np.exp(-g.v_axis**2), g, rho=-1.0)
-
-    def test_exterior_gain_against_quad(self):
-        # the closure's gain per node: int of K times the envelope beyond each box edge
-        k = FractionalLaplacian(c=1.0, s=S)
-        env = PowerLawEnvelope(amplitude=0.05, exponent=2.0)
         grid = _vgrid(32, 4.0)
-        op = assemble_operator_matrix(k, grid, closure=env)
+        A = assemble_operator_matrix(k, grid)
         lo, hi = grid.v_axis[0] - grid.dv / 2, grid.v_axis[-1] + grid.dv / 2
         for i in (0, 9, 16, 31):
             v = grid.v_axis[i]
-            want = sum(
-                quad(lambda u: env.envelope(v + side * u) * u ** (-1 - 2 * S), dist, np.inf)[0]
-                for side, dist in ((+1, hi - v), (-1, v - lo))
-            )
-            assert op.gain[i] == pytest.approx(want, rel=1e-4)
+            want = sum(quad(lambda u: u ** (-1 - 2 * S), dist, np.inf)[0] for dist in (hi - v, v - lo))
+            assert A[i].sum() == pytest.approx(-want, rel=1e-9)

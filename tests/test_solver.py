@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from kineticlab import solver
-from kineticlab.fields import PhaseGrid, PowerLawEnvelope
+from kineticlab.fields import PhaseGrid
 from kineticlab.kernels import normalized_fractional
 from kineticlab.operators import assemble_operator_matrix
 from kineticlab.solver import (
@@ -40,10 +40,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="dt must be finite"):
             SolverConfig(dt=bad, steps=1)
-        with pytest.raises(ValueError, match="must be finite"):
-            SolverConfig(dt=0.1, steps=1, t_freeze=bad)
 
 
 class TestTransportStep:
@@ -85,27 +83,25 @@ class TestCollisionPropagator:
     @pytest.mark.parametrize("scheme", ["explicit", "implicit", "cn"])
     def test_matches_lu_reference(self, scheme):
         g = PhaseGrid(nt=1, nx=8, nv=32, x_period=4.0, v_extent=4.0)
-        op = assemble_operator_matrix(normalized_fractional(S), g, closure=PowerLawEnvelope(0.05, 2.0), torus=False)
-        assert np.abs(op.gain).max() > 0
-        A, gain, eye, dt = op.matrix, op.gain, np.eye(g.nv), 0.05
+        A = assemble_operator_matrix(normalized_fractional(S), g, torus=False)
+        eye, dt = np.eye(g.nv), 0.05
         if scheme == "explicit":
-            M_ref, b_ref = eye + dt * A, dt * gain
+            M_ref = eye + dt * A
         else:
             theta = 1.0 if scheme == "implicit" else 0.5
             lu = lu_factor(eye - theta * dt * A)
-            M_ref, b_ref = lu_solve(lu, eye + (1 - theta) * dt * A), lu_solve(lu, dt * gain)
-        M, b = collision_propagator(op, dt, scheme)
+            M_ref = lu_solve(lu, eye + (1 - theta) * dt * A)
+        M = collision_propagator(A, dt, scheme)
         assert np.abs(M - M_ref).max() <= 1e-13 * np.abs(M_ref).max()
-        assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
 
         f = np.random.default_rng(1).random((g.nx, g.nv))
         if scheme == "explicit":
-            want = f + dt * (f @ A.T + gain)
+            want = f + dt * (f @ A.T)
         elif scheme == "implicit":
-            want = lu_solve(lu, (f + dt * gain).T).T
+            want = lu_solve(lu, f.T).T
         else:
-            want = lu_solve(lu, (f + 0.5 * dt * (f @ A.T) + dt * gain).T).T
-        for got in (step_collision(f, dt, op, scheme), step_collision(f, dt, op, scheme, (M, b))):
+            want = lu_solve(lu, (f + 0.5 * dt * (f @ A.T)).T).T
+        for got in (step_collision(f, dt, A, scheme), step_collision(f, dt, A, scheme, M)):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -149,45 +145,25 @@ class TestSolve:
         traj = solve(k, f0, g, SolverConfig(dt=0.02, steps=20, scheme="cn"))
         assert traj.minimum[-1] > -1e-8 * max(traj.maximum)
 
-    def test_source_adds_mass(self, setup):
-        k, g, f0 = setup
-        h = mollified_delta(g, S)
-        cfg = SolverConfig(dt=0.02, steps=10, scheme="cn", torus=True)
-        traj = solve(k, f0, g, cfg, source=h)
-        expected = traj.mass[0] + cfg.dt * cfg.steps * float(h.sum() * g.dx * g.dv)
-        # the source bookkeeping keeps the corrected drift at rounding level
-        assert traj.mass_drift() < 1e-10
-        # and the physical mass grows by the injected amount up to the
-        # (small) loss of beyond-box jumps
-        assert traj.mass[-1] == pytest.approx(expected, rel=3e-2)
-
     def test_shape_mismatch_rejected(self, setup):
-        k, g, f0 = setup
+        k, g, _ = setup
         with pytest.raises(ValueError, match="initial slice"):
             solve(k, np.zeros((3, 3)), g, SolverConfig(dt=0.1, steps=1))
-        with pytest.raises(ValueError, match="source slice"):
-            solve(k, f0, g, SolverConfig(dt=0.1, steps=1), source=np.ones(g.nv))
-        with pytest.raises(ValueError, match="source slice"):
-            solve(k, f0, g, SolverConfig(dt=0.1, steps=1), source=lambda t: np.ones((3, 3)))
 
 
-def _physical_reference(k, f0, g, cfg, closure, source):
+def _physical_reference(k, f0, g, cfg):
     """The Strang loop on physical slices, one ``step_transport`` half step,
     one ``step_collision`` and another half step per step."""
-    op = assemble_operator_matrix(k, g, t=cfg.t_freeze, x=0.0, closure=closure, torus=cfg.torus)
-    prop = collision_propagator(op, cfg.dt, cfg.scheme)
+    A = assemble_operator_matrix(k, g, torus=cfg.torus)
+    prop = collision_propagator(A, cfg.dt, cfg.scheme)
     f = f0.copy()
     traj = Trajectory(grid=g)
     traj.record(0.0, f, keep_slice=True)
     for n in range(1, cfg.steps + 1):
         f = step_transport(f, 0.5 * cfg.dt, g)
         before = f.sum() * g.dx * g.dv
-        f = step_collision(f, cfg.dt, op, cfg.scheme, prop)
+        f = step_collision(f, cfg.dt, A, cfg.scheme, prop)
         traj.leak_total += float(before - f.sum() * g.dx * g.dv)
-        if source is not None:
-            h = source((n - 0.5) * cfg.dt) if callable(source) else source
-            f = f + cfg.dt * h
-            traj.leak_total -= cfg.dt * float(h.sum() * g.dx * g.dv)
         f = step_transport(f, 0.5 * cfg.dt, g)
         traj.record(n * cfg.dt, f, keep_slice=(n % cfg.save_every == 0 or n == cfg.steps))
     return traj
@@ -200,28 +176,15 @@ class TestSpectralLoop:
     # nx != nv, so a transposed layout cannot pass
     GRID = PhaseGrid(nt=1, nx=40, nv=28, x_period=6.0, v_extent=5.0)
 
-    @staticmethod
-    def _source(kind, g):
-        X, V = np.meshgrid(g.x_axis, g.v_axis, indexing="ij")
-        h = np.exp(-X ** 2 - (V - 0.5) ** 2) * (1 + 0.3 * np.sin(2 * np.pi * X / g.x_period))
-        if kind == "array":
-            return h
-        if kind == "callable":
-            return lambda t: (1 + t) * np.roll(h, int(10 * t), axis=0)
-        return None
-
     @pytest.mark.parametrize("save_every", [1, 3])
-    @pytest.mark.parametrize("source", [None, "array", "callable"])
     @pytest.mark.parametrize("torus", [True, False])
     @pytest.mark.parametrize("scheme", ["explicit", "implicit", "cn"])
-    def test_matches_physical_loop(self, scheme, torus, source, save_every):
+    def test_matches_physical_loop(self, scheme, torus, save_every):
         k, g = normalized_fractional(S), self.GRID
         f0 = mollified_delta(g, S, x0=0.7, v0=-0.4)
-        closure = PowerLawEnvelope(0.05, 2.0)  # a nonzero gain b off the torus
         cfg = SolverConfig(dt=0.03, steps=7, scheme=scheme, torus=torus, save_every=save_every)
-        h = self._source(source, g)
-        got = solve(k, f0, g, cfg, closure=closure, source=h)
-        want = _physical_reference(k, f0, g, cfg, closure, h)
+        got = solve(k, f0, g, cfg)
+        want = _physical_reference(k, f0, g, cfg)
 
         tol = 1e-13 * max(want.maximum)
         assert got.times == want.times
@@ -231,11 +194,11 @@ class TestSpectralLoop:
         for name in ("mass", "minimum", "maximum", "l2"):
             assert np.abs(np.subtract(getattr(got, name), getattr(want, name))).max() <= tol, name
         assert abs(got.leak_total - want.leak_total) <= 1e-14
-        if not torus and source is None:
+        if not torus:
             assert want.leak_total > 1e-6  # mass leaves through the far field
 
         if save_every > 1:
-            every = solve(k, f0, g, replace(cfg, save_every=1), closure=closure, source=h)
+            every = solve(k, f0, g, replace(cfg, save_every=1))
             assert got.times == every.times
             kept = [0, 3, 6, 7]
             assert all(np.array_equal(a, every.slices[i]) for a, i in zip(got.slices, kept))
