@@ -9,7 +9,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from kineticlab import solver
 from kineticlab.fields import PhaseGrid
-from kineticlab.kernels import normalized_fractional
+from kineticlab.kernels import SymmetricPerturbation, normalized_fractional
 from kineticlab.operators import assemble_operator_matrix
 from kineticlab.solver import (
     SolverConfig,
@@ -80,10 +80,11 @@ class TestTransportStep:
 
 
 class TestCollisionPropagator:
+    @pytest.mark.parametrize("torus", [False, True])
     @pytest.mark.parametrize("scheme", ["explicit", "implicit", "cn"])
-    def test_matches_lu_reference(self, scheme):
+    def test_matches_lu_reference(self, scheme, torus):
         g = PhaseGrid(nt=1, nx=8, nv=32, x_period=4.0, v_extent=4.0)
-        A = assemble_operator_matrix(normalized_fractional(S), g, torus=False)
+        A = assemble_operator_matrix(normalized_fractional(S), g, torus=torus)
         eye, dt = np.eye(g.nv), 0.05
         if scheme == "explicit":
             M_ref = eye + dt * A
@@ -176,11 +177,23 @@ class TestSpectralLoop:
     # nx != nv, so a transposed layout cannot pass
     GRID = PhaseGrid(nt=1, nx=40, nv=28, x_period=6.0, v_extent=5.0)
 
+    @staticmethod
+    def _kernel(kind):
+        if kind == "fractional":
+            return normalized_fractional(S)
+        if kind == "low_order":
+            return normalized_fractional(0.3)
+        # a v-dependent multiplier takes the generic quadrature path
+        return SymmetricPerturbation(
+            base=normalized_fractional(S), multiplier=lambda v, w: 1.0 + 0.5 * np.cos(v + w), a_min=0.5, a_max=1.5
+        )
+
     @pytest.mark.parametrize("save_every", [1, 3])
+    @pytest.mark.parametrize("kernel", ["fractional", "low_order", "perturbed"])
     @pytest.mark.parametrize("torus", [True, False])
     @pytest.mark.parametrize("scheme", ["explicit", "implicit", "cn"])
-    def test_matches_physical_loop(self, scheme, torus, save_every):
-        k, g = normalized_fractional(S), self.GRID
+    def test_matches_physical_loop(self, scheme, torus, kernel, save_every):
+        k, g = self._kernel(kernel), self.GRID
         f0 = mollified_delta(g, S, x0=0.7, v0=-0.4)
         cfg = SolverConfig(dt=0.03, steps=7, scheme=scheme, torus=torus, save_every=save_every)
         got = solve(k, f0, g, cfg)
