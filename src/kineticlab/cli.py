@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .fields import PhaseGrid, load_field
 from .fundsol import chapman_kolmogorov_residual, j0_table
-from .geometry import PhasePoint
+from .geometry import CylinderKind, KineticCylinder, PhasePoint, make_cylinder
 from .harnack import (
     degiorgi_trace,
     fundamental_field,
@@ -148,9 +148,20 @@ def _kernel_from_args(args) -> object:
     return normalized_fractional(_check_s(args.s))
 
 
-def _field_from_args(args, s: float):
+def _field_from_args(args, s: float, earliest: KineticCylinder):
+    """The saved field of ``--field``, or else the explicit solution shifted
+    by ``--t-offset``.  The explicit solution vanishes where
+    ``t + t_offset <= 0``, which would leave every ratio on a cylinder
+    reaching there without a value, so that offset is rejected over the
+    time window of ``earliest``, the measurement's cylinder reaching
+    furthest into the past."""
     if args.field:
         return load_field(args.field)
+    lo, hi = earliest.time_window()
+    if not lo + args.t_offset > 0:
+        raise ConfigError(
+            f"t_offset = {args.t_offset} violates the rule t + t_offset > 0 over the cylinder's "
+            f"time window [{lo:.6g}, {hi:.6g}]: the explicit field vanishes where t + t_offset <= 0")
     tab = j0_table(1.0, s, n_freq=args.n_freq)
     return fundamental_field(tab, t_offset=args.t_offset)
 
@@ -231,15 +242,15 @@ def _run_harnack(args, em: Emitter) -> None:
     nodes = (args.nodes, args.nodes, args.nodes)
     sub = args.harnack_cmd
     if sub == "strong":
-        f = _field_from_args(args, s)
+        f = _field_from_args(args, s, make_cylinder(z0, args.r0, s, CylinderKind.TILDE_PAST_QUARTER))
         rep = strong_harnack_ratio(f, z0, args.r0, s, nodes=nodes)
         em.json("harnack_strong.json", rep.as_dict())
     elif sub == "weak":
-        f = _field_from_args(args, s)
+        f = _field_from_args(args, s, make_cylinder(z0, args.r0, s, CylinderKind.TILDE_PAST_HALF))
         rep = weak_harnack_ratio(f, z0, args.r0, zeta=args.zeta, s=s, nodes=nodes)
         em.json("harnack_weak.json", rep.as_dict())
     elif sub == "l1linf":
-        f = _field_from_args(args, s)
+        f = _field_from_args(args, s, make_cylinder(z0, args.R, s, CylinderKind.CURRENT))
         rep = l1_linf_ratio(f, z0, args.R, s, nodes=nodes)
         em.json("harnack_l1linf.json", rep.as_dict())
     elif sub == "tail":
@@ -250,7 +261,7 @@ def _run_harnack(args, em: Emitter) -> None:
         rep = tail_bound_ratio(f, k, z0, args.R, l=args.level, zeta=args.zeta, s=s, nodes=nodes)
         em.json("harnack_tail.json", rep.as_dict())
     elif sub == "degiorgi":
-        f = _field_from_args(args, s)
+        f = _field_from_args(args, s, make_cylinder(z0, args.R, s, CylinderKind.CURRENT))
         trace = degiorgi_trace(f, z0, args.R, delta=args.delta, p=args.p, zeta=args.zeta, s=s, nodes=nodes)
         em.json("harnack_degiorgi.json", trace.as_dict())
         em.csv("degiorgi.csv", ["k", "l_k", "r_k", "A_k"], trace.sequence)
@@ -314,8 +325,8 @@ def _run_aronson(args, em: Emitter) -> None:
 
 def _run_sweep(args, em: Emitter) -> None:
     s = _check_s(args.s)
-    f = _field_from_args(args, s)
     z0 = PhasePoint(args.t0, args.x0, args.v0)
+    f = _field_from_args(args, s, make_cylinder(z0, args.r0, s, CylinderKind.TILDE_PAST_QUARTER))
     rows = []
     n = args.nodes
     for _ in range(args.refinements):

@@ -18,14 +18,20 @@ every ``s``:
     int_0^1 |a - tau b|^p dtau = Phi(1) - Phi(0),
     Phi(tau) = -(a - tau b) |a - tau b|^p / (b (p + 1)).
 
-``j0_lattice`` builds ``J(t)`` on any centred lattice by one real 2-d
+``j0_lattice`` builds ``J(t)`` on any centred lattice by a real 2-d
 inverse FFT of the half spectrum ``xi >= 0`` of the sampled symbol: the
 symbol is real and point-symmetric, so this equals the real part of the
 full complex inverse FFT, once the Nyquist line ``phi = -Phi`` (which
 has no ``+Phi`` partner on the grid) is replaced by the average of its
-``xi`` and ``-xi`` values.  Tables read the unit-time profile, which is
-``j0_lattice`` at ``t = 1`` on the lattice dual to frequency extents
-grown automatically until the symbol is below a target at the boundary.
+``xi`` and ``-xi`` values.  Its ``pad`` returns the centre block of the
+lattice ``pad`` times larger, whose box holds the periodic images of the
+slow tails further out, without holding that lattice: the spectrum is
+sampled and inverted along ``phi`` in blocks of ``xi`` rows, each no
+larger than the result, and only the kept ``x`` columns are stored and
+inverted along ``xi``, so the build holds about ``2 pad`` results.
+Tables read the unit-time profile, which is ``j0_lattice`` at ``t = 1``
+(``pad = 1``) on the lattice dual to frequency extents grown
+automatically until the symbol is below a target at the boundary.
 
 ``FundamentalSolutionTable.sample`` reads the unit-time profile by the
 tensor-product not-a-knot cubic interpolant on its uniform axes (the
@@ -110,17 +116,20 @@ def _auto_extents(s: float, target: float = 1e-8, start: float = 5.0, max_doubli
     raise RuntimeError("frequency extent search did not converge")
 
 
-def j0_lattice(t: float, s: float, mx: int, mv: int, dx: float, dv: float) -> np.ndarray:
-    """``J(t)`` on the centred ``(mx, mv)`` lattice with spacing ``(dx, dv)``.
+def j0_lattice(t: float, s: float, nx: int, nv: int, dx: float, dv: float, pad: int = 1) -> np.ndarray:
+    """``J(t)`` on the centred ``(nx, nv)`` lattice with spacing ``(dx, dv)``,
+    cut from the lattice ``pad`` times larger along each axis.
 
-    Node ``(i, j)`` sits at ``(dx (i - mx // 2), dv (j - mv // 2))``.  The
-    symbol of ``J(t)`` is ``exp(-t int_0^1 |xi + tau t phi|^{2s} dtau)``,
-    the unit-time symbol at the self-similar frequencies; it is sampled on
-    the lattice's dual frequencies and inverted by one FFT, which is the
-    trapezoid rule of the Fourier integral.  The result therefore carries
-    the periodic images of ``J(t)`` on the ``mx dx`` by ``mv dv`` box
-    (aliasing) and drops the symbol beyond ``pi / dx`` and ``pi / dv``
-    (truncation).
+    Node ``(i, j)`` sits at ``(dx (i - nx // 2), dv (j - nv // 2))``.  With
+    ``mx, mv = pad nx, pad nv``, the symbol of ``J(t)``,
+    ``exp(-t int_0^1 |xi + tau t phi|^{2s} dtau)`` (the unit-time symbol at
+    the self-similar frequencies), is sampled on the dual frequencies of the
+    ``(mx, mv)`` lattice and inverted by FFT, which is the trapezoid rule of
+    the Fourier integral.  The result therefore carries the periodic images
+    of ``J(t)`` on the ``mx dx`` by ``mv dv`` box (aliasing), which a larger
+    ``pad`` pushes further out, and drops the symbol beyond ``pi / dx`` and
+    ``pi / dv`` (truncation).  It equals, bit for bit, the centre ``(nx, nv)``
+    block of ``j0_lattice(t, s, mx, mv, dx, dv)``.
 
     The symbol is real and point-symmetric, ``G(-phi, -xi) = G(phi, xi)``
     bit for bit, so the real part of the full inverse FFT is the real
@@ -130,27 +139,63 @@ def j0_lattice(t: float, s: float, mx: int, mv: int, dx: float, dv: float) -> np
     The full array is not Hermitian on that line, and the real part of its
     transform reads the average of each ``xi`` value and its ``-xi``
     partner, so the half spectrum carries that average there.
+
+    The half spectrum is built in blocks of ``max(1, nv // pad)`` ``xi``
+    rows: each block is sampled, inverted along ``phi``, and only its ``nx``
+    kept ``x`` columns are stored; one real inverse transform along ``xi``
+    of those columns then gives ``mv`` ``v`` rows, of which the centre
+    ``nv`` are kept.  A block holds no more symbol values than the result has, so at
+    ``pad = 1`` the whole half spectrum is one block.  Besides the result,
+    the build holds one block's symbol temporaries (each at most the
+    result's size), the kept columns (``nx (mv // 2 + 1)`` complex values)
+    and their transform (``mv nx`` reals): about ``2 pad`` results in all,
+    never the ``(mx, mv)`` lattice.
     """
     t = float(_positive_time(t))
 
     def symbol(phi, xi):
         return np.exp(-t * j0_hat_exponent(-t * phi, xi, s))
 
+    mx, mv = pad * nx, pad * nv
     dphi, dxi = 2 * np.pi / (mx * dx), 2 * np.pi / (mv * dv)
     phi = dphi * (np.fft.fftfreq(mx) * mx)
     xi = dxi * (np.fft.fftfreq(mv) * mv)
-    # the spectrum is held transposed, (xi, phi), so that the (x, v) values
-    # come out in Fortran order: the layout the sampler's first pass reads
-    half = np.arange(mv // 2 + 1)
-    G = symbol(phi[None, :], xi[half, None])
-    if mx % 2 == 0:
-        # the xi-mirror of row j is row -j (mod mv); at j = mv/2 it is itself
-        G[:, mx // 2] += symbol(phi[mx // 2], xi[-half])
-        G[:, mx // 2] *= 0.5
-    vals = np.fft.irfft2(G, s=(mx, mv), axes=(1, 0)).T
+    # the half spectrum, inverted along phi at the kept x nodes, is held
+    # transposed, (xi, x), so that the (x, v) values come out in Fortran
+    # order: the layout the sampler's first pass reads
+    n_half = mv // 2 + 1
+    rows = max(1, nv // pad)
+    kept = _centre_nodes(nx, mx)
+    spec = None if pad == 1 else np.empty((n_half, nx), dtype=complex)
+    for start in range(0, n_half, rows):
+        half = np.arange(start, min(start + rows, n_half))
+        G = symbol(phi[None, :], xi[half, None])
+        if mx % 2 == 0:
+            # the xi-mirror of row j is row -j (mod mv); at j = mv/2 it is itself
+            G[:, mx // 2] += symbol(phi[mx // 2], xi[-half])
+            G[:, mx // 2] *= 0.5
+        if pad == 1:
+            spec = np.fft.ifft(G, axis=1)  # the one block keeps every x node
+        else:
+            spec[half] = np.fft.ifft(G, axis=1)[:, kept]
+    vals = np.fft.irfft(spec, n=mv, axis=0)
+    # the spectrum is freed now and the last symbol block only on return.
+    # Freed before the result is allocated, the block lets the result split
+    # the heap's free space: a process that builds a 1024^2 table and then
+    # loads a 6.7 MB field peaked 2.5 MB higher
+    del spec
+    if pad > 1:
+        vals = vals[_centre_nodes(nv, mv)]
+    vals = vals.T
     vals *= mx * mv * dphi * dxi
     vals /= (2 * np.pi) ** 2
     return np.fft.fftshift(vals)
+
+
+def _centre_nodes(n: int, m: int) -> np.ndarray:
+    """Indices of the centre ``n`` nodes of an unshifted length-``m``
+    transform (node ``k`` at ``k`` mod ``m``), in unshifted order."""
+    return np.r_[0:n - n // 2, m - n // 2:m]
 
 
 @lru_cache(maxsize=8)

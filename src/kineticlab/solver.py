@@ -10,8 +10,10 @@ phase table ``exp(-i phi dt/2 v)``.  The collision step is one
 precomputed linear map ``f <- M f`` per velocity column (explicit
 Euler, implicit Euler or Crank-Nicolson, built once from the dense
 velocity operator by ``collision_propagator``); the real ``M`` acts on
-the interleaved real and imaginary parts of ``G``.  Each step makes one
-inverse transform, for the recorded diagnostics and the saved slices.
+the interleaved real and imaginary parts of ``G``.  Each step of
+``solve`` makes one inverse transform, for the recorded diagnostics and
+the saved slices; ``fundamental_approx`` runs the same steps and makes
+one inverse transform, of the final state.
 ``step_transport`` and ``step_collision`` are the same two maps on a
 physical ``(nx, nv)`` slice.
 
@@ -23,7 +25,7 @@ frozen-coefficient fashion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -160,6 +162,31 @@ def step_collision(f: np.ndarray, dt: float, op: np.ndarray, scheme: str, prop=N
     return f @ M.T
 
 
+def _strang_steps(k: KernelSpec, f: np.ndarray, grid: PhaseGrid, config: SolverConfig):
+    """Run the Strang-split scheme from the slice ``f`` and yield, after
+    each step, the state ``G = rfft_x(f)`` and the mass that step leaked.
+
+    The yielded state is updated in place by the next step.
+    """
+    G = np.fft.rfft(f, axis=0).T.copy()
+    dt = config.dt
+    M = collision_propagator(assemble_operator_matrix(k, grid, torus=config.torus), dt, config.scheme)
+    half = _transport_phase(grid, 0.5 * dt)
+    for _ in range(config.steps):
+        G *= half
+        before = G[:, 0].real.sum()
+        # the real M acts on the interleaved real and imaginary parts
+        G = (M @ G.view(float)).view(complex)
+        leak = float((before - G[:, 0].real.sum()) * grid.dx * grid.dv)
+        G *= half
+        yield G, leak
+
+
+def _physical(G: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+    """The ``(nx, nv)`` slice of the state ``G``."""
+    return np.fft.irfft(G, n=grid.nx, axis=1).T
+
+
 def solve(k: KernelSpec, f0: np.ndarray, grid: PhaseGrid, config: SolverConfig) -> Trajectory:
     """Run the Strang-split scheme from the slice ``f0``.
 
@@ -170,22 +197,12 @@ def solve(k: KernelSpec, f0: np.ndarray, grid: PhaseGrid, config: SolverConfig) 
     f = np.asarray(f0, dtype=float)
     if f.shape != (grid.nx, grid.nv):
         raise ValueError("initial slice shape does not match grid")
-    G = np.fft.rfft(f, axis=0).T.copy()
-    dt = config.dt
-    M = collision_propagator(assemble_operator_matrix(k, grid, torus=config.torus), dt, config.scheme)
-    half = _transport_phase(grid, 0.5 * dt)
-
     traj = Trajectory(grid=grid)
     traj.record(0.0, f, keep_slice=True)
-    for n in range(1, config.steps + 1):
-        G *= half
-        before = G[:, 0].real.sum()
-        # the real M acts on the interleaved real and imaginary parts
-        G = (M @ G.view(float)).view(complex)
-        traj.leak_total += float((before - G[:, 0].real.sum()) * grid.dx * grid.dv)
-        G *= half
-        f = np.fft.irfft(G, n=grid.nx, axis=1).T
-        traj.record(n * dt, f, keep_slice=(n % config.save_every == 0 or n == config.steps))
+    for n, (G, leak) in enumerate(_strang_steps(k, f, grid, config), start=1):
+        traj.leak_total += leak
+        keep = n % config.save_every == 0 or n == config.steps
+        traj.record(n * config.dt, _physical(G, grid), keep_slice=keep)
     return traj
 
 
@@ -228,31 +245,35 @@ def fundamental_approx(
     """Evolve a mollified point mass and compare with the explicit
     fundamental solution at time ``T``.
 
-    The reference is ``J(T)`` built by ``j0_lattice`` on a lattice with
-    the solve grid's spacing and ``P`` times its box, of which the centre
-    ``(nx, nv)`` block is kept.  ``P = max(2, ceil(n_freq / max(nx, nv)))``,
-    so the reference's frequency grid has at least ``n_freq`` points along
-    the longer axis; a larger box pushes the periodic images of the slow
-    velocity tails further out.  The reference is convolved with the same
-    mollifier (sheared convolution at time ``T``, periodic on the solve
-    box), so the two fields approximate the same object.  Reports the
-    sup-relative error on the region where the reference exceeds 1% of
-    its peak, and the mass drift of the run.
+    The run takes the steps of ``solve`` and records the diagnostics of
+    the first and the last slice only, so only the final state is
+    transformed back to ``(x, v)``.  The reference is
+    ``J(T)`` built by ``j0_lattice`` on the solve lattice, cut from the
+    lattice ``P`` times larger, with
+    ``P = max(2, ceil(n_freq / max(nx, nv)))``, so the reference's
+    frequency grid has at least ``n_freq`` points along the longer axis; a
+    larger box pushes the periodic images of the slow velocity tails
+    further out.  The reference is convolved with the same mollifier
+    (sheared convolution at time ``T``, periodic on the solve box), so the
+    two fields approximate the same object.  Reports the sup-relative
+    error on the region where the reference exceeds 1% of its peak, and
+    the mass drift of the run.
     """
     if abs(config.dt * config.steps - T) > 1e-12:
         raise ValueError("config horizon does not match T")
     if n_freq < 4:
         raise ValueError("n_freq must be at least 4")
     f0 = mollified_delta(grid, s)
-    # only the final slice is read
-    traj = solve(k, f0, grid, replace(config, save_every=config.steps))
-    fT = traj.final
+    traj = Trajectory(grid=grid)
+    traj.record(0.0, f0, keep_slice=False)
+    for G, leak in _strang_steps(k, f0, grid, config):
+        traj.leak_total += leak
+    fT = _physical(G, grid)
+    traj.record(T, fT, keep_slice=False)
 
-    nx, nv = grid.nx, grid.nv
-    P = max(2, math.ceil(n_freq / max(nx, nv)))
-    J = j0_lattice(T, s, P * nx, P * nv, grid.dx, grid.dv)
-    i, j = (P - 1) * nx // 2, (P - 1) * nv // 2
-    ref = modified_convolution(f0, J[i:i + nx, j:j + nv], T, grid.dx, grid.dv, warn=False)
+    P = max(2, math.ceil(n_freq / max(grid.nx, grid.nv)))
+    J = j0_lattice(T, s, grid.nx, grid.nv, grid.dx, grid.dv, pad=P)
+    ref = modified_convolution(f0, J, T, grid.dx, grid.dv, warn=False)
 
     peak = ref.max()
     mask = ref > 0.01 * peak

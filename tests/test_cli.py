@@ -302,6 +302,24 @@ class TestExitCodes:
         assert rule in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["harnack", "--n-freq", "128", "strong", "--t0", "1.0", "--r0", "0.1", "--t-offset", "-5"],
+        # only the end of the current cylinder, [0.975, 1], lies after the source
+        ["harnack", "--n-freq", "128", "strong", "--t0", "1.0", "--r0", "0.1", "--t-offset", "-0.99"],
+        ["harnack", "--n-freq", "128", "weak", "--t0", "1.0", "--t-offset", "-5"],
+        ["harnack", "--n-freq", "128", "l1linf", "--t0", "1.0", "--t-offset", "-5"],
+        ["harnack", "--n-freq", "128", "degiorgi", "--t0", "1.0", "--t-offset", "-5"],
+        # the cylinder of R = 1 starts at t = -1, on the source
+        ["harnack", "--n-freq", "128", "degiorgi", "--R", "1.0"],
+        ["sweep", "harnack-strong", "--n-freq", "128", "--t0", "1.0", "--t-offset", "-5"],
+    ])
+    def test_explicit_field_before_its_source_is_config_error(self, tmp_path, capsys, argv):
+        # the explicit field vanishes there, so a ratio would read inf or nan
+        out = tmp_path / "x"
+        assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
+        assert "violates the rule t + t_offset > 0 over the cylinder's time window" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_field_file(self, tmp_path):
         code = main([
             "harnack", "--out", str(tmp_path / "x"),

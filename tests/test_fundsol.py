@@ -172,18 +172,19 @@ class TestHalfSpectrumBuild:
 
 
 # sha256 (first 16 hex digits) of x_axis, v_axis and values of the unit
-# profile as the per-table build made it before it moved into j0_lattice
-# (numpy 2.4; a numpy whose FFT rounds differently changes them too)
+# profile as the per-table build made it before it moved into j0_lattice,
+# and the values' sum(), which also reads their memory layout (numpy 2.4;
+# a numpy whose FFT rounds differently changes them too)
 _PROFILE_DIGESTS = {
-    (128, 0.25): "656e0246cc13a8cf",
-    (128, 0.5): "1f8d8b4555326755",
-    (128, 0.8): "37017cdaf4a0c144",
-    (256, 0.25): "89583e97b0f096f4",
-    (256, 0.5): "8e4fe3a95c4a0d77",
-    (256, 0.8): "00db6761b0ddb97f",
-    (1024, 0.25): "dffefd00297427ba",
-    (1024, 0.5): "5a6c5cdebf4eb475",
-    (1024, 0.8): "9e4db36457176692",
+    (128, 0.25): ("656e0246cc13a8cf", 332009.2545592125),
+    (128, 0.5): ("1f8d8b4555326755", 648.4555753109618),
+    (128, 0.8): ("37017cdaf4a0c144", 81.05694691387023),
+    (256, 0.25): ("89583e97b0f096f4", 332009.2545592125),
+    (256, 0.5): ("8e4fe3a95c4a0d77", 648.4555753109618),
+    (256, 0.8): ("00db6761b0ddb97f", 81.05694691387022),
+    (1024, 0.25): ("dffefd00297427ba", 332009.2545592125),
+    (1024, 0.5): ("5a6c5cdebf4eb475", 648.4555753109616),
+    (1024, 0.8): ("9e4db36457176692", 81.05694691387023),
 }
 
 
@@ -198,7 +199,16 @@ class TestLattice:
     def test_unit_profile_keeps_its_bits(self, n, s):
         x_axis, v_axis, vals, _ = fundsol._unit_profile.__wrapped__(n, s)
         digest = hashlib.sha256(x_axis.tobytes() + v_axis.tobytes() + vals.tobytes()).hexdigest()
-        assert digest[:16] == _PROFILE_DIGESTS[n, s]
+        assert (digest[:16], float(vals.sum())) == _PROFILE_DIGESTS[n, s]
+
+    @pytest.mark.parametrize("pad", [1, 2, 3, 4])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
+    @pytest.mark.parametrize("nx, nv", [(48, 64), (64, 48), (33, 40)])
+    def test_padded_lattice_is_the_centre_of_the_full_one(self, pad, s, nx, nv):
+        J = fundsol.j0_lattice(1.5, s, nx, nv, 0.1, 0.15, pad=pad)
+        full = fundsol.j0_lattice(1.5, s, pad * nx, pad * nv, 0.1, 0.15)
+        i, j = pad * nx // 2 - nx // 2, pad * nv // 2 - nv // 2
+        assert np.array_equal(J, full[i:i + nx, j:j + nv])
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_half_order_marginals_are_periodic_cauchy(self, t):

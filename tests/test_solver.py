@@ -1,13 +1,13 @@
 """Split-step solver: schemes, conservation, diagnostics."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from kineticlab import solver
 from kineticlab.fields import PhaseGrid
 from kineticlab.kernels import SymmetricPerturbation, normalized_fractional
 from kineticlab.operators import assemble_operator_matrix
@@ -218,20 +218,33 @@ class TestSpectralLoop:
 
 
 class TestFundamentalApprox:
-    def test_keeps_initial_and_final_slices_only(self, setup, monkeypatch):
-        k, g, _ = setup
-        runs, real_solve = [], solver.solve
-
-        def recording_solve(*args, **kwargs):
-            runs.append(real_solve(*args, **kwargs))
-            return runs[-1]
-
-        monkeypatch.setattr(solver, "solve", recording_solve)
-        rep = fundamental_approx(k, g, 0.2, SolverConfig(dt=0.05, steps=4), S, n_freq=64)
-        [traj] = runs
-        assert len(traj.times) == 5
-        assert len(traj.slices) == 2
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit", "cn"])
+    @pytest.mark.parametrize("torus", [True, False])
+    def test_run_reports_match_a_full_solve(self, setup, scheme, torus):
+        # the cross-validation run records two slices; what it reports of
+        # the run must be what a run recording every step reports
+        k, g, f0 = setup
+        cfg = SolverConfig(dt=0.05, steps=4, scheme=scheme, torus=torus)
+        rep = fundamental_approx(k, g, 0.2, cfg, S, n_freq=64)
+        traj = solve(k, f0, g, cfg)
         assert rep["computed_peak"] == float(traj.final.max())
+        assert rep["mass_initial"] == traj.mass[0]
+        assert rep["mass_final"] == traj.mass[-1]
+        assert rep["mass_drift"] == traj.mass_drift()
+
+    def test_peak_memory(self):
+        # a 4-fold padded reference at 128^2 and 100 CN steps: the run and
+        # the reference hold a few slices, never the padded lattice
+        k = normalized_fractional(S)
+        g = PhaseGrid(nt=1, nx=128, nv=128, x_period=8.0, v_extent=6.0)
+        cfg = SolverConfig(dt=0.01, steps=100)
+        tracemalloc.start()
+        try:
+            fundamental_approx(k, g, 1.0, cfg, S, n_freq=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * g.nx * g.nv * 16
 
     def test_reference_error_does_not_grow_with_padding(self, setup):
         # a four-fold box folds less of the slow velocity tail back into
