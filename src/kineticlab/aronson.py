@@ -102,6 +102,8 @@ class BarrierParams:
 
 
 _TINY = float(np.finfo(float).tiny)
+_TIE_RTOL = 1e-7
+_K_MAX = 2.0**24
 
 
 # One point runs on Python floats and arrays on numpy; these helpers take
@@ -203,15 +205,15 @@ def barrier_region(p: BarrierParams, z) -> int:
     return 6
 
 
-def _transport_term(p: BarrierParams, state, v, tie_rtol: float = 1e-7):
+def _transport_term(p: BarrierParams, state, v):
     """Analytic transport derivative ``TH`` of the active branch, per point,
     from the point's ``_state``.
 
     Returns ``(TH, tie)`` where ``tie`` marks points within relative
-    tolerance of a branch kink (there the derivative is one-sided; a
-    caller may fall back to finite differences).  Arrays compute every
-    branch and select; one point computes only its own, and its ``TH`` may
-    be a numpy float scalar.
+    distance ``_TIE_RTOL`` of a branch kink (there the derivative is
+    one-sided; a caller may fall back to finite differences).  Arrays
+    compute every branch and select; one point computes only its own, and
+    its ``TH`` may be a numpy float scalar.
     """
     u, absu, gv, gx, delta, L = state
     one = not isinstance(gv, np.ndarray)
@@ -234,7 +236,7 @@ def _transport_term(p: BarrierParams, state, v, tie_rtol: float = 1e-7):
 
     # a kink only matters where the active branch could switch: at the
     # core boundary, or between the two growing branches
-    tie = (abs(top - 1.0) <= tie_rtol) | ((top > 1.0) & (abs(gv - gx) <= tie_rtol * top))
+    tie = (abs(top - 1.0) <= _TIE_RTOL) | ((top > 1.0) & (abs(gv - gx) <= _TIE_RTOL * top))
     return TH, tie
 
 
@@ -259,13 +261,14 @@ def _as_points(p: BarrierParams, z):
     return t, x, v, single
 
 
-# Points per block of ``_jump_quadratic``: a block holds a few arrays of
-# at most 7 * quad_n nodes per point, so blocking bounds the memory of a
-# large batch (at most about 10 MB per block at quad_n = 24).
+# Gauss-Legendre nodes per segment of ``_jump_quadratic``, and points per
+# block: a block holds a few arrays of at most 7 * _QUAD_N nodes per point,
+# so blocking bounds the memory of a large batch (at most about 10 MB).
+_QUAD_N = 24
 _JUMP_BLOCK = 1024
 
 
-def _jump_quadratic(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L, quad_n: int = 24):
+def _jump_quadratic(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L):
     """``int_{B_rho(v)} (sqrt(H)(v) - sqrt(H)(w))^2 [K(v,w)+K(w,v)] dw`` per
     point, by piecewise Gauss-Legendre with breakpoints at the branch kinks;
     ``gv``, ``gx`` and ``L`` are the points' branch arguments and log factor.
@@ -296,18 +299,18 @@ def _jump_quadratic(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L, qua
     reach = (abs(v - p.w0) + p.rho) / (3 * p.rho)
     live = reach >= _max(1.0, gx) * (1 - 1e-12)
     if not isinstance(live, np.ndarray):
-        return _jump_point(p, kspec, t, x, v, gv, gx, L, quad_n) if live else 0.0
+        return _jump_point(p, kspec, t, x, v, gv, gx, L) if live else 0.0
     live = np.flatnonzero(live)
     I = np.zeros(len(v))
     for i in range(0, len(live), _JUMP_BLOCK):
         b = live[i : i + _JUMP_BLOCK]
-        I[b] = _jump_block(p, kspec, t[b], x[b], v[b], gv[b], gx[b], L[b], quad_n)
+        I[b] = _jump_block(p, kspec, t[b], x[b], v[b], gv[b], gx[b], L[b])
     return I
 
 
-def _end_nodes(quad_n: int):
+def _end_nodes():
     """The first and last Gauss-Legendre abscissae, as Python floats."""
-    nodes, _ = gauss_legendre(quad_n)
+    nodes, _ = gauss_legendre(_QUAD_N)
     return float(nodes[0]), float(nodes[-1])
 
 
@@ -324,14 +327,14 @@ def _flat_segment(p: BarrierParams, half, mid, mX, ends):
     return (abs(half * first + mid - p.w0) / (3 * p.rho) <= mX) & (abs(half * last + mid - p.w0) / (3 * p.rho) <= mX)
 
 
-def _jump_point(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L, quad_n: int) -> float:
+def _jump_point(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L) -> float:
     """``_jump_quadratic`` at one live point (Python floats)."""
     rho, w0, mX = p.rho, p.w0, max(1.0, gx)
     lo, hi = v - rho, v + rho
     # lo, v and hi lie in the ball already; the others are clipped to it
     outer = (w0, w0 - 2 * rho, w0 + 2 * rho, w0 - 3 * rho * mX, w0 + 3 * rho * mX)
     brk = sorted([lo, hi, v] + [lo if q < lo else hi if q > hi else q for q in outer])
-    v_flat, ends = gv <= mX, _end_nodes(quad_n)
+    v_flat, ends = gv <= mX, _end_nodes()
     cols, segs = [], []
     for j, (a, b) in enumerate(zip(brk[:-1], brk[1:])):
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
@@ -341,11 +344,11 @@ def _jump_point(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L, quad_n:
     sums = np.zeros(7)
     if cols:
         hm = np.array(segs)
-        sums[cols] = _segment_sums(p, kspec, t, x, v, gv, mX, L, hm[:, :1], hm[:, 1:], quad_n)
+        sums[cols] = _segment_sums(p, kspec, t, x, v, gv, mX, L, hm[:, :1], hm[:, 1:])
     return float(sums.sum())
 
 
-def _jump_block(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L, quad_n: int):
+def _jump_block(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L):
     """``_jump_quadratic`` on one block of live points.
 
     The eight candidate breakpoints are clipped to ``[v - rho, v + rho]``
@@ -363,15 +366,15 @@ def _jump_block(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L, quad_n:
     brk.sort(axis=1)
     a, b = brk[:, :-1], brk[:, 1:]  # (N, 7)
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    flat = (gv <= mX)[:, None] & _flat_segment(p, half, mid, mX[:, None], _end_nodes(quad_n))
+    flat = (gv <= mX)[:, None] & _flat_segment(p, half, mid, mX[:, None], _end_nodes())
     i, j = np.nonzero((b - a >= 1e-14) & ~flat)
     sums = np.zeros(a.shape)
     owner = (q[i, None] for q in (t, x, v, gv, mX, L))
-    sums[i, j] = _segment_sums(p, kspec, *owner, half[i, j, None], mid[i, j, None], quad_n)
+    sums[i, j] = _segment_sums(p, kspec, *owner, half[i, j, None], mid[i, j, None])
     return sums.sum(axis=1)
 
 
-def _segment_sums(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, mX, L, half, mid, quad_n: int):
+def _segment_sums(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, mX, L, half, mid):
     """Gauss-Legendre sums of the jump integrand over segments with nodes
     ``half * x_i + mid`` (``half, mid`` of shape ``(M, 1)``), one per row.
 
@@ -379,8 +382,8 @@ def _segment_sums(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, mX, L, half,
     shape ``(M, 1)``, or one point's floats.  Nodes within 1e-12 of ``v``
     get zero weight.  Kernels see flattened 1-D ``t, x, v, w`` node arrays.
     """
-    nodes, weights = gauss_legendre(quad_n)
-    w = half * nodes + mid  # (M, quad_n)
+    nodes, weights = gauss_legendre(_QUAD_N)
+    w = half * nodes + mid  # (M, _QUAD_N)
     keep = abs(w - v) > 1e-12
     ww = half * weights
     if not keep.all():
@@ -400,7 +403,7 @@ def _segment_sums(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, mX, L, half,
     return ((sqrtH_v - sqrtH_w) ** 2 * Ks.reshape(w.shape) * ww).sum(axis=1)
 
 
-def barrier_residual_parts(p: BarrierParams, kspec: KernelSpec, z, quad_n: int = 24):
+def barrier_residual_parts(p: BarrierParams, kspec: KernelSpec, z):
     """Return ``(TH, I, tie)`` so that the residual is ``TH + c I``.
 
     ``z`` is one phase point ``(t, x, v)`` (floats and a bool come back)
@@ -412,13 +415,13 @@ def barrier_residual_parts(p: BarrierParams, kspec: KernelSpec, z, quad_n: int =
     state = _state(p, t, x, v)
     _, _, gv, gx, _, L = state
     TH, tie = _transport_term(p, state, v)
-    I = _jump_quadratic(p, kspec, t, x, v, gv, gx, L, quad_n)
+    I = _jump_quadratic(p, kspec, t, x, v, gv, gx, L)
     if single:
         return float(TH), I, bool(tie)
     return TH, I, tie
 
 
-def barrier_residual(p: BarrierParams, kspec: KernelSpec, z, c: float = 2.0, quad_n: int = 24):
+def barrier_residual(p: BarrierParams, kspec: KernelSpec, z, c: float = 2.0):
     """Supersolution residual; nonpositive residuals certify the barrier.
 
     A float for one phase point ``z = (t, x, v)``, an array of length N
@@ -437,7 +440,7 @@ def barrier_residual(p: BarrierParams, kspec: KernelSpec, z, c: float = 2.0, qua
         Hp = barrier_values(p, tp, x + (tp - t) * v, v)
         Hm = barrier_values(p, tm, x + (tm - t) * v, v)
         TH = _where(tie, (Hp - Hm) / (tp - tm), TH)
-    res = TH + c * _jump_quadratic(p, kspec, t, x, v, gv, gx, L, quad_n)
+    res = TH + c * _jump_quadratic(p, kspec, t, x, v, gv, gx, L)
     return float(res) if single else res
 
 
@@ -488,14 +491,12 @@ def k_threshold(
     c: float = 2.0,
     n_per_region: int = 30,
     seed: int = 0,
-    k_max: float = 2.0**24,
-    tol: float = 1e-3,
 ) -> dict:
     """Smallest ``k >= 1`` making the residual nonpositive on a sample
     set covering all six regions, with ``sigma = tau0 + rho^{2s}/(4k)``.
 
-    Feasibility is assumed monotone in ``k`` inside the bracket (checked
-    at the endpoints); bisection to relative tolerance ``tol``.
+    Feasibility is assumed monotone in ``k`` inside ``[1, _K_MAX]``
+    (checked at the endpoints); bisection to relative tolerance 1e-3.
     """
     rng = np.random.default_rng(seed)
 
@@ -514,15 +515,15 @@ def k_threshold(
     if ok:
         return {"k_star": 1.0, "worst_residual": res, "worst_sample": z, "c": c}
     hi = 2.0
-    while hi <= k_max:
+    while hi <= _K_MAX:
         ok, res, z = feasible(hi)
         if ok:
             break
         hi *= 2.0
     else:
         # res and z are those of the largest k tried
-        raise RuntimeError(f"no feasible k below {k_max}; worst residual {res} at {z}")
-    while hi / lo > 1 + tol:
+        raise RuntimeError(f"no feasible k below {_K_MAX}; worst residual {res} at {z}")
+    while hi / lo > 1 + 1e-3:
         mid = math.sqrt(lo * hi)
         ok, _, _ = feasible(mid)
         if ok:

@@ -40,7 +40,7 @@ uniform cubic B-spline coefficients and evaluated with the closed-form
 cardinal weights (Unser 1999).  It is zero outside the tabulated box,
 and its time argument broadcasts with the points.
 
-Unit-time profiles are cached per exact ``(n_freq, s, target)`` and
+Unit-time profiles are cached per exact ``(n_freq, s)`` and
 held read-only.  Every table ``j0_table`` makes from one profile, at any
 time, samples through one sampler of that profile, built from the
 profile itself on the first ``sample`` of any of them; a table that is
@@ -49,7 +49,6 @@ never sampled builds none.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -100,18 +99,21 @@ def j0_hat(phi, xi, s: float):
     return np.exp(-j0_hat_exponent(phi, xi, s))
 
 
-def _auto_extents(s: float, target: float = 1e-8, start: float = 5.0, max_doublings: int = 12):
-    """Grow (Phi, Xi) until the symbol is below ``target`` on the box edge."""
-    Phi = Xi = start
+_BOUNDARY_TARGET = 1e-8
+
+
+def _auto_extents(s: float):
+    """Grow (Phi, Xi) until the symbol is below ``_BOUNDARY_TARGET`` on the box edge."""
+    Phi = Xi = 5.0
     probe = np.linspace(-1.0, 1.0, 65)
-    for _ in range(max_doublings):
+    for _ in range(12):
         edge_phi = float(np.max(j0_hat(-Phi, Xi * probe, s)))
         edge_xi = float(np.max(j0_hat(-Phi * probe, Xi, s)))
-        if edge_phi <= target and edge_xi <= target:
+        if edge_phi <= _BOUNDARY_TARGET and edge_xi <= _BOUNDARY_TARGET:
             return Phi, Xi
-        if edge_phi > target:
+        if edge_phi > _BOUNDARY_TARGET:
             Phi *= 2.0
-        if edge_xi > target:
+        if edge_xi > _BOUNDARY_TARGET:
             Xi *= 2.0
     raise RuntimeError("frequency extent search did not converge")
 
@@ -199,15 +201,15 @@ def _centre_nodes(n: int, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _unit_profile(n_freq: int, s: float, target: float = 1e-8):
+def _unit_profile(n_freq: int, s: float):
     """Unit-time profile on a centered (x, v) grid.
 
     Returns ``(x_axis, v_axis, values, meta)``, cached per exact
-    ``(n_freq, s, target)``; the arrays are read-only.  The values are
+    ``(n_freq, s)``; the arrays are read-only.  The values are
     ``j0_lattice`` at ``t = 1`` on the ``n_freq``-square lattice whose dual
     frequencies span the extents ``(Phi, Xi)`` of ``_auto_extents``.
     """
-    Phi, Xi = _auto_extents(s, target)
+    Phi, Xi = _auto_extents(s)
     n = n_freq
     dx, dv = np.pi / Phi, np.pi / Xi
     vals = j0_lattice(1.0, s, n, n, dx, dv)
@@ -220,7 +222,7 @@ def _unit_profile(n_freq: int, s: float, target: float = 1e-8):
         "n_freq": n,
         "phi_extent": Phi,
         "xi_extent": Xi,
-        "boundary_target": target,
+        "boundary_target": _BOUNDARY_TARGET,
         "ringing": float(min(vals.min(), 0.0)),
         "edge_level": float(edge / vals[n // 2, n // 2]),
     }
@@ -340,10 +342,10 @@ class _BicubicSampler:
 
 
 @lru_cache(maxsize=8)
-def _unit_sampler(n_freq: int, s: float, target: float) -> _BicubicSampler:
+def _unit_sampler(n_freq: int, s: float) -> _BicubicSampler:
     """The sampler of the cached unit-time profile, built once and shared by
     every table ``j0_table`` makes from that profile."""
-    return _BicubicSampler(*_unit_profile(n_freq, s, target)[:3])
+    return _BicubicSampler(*_unit_profile(n_freq, s)[:3])
 
 
 @dataclass
@@ -362,7 +364,7 @@ class FundamentalSolutionTable:
     meta: dict = field(default_factory=dict)
     # not constructor arguments, so dataclasses.replace starts a table afresh
     _sampler: object = field(default=None, init=False, repr=False, compare=False)
-    # (n_freq, s, target) of the cached unit-time profile a j0_table table samples
+    # (n_freq, s) of the cached unit-time profile a j0_table table samples
     _profile_key: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -413,12 +415,12 @@ class FundamentalSolutionTable:
         return t**-beta * self._sampler(*np.broadcast_arrays(xu, vu))
 
 
-def j0_table(t: float, s: float, n_freq: int = 256, target: float = 1e-8) -> FundamentalSolutionTable:
+def j0_table(t: float, s: float, n_freq: int = 256) -> FundamentalSolutionTable:
     """Build the fundamental-solution table at time ``t``."""
     t = float(_positive_time(t))
     if n_freq < 4:
         raise ValueError("n_freq must be at least 4")
-    x_axis, v_axis, vals, meta = _unit_profile(n_freq, s, target)
+    x_axis, v_axis, vals, meta = _unit_profile(n_freq, s)
     beta = peak_decay_exponent(s)
     tab = FundamentalSolutionTable(
         s=s,
@@ -428,7 +430,7 @@ def j0_table(t: float, s: float, n_freq: int = 256, target: float = 1e-8) -> Fun
         values=vals * t**-beta,
         meta=dict(meta),
     )
-    tab._profile_key = (n_freq, s, target)
+    tab._profile_key = (n_freq, s)
     mass = tab.mass()
     if not abs(mass - 1.0) <= 1e-2:
         raise RuntimeError(
@@ -438,13 +440,13 @@ def j0_table(t: float, s: float, n_freq: int = 256, target: float = 1e-8) -> Fun
     return tab
 
 
-def modified_convolution(f: np.ndarray, g: np.ndarray, t: float, dx: float, dv: float, warn: bool = True) -> np.ndarray:
+def modified_convolution(f: np.ndarray, g: np.ndarray, t: float, dx: float, dv: float) -> np.ndarray:
     """Sheared convolution ``(f *_t g)(x, v) = int f(x', v') g(x - x' - t v', v - v') dx' dv'``.
 
     Both fields live on the same centered periodic ``(x, v)`` grid with
     the origin at index ``n // 2``.  The shear by ``t v'`` is applied in
-    Fourier space (trigonometric interpolation); at ``t = 0`` this is
-    the ordinary periodic convolution.
+    Fourier space (trigonometric interpolation), so it wraps around the
+    periodic box; at ``t = 0`` this is the ordinary periodic convolution.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -452,8 +454,6 @@ def modified_convolution(f: np.ndarray, g: np.ndarray, t: float, dx: float, dv: 
         raise ValueError("fields must share a grid")
     nx, nv = f.shape
     v_axis = dv * (np.arange(nv) - nv // 2)
-    if warn and abs(t) * np.abs(v_axis).max() > 0.5 * nx * dx:
-        warnings.warn("shear exceeds half the periodic box; wrap-around bias likely")
     phi = 2 * np.pi * np.fft.fftfreq(nx, d=dx)
     Fh = np.fft.fft(f, axis=0)
     Fh = Fh * np.exp(-1j * phi[:, None] * t * v_axis[None, :])
@@ -472,7 +472,7 @@ def chapman_kolmogorov_residual(t1: float, t2: float, s: float, n_freq: int = 12
     X, V = np.meshgrid(tab.x_axis, tab.v_axis, indexing="ij")
     J1 = tab.sample(X, V, t=t1)
     J2 = tab.sample(X, V, t=t2)
-    comp = modified_convolution(J1, J2, t2, tab.dx, tab.dv, warn=False)
+    comp = modified_convolution(J1, J2, t2, tab.dx, tab.dv)
     resid = float(np.max(np.abs(comp - tab.values)))
     return {
         "t1": t1,

@@ -3,9 +3,10 @@
 Every routine measures an implied constant of one inequality — the
 strong and weak Harnack ratios, the L1-to-Linf bound, the level-set
 tail bound, the De Giorgi level sequence, Harnack chains, and the
-exponential lower-bound sufficient condition.  Constants are measured,
-never asserted against theoretical values; the meaningful check is
-stability under refinement.
+exponential lower-bound sufficient condition, for the homogeneous
+equation: the source bound ``h_sup`` the reports carry is 0.  Constants
+are measured, never asserted against theoretical values; the meaningful
+check is stability under refinement.
 
 Fields are anything with a vectorized ``sample(t, x, v)`` method
 (:class:`~kineticlab.fields.PhaseField` or :class:`AnalyticField`).
@@ -82,12 +83,14 @@ class HarnackReport:
     notes: list = dc_field(default_factory=list)
 
     def as_dict(self) -> dict:
+        """The report; a ratio flagged infinite or NaN (the notes say why)
+        is written as ``None``, since JSON has no literal for it."""
         return {
             "kind": self.kind,
             "params": self.params,
             "sup": self.sup,
             "inf": self.inf,
-            "ratio": self.ratio,
+            "ratio": self.ratio if math.isfinite(self.ratio) else None,
             "resolution": list(self.resolution),
             "notes": self.notes,
         }
@@ -117,7 +120,6 @@ def strong_harnack_ratio(
     z0: PhasePoint,
     r0: float,
     s: float,
-    h_sup: float = 0.0,
     nodes: tuple = (8, 8, 8),
 ) -> HarnackReport:
     """Supremum over the detached past quarter window against the
@@ -141,10 +143,10 @@ def strong_harnack_ratio(
         ratio = math.inf
         notes.append("vanishing infimum: ratio flagged infinite")
     else:
-        ratio = (sup - h_sup) / inf if h_sup else sup / inf
+        ratio = sup / inf
     return HarnackReport(
         kind="Strong",
-        params={"r0": r0, "s": s, "h_sup": h_sup, "center": [z0.t, z0.x, z0.v]},
+        params={"r0": r0, "s": s, "h_sup": 0.0, "center": [z0.t, z0.x, z0.v]},
         sup=sup,
         inf=inf,
         ratio=ratio,
@@ -159,7 +161,6 @@ def weak_harnack_ratio(
     r0: float,
     zeta: float = 0.5,
     s: float = 0.5,
-    h_sup: float = 0.0,
     nodes: tuple = (8, 8, 8),
 ) -> HarnackReport:
     """Past L^zeta average against the infimum over the half cylinder."""
@@ -179,13 +180,12 @@ def weak_harnack_ratio(
     inf = max(inf_raw, 0.0)
     if inf_raw < 0:
         notes.append(f"infimum clamped from {inf_raw:.3e} to 0")
-    denom = inf + h_sup
-    ratio = num / denom if denom > 0 else math.inf
-    if denom <= 0:
+    ratio = num / inf if inf > 0 else math.inf
+    if inf <= 0:
         notes.append("vanishing denominator: ratio flagged infinite")
     return HarnackReport(
         kind="Weak",
-        params={"r0": r0, "zeta": zeta, "s": s, "h_sup": h_sup},
+        params={"r0": r0, "zeta": zeta, "s": s, "h_sup": 0.0},
         sup=num,
         inf=inf,
         ratio=ratio,
@@ -199,7 +199,6 @@ def l1_linf_ratio(
     z0: PhasePoint,
     R: float,
     s: float,
-    h_sup: float = 0.0,
     nodes: tuple = (8, 8, 8),
 ) -> HarnackReport:
     """Supremum over the eighth cylinder against the scaled L1 mass
@@ -226,7 +225,7 @@ def l1_linf_ratio(
         ratio = sup / scaled
     return HarnackReport(
         kind="L1Linf",
-        params={"R": R, "s": s, "h_sup": h_sup, "mass": mass, "scaled_mass": scaled},
+        params={"R": R, "s": s, "h_sup": 0.0, "mass": mass, "scaled_mass": scaled},
         sup=sup,
         inf=scaled,
         ratio=ratio,
@@ -332,10 +331,10 @@ class DeGiorgiTrace:
         }
 
 
-def degiorgi_level_cap(A0: float, R: float, delta: float, p: float, zeta: float, sup_f: float, h_sup: float, s: float) -> float:
-    """The level ``L`` closing the iteration:
+def degiorgi_level_cap(A0: float, R: float, delta: float, p: float, zeta: float, sup_f: float, s: float) -> float:
+    """The level ``L`` closing the iteration of the homogeneous equation:
     ``A0 R^{-sp/(p-1)} 2^{4p^2/(p-1)^2} delta^{-((2-zeta)/zeta)(p/(p-1))}
-    + delta (sup f + R^{2s} sup h)``."""
+    + delta sup f``."""
     q = p / (p - 1.0)
     # The constant 2^{4q^2} is huge for p near 1; work in log space so the
     # result degrades to inf rather than raising.
@@ -349,7 +348,7 @@ def degiorgi_level_cap(A0: float, R: float, delta: float, p: float, zeta: float,
             - ((2.0 - zeta) / zeta) * q * math.log(delta)
         )
         main = math.exp(log_main) if log_main < 700.0 else math.inf
-    return main + delta * (sup_f + R ** (2 * s) * h_sup)
+    return main + delta * sup_f
 
 
 def degiorgi_trace(
@@ -359,13 +358,11 @@ def degiorgi_trace(
     delta: float,
     p: float,
     zeta: float = 0.5,
-    h_sup: float = 0.0,
     s: float = 0.5,
-    kmax: int = 6,
     nodes: tuple = (8, 8, 8),
 ) -> DeGiorgiTrace:
     """Level sequence ``l_k = L(1 - 2^{-k})``, shrinking radii
-    ``r_k = R/8 + 2^{-k}(7R/8)`` and truncated masses ``A_k``."""
+    ``r_k = R/8 + 2^{-k}(7R/8)`` and truncated masses ``A_k``, k = 0 .. 6."""
     p_hi = 1.0 + s / (2 * (1 + s) + s)
     if not 1.0 < p < p_hi:
         raise ValueError(f"p must lie in (1, {p_hi})")
@@ -381,7 +378,7 @@ def degiorgi_trace(
     bv, _ = _cyl_values(f, big, nodes)
     sup_f = float(bv.max())
     A0 = trunc_mass(R, 0.0)
-    L = degiorgi_level_cap(A0, R, delta, p, zeta, sup_f, h_sup, s)
+    L = degiorgi_level_cap(A0, R, delta, p, zeta, sup_f, s)
     if not math.isfinite(L):
         q = p / (p - 1.0)
         raise ValueError(
@@ -393,7 +390,7 @@ def degiorgi_trace(
     decay_ok = True
     cheb_ok = True
     prev_A = A0
-    for k in range(kmax + 1):
+    for k in range(7):
         l_k = 0.0 if k == 0 else L * (1.0 - 2.0**-k)
         r_k = R / 8 + 2.0**-k * (7 * R / 8)
         A_k = trunc_mass(r_k, l_k)
@@ -455,12 +452,13 @@ def harnack_chain(start, end, s: float) -> dict:
     }
 
 
-def _eval_window(tab: FundamentalSolutionTable, n: int = 129):
-    """Fixed kinetically-scaled evaluation lattice, independent of the
-    table resolution, so refinement measures table accuracy only."""
+def _eval_window(tab: FundamentalSolutionTable):
+    """Fixed kinetically-scaled 129 x 129 evaluation lattice, independent
+    of the table resolution, so refinement measures table accuracy only."""
     s, t = tab.s, tab.t
-    xs = 4.0 * t ** ((1 + 2 * s) / (2 * s)) * np.linspace(-1, 1, n)
-    vs = 8.0 * t ** (1.0 / (2 * s)) * np.linspace(-1, 1, n)
+    u = np.linspace(-1, 1, 129)
+    xs = 4.0 * t ** ((1 + 2 * s) / (2 * s)) * u
+    vs = 8.0 * t ** (1.0 / (2 * s)) * u
     X, V = np.meshgrid(xs, vs, indexing="ij")
     J = tab.sample(X.ravel(), V.ravel()).reshape(X.shape)
     return X, V, J

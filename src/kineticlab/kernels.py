@@ -288,16 +288,21 @@ class SymmetricPerturbation(KernelSpec):
 # ---------------------------------------------------------------------------
 
 
-def check_symmetry(k: KernelSpec, samples: int = 256, tol: float = 1e-12, seed: int = 0, t: float = 0.0, x: float = 0.0) -> dict:
-    """Max relative asymmetry ``|K(v,w) - K(w,v)| / (K(v,w)+K(w,v)+eps)``."""
+# The coercivity test functions are supported in [-_BOX, _BOX].
+_BOX = 2.0
+
+
+def check_symmetry(k: KernelSpec, samples: int = 256, seed: int = 0) -> dict:
+    """Max relative asymmetry ``|K(v,w) - K(w,v)| / (K(v,w)+K(w,v)+eps)`` at t = x = 0."""
+    tol = 1e-12
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     v = rng.uniform(-3.0, 3.0, samples)
     w = rng.uniform(-3.0, 3.0, samples)
     w = np.where(np.abs(v - w) < 1e-6, w + 1.0, w)
-    kvw = np.asarray(k._eval(t, x, v, w), dtype=float)
-    kwv = np.asarray(k._eval(t, x, w, v), dtype=float)
+    kvw = np.asarray(k._eval(0.0, 0.0, v, w), dtype=float)
+    kwv = np.asarray(k._eval(0.0, 0.0, w, v), dtype=float)
     eps = 1e-300
     asym = float(np.max(np.abs(kvw - kwv) / (kvw + kwv + eps)))
     return {
@@ -309,16 +314,11 @@ def check_symmetry(k: KernelSpec, samples: int = 256, tol: float = 1e-12, seed: 
     }
 
 
-def check_upper_bound(k: KernelSpec, radii=None, points=None, tol: float = 0.05) -> dict:
-    """Fit the smallest ``Lambda0`` with ``tail(v, r) <= Lambda0 r^{-2s}``."""
-    if radii is None:
-        radii = [0.25, 0.5, 1.0, 2.0]
-    if points is None:
-        points = [0.0, 0.7, -1.3]
-    if any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
-    r = np.asarray(radii, dtype=float)
-    tail = k.tail_mass(np.asarray(points, dtype=float)[:, None], r)
+def check_upper_bound(k: KernelSpec) -> dict:
+    """Fit the smallest ``Lambda0`` with ``tail(v, r) <= Lambda0 r^{-2s}``
+    over ``r`` in {0.25, 0.5, 1, 2} and ``v`` in {0, 0.7, -1.3}."""
+    r = np.array([0.25, 0.5, 1.0, 2.0])
+    tail = k.tail_mass(np.array([0.0, 0.7, -1.3])[:, None], r)
     if not np.all(np.isfinite(tail)):
         raise ValueError("non-integrable kernel tail")
     fits = (tail * r ** (2 * k.s)).ravel().tolist()
@@ -328,7 +328,7 @@ def check_upper_bound(k: KernelSpec, radii=None, points=None, tol: float = 0.05)
         "quantity": "upper_bound",
         "fitted_constant": fitted,
         "per_sample": fits,
-        "tolerance": tol,
+        "tolerance": 0.05,
         "closure": "closed_form" if isinstance(k, FractionalLaplacian) else "power_law_extrapolation",
         "pass": True,
     }
@@ -342,28 +342,28 @@ def _bump(u):
     return out
 
 
-def default_test_family(box: float = 2.0):
-    """Tensor and oscillatory bumps, compactly supported in [-box, box]."""
-    fam = [("bump", lambda v: _bump(v / box))]
+def default_test_family():
+    """Tensor and oscillatory bumps, compactly supported in [-_BOX, _BOX]."""
+    fam = [("bump", lambda v: _bump(v / _BOX))]
     for freq in (1.0, 2.0, 4.0):
         fam.append(
-            (f"osc{freq:g}", lambda v, f=freq: _bump(v / box) * np.cos(f * v))
+            (f"osc{freq:g}", lambda v, f=freq: _bump(v / _BOX) * np.cos(f * v))
         )
-    fam.append(("shifted", lambda v: _bump((v - 0.5 * box) / (0.5 * box))))
+    fam.append(("shifted", lambda v: _bump((v - 0.5 * _BOX) / (0.5 * _BOX))))
     return fam
 
 
-def check_coercivity(k: KernelSpec, test_functions=None, tol: float = 0.05, lambda0: float = 1.0, n: int = 256, box: float = 2.0) -> dict:
-    """Smallest ratio of energy form to ``lambda0`` times the Gagliardo form.
+def check_coercivity(k: KernelSpec, lambda0: float = 1.0) -> dict:
+    """Smallest ratio of energy form to ``lambda0`` times the Gagliardo form
+    over ``default_test_family``.
 
     Both sides use the identical symmetrized double quadrature over the
     box (diagonal cells excluded) plus far-field tail corrections for
     the part where one argument leaves the box.
     """
-    if test_functions is None:
-        test_functions = default_test_family(box)
-    s = k.s
-    grid = np.linspace(-2 * box, 2 * box, n, endpoint=False)
+    test_functions = default_test_family()
+    s, n, tol = k.s, 256, 0.05
+    grid = np.linspace(-2 * _BOX, 2 * _BOX, n, endpoint=False)
     h = grid[1] - grid[0]
     V, W = np.meshgrid(grid, grid, indexing="ij")
     off = ~np.eye(n, dtype=bool)

@@ -217,17 +217,15 @@ def trajectory_field(traj: Trajectory, farfield=None) -> PhaseField:
     return PhaseField(grid, values, farfield)
 
 
-def mollified_delta(grid: PhaseGrid, s: float, x0: float = 0.0, v0: float = 0.0, width: float | None = None) -> np.ndarray:
+def mollified_delta(grid: PhaseGrid, s: float, x0: float = 0.0, v0: float = 0.0) -> np.ndarray:
     """Kinetic Gaussian approximating a point mass at ``(x0, v0)``.
 
-    The velocity width defaults to ``2 max(dx^{1/(1+2s)}, dv)`` and the
-    position width is its ``(1 + 2s)`` power, matching the anisotropic
-    scaling.  Normalized to unit discrete mass.
+    The velocity width is ``2 max(dx^{1/(1+2s)}, dv)`` and the position
+    width is its ``(1 + 2s)`` power, matching the anisotropic scaling.
+    Normalized to unit discrete mass.
     """
-    if width is None:
-        width = 2.0 * max(grid.dx ** (1.0 / (1 + 2 * s)), grid.dv)
-    sig_v = width
-    sig_x = width ** (1 + 2 * s)
+    sig_v = 2.0 * max(grid.dx ** (1.0 / (1 + 2 * s)), grid.dv)
+    sig_x = sig_v ** (1 + 2 * s)
     X, V = np.meshgrid(grid.x_axis, grid.v_axis, indexing="ij")
     g = np.exp(-0.5 * ((X - x0) / sig_x) ** 2 - 0.5 * ((V - v0) / sig_v) ** 2)
     g /= g.sum() * grid.dx * grid.dv
@@ -273,7 +271,7 @@ def fundamental_approx(
 
     P = max(2, math.ceil(n_freq / max(grid.nx, grid.nv)))
     J = j0_lattice(T, s, grid.nx, grid.nv, grid.dx, grid.dv, pad=P)
-    ref = modified_convolution(f0, J, T, grid.dx, grid.dv, warn=False)
+    ref = modified_convolution(f0, J, T, grid.dx, grid.dv)
 
     peak = ref.max()
     mask = ref > 0.01 * peak

@@ -644,11 +644,12 @@ class TestThreshold:
         # the threshold found by the earlier per-point residual loop
         assert rep["k_star"] == pytest.approx(1.8817948740835462, rel=1e-12)
 
-    def test_no_feasible_k_below_k_max(self):
+    def test_no_feasible_k_below_k_max(self, monkeypatch):
         # infeasible at k = 1, and the doubling stops before k = 2
+        monkeypatch.setattr(aronson, "_K_MAX", 1.5)
         strong = FractionalLaplacian(c=200.0 / math.pi, s=S)
         with pytest.raises(RuntimeError, match="no feasible k below 1.5; worst residual"):
-            k_threshold(1.0, 0.1, 0.0, 0.0, S, strong, c=2.0, n_per_region=6, seed=0, k_max=1.5)
+            k_threshold(1.0, 0.1, 0.0, 0.0, S, strong, c=2.0, n_per_region=6, seed=0)
 
 
 class TestEnergy:

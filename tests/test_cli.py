@@ -320,6 +320,23 @@ class TestExitCodes:
         assert "violates the rule t + t_offset > 0 over the cylinder's time window" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, flags, name, note", [
+        ("l1linf", [], "harnack_l1linf.json", "degenerate 0/0 flagged"),
+        ("weak", ["--r0", "0.3"], "harnack_weak.json", "vanishing denominator: ratio flagged infinite"),
+    ])
+    def test_flagged_ratio_is_written_as_null(self, tmp_path, mode, flags, name, note):
+        # on an all-zero field the ratio is 0/0 (l1linf) or over a vanishing
+        # infimum (weak); the report flags it in its notes, not as exit 3
+        grid = PhaseGrid(nt=1, nx=1024, nv=128, x_period=1.0, v_extent=1.0)
+        path = str(tmp_path / "zero.bin")
+        save_field(PhaseField(grid, np.zeros((1, 1024, 128))), path)
+        out = tmp_path / "x"
+        assert main(["harnack", "--out", str(out), mode, "--field", path, "--t0", "1.0"] + flags) == 0
+        with open(out / name) as fh:
+            rep = json.load(fh)
+        assert rep["ratio"] is None
+        assert note in rep["notes"]
+
     def test_missing_field_file(self, tmp_path):
         code = main([
             "harnack", "--out", str(tmp_path / "x"),

@@ -479,14 +479,8 @@ class TestComposition:
         f = np.exp(-np.add.outer(x**2, x**2))
         g = np.zeros((n, n))
         g[n // 2, n // 2] = 1.0 / (dx * dv)
-        out = modified_convolution(f, g, 0.0, dx, dv, warn=False)
+        out = modified_convolution(f, g, 0.0, dx, dv)
         assert np.max(np.abs(out - f)) < 1e-10
-
-    def test_shear_warning(self):
-        n = 32
-        f = np.ones((n, n))
-        with pytest.warns(UserWarning):
-            modified_convolution(f, f, 100.0, 0.1, 0.1)
 
     def test_chapman_kolmogorov_small_residual(self):
         rep = chapman_kolmogorov_residual(0.5, 0.5, S, n_freq=256)

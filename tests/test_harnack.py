@@ -146,7 +146,7 @@ class TestDeGiorgi:
     def test_overflowing_level_cap_rejected(self, solver_run):
         _, field = solver_run
         z = PhasePoint(1.0, 0.0, 0.0)
-        assert math.isinf(degiorgi_level_cap(1.0, 0.5, 0.5, 1.05, 0.5, 1.0, 0.0, S))
+        assert math.isinf(degiorgi_level_cap(1.0, 0.5, 0.5, 1.05, 0.5, 1.0, S))
         with pytest.raises(ValueError, match=r"p = 1.05 overflows the level cap"):
             degiorgi_trace(field, z, 0.5, delta=0.5, p=1.05, s=S)
 

@@ -220,15 +220,12 @@ class TestEllipticityChecks:
         rep = check_upper_bound(k)
         assert 2.0 * k.a_min * 0.98 <= rep["fitted_constant"] <= 2.0 * k.a_max * 1.02
 
-    @pytest.mark.parametrize("family", ["default", "disjoint"])
-    def test_coercivity_matches_per_node_loop(self, family):
+    def test_coercivity_matches_per_node_loop(self):
         # the tails taken once on the joint support equal the per-function,
-        # per-node tail loop, also when the supports do not overlap
-        fam = default_test_family(2.0) if family == "default" else [
-            ("left", lambda v: kernels._bump((v + 1.0) / 0.5)), ("right", lambda v: kernels._bump((v - 1.0) / 0.5))]
+        # per-node tail loop
         k = _perturbed()
-        got = check_coercivity(k, test_functions=fam)["per_function"]
-        want = _coercivity_loop(k, fam)
+        got = check_coercivity(k)["per_function"]
+        want = _coercivity_loop(k, default_test_family())
         assert got.keys() == want.keys()
         for name in want:
             assert got[name] == pytest.approx(want[name], rel=1e-12)
