@@ -467,8 +467,6 @@ def region_samples(p: BarrierParams, n_per_region: int, rng: np.random.Generator
                 dv = uniform(2.1 * rho, 2.9 * rho)
             else:
                 dv = uniform(3.1 * rho, 12.0 * rho)
-            if region == 5 and Xr > 3 * rho:
-                Xr = uniform(3.1 * rho, max(3.2 * rho, dv))
             if region == 6:
                 Xr = uniform(max(3.1 * rho, dv * 1.01), 14.0 * rho)
             # the draw Generator.choice([-1.0, 1.0]) makes, without its overhead

@@ -142,11 +142,15 @@ class PhaseField:
     """Scalar field sampled on a :class:`PhaseGrid`.
 
     ``values`` has shape ``(nt, nx, nv)``.  ``sample`` interpolates
-    trilinearly (periodic wrap in x, clamped in t and v).
+    trilinearly (periodic wrap in x, clamped in t and v).  Cell indices and
+    weights are computed per axis on each input as given, so separable
+    points (say ``t[:, None]``, ``x[:, None]``, ``v[None, :]``) pay per axis;
+    only the corner gathers and the weighted sum run at the broadcast shape.
     """
 
     def __init__(self, grid: PhaseGrid, values: np.ndarray, farfield=None):
-        values = np.asarray(values, dtype=float)
+        # C order, so that sample reads the flat values without a copy
+        values = np.ascontiguousarray(values, dtype=float)
         if values.shape != (grid.nt, grid.nx, grid.nv):
             raise ValueError(f"values shape {values.shape} does not match grid")
         if not np.all(np.isfinite(values)):
@@ -161,7 +165,6 @@ class PhaseField:
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        t, x, v = np.broadcast_arrays(t, x, v)
 
         if g.nt > 1:
             ft = np.clip((t - g.t0) / g.dt, 0.0, g.nt - 1 - 1e-12)
@@ -182,12 +185,15 @@ class PhaseField:
         av = fv - iv
         iv1 = np.minimum(iv + 1, g.nv - 1)
 
-        V = self.values
-        out = np.zeros_like(t, dtype=float)
-        for dt_, wt in ((it, 1 - at), (it1, at)):
-            for dx_, wx in ((ix0, 1 - ax), (ix1, ax)):
+        # corners are gathered from the flat values at the offset of their
+        # (t, x) row plus their v index
+        V = self.values.ravel()
+        out = np.zeros(np.broadcast_shapes(t.shape, x.shape, v.shape))
+        for dt_, wt in ((it * (g.nx * g.nv), 1 - at), (it1 * (g.nx * g.nv), at)):
+            for dx_, wx in ((ix0 * g.nv, 1 - ax), (ix1 * g.nv, ax)):
+                row, wtx = dt_ + dx_, wt * wx
                 for dv_, wv in ((iv, 1 - av), (iv1, av)):
-                    out += wt * wx * wv * V[dt_, dx_, dv_]
+                    out += wtx * wv * V.take(row + dv_)
         return out
 
 
@@ -211,7 +217,8 @@ def save_field(f: PhaseField, path: str) -> None:
     with open(path + ".json", "w") as fh:
         json.dump(header, fh, sort_keys=True)
         fh.write("\n")
-    f.values.astype("<f8").tofile(path)
+    # no copy of a little-endian C-contiguous float64 field
+    np.ascontiguousarray(f.values, dtype="<f8").tofile(path)
 
 
 _HEADER_KEYS = ("d", "nt", "nx", "nv", "x_period", "v_extent", "t0", "t1", "farfield")

@@ -23,12 +23,14 @@ inverse FFT of the half spectrum ``xi >= 0`` of the sampled symbol: the
 symbol is real and point-symmetric, so this equals the real part of the
 full complex inverse FFT, once the Nyquist line ``phi = -Phi`` (which
 has no ``+Phi`` partner on the grid) is replaced by the average of its
-``xi`` and ``-xi`` values.  Its ``pad`` returns the centre block of the
-lattice ``pad`` times larger, whose box holds the periodic images of the
-slow tails further out, without holding that lattice: the spectrum is
-sampled and inverted along ``phi`` in blocks of ``xi`` rows, each no
-larger than the result, and only the kept ``x`` columns are stored and
-inverted along ``xi``, so the build holds about ``2 pad`` results.
+``xi`` and ``-xi`` values.  The result is point-symmetric too, so only
+its half ``x >= 0`` is transformed and the half ``x < 0`` is its
+reflection.  Its ``pad`` returns the centre block of the lattice ``pad``
+times larger, whose box holds the periodic images of the slow tails
+further out, without holding that lattice: the spectrum is sampled and
+transformed along ``phi`` in blocks of ``xi`` rows, each no larger than
+the result, and only the kept ``x >= 0`` columns are stored and inverted
+along ``xi``, so the build holds about ``pad`` results.
 Tables read the unit-time profile, which is ``j0_lattice`` at ``t = 1``
 (``pad = 1``) on the lattice dual to frequency extents grown
 automatically until the symbol is below a target at the boundary.
@@ -80,11 +82,18 @@ def _abs_power_integral(a, b, p):
     # the integrand is then constant |a|^p to relative accuracy ~ p |b/a|
     zero = np.abs(b) < np.maximum(1e-300, 1e-9 * np.abs(a))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u1 = a - b
+        # Phi(1) - Phi(0) with at most two full-size temporaries alive
+        u1 = np.subtract(a, b, out=np.empty(np.broadcast_shapes(a.shape, b.shape)))
+        out = np.abs(u1, out=np.empty_like(u1))
+        np.power(out, p, out=out)
+        np.multiply(u1, out, out=out)
+        del u1
         den = b * (p + 1)
-        phi1 = -(u1 * np.abs(u1) ** p) / den
-        phi0 = -(a * abs_a_p) / den
-        return np.where(zero, abs_a_p, phi1 - phi0)
+        np.negative(out, out=out)
+        np.divide(out, den, out=out)  # Phi(1)
+        np.subtract(out, -(a * abs_a_p) / den, out=out)
+        np.copyto(out, abs_a_p, where=zero)
+        return out
 
 
 def j0_hat_exponent(phi, xi, s: float):
@@ -142,33 +151,37 @@ def j0_lattice(t: float, s: float, nx: int, nv: int, dx: float, dv: float, pad: 
     transform reads the average of each ``xi`` value and its ``-xi``
     partner, so the half spectrum carries that average there.
 
-    The half spectrum is built in blocks of ``max(1, nv // pad)`` ``xi``
-    rows: each block is sampled, inverted along ``phi``, and only its ``nx``
-    kept ``x`` columns are stored; one real inverse transform along ``xi``
-    of those columns then gives ``mv`` ``v`` rows, of which the centre
-    ``nv`` are kept.  A block holds no more symbol values than the result has, so at
-    ``pad = 1`` the whole half spectrum is one block.  Besides the result,
-    the build holds one block's symbol temporaries (each at most the
-    result's size), the kept columns (``nx (mv // 2 + 1)`` complex values)
-    and their transform (``mv nx`` reals): about ``2 pad`` results in all,
+    The result is point-symmetric as well, ``J(-x, -v) = J(x, v)``, so only
+    its ``x`` nodes ``k = 0 .. nx // 2`` are transformed; each node ``-k``
+    is written from node ``k`` at the mirrored ``v``.  For a real symbol
+    row the forward real transform scaled by ``1 / mx``, conjugated, is
+    the inverse transform at ``k >= 0``.  The half spectrum is built in
+    blocks of ``max(1, nv // pad)`` ``xi`` rows: each block is sampled and
+    transformed along ``phi``, and only its ``nx // 2 + 1`` kept columns
+    are stored; one real inverse transform along ``xi`` of those columns
+    then gives ``mv`` ``v`` rows.  A block holds no more symbol values than
+    the result has, so at ``pad = 1`` the whole half spectrum is one
+    block.  Besides the result, the build holds one block's symbol
+    temporaries (at most two of the result's size at once), the kept
+    columns (``(nx // 2 + 1) (mv // 2 + 1)`` complex values) and their
+    transform (``mv (nx // 2 + 1)`` reals): about ``pad`` results in all,
     never the ``(mx, mv)`` lattice.
     """
     t = float(_positive_time(t))
 
     def symbol(phi, xi):
-        return np.exp(-t * j0_hat_exponent(-t * phi, xi, s))
+        G = j0_hat_exponent(-t * phi, xi, s)
+        np.multiply(G, -t, out=G)
+        return np.exp(G, out=G)
 
     mx, mv = pad * nx, pad * nv
     dphi, dxi = 2 * np.pi / (mx * dx), 2 * np.pi / (mv * dv)
     phi = dphi * (np.fft.fftfreq(mx) * mx)
     xi = dxi * (np.fft.fftfreq(mv) * mv)
-    # the half spectrum, inverted along phi at the kept x nodes, is held
-    # transposed, (xi, x), so that the (x, v) values come out in Fortran
-    # order: the layout the sampler's first pass reads
     n_half = mv // 2 + 1
+    n_cols = nx // 2 + 1  # x nodes k = 0 .. nx // 2
     rows = max(1, nv // pad)
-    kept = _centre_nodes(nx, mx)
-    spec = None if pad == 1 else np.empty((n_half, nx), dtype=complex)
+    spec = None if pad == 1 else np.empty((n_half, n_cols), dtype=complex)
     for start in range(0, n_half, rows):
         half = np.arange(start, min(start + rows, n_half))
         G = symbol(phi[None, :], xi[half, None])
@@ -177,27 +190,29 @@ def j0_lattice(t: float, s: float, nx: int, nv: int, dx: float, dv: float, pad: 
             G[:, mx // 2] += symbol(phi[mx // 2], xi[-half])
             G[:, mx // 2] *= 0.5
         if pad == 1:
-            spec = np.fft.ifft(G, axis=1)  # the one block keeps every x node
+            spec = np.fft.rfft(G, axis=1, norm="forward")  # exactly n_cols wide
         else:
-            spec[half] = np.fft.ifft(G, axis=1)[:, kept]
-    vals = np.fft.irfft(spec, n=mv, axis=0)
+            spec[half] = np.fft.rfft(G, axis=1, norm="forward")[:, :n_cols]
+    np.conjugate(spec, out=spec)  # the inverse transform along phi at k >= 0
+    half_x = np.fft.irfft(spec, n=mv, axis=0)  # (v, k) at every v node
     # the spectrum is freed now and the last symbol block only on return.
     # Freed before the result is allocated, the block lets the result split
     # the heap's free space: a process that builds a 1024^2 table and then
     # loads a 6.7 MB field peaked 2.5 MB higher
     del spec
-    if pad > 1:
-        vals = vals[_centre_nodes(nv, mv)]
-    vals = vals.T
-    vals *= mx * mv * dphi * dxi
-    vals /= (2 * np.pi) ** 2
-    return np.fft.fftshift(vals)
-
-
-def _centre_nodes(n: int, m: int) -> np.ndarray:
-    """Indices of the centre ``n`` nodes of an unshifted length-``m``
-    transform (node ``k`` at ``k`` mod ``m``), in unshifted order."""
-    return np.r_[0:n - n // 2, m - n // 2:m]
+    half_x *= mx * mv * dphi * dxi
+    half_x /= (2 * np.pi) ** 2
+    # the shifted result, held transposed, (v, x), so that the (x, v) values
+    # come out in Fortran order: the layout the sampler's first pass reads.
+    # Shifted node (j, i) is unshifted (j - cv, i - cx)
+    cx, cv = nx // 2, nv // 2
+    vals = np.empty((nv, nx))
+    vals[:cv, cx:] = half_x[mv - cv:, :nx - cx]
+    vals[cv:, cx:] = half_x[:nv - cv, :nx - cx]
+    # J(-x, -v) = J(x, v): node (-q, -k) for k = cx .. 1
+    vals[:cv + 1, :cx] = half_x[cv::-1, cx:0:-1]
+    vals[cv + 1:, :cx] = half_x[mv - 1:mv - nv + cv:-1, cx:0:-1]
+    return vals.T
 
 
 @lru_cache(maxsize=8)
@@ -323,22 +338,24 @@ class _BicubicSampler:
 
     def __call__(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Interpolated values at broadcast ``(x, v)``; 0 outside the box
-        and at NaN."""
+        and at NaN.  Cell indices and weights are computed per axis on each
+        input as given; only the gathers and sums run at the broadcast shape."""
         (xlo, vlo), (xhi, vhi), (hx, hv), (nx, nv) = self.lo, self.hi, self.h, self.n
-        inside = (x >= xlo) & (x <= xhi) & (v >= vlo) & (v <= vhi)
-        ux = np.where(inside, np.clip((x - xlo) / hx, 0.0, nx - 1), 0.0)
-        uv = np.where(inside, np.clip((v - vlo) / hv, 0.0, nv - 1), 0.0)
-        ix, wx = _cardinal_weights(ux, nx)
-        iv, wv = _cardinal_weights(uv, nv)
+        in_x = (x >= xlo) & (x <= xhi)
+        in_v = (v >= vlo) & (v <= vhi)
+        ix, wx = _cardinal_weights(np.where(in_x, np.clip((x - xlo) / hx, 0.0, nx - 1), 0.0), nx)
+        iv, wv = _cardinal_weights(np.where(in_v, np.clip((v - vlo) / hv, 0.0, nv - 1), 0.0), nv)
         stride = nv + 2
-        base = ix * stride + iv
-        out = np.zeros(inside.shape)
+        row_offset = ix * stride
+        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(v)))
         for a in range(4):
-            row = wv[0] * self.coef.take(base + a * stride)
+            base = row_offset + iv  # at the broadcast shape
+            row = wv[0] * self.coef.take(base)
             for b in range(1, 4):
-                row += wv[b] * self.coef.take(base + (a * stride + b))
+                row += wv[b] * self.coef.take(base + b)
             out += wx[a] * row
-        return np.where(inside, out, 0.0)
+            row_offset += stride
+        return np.where(in_x & in_v, out, 0.0)
 
 
 @lru_cache(maxsize=8)
@@ -412,7 +429,7 @@ class FundamentalSolutionTable:
         t = _positive_time(self.t if t is None else t)
         xu = np.asarray(x, dtype=float) / t ** (1 + 1 / (2 * s))
         vu = np.asarray(v, dtype=float) / t ** (1 / (2 * s))
-        return t**-beta * self._sampler(*np.broadcast_arrays(xu, vu))
+        return t**-beta * self._sampler(xu, vu)
 
 
 def j0_table(t: float, s: float, n_freq: int = 256) -> FundamentalSolutionTable:
@@ -469,9 +486,9 @@ def chapman_kolmogorov_residual(t1: float, t2: float, s: float, n_freq: int = 12
     if t1 <= 0 or t2 <= 0:
         raise ValueError("times must be positive")
     tab = j0_table(t1 + t2, s, n_freq)
-    X, V = np.meshgrid(tab.x_axis, tab.v_axis, indexing="ij")
-    J1 = tab.sample(X, V, t=t1)
-    J2 = tab.sample(X, V, t=t2)
+    xs, vs = tab.x_axis[:, None], tab.v_axis[None, :]
+    J1 = tab.sample(xs, vs, t=t1)
+    J2 = tab.sample(xs, vs, t=t2)
     comp = modified_convolution(J1, J2, t2, tab.dx, tab.dv)
     resid = float(np.max(np.abs(comp - tab.values)))
     return {

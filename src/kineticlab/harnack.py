@@ -459,8 +459,8 @@ def _eval_window(tab: FundamentalSolutionTable):
     u = np.linspace(-1, 1, 129)
     xs = 4.0 * t ** ((1 + 2 * s) / (2 * s)) * u
     vs = 8.0 * t ** (1.0 / (2 * s)) * u
+    J = tab.sample(xs[:, None], vs[None, :])
     X, V = np.meshgrid(xs, vs, indexing="ij")
-    J = tab.sample(X.ravel(), V.ravel()).reshape(X.shape)
     return X, V, J
 
 
@@ -480,11 +480,10 @@ def lower_bound_check(tab: FundamentalSolutionTable, alpha: float = 1.0) -> dict
     for t in tab.t * np.array([0.25, 0.5, 0.75, 1.0]):
         xr = (alpha * t) ** ((1 + 2 * s) / (2 * s))
         vr = (alpha * t) ** (1.0 / (2 * s))
-        xs = xr * (-1 + (2 * np.arange(cone_nodes) + 1.0) / cone_nodes)
-        vs = vr * (-1 + (2 * np.arange(cone_nodes) + 1.0) / cone_nodes)
-        X, V = np.meshgrid(xs, vs, indexing="ij")
-        inside = np.maximum(np.abs(X) ** (2 * s / (1 + 2 * s)), np.abs(V) ** (2 * s)) < alpha * t
-        vals = tab.sample(X.ravel(), V.ravel(), t=float(t)).reshape(X.shape)
+        xs = xr * (-1 + (2 * np.arange(cone_nodes) + 1.0) / cone_nodes)[:, None]
+        vs = vr * (-1 + (2 * np.arange(cone_nodes) + 1.0) / cone_nodes)[None, :]
+        inside = np.maximum(np.abs(xs) ** (2 * s / (1 + 2 * s)), np.abs(vs) ** (2 * s)) < alpha * t
+        vals = tab.sample(xs, vs, t=float(t))
         cone_masses.append(float((vals * inside).sum() * (2 * xr / cone_nodes) * (2 * vr / cone_nodes)))
     M = min(cone_masses)
     if M <= 0:

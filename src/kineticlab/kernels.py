@@ -316,7 +316,19 @@ def check_symmetry(k: KernelSpec, samples: int = 256, seed: int = 0) -> dict:
 
 def check_upper_bound(k: KernelSpec) -> dict:
     """Fit the smallest ``Lambda0`` with ``tail(v, r) <= Lambda0 r^{-2s}``
-    over ``r`` in {0.25, 0.5, 1, 2} and ``v`` in {0, 0.7, -1.3}."""
+    over ``r`` in {0.25, 0.5, 1, 2} and ``v`` in {0, 0.7, -1.3}.
+
+    It passes when the fit is at most ``1 + tolerance`` times the kernel's
+    declared upper constant: the two-sided tail of ``c |v - w|^{-(1+2s)}``
+    is ``c r^{-2s} / s``, and a perturbation scales it by at most ``a_max``.
+    """
+    if isinstance(k, SymmetricPerturbation):
+        declared = k.a_max * k.base.c / k.s
+    elif isinstance(k, FractionalLaplacian):
+        declared = k.c / k.s
+    else:
+        raise TypeError(f"{type(k).__name__} declares no upper constant")
+    tolerance = 0.05
     r = np.array([0.25, 0.5, 1.0, 2.0])
     tail = k.tail_mass(np.array([0.0, 0.7, -1.3])[:, None], r)
     if not np.all(np.isfinite(tail)):
@@ -328,9 +340,9 @@ def check_upper_bound(k: KernelSpec) -> dict:
         "quantity": "upper_bound",
         "fitted_constant": fitted,
         "per_sample": fits,
-        "tolerance": 0.05,
+        "tolerance": tolerance,
         "closure": "closed_form" if isinstance(k, FractionalLaplacian) else "power_law_extrapolation",
-        "pass": True,
+        "pass": fitted <= (1 + tolerance) * declared,
     }
 
 

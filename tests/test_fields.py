@@ -79,6 +79,30 @@ class TestClosures:
             PowerLawEnvelope(amplitude=1.0, exponent=-1.0)
 
 
+def _broadcast_first_sample(f, t, x, v):
+    """Trilinear sampling as made on points broadcast to full shape first,
+    with a three-array gather per corner."""
+    g = f.grid
+    t, x, v = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, x, v)))
+    ft = np.clip((t - g.t0) / g.dt, 0.0, g.nt - 1 - 1e-12) if g.nt > 1 else np.zeros_like(t)
+    it = np.floor(ft).astype(int)
+    at = ft - it
+    it1 = np.minimum(it + 1, g.nt - 1)
+    fx = (x + 0.5 * g.x_period) / g.dx
+    ix = np.floor(fx).astype(int)
+    ax = fx - ix
+    fv = np.clip((v + g.v_extent) / g.dv, 0.0, g.nv - 1 - 1e-12)
+    iv = np.floor(fv).astype(int)
+    av = fv - iv
+    iv1 = np.minimum(iv + 1, g.nv - 1)
+    out = np.zeros_like(t)
+    for dt_, wt in ((it, 1 - at), (it1, at)):
+        for dx_, wx in ((np.mod(ix, g.nx), 1 - ax), (np.mod(ix + 1, g.nx), ax)):
+            for dv_, wv in ((iv, 1 - av), (iv1, av)):
+                out += wt * wx * wv * f.values[dt_, dx_, dv_]
+    return out
+
+
 class TestPhaseField:
     def test_shape_validation(self):
         g = _grid()
@@ -109,6 +133,38 @@ class TestPhaseField:
         assert f.sample(0.0, g.x_axis[0], 0.0) == pytest.approx(f.sample(0.0, g.x_axis[0] + g.x_period, 0.0), rel=1e-12)
 
 
+    @pytest.mark.parametrize("nt", [1, 3])
+    def test_per_axis_bit_identical_to_broadcast_first(self, nt):
+        g = _grid(nt=nt)
+        f = PhaseField(g, np.random.default_rng(2).normal(size=(g.nt, g.nx, g.nv)))
+        rng = np.random.default_rng(3)
+        # before and after the time window, x over several periods (and NaN,
+        # whose value is NaN), v beyond the velocity box
+        t = np.concatenate([rng.uniform(-0.3, 1.3, 20), [0.0, 1.0]])
+        x = np.concatenate([rng.uniform(-9.0, 9.0, 20), [-2.0, np.nan]])
+        v = np.concatenate([rng.uniform(-2.5, 2.5, 30), [-2.0, 2.0 - g.dv, 2.0]])
+        cases = [
+            (t[:, None], x[:, None], v[None, :]),
+            (t[:, None, None], x[None, :, None], v[None, None, :]),
+            (t, x, 0.3),
+            (0.4, x[:, None], v[None, :]),
+            (t[:, None], 0.7, v),
+            (0.4, 0.7, -0.2),
+        ]
+        with np.errstate(invalid="ignore"):  # NaN cast to a cell index
+            for pts in cases:
+                got = f.sample(*pts)
+                want = _broadcast_first_sample(f, *pts)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_flat_points_bit_identical_to_broadcast_first(self):
+        g = _grid()
+        f = PhaseField(g, np.random.default_rng(4).normal(size=(g.nt, g.nx, g.nv)))
+        rng = np.random.default_rng(5)
+        t, x, v = rng.uniform(-0.2, 1.2, 5000), rng.uniform(-5.0, 5.0, 5000), rng.uniform(-2.5, 2.5, 5000)
+        assert f.sample(t, x, v).tobytes() == _broadcast_first_sample(f, t, x, v).tobytes()
+
+
 class TestFieldIO:
     def test_roundtrip_bit_exact(self, tmp_path):
         g = _grid()
@@ -120,6 +176,15 @@ class TestFieldIO:
         assert np.array_equal(f2.values, f.values)
         assert f2.grid == f.grid
         assert f2.farfield == f.farfield
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_payload_is_the_little_endian_c_order_values(self, tmp_path, order):
+        g = _grid()
+        vals = np.asarray(np.random.default_rng(6).normal(size=(g.nt, g.nx, g.nv)), order=order)
+        path = str(tmp_path / "field.bin")
+        save_field(PhaseField(g, vals), path)
+        with open(path, "rb") as fh:
+            assert fh.read() == vals.astype("<f8", order="C").tobytes()
 
     def test_truncated_payload_rejected(self, tmp_path):
         g = _grid()

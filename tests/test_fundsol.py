@@ -172,20 +172,40 @@ class TestHalfSpectrumBuild:
 
 
 # sha256 (first 16 hex digits) of x_axis, v_axis and values of the unit
-# profile as the per-table build made it before it moved into j0_lattice,
-# and the values' sum(), which also reads their memory layout (numpy 2.4;
-# a numpy whose FFT rounds differently changes them too)
+# profile as the half-width j0_lattice build makes it, and the values'
+# sum(), which also reads their memory layout (numpy 2.4; a numpy whose FFT
+# rounds differently changes them too)
 _PROFILE_DIGESTS = {
-    (128, 0.25): ("656e0246cc13a8cf", 332009.2545592125),
-    (128, 0.5): ("1f8d8b4555326755", 648.4555753109618),
-    (128, 0.8): ("37017cdaf4a0c144", 81.05694691387023),
-    (256, 0.25): ("89583e97b0f096f4", 332009.2545592125),
-    (256, 0.5): ("8e4fe3a95c4a0d77", 648.4555753109618),
-    (256, 0.8): ("00db6761b0ddb97f", 81.05694691387022),
-    (1024, 0.25): ("dffefd00297427ba", 332009.2545592125),
-    (1024, 0.5): ("5a6c5cdebf4eb475", 648.4555753109616),
-    (1024, 0.8): ("9e4db36457176692", 81.05694691387023),
+    (128, 0.25): ("875d93794eb62fc2", 332009.2545592125),
+    (128, 0.5): ("6005b2e60b84b31d", 648.4555753109618),
+    (128, 0.8): ("5d78c26f8cc1cf2e", 81.05694691387023),
+    (256, 0.25): ("0c8dc6c7d0003977", 332009.2545592125),
+    (256, 0.5): ("4ad31c774af15fdd", 648.4555753109618),
+    (256, 0.8): ("0bdac74dd00381aa", 81.05694691387022),
+    (1024, 0.25): ("80f6c890c9472c73", 332009.2545592125),
+    (1024, 0.5): ("9d0141561405732c", 648.4555753109618),
+    (1024, 0.8): ("4ec7ace69eb4f0d5", 81.05694691387022),
 }
+
+
+def _full_width_lattice(t, s, nx, nv, dx, dv):
+    """``j0_lattice`` at ``pad = 1`` as built before the half-width build:
+    the full-width inverse transform of every real symbol row along phi,
+    one real inverse transform along xi of all nx columns, and
+    ``fftshift``."""
+    phi = 2 * np.pi / (nx * dx) * (np.fft.fftfreq(nx) * nx)
+    xi = 2 * np.pi / (nv * dv) * (np.fft.fftfreq(nv) * nv)
+    half = np.arange(nv // 2 + 1)
+
+    def symbol(p, q):
+        return np.exp(-t * j0_hat_exponent(-t * p, q, s))
+
+    G = symbol(phi[None, :], xi[half, None])
+    if nx % 2 == 0:
+        G[:, nx // 2] = 0.5 * (G[:, nx // 2] + symbol(phi[nx // 2], xi[-half]))
+    vals = np.fft.irfft(np.fft.ifft(G, axis=1), n=nv, axis=0).T
+    vals *= nx * nv * (2 * np.pi / (nx * dx)) * (2 * np.pi / (nv * dv)) / (2 * np.pi) ** 2
+    return np.fft.fftshift(vals)
 
 
 def _periodic_cauchy(y, gamma, period):
@@ -209,6 +229,29 @@ class TestLattice:
         full = fundsol.j0_lattice(1.5, s, pad * nx, pad * nv, 0.1, 0.15)
         i, j = pad * nx // 2 - nx // 2, pad * nv // 2 - nv // 2
         assert np.array_equal(J, full[i:i + nx, j:j + nv])
+
+    @pytest.mark.parametrize("pad", [1, 2, 3])
+    @pytest.mark.parametrize("nx, nv", [(48, 64), (64, 48), (33, 40), (40, 33)])
+    def test_point_symmetric_off_its_self_partner_lines(self, pad, nx, nv):
+        # J(-x, -v) = J(x, v) bit for bit at every node whose partner is on
+        # the lattice, except on the line x = 0, which is its own partner
+        J = fundsol.j0_lattice(1.5, 0.4, nx, nv, 0.1, 0.15, pad=pad)
+        cx, cv = nx // 2, nv // 2
+        k = np.arange(1, min(cx, nx - cx - 1) + 1)
+        q = np.arange(-min(cv, nv - cv - 1), min(cv, nv - cv - 1) + 1)
+        plus = J[np.ix_(cx + k, cv + q)]
+        minus = J[np.ix_(cx - k, cv - q)]
+        assert plus.size and np.array_equal(plus, minus)
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
+    @pytest.mark.parametrize("nx, nv", [(128, 128), (1024, 1024), (33, 40), (40, 33), (35, 35)])
+    def test_matches_full_width_build(self, nx, nv, s):
+        # the half-width build moves each value by rounding only; on the
+        # square lattices this is the unit-time profile of _unit_profile
+        Phi, Xi = fundsol._auto_extents(s)
+        J = fundsol.j0_lattice(1.0, s, nx, nv, np.pi / Phi, np.pi / Xi)
+        ref = _full_width_lattice(1.0, s, nx, nv, np.pi / Phi, np.pi / Xi)
+        assert np.max(np.abs(J - ref)) <= 1e-15 * ref.max()
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_half_order_marginals_are_periodic_cauchy(self, t):
@@ -259,6 +302,32 @@ def _rescaled(tab, t):
         v_axis=tab.v_axis * ratio ** (1 / (2 * tab.s)),
         values=tab.values * ratio ** -peak_decay_exponent(tab.s),
     )
+
+
+def _broadcast_first_bicubic(sampler, x, v):
+    """The bicubic sampler's evaluation as made on points broadcast to full
+    shape first, with a joint inside mask and a full-shape gather index."""
+    x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+    (xlo, vlo), (xhi, vhi), (hx, hv), (nx, nv) = sampler.lo, sampler.hi, sampler.h, sampler.n
+    inside = (x >= xlo) & (x <= xhi) & (v >= vlo) & (v <= vhi)
+    ux = np.where(inside, np.clip((x - xlo) / hx, 0.0, nx - 1), 0.0)
+    uv = np.where(inside, np.clip((v - vlo) / hv, 0.0, nv - 1), 0.0)
+    ix, wx = fundsol._cardinal_weights(ux, nx)
+    iv, wv = fundsol._cardinal_weights(uv, nv)
+    stride = nv + 2
+    base = ix * stride + iv
+    out = np.zeros(inside.shape)
+    for a in range(4):
+        row = wv[0] * sampler.coef.take(base + a * stride)
+        for b in range(1, 4):
+            row += wv[b] * sampler.coef.take(base + (a * stride + b))
+        out += wx[a] * row
+    return np.where(inside, out, 0.0)
+
+
+def _bit_identical(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestSampler:
@@ -320,6 +389,29 @@ class TestSampler:
             warnings.simplefilter("error")
             got = tab256.sample(x, v)
         assert np.array_equal(got, np.zeros(len(x)))
+
+    def test_per_axis_bit_identical_to_broadcast_first(self, tab256):
+        tab256.sample(0.0, 0.0)
+        sampler = tab256._sampler
+        x0, x1 = sampler.lo[0], sampler.hi[0]
+        v0, v1 = sampler.lo[1], sampler.hi[1]
+        rng = np.random.default_rng(5)
+        # inside, on and beyond the box edges, and NaN on either axis
+        xs = np.concatenate([rng.uniform(1.1 * x0, 1.1 * x1, 60), [x0, x1, np.nextafter(x1, np.inf), np.nan]])
+        vs = np.concatenate([rng.uniform(1.1 * v0, 1.1 * v1, 50), [v0, v1, np.nextafter(v0, -np.inf), np.nan]])
+        flat_x = rng.uniform(1.1 * x0, 1.1 * x1, 500)
+        flat_v = rng.uniform(1.1 * v0, 1.1 * v1, 500)
+        for x, v in ((xs[:, None], vs[None, :]), (xs[None, :], vs[:, None]), (flat_x, flat_v),
+                     (xs, 0.3), (0.3, vs), (0.3, -0.2), (np.nan, 0.0), (2 * x1, 0.0)):
+            assert _bit_identical(sampler(np.asarray(x), np.asarray(v)), _broadcast_first_bicubic(sampler, x, v))
+
+    @pytest.mark.parametrize("t", [None, 0.6, 2.5])
+    def test_separable_points_bit_identical_to_meshgrid(self, tab256, t):
+        xs = np.linspace(-3.0, 3.0, 41)
+        vs = np.linspace(-5.0, 5.0, 37)
+        X, V = np.meshgrid(xs, vs, indexing="ij")
+        want = tab256.sample(X.ravel(), V.ravel(), t=t).reshape(X.shape)
+        assert _bit_identical(tab256.sample(xs[:, None], vs[None, :], t=t), want)
 
     def test_scalar_and_shape(self, tab256):
         assert np.shape(tab256.sample(0.0, 0.0)) == ()

@@ -213,12 +213,22 @@ class TestEllipticityChecks:
         # tail(v, r) = 2/r exactly, so the fitted constant is 2
         rep = check_upper_bound(FractionalLaplacian(c=1.0, s=0.5))
         assert rep["fitted_constant"] == pytest.approx(2.0, rel=1e-12)
+        assert rep["pass"] is True
 
     def test_upper_bound_perturbed_within_envelope(self):
         base = FractionalLaplacian(c=1.0, s=0.5)
         k = SymmetricPerturbation(base=base, multiplier=lambda v, w: 1.5 + 0.5 * np.cos(v + w), a_min=1.0, a_max=2.0)
         rep = check_upper_bound(k)
         assert 2.0 * k.a_min * 0.98 <= rep["fitted_constant"] <= 2.0 * k.a_max * 1.02
+        assert rep["pass"]
+
+    def test_upper_bound_fails_above_the_declared_constant(self):
+        # the multiplier reaches 3 while the kernel declares a_max = 1.5
+        base = FractionalLaplacian(c=1.0, s=0.5)
+        k = SymmetricPerturbation(base=base, multiplier=lambda v, w: 2.0 + np.cos(v + w), a_min=1.0, a_max=1.5)
+        rep = check_upper_bound(k)
+        assert rep["fitted_constant"] > 1.05 * 2.0 * k.a_max
+        assert rep["pass"] is False
 
     def test_coercivity_matches_per_node_loop(self):
         # the tails taken once on the joint support equal the per-function,
