@@ -20,31 +20,26 @@ fundamental solution.
 
 ``barrier_residual`` and ``barrier_residual_parts`` take one phase point
 ``z = (t, x, v)`` (a tuple, a list or a 1-D array) and return Python
-scalars, or an ``(N, 3)`` array of points and return arrays; both go
-through the same functions.  Each point's state (spatial offset, branch
-arguments, ``delta``, log factor) is computed once and shared by the
-transport and jump terms.  One point runs on Python floats: plain
-arithmetic, comparisons, ``abs`` and the builtin ``max``, and it computes
-only its active branch (the core needs neither ``exp`` nor the transport
-root, the velocity branch no root).  Numpy is called there only for
-``np.power``, ``np.log`` and ``np.exp``, which run the same loops on a
-float as on an array, so a point's residual is bit-identical alone and in
-a batch.  Every point must have finite coordinates and ``t`` in
-``[tau0, sigma]``.
+scalars, or an ``(N, 3)`` array of points and return arrays.  A batch runs
+through ``_state``, ``_transport_term`` and ``_jump_quadratic``.  One point
+runs through ``_point_parts``, one straight line on Python floats that
+computes only its active branch and calls numpy only for ``np.power``,
+``np.log`` and ``np.exp`` (the same loops on a float as on an array) and
+for the quadrature of a live ball, so its residual is the batch's, bit for
+bit.  Every point must have finite coordinates and ``t`` in
+``[tau0, sigma]``.  The jump term integrates only what can contribute: a
+ball where the barrier is flat costs no kernel evaluation, nor does a
+segment on which the integrand is identically 0.0 (``_jump_quadratic``).
 
-The jump term integrates only what can contribute.  It skips points where
-the barrier is flat on the ball: if ``(|v - w0| + rho)/(3 rho) < max(1, gx)``,
-with ``gx`` the spatial branch argument, then ``m = max(1, gx)`` at ``v``
-and at every velocity of ``B_rho(v)``, so the integrand, and the integral,
-is exactly 0.0.  Every other point has seven quadrature segments
-(breakpoints clipped to the ball), and of these it integrates only the
-ones whose integrand is not identically 0.0.  The others are segments
-narrower than 1e-14, whose weights are zero, and, when ``v`` lies in the
-flat zone ``|v - w0|/(3 rho) <= max(1, gx)``, segments whose nodes all lie
-in it too: there ``m = max(1, gx)`` at ``v`` and at every node.  The sums
-of the integrated segments go back into their seven slots, 0.0 elsewhere,
-and are summed as before, so each point's integral is bit for bit that of
-all seven segments.  Kernels see flattened 1-D ``t, x, v, w`` node arrays.
+``region_samples`` draws its attempts in blocks from the caller's
+generator and leaves the points and the generator's full state as one
+``Generator.uniform`` per draw and one ``Generator.choice`` per sign leave
+them.  This rests on three facts of numpy's PCG64 stream:
+``Generator.random()`` is ``(next_uint64 >> 11) 2^-53``; ``integers(0, 2)``
+is bit 31 of ``next_uint32``; and ``next_uint32`` serves the low half of a
+64-bit output, then its buffered high half.  So an attempt's ``k`` doubles
+and two signs are one row of ``rng.random((n, k + 1))``, the signs being
+bits 20 and 52 of the 53-bit integer that the row's last double carries.
 """
 
 from __future__ import annotations
@@ -89,10 +84,7 @@ class BarrierParams:
     def __post_init__(self):
         if not all(math.isfinite(f) for f in (self.rho, self.k, self.tau0, self.sigma, self.y0, self.w0, self.s)):
             raise ValueError("rho, k, tau0, sigma, y0, w0 and s must be finite")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        self.check_scale(self.rho, self.k)
         if not 0.0 < self.s < 1.0:
             raise ValueError("s must lie in (0, 1)")
         if not self.tau0 < self.sigma:
@@ -100,44 +92,19 @@ class BarrierParams:
         if self.sigma - self.tau0 > self.rho ** (2 * self.s) / (4 * self.k) * (1 + 1e-12):
             raise ValueError("need sigma - tau0 <= rho^{2s}/(4k)")
 
+    @staticmethod
+    def check_scale(rho, k):
+        """The rules of ``rho`` and ``k``; a caller deriving ``sigma`` from
+        them checks these first."""
+        if rho <= 0:
+            raise ValueError("rho must be positive")
+        if k < 1:
+            raise ValueError("k must be at least 1")
+
 
 _TINY = float(np.finfo(float).tiny)
 _TIE_RTOL = 1e-7
 _K_MAX = 2.0**24
-
-
-# One point runs on Python floats and arrays on numpy; these helpers take
-# either, and give a float or a bool for one point.  The builtin max agrees
-# with np.maximum on the finite values it gets.
-
-
-def _ufunc(f, *args):
-    """``f(*args)`` for a numpy ufunc ``f``; a Python float for one point.
-    The ufunc runs the same loop on a float as on an array, so the value is
-    the same bits; ``**`` and ``math`` call the C library, which can differ
-    from numpy's loop in the last bit."""
-    r = f(*args)
-    return r if isinstance(r, np.ndarray) else float(r)
-
-
-def _max(a, b):
-    return np.maximum(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else max(a, b)
-
-
-def _all(cond):
-    return cond.all() if isinstance(cond, np.ndarray) else cond
-
-
-def _any(cond):
-    return cond.any() if isinstance(cond, np.ndarray) else cond
-
-
-def _where(cond, a, b):
-    """``np.where`` for arrays; for one point (a bool), the chosen operand
-    itself."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
 
 
 def _state(p: BarrierParams, t, x, v):
@@ -148,24 +115,25 @@ def _state(p: BarrierParams, t, x, v):
     and ``gx`` are the velocity and spatial branch arguments of ``m`` (so
     ``m = max(1, gv, gx)``), and ``L = log(rho^{2s} / (k delta(t)))``
     with ``delta(t) = 2 (sigma - tau0) - (t - tau0)``.  ``t, x, v`` are
-    float arrays or one point's floats.
+    float arrays, or one point's floats (``gx`` and ``L`` then come back
+    as numpy scalars).
     """
     u = x - p.y0 - (p.sigma + t - 2 * p.tau0) * p.w0
     absu = abs(u)
     gv = abs(v - p.w0) / (3 * p.rho)
-    gx = _ufunc(np.power, absu, 1.0 / (1 + 2 * p.s)) / (3 * p.rho)
+    gx = np.power(absu, 1.0 / (1 + 2 * p.s)) / (3 * p.rho)
     delta = 2.0 * (p.sigma - p.tau0) - (t - p.tau0)
-    L = _ufunc(np.log, p.rho ** (2 * p.s) / (p.k * delta))
+    L = np.log(p.rho ** (2 * p.s) / (p.k * delta))
     return u, absu, gv, gx, delta, L
 
 
 def _check_points(p: BarrierParams, t, x, v):
     """Raise ``ValueError`` unless every coordinate is finite and every
-    ``t`` lies in ``[tau0, sigma]`` (to 1e-12); on floats or arrays.  The
-    comparisons are written so that NaN fails them."""
-    if not _all((abs(t) < math.inf) & (abs(x) < math.inf) & (abs(v) < math.inf)):
+    ``t`` lies in ``[tau0, sigma]`` (to 1e-12).  The comparisons are
+    written so that NaN fails them."""
+    if not ((abs(t) < math.inf) & (abs(x) < math.inf) & (abs(v) < math.inf)).all():
         raise ValueError("phase point coordinates must be finite")
-    if not _all((t >= p.tau0 - 1e-12) & (t <= p.sigma + 1e-12)):
+    if not ((t >= p.tau0 - 1e-12) & (t <= p.sigma + 1e-12)).all():
         raise ValueError("time outside [tau0, sigma]")
 
 
@@ -207,32 +175,26 @@ def barrier_region(p: BarrierParams, z) -> int:
 
 def _transport_term(p: BarrierParams, state, v):
     """Analytic transport derivative ``TH`` of the active branch, per point,
-    from the point's ``_state``.
+    from the points' ``_state``: every branch is computed and the active
+    one selected.
 
     Returns ``(TH, tie)`` where ``tie`` marks points within relative
     distance ``_TIE_RTOL`` of a branch kink (there the derivative is
-    one-sided; a caller may fall back to finite differences).  Arrays
-    compute every branch and select; one point computes only its own, and
-    its ``TH`` may be a numpy float scalar.
+    one-sided; a caller may fall back to finite differences).
     """
     u, absu, gv, gx, delta, L = state
-    one = not isinstance(gv, np.ndarray)
-    maximum = max if one else np.maximum
-    top = maximum(gv, gx)
+    top = np.maximum(gv, gx)
     core, velocity = top <= 1.0, gv >= gx
-    TH = -p.k / p.rho ** (2 * p.s)
-    if not (one and core):
-        H = np.exp(-maximum(1.0, top) * L)
-        TH = _where(core, TH, -H * gv / delta)
-        if not (one and velocity):
-            # transport derivative of u along (d/dt + v d/dx) is (v - w0);
-            # the spatial branch is only selected where gx > 1, so u != 0
-            # there and u / clamp is sign(u); the clamp only keeps the
-            # unselected root finite at u = 0
-            clamp = maximum(absu, _TINY)
-            root = np.power(clamp, -2 * p.s / (1 + 2 * p.s))
-            dm = (1.0 / (3 * p.rho * (1 + 2 * p.s))) * root * (u / clamp) * (v - p.w0)
-            TH = _where(core | velocity, TH, -H * (gx / delta + L * dm))
+    H = np.exp(-np.maximum(1.0, top) * L)
+    TH = np.where(core, -p.k / p.rho ** (2 * p.s), -H * gv / delta)
+    # transport derivative of u along (d/dt + v d/dx) is (v - w0); the
+    # spatial branch is only selected where gx > 1, so u != 0 there and
+    # u / clamp is sign(u); the clamp only keeps the unselected root finite
+    # at u = 0
+    clamp = np.maximum(absu, _TINY)
+    root = np.power(clamp, -2 * p.s / (1 + 2 * p.s))
+    dm = (1.0 / (3 * p.rho * (1 + 2 * p.s))) * root * (u / clamp) * (v - p.w0)
+    TH = np.where(core | velocity, TH, -H * (gx / delta + L * dm))
 
     # a kink only matters where the active branch could switch: at the
     # core boundary, or between the two growing branches
@@ -240,25 +202,20 @@ def _transport_term(p: BarrierParams, state, v):
     return TH, tie
 
 
-def _as_points(p: BarrierParams, z):
-    """``(t, x, v, single)`` from one phase point (a tuple, list or 1-D
-    array of three numbers; Python floats come back) or an ``(N, 3)`` array
-    (column views), after ``_check_points``."""
-    single = z.shape == (3,) if isinstance(z, np.ndarray) else isinstance(z, (tuple, list)) and len(z) == 3
-    if single:
+def _as_points(z):
+    """``(t, x, v, one)`` from one phase point (a tuple, list or 1-D array
+    of three numbers; Python floats come back) or an ``(N, 3)`` array
+    (column views)."""
+    if isinstance(z, (tuple, list)) and len(z) == 3:
         t, x, v = z
         # np.float64 is a float; other numbers take the np.asarray path
-        single = isinstance(t, (float, int)) and isinstance(x, (float, int)) and isinstance(v, (float, int))
-    if not single:
-        z = np.asarray(z, dtype=float)
-        if z.shape[-1:] != (3,) or z.ndim > 2:
-            raise ValueError("phase points must have shape (3,) or (N, 3)")
-        single = z.ndim == 1
-        t, x, v = z.T
-    if single:
-        t, x, v = float(t), float(x), float(v)
-    _check_points(p, t, x, v)
-    return t, x, v, single
+        if isinstance(t, (float, int)) and isinstance(x, (float, int)) and isinstance(v, (float, int)):
+            return float(t), float(x), float(v), True
+    z = np.asarray(z, dtype=float)
+    if z.shape[-1:] != (3,) or z.ndim > 2:
+        raise ValueError("phase points must have shape (3,) or (N, 3)")
+    t, x, v = z.T
+    return (float(t), float(x), float(v), True) if z.ndim == 1 else (t, x, v, False)
 
 
 # Gauss-Legendre nodes per segment of ``_jump_quadratic``, and points per
@@ -291,16 +248,10 @@ def _jump_quadratic(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L):
     so each value is bit for bit that of integrating all seven segments.
 
     Live points are integrated in blocks of ``_JUMP_BLOCK``; each point's
-    value does not depend on the blocking or on the other points.  One
-    point (Python floats) gives a float; its breakpoints come from Python
-    comparisons and ``sorted``, which give those of the array clip and
-    sort.
+    value does not depend on the blocking or on the other points.
     """
     reach = (abs(v - p.w0) + p.rho) / (3 * p.rho)
-    live = reach >= _max(1.0, gx) * (1 - 1e-12)
-    if not isinstance(live, np.ndarray):
-        return _jump_point(p, kspec, t, x, v, gv, gx, L) if live else 0.0
-    live = np.flatnonzero(live)
+    live = np.flatnonzero(reach >= np.maximum(1.0, gx) * (1 - 1e-12))
     I = np.zeros(len(v))
     for i in range(0, len(live), _JUMP_BLOCK):
         b = live[i : i + _JUMP_BLOCK]
@@ -325,27 +276,6 @@ def _flat_segment(p: BarrierParams, half, mid, mX, ends):
     """
     first, last = ends
     return (abs(half * first + mid - p.w0) / (3 * p.rho) <= mX) & (abs(half * last + mid - p.w0) / (3 * p.rho) <= mX)
-
-
-def _jump_point(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L) -> float:
-    """``_jump_quadratic`` at one live point (Python floats)."""
-    rho, w0, mX = p.rho, p.w0, max(1.0, gx)
-    lo, hi = v - rho, v + rho
-    # lo, v and hi lie in the ball already; the others are clipped to it
-    outer = (w0, w0 - 2 * rho, w0 + 2 * rho, w0 - 3 * rho * mX, w0 + 3 * rho * mX)
-    brk = sorted([lo, hi, v] + [lo if q < lo else hi if q > hi else q for q in outer])
-    v_flat, ends = gv <= mX, _end_nodes()
-    cols, segs = [], []
-    for j, (a, b) in enumerate(zip(brk[:-1], brk[1:])):
-        half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        if b - a >= 1e-14 and not (v_flat and _flat_segment(p, half, mid, mX, ends)):
-            cols.append(j)
-            segs.append((half, mid))
-    sums = np.zeros(7)
-    if cols:
-        hm = np.array(segs)
-        sums[cols] = _segment_sums(p, kspec, t, x, v, gv, mX, L, hm[:, :1], hm[:, 1:])
-    return float(sums.sum())
 
 
 def _jump_block(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L):
@@ -392,7 +322,7 @@ def _segment_sums(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, mX, L, half,
         ww = np.where(keep, ww, 0.0)
         w = np.where(keep, w, v + p.rho)
     # sqrt(H) with multiplier max(1, |vel - w0|/(3 rho), gx) = max(|vel - w0|/(3 rho), mX)
-    sqrtH_v = np.exp(-0.5 * _max(gv, mX) * L)
+    sqrtH_v = np.exp(-0.5 * np.maximum(gv, mX) * L)
     sqrtH_w = np.exp(-0.5 * np.maximum(abs(w - p.w0) / (3 * p.rho), mX) * L)
     # each owner's t, x and v at every node of its segment
     txv = np.empty((3,) + w.shape)
@@ -403,6 +333,51 @@ def _segment_sums(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, mX, L, half,
     return ((sqrtH_v - sqrtH_w) ** 2 * Ks.reshape(w.shape) * ww).sum(axis=1)
 
 
+def _point_parts(p: BarrierParams, kspec: KernelSpec, t, x, v):
+    """``(TH, I, tie)`` at one phase point: ``_transport_term`` and
+    ``_jump_quadratic`` in one straight line on Python floats, computing
+    only the active branch and, at a live point, one ``(S, 24)`` node block
+    for its ``S`` contributing segments.  The breakpoints come from Python
+    comparisons and ``sorted``, which give those of the array clip and sort.
+    """
+    if not (abs(t) < math.inf and abs(x) < math.inf and abs(v) < math.inf):
+        raise ValueError("phase point coordinates must be finite")
+    if not p.tau0 - 1e-12 <= t <= p.sigma + 1e-12:
+        raise ValueError("time outside [tau0, sigma]")
+    rho, s, w0 = p.rho, p.s, p.w0
+    u, absu, gv, gx, delta, L = _state(p, t, x, v)
+    gx, L = float(gx), float(L)
+    top, mX = max(gv, gx), max(1.0, gx)
+    if top <= 1.0:
+        TH = -p.k / rho ** (2 * s)
+    elif gv >= gx:
+        TH = -float(np.exp(-top * L)) * gv / delta
+    else:
+        # the batch's clamp: u != 0 where gx > 1, and u / clamp is sign(u)
+        clamp = max(absu, _TINY)
+        dm = (1.0 / (3 * rho * (1 + 2 * s))) * float(np.power(clamp, -2 * s / (1 + 2 * s))) * (u / clamp) * (v - w0)
+        TH = -float(np.exp(-top * L)) * (gx / delta + L * dm)
+    tie = abs(top - 1.0) <= _TIE_RTOL or (top > 1.0 and abs(gv - gx) <= _TIE_RTOL * top)
+
+    if (abs(v - w0) + rho) / (3 * rho) < mX * (1 - 1e-12):
+        return TH, 0.0, tie  # flat ball
+    lo, hi = v - rho, v + rho
+    # lo, v and hi lie in the ball already; the others are clipped to it
+    outer = (w0, w0 - 2 * rho, w0 + 2 * rho, w0 - 3 * rho * mX, w0 + 3 * rho * mX)
+    brk = sorted([lo, hi, v] + [lo if q < lo else hi if q > hi else q for q in outer])
+    v_flat, ends, segs = gv <= mX, _end_nodes(), []
+    for a, b in zip(brk[:-1], brk[1:]):
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        if b - a >= 1e-14 and not (v_flat and _flat_segment(p, half, mid, mX, ends)):
+            segs.append((half, mid))
+    if not segs:
+        return TH, 0.0, tie
+    sums = _segment_sums(p, kspec, t, x, v, gv, mX, L, *np.array(segs).T[:, :, None])
+    # numpy adds fewer than eight values in order, so these sums add up as
+    # the batch's seven slots do, whose others hold 0.0
+    return TH, float(sums.sum()), tie
+
+
 def barrier_residual_parts(p: BarrierParams, kspec: KernelSpec, z):
     """Return ``(TH, I, tie)`` so that the residual is ``TH + c I``.
 
@@ -411,14 +386,14 @@ def barrier_residual_parts(p: BarrierParams, kspec: KernelSpec, z):
     ``ValueError`` unless every coordinate is finite and every time lies
     in ``[tau0, sigma]``.
     """
-    t, x, v, single = _as_points(p, z)
+    t, x, v, one = _as_points(z)
+    if one:
+        return _point_parts(p, kspec, t, x, v)
+    _check_points(p, t, x, v)
     state = _state(p, t, x, v)
     _, _, gv, gx, _, L = state
     TH, tie = _transport_term(p, state, v)
-    I = _jump_quadratic(p, kspec, t, x, v, gv, gx, L)
-    if single:
-        return float(TH), I, bool(tie)
-    return TH, I, tie
+    return TH, _jump_quadratic(p, kspec, t, x, v, gv, gx, L), tie
 
 
 def barrier_residual(p: BarrierParams, kspec: KernelSpec, z, c: float = 2.0):
@@ -428,54 +403,78 @@ def barrier_residual(p: BarrierParams, kspec: KernelSpec, z, c: float = 2.0):
     for an ``(N, 3)`` array of points.  Raises ``ValueError`` unless every
     coordinate is finite and every time lies in ``[tau0, sigma]``.
     """
-    t, x, v, single = _as_points(p, z)
-    state = _state(p, t, x, v)
-    _, _, gv, gx, _, L = state
-    TH, tie = _transport_term(p, state, v)
-    if _any(tie):
+    TH, I, tie = barrier_residual_parts(p, kspec, z)
+    one = type(tie) is bool
+    if (tie if one else tie.any()):
         # one-sided derivative at a kink: fall back to a flow-aligned
         # finite difference of H
+        t, x, v, _ = _as_points(z)
         h = 1e-7 * max(p.sigma - p.tau0, 1e-12)
         tp, tm = np.minimum(t + h, p.sigma), np.maximum(t - h, p.tau0)
         Hp = barrier_values(p, tp, x + (tp - t) * v, v)
         Hm = barrier_values(p, tm, x + (tm - t) * v, v)
-        TH = _where(tie, (Hp - Hm) / (tp - tm), TH)
-    res = TH + c * _jump_quadratic(p, kspec, t, x, v, gv, gx, L)
-    return float(res) if single else res
+        TH = np.where(tie, (Hp - Hm) / (tp - tm), TH)
+    res = TH + c * I
+    return float(res) if one else res
+
+
+# Attempts per block of ``region_samples``: a block's three generator calls
+# (about 12 us) cost 0.2 us per attempt, and its rows, Python lists of about
+# 0.2 kB each, hold near 13 kB while the block is read.
+_SAMPLE_BLOCK = 64
+
+
+def _attempts(rng: np.random.Generator, n: int, k: int):
+    """``n`` attempts ``(u, sv, sx)`` of ``k`` uniform doubles and two sign
+    bits, drawn as ``region_samples`` describes: the first ``n - 1`` as
+    rows of one block, the last one by ``rng.random(k)`` and
+    ``rng.integers(0, 2, size=2)``."""
+    for *u, d in rng.random((n - 1, k + 1)).tolist():
+        m = int(d * 2.0**53)
+        yield u, m >> 20 & 1, m >> 52
+    yield rng.random(k).tolist(), *rng.integers(0, 2, size=2).tolist()
 
 
 def region_samples(p: BarrierParams, n_per_region: int, rng: np.random.Generator):
-    """Random sample points covering all six case regions."""
-    rho = p.rho
+    """``n_per_region`` random points in each of the six case regions, in
+    region order.
 
-    def uniform(lo, hi):
-        # Generator.uniform's own formula on the same stream, without its overhead
-        return lo + (hi - lo) * rng.random()
+    An attempt draws ``t``, the spatial root ``Xr`` and the velocity
+    distance ``dv`` uniformly over its region's ranges (region 6 then
+    redraws ``Xr`` above ``1.01 dv``), then the signs of ``v - w0`` and of
+    the spatial offset; it is kept when ``barrier_region`` agrees.
 
+    A block holds the attempts still wanted, as rows (module docstring);
+    its last attempt draws with ``rng.random(k)`` and ``rng.integers(0, 2,
+    size=2)``, so the buffered half (``uinteger``) ends as single draws
+    leave it.  A rejected attempt is skipped in order and the next block
+    covers the shortfall, so no block draws past the last attempt.  Another
+    bit generator, or a PCG64 holding a buffered half, draws blocks of one.
+    """
+    rho, e = p.rho, 1 + 2 * p.s
+    bits = rng.bit_generator
+    blocks = type(bits) is np.random.PCG64 and not bits.state["has_uint32"]
     out = []
     for region in range(1, 7):
+        X_lo, X_hi = (0.0, 2.9 * rho) if region in (1, 3, 5) else (3.1 * rho, 12.0 * rho)
+        dv_lo, dv_hi = ((0.0, 1.9 * rho), (2.1 * rho, 2.9 * rho), (3.1 * rho, 12.0 * rho))[(region - 1) // 2]
         count = 0
         while count < n_per_region:
-            t = uniform(p.tau0, p.sigma)
-            if region in (1, 3, 5):
-                Xr = uniform(0.0, 2.9 * rho)
-            else:
-                Xr = uniform(3.1 * rho, 12.0 * rho)
-            if region in (1, 2):
-                dv = uniform(0.0, 1.9 * rho)
-            elif region in (3, 4):
-                dv = uniform(2.1 * rho, 2.9 * rho)
-            else:
-                dv = uniform(3.1 * rho, 12.0 * rho)
-            if region == 6:
-                Xr = uniform(max(3.1 * rho, dv * 1.01), 14.0 * rho)
-            # the draw Generator.choice([-1.0, 1.0]) makes, without its overhead
-            v = p.w0 + (-1.0, 1.0)[rng.integers(0, 2)] * dv
-            x = p.y0 + (p.sigma + t - 2 * p.tau0) * p.w0 + (-1.0, 1.0)[rng.integers(0, 2)] * Xr ** (1 + 2 * p.s)
-            z = (t, x, v)
-            if barrier_region(p, z) == region:
-                out.append(z)
-                count += 1
+            n = min(n_per_region - count, _SAMPLE_BLOCK) if blocks else 1
+            for u, sv, sx in _attempts(rng, n, 4 if region == 6 else 3):
+                # Generator.uniform's own formula, lo + (hi - lo) * random()
+                t = p.tau0 + (p.sigma - p.tau0) * u[0]
+                Xr = X_lo + (X_hi - X_lo) * u[1]
+                dv = dv_lo + (dv_hi - dv_lo) * u[2]
+                if region == 6:
+                    X_min = max(3.1 * rho, dv * 1.01)
+                    Xr = X_min + (14.0 * rho - X_min) * u[3]
+                v = p.w0 + (-1.0, 1.0)[sv] * dv
+                x = p.y0 + (p.sigma + t - 2 * p.tau0) * p.w0 + (-1.0, 1.0)[sx] * Xr**e
+                z = (t, x, v)
+                if barrier_region(p, z) == region:
+                    out.append(z)
+                    count += 1
     return out
 
 
@@ -496,15 +495,12 @@ def k_threshold(
     Feasibility is assumed monotone in ``k`` inside ``[1, _K_MAX]``
     (checked at the endpoints); bisection to relative tolerance 1e-3.
     """
-    rng = np.random.default_rng(seed)
-
-    def residuals(k: float):
-        p = BarrierParams(rho=rho, k=k, tau0=tau0, sigma=tau0 + rho ** (2 * s) / (4 * k), y0=y0, w0=w0, s=s)
-        zs = region_samples(p, n_per_region, np.random.default_rng(seed))
-        return barrier_residual(p, kspec, np.asarray(zs), c), zs
+    BarrierParams.check_scale(rho, 1.0)  # before sigma is derived from rho
 
     def feasible(k: float):
-        res, zs = residuals(k)
+        p = BarrierParams(rho=rho, k=k, tau0=tau0, sigma=tau0 + rho ** (2 * s) / (4 * k), y0=y0, w0=w0, s=s)
+        zs = region_samples(p, n_per_region, np.random.default_rng(seed))
+        res = barrier_residual(p, kspec, np.asarray(zs), c)
         i = int(np.argmax(res))
         return bool(res[i] <= 0.0), res[i], zs[i]
 

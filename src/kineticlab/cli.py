@@ -288,6 +288,8 @@ def _run_aronson(args, em: Emitter) -> None:
 
     s = _check_s(args.s)
     sub = args.aronson_cmd
+    if sub in ("barrier", "energy"):
+        BarrierParams.check_scale(args.rho, args.k)  # before sigma is derived from them
     if sub == "barrier":
         p = BarrierParams(rho=args.rho, k=args.k, tau0=args.tau0,
                           sigma=args.tau0 + args.rho ** (2 * s) / (4 * args.k),

@@ -160,11 +160,15 @@ class PhaseField:
         self.farfield = farfield if farfield is not None else ZeroExtension()
 
     def sample(self, t, x, v):
-        """Trilinear interpolation, vectorized over broadcastable inputs."""
+        """Trilinear interpolation, vectorized over broadcastable inputs;
+        every coordinate must be finite (else ``ValueError``)."""
         g = self.grid
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
+        for name, q in (("t", t), ("x", x), ("v", v)):
+            if not np.isfinite(q).all():
+                raise ValueError(f"sample coordinate {name} must be finite")
 
         if g.nt > 1:
             ft = np.clip((t - g.t0) / g.dt, 0.0, g.nt - 1 - 1e-12)

@@ -362,7 +362,12 @@ def degiorgi_trace(
     nodes: tuple = (8, 8, 8),
 ) -> DeGiorgiTrace:
     """Level sequence ``l_k = L(1 - 2^{-k})``, shrinking radii
-    ``r_k = R/8 + 2^{-k}(7R/8)`` and truncated masses ``A_k``, k = 0 .. 6."""
+    ``r_k = R/8 + 2^{-k}(7R/8)`` and truncated masses ``A_k``, k = 0 .. 6.
+
+    ``zeta`` is the exponent of the level-set tail bound the iteration
+    closes (``tail_bound_ratio``), so it lies in (0, 1)."""
+    if not 0.0 < zeta < 1.0:
+        raise ValueError("zeta must lie in (0, 1)")
     p_hi = 1.0 + s / (2 * (1 + s) + s)
     if not 1.0 < p < p_hi:
         raise ValueError(f"p must lie in (1, {p_hi})")

@@ -173,6 +173,53 @@ class TestRegions:
         assert barrier_region(p, (t, x0 + 8.0**2, 5.0)) == 6
 
 
+def _buffered_pcg64(seed):
+    # a PCG64 generator holding the high half of its last 64-bit output
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 2)
+    return rng
+
+
+class TestBlockSampler:
+    """``region_samples`` draws its attempts in blocks; a short block, a
+    skipped attempt or a generator whose stream does not pack an attempt
+    into one row must still leave the points and the full generator state
+    of one draw at a time."""
+
+    @pytest.mark.parametrize("s", [0.25, 0.8])
+    @pytest.mark.parametrize("make_rng", [np.random.default_rng, _buffered_pcg64,
+                                          lambda seed: np.random.Generator(np.random.MT19937(seed))])
+    def test_rejected_attempts_leave_the_stream_of_single_draws(self, monkeypatch, s, make_rng):
+        # a rule that rejects about a third of the attempts, by their time,
+        # so most blocks fall short and the next one draws the shortfall
+        real, rejected = _barrier_region_reference, []
+
+        def rule(p, z):
+            if int(z[0] * 1e9) % 3:
+                return real(p, z)
+            rejected.append(z)
+            return 0
+
+        monkeypatch.setattr(aronson, "barrier_region", rule)
+        monkeypatch.setitem(globals(), "_barrier_region_reference", rule)
+        p = _params(rho=0.8, tau0=0.1, y0=0.7, w0=-1.3, s=s)
+        n = aronson._SAMPLE_BLOCK + 40
+        rng, ref_rng = make_rng(9), make_rng(9)
+        got = region_samples(p, n, rng)
+        assert len(rejected) > 6 * n // 4
+        np.testing.assert_array_equal(got, _region_samples_reference(p, n, ref_rng))
+        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)  # MT19937 holds an array
+
+    @pytest.mark.parametrize("s", [0.25, 0.8])
+    @pytest.mark.parametrize("seed", [0, 11, 17])
+    def test_one_point_per_region(self, s, seed):
+        # every block holds one attempt: the one drawn by single draws
+        p = _params(rho=0.8, tau0=0.1, y0=0.7, w0=-1.3, s=s)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(region_samples(p, 1, rng), _region_samples_reference(p, 1, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestResidual:
     def test_core_transport_term(self):
         p = _params()
@@ -467,12 +514,11 @@ class TestBatchedResidual:
         spatial = (t, x0 - (6.0 * p.rho) ** (1 + 2 * S), p.w0 + 0.5 * p.rho)
         velocity = (t, x0 + 0.3, p.w0 - 6.0 * p.rho)
         Z = np.array([core, spatial, velocity])
-        _, _, gv, gx, _, _ = state = aronson._state(p, *Z.T)
+        _, _, gv, gx, _, _ = aronson._state(p, *Z.T)
         assert max(gv[0], gx[0]) <= 1.0 and gv[1] < gx[1] and gx[1] > 1.0 and gv[2] > max(1.0, gx[2])
         assert _flat(p, Z[:, 2], gx).tolist() == [True, True, False]
         res = barrier_residual(p, k, Z)
         TH, I, tie = barrier_residual_parts(p, k, Z)
-        TH_state, tie_state = aronson._transport_term(p, state, Z[:, 2])
         monkeypatch.setattr(aronson, "np", types.SimpleNamespace(ndarray=np.ndarray, exp=np.exp, log=np.log, power=np.power))
         for i, z in enumerate((core, spatial)):
             assert barrier_residual(p, k, z) == res[i]
@@ -481,9 +527,10 @@ class TestBatchedResidual:
         # (|v - w0| + rho)/(3 rho) > gv >= max(1, gx), so it is never flat
         # and its jump term runs the numpy quadrature; its state and
         # transport term run on Python floats
-        got = aronson._state(p, *velocity)
-        assert got == tuple(float(q[2]) for q in state)
-        assert aronson._transport_term(p, got, velocity[2]) == (TH_state[2], False)
+        monkeypatch.setattr(aronson, "np", types.SimpleNamespace(
+            ndarray=np.ndarray, exp=np.exp, log=np.log, power=np.power, array=np.array, zeros=np.zeros))
+        monkeypatch.setattr(aronson, "_segment_sums", lambda *args: np.zeros(len(args[-1])))
+        assert barrier_residual_parts(p, k, velocity) == (TH[2], 0.0, False)
 
     def test_rejects_bad_shape(self):
         p = _params()
@@ -505,12 +552,6 @@ class TestBatchedResidual:
         monkeypatch.setattr(type(k), "_eval", no_kernel)
         assert [barrier_residual_parts(p, k, z)[1] for z in Z[flat]] == [0.0] * flat.sum()
         np.testing.assert_array_equal([barrier_residual(p, k, z) for z in Z[flat]], want)
-
-    def test_scalar_where_returns_the_chosen_operand(self):
-        a, b = np.float64(1.5), [2.0]
-        assert aronson._where(np.True_, a, b) is a
-        assert aronson._where(np.False_, a, b) is b
-        np.testing.assert_array_equal(aronson._where(np.array([True, False]), 1.0, np.array([3.0, 4.0])), [1.0, 4.0])
 
 
 class TestFlatBall:

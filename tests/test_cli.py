@@ -414,6 +414,22 @@ class TestExitCodes:
         assert "n_freq must be at least 4" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, rule", [
+        (["aronson", "barrier", "--k", "0"], "k must be at least 1"),
+        (["aronson", "energy", "--k", "0"], "k must be at least 1"),
+        # rho^{2s} of a negative rho is complex at s = 1/4
+        (["aronson", "--s", "0.25", "barrier", "--rho", "-1"], "rho must be positive"),
+        (["aronson", "--s", "0.25", "k-threshold", "--rho", "-1"], "rho must be positive"),
+        (["harnack", "--n-freq", "128", "degiorgi", "--zeta", "0"], "zeta must lie in (0, 1)"),
+    ])
+    def test_rule_is_checked_before_what_is_derived_from_it(self, tmp_path, capsys, argv, rule):
+        # each rule is checked before what is derived from its value: sigma
+        # divides by k, and the De Giorgi level cap by zeta
+        out = tmp_path / "x"
+        assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
+        assert rule in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_degiorgi_cap_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert main(["harnack", "--n-freq", "128", "--out", str(out), "degiorgi", "--p", "1.05"]) == 2
@@ -553,10 +569,13 @@ class TestEmitter:
 
 
 class TestColdStart:
-    def test_cli_import_loads_no_scipy(self):
+    def test_cli_import_loads_no_lazy_dependency(self):
+        # every run pays for what importing the CLI loads; these load only
+        # where a mode needs them (quadrature nodes, seeded sampling, tests)
         src = os.path.dirname(os.path.dirname(os.path.abspath(kineticlab.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, kineticlab.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        lazy = ("numpy.polynomial", "numpy.random", "scipy")
+        code = f"import sys, kineticlab.cli; print(sorted(m for m in sys.modules if m.startswith({lazy})))"
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert run.stdout.strip() == "[]"
 

@@ -138,10 +138,10 @@ class TestPhaseField:
         g = _grid(nt=nt)
         f = PhaseField(g, np.random.default_rng(2).normal(size=(g.nt, g.nx, g.nv)))
         rng = np.random.default_rng(3)
-        # before and after the time window, x over several periods (and NaN,
-        # whose value is NaN), v beyond the velocity box
+        # before and after the time window, x over several periods, v beyond
+        # the velocity box
         t = np.concatenate([rng.uniform(-0.3, 1.3, 20), [0.0, 1.0]])
-        x = np.concatenate([rng.uniform(-9.0, 9.0, 20), [-2.0, np.nan]])
+        x = np.concatenate([rng.uniform(-9.0, 9.0, 20), [-2.0, 6.0]])
         v = np.concatenate([rng.uniform(-2.5, 2.5, 30), [-2.0, 2.0 - g.dv, 2.0]])
         cases = [
             (t[:, None], x[:, None], v[None, :]),
@@ -151,11 +151,22 @@ class TestPhaseField:
             (t[:, None], 0.7, v),
             (0.4, 0.7, -0.2),
         ]
-        with np.errstate(invalid="ignore"):  # NaN cast to a cell index
-            for pts in cases:
-                got = f.sample(*pts)
-                want = _broadcast_first_sample(f, *pts)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for pts in cases:
+            got = f.sample(*pts)
+            want = _broadcast_first_sample(f, *pts)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("axis", ["t", "x", "v"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_is_rejected(self, axis, bad):
+        # unchecked, a NaN v indexes out of bounds, a NaN x casts to a bogus
+        # cell index and a NaN t wraps to some time slice
+        f = PhaseField(_grid(nt=3), np.ones((3, 16, 16)))
+        pts = {"t": 0.5, "x": [0.1, 0.2], "v": [[0.3], [0.4]]}
+        pts[axis] = np.array(pts[axis])
+        pts[axis].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"sample coordinate {axis} must be finite"):
+            f.sample(**pts)
 
     def test_flat_points_bit_identical_to_broadcast_first(self):
         g = _grid()
