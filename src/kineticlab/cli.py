@@ -3,11 +3,19 @@
 Subcommands::
 
     kineticlab fundsol      --s 0.5 --t 1.0 [--n-freq 256]
-    kineticlab solve        --s 0.5 --t 1.0 [grid/stepper flags]
+    kineticlab solve        --s 0.5 [grid/stepper flags] [--cross-validate]
     kineticlab ellipticity  [--kernel-config FILE] [--fit]
     kineticlab harnack  {weak,strong,l1linf,tail,degiorgi,chain,lower} ...
     kineticlab aronson  {barrier,k-threshold,energy,envelope} ...
     kineticlab sweep    harnack-strong --refinements 3
+
+Each mode takes only the flags it reads.  ``--s``, ``--out`` and ``--seed``
+are accepted by every subcommand, and ``--n-freq`` by all but
+``ellipticity``; for ``harnack`` and ``aronson`` they go before the mode
+word.  ``--seed`` is read only by ``ellipticity`` and ``aronson
+k-threshold``.  ``--kernel-config`` is taken by ``solve``, ``ellipticity``,
+and after the mode word by ``harnack tail`` and ``aronson barrier``,
+``k-threshold`` and ``energy``.
 
 Every run writes its reports (JSON) and series (CSV) into ``--out`` and
 a ``manifest.json`` listing each output file with a SHA-256 digest.
@@ -238,9 +246,18 @@ def _run_ellipticity(args, em: Emitter) -> None:
 
 def _run_harnack(args, em: Emitter) -> None:
     s = _check_s(args.s)
+    sub = args.harnack_cmd
+    if sub == "chain":
+        rep = harnack_chain((args.tau0, args.y0, args.w0), (args.t1, args.x1, args.v1), s)
+        em.json("harnack_chain.json", {k: v for k, v in rep.items() if k != "path"})
+        em.csv("chain_path.csv", ["t", "x", "v"], rep["path"])
+        return
+    if sub == "lower":
+        tab = j0_table(args.t, s, n_freq=args.n_freq)
+        em.json("harnack_lower.json", lower_bound_check(tab, alpha=args.alpha))
+        return
     z0 = PhasePoint(args.t0, args.x0, args.v0)
     nodes = (args.nodes, args.nodes, args.nodes)
-    sub = args.harnack_cmd
     if sub == "strong":
         f = _field_from_args(args, s, make_cylinder(z0, args.r0, s, CylinderKind.TILDE_PAST_QUARTER))
         rep = strong_harnack_ratio(f, z0, args.r0, s, nodes=nodes)
@@ -260,19 +277,11 @@ def _run_harnack(args, em: Emitter) -> None:
         k = _kernel_from_args(args)
         rep = tail_bound_ratio(f, k, z0, args.R, l=args.level, zeta=args.zeta, s=s, nodes=nodes)
         em.json("harnack_tail.json", rep.as_dict())
-    elif sub == "degiorgi":
+    else:  # degiorgi
         f = _field_from_args(args, s, make_cylinder(z0, args.R, s, CylinderKind.CURRENT))
         trace = degiorgi_trace(f, z0, args.R, delta=args.delta, p=args.p, zeta=args.zeta, s=s, nodes=nodes)
         em.json("harnack_degiorgi.json", trace.as_dict())
         em.csv("degiorgi.csv", ["k", "l_k", "r_k", "A_k"], trace.sequence)
-    elif sub == "chain":
-        rep = harnack_chain((args.tau0, args.y0, args.w0), (args.t1, args.x1, args.v1), s)
-        em.json("harnack_chain.json", {k: v for k, v in rep.items() if k != "path"})
-        em.csv("chain_path.csv", ["t", "x", "v"], rep["path"])
-    else:  # lower
-        tab = j0_table(args.t, s, n_freq=args.n_freq)
-        rep = lower_bound_check(tab, alpha=args.alpha)
-        em.json("harnack_lower.json", rep)
 
 
 def _run_aronson(args, em: Emitter) -> None:
@@ -360,12 +369,46 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError("must be a positive integer")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, n_freq: bool = True) -> None:
+    """The flags every subcommand takes, and ``--n-freq``.  The benchmark
+    passes ``--seed`` to every run, though only ``ellipticity`` and ``aronson
+    k-threshold`` draw samples, and ``--n-freq`` before any harnack or
+    aronson mode word."""
     p.add_argument("--s", type=_finite_float, default=0.5, help="jump order parameter, in (0, 1)")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--n-freq", type=_positive_int, default=256, help="frequency grid size per axis")
-    p.add_argument("--kernel-config", default=None, help="kernel key=value config file")
+    if n_freq:
+        p.add_argument("--n-freq", type=_positive_int, default=256, help="frequency grid size per axis")
     p.add_argument("--seed", type=int, default=0)
+
+
+def _add_kernel_config(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kernel-config", default=None, help="kernel key=value config file")
+
+
+def _add_floats(p: argparse.ArgumentParser, /, **defaults: float) -> None:
+    """One finite-float flag per keyword, ``t_offset`` spelled ``--t-offset``;
+    ``p`` is positional-only so that a flag may be named ``--p``."""
+    for name, default in defaults.items():
+        p.add_argument("--" + name.replace("_", "-"), type=_finite_float, default=default)
+
+
+def _add_point(p: argparse.ArgumentParser, nodes: int = 8, t_offset: bool = True) -> None:
+    """The field, cylinder centre and nodes per axis of a Harnack-type
+    measurement; ``--t-offset`` shifts the explicit field."""
+    p.add_argument("--field", default=None, help="saved field path (default: explicit solution)")
+    _add_floats(p, t0=0.0, x0=0.0, v0=0.0)
+    if t_offset:
+        _add_floats(p, t_offset=1.0)
+    p.add_argument("--nodes", type=_positive_int, default=nodes)
+
+
+def _add_grid(p: argparse.ArgumentParser, nx: int, nv: int, v_extent: float, steps: int) -> None:
+    """The solver's phase grid and time stepper."""
+    p.add_argument("--nx", type=_positive_int, default=nx)
+    p.add_argument("--nv", type=_positive_int, default=nv)
+    _add_floats(p, x_period=8.0, v_extent=v_extent, dt=0.01)
+    p.add_argument("--steps", type=_positive_int, default=steps)
+    p.add_argument("--scheme", choices=["explicit", "implicit", "cn"], default="cn")
 
 
 # argparse reads an argument that starts with "-" as an option name unless
@@ -395,92 +438,72 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fundsol", help="fundamental-solution table and composition residual")
     _add_common(p)
-    p.add_argument("--t", type=_finite_float, default=1.0)
+    _add_floats(p, t=1.0)
 
     p = sub.add_parser("solve", help="run the split-step solver")
     _add_common(p)
-    p.add_argument("--nx", type=_positive_int, default=256)
-    p.add_argument("--nv", type=_positive_int, default=256)
-    p.add_argument("--x-period", type=_finite_float, default=8.0)
-    p.add_argument("--v-extent", type=_finite_float, default=12.0)
-    p.add_argument("--dt", type=_finite_float, default=0.01)
-    p.add_argument("--steps", type=_positive_int, default=100)
-    p.add_argument("--scheme", choices=["explicit", "implicit", "cn"], default="cn")
+    _add_kernel_config(p)
+    _add_grid(p, nx=256, nv=256, v_extent=12.0, steps=100)
     p.add_argument("--no-torus", action="store_true")
     p.add_argument("--cross-validate", action="store_true",
                    help="compare against the explicit fundamental solution")
 
     p = sub.add_parser("ellipticity", help="symmetry / upper-bound / coercivity checks")
-    _add_common(p)
+    _add_common(p, n_freq=False)
+    _add_kernel_config(p)
     p.add_argument("--fit", action="store_true", help="also fit the coercivity ratio")
     p.add_argument("--samples", type=_positive_int, default=64)
 
-    # the options every harnack (every aronson) mode shares are declared once
-    # and copied into each mode's parser
-    harnack_opts = argparse.ArgumentParser(add_help=False)
-    harnack_opts.add_argument("--field", default=None, help="saved field path (default: explicit solution)")
-    harnack_opts.add_argument("--t0", type=_finite_float, default=0.0)
-    harnack_opts.add_argument("--x0", type=_finite_float, default=0.0)
-    harnack_opts.add_argument("--v0", type=_finite_float, default=0.0)
-    harnack_opts.add_argument("--t-offset", dest="t_offset", type=_finite_float, default=1.0)
-    harnack_opts.add_argument("--nodes", type=_positive_int, default=8)
-    harnack_opts.add_argument("--r0", type=_finite_float, default=0.125)
-    harnack_opts.add_argument("--R", type=_finite_float, default=0.5)
-    harnack_opts.add_argument("--zeta", type=_finite_float, default=0.5)
-    harnack_opts.add_argument("--level", type=_finite_float, default=0.0)
-    harnack_opts.add_argument("--delta", type=_finite_float, default=0.5)
-    harnack_opts.add_argument("--p", type=_finite_float, default=1.14)
-    harnack_opts.add_argument("--tau0", type=_finite_float, default=1.0)
-    harnack_opts.add_argument("--y0", type=_finite_float, default=0.0)
-    harnack_opts.add_argument("--w0", type=_finite_float, default=0.0)
-    harnack_opts.add_argument("--t1", type=_finite_float, default=2.0)
-    harnack_opts.add_argument("--x1", type=_finite_float, default=1.0)
-    harnack_opts.add_argument("--v1", type=_finite_float, default=1.0)
-    harnack_opts.add_argument("--t", type=_finite_float, default=1.0)
-    harnack_opts.add_argument("--alpha", type=_finite_float, default=1.0)
+    # each mode declares only the options its measurement reads
     p = sub.add_parser("harnack", help="Harnack-type measurements")
     _add_common(p)
     hs = p.add_subparsers(dest="harnack_cmd", required=True)
-    for name in ("strong", "weak", "l1linf", "tail", "degiorgi", "chain", "lower"):
-        hs.add_parser(name, parents=[harnack_opts])
+    p = hs.add_parser("strong")
+    _add_point(p)
+    _add_floats(p, r0=0.125)
+    p = hs.add_parser("weak")
+    _add_point(p)
+    _add_floats(p, r0=0.125, zeta=0.5)
+    p = hs.add_parser("l1linf")
+    _add_point(p)
+    _add_floats(p, R=0.5)
+    p = hs.add_parser("tail")
+    _add_kernel_config(p)
+    _add_point(p, t_offset=False)  # a saved field only
+    _add_floats(p, R=0.5, zeta=0.5, level=0.0)
+    p = hs.add_parser("degiorgi")
+    _add_point(p)
+    _add_floats(p, R=0.5, zeta=0.5, delta=0.5, p=1.14)
+    p = hs.add_parser("chain")
+    _add_floats(p, tau0=1.0, y0=0.0, w0=0.0, t1=2.0, x1=1.0, v1=1.0)
+    p = hs.add_parser("lower")
+    _add_floats(p, t=1.0, alpha=1.0)
 
-    aronson_opts = argparse.ArgumentParser(add_help=False)
-    aronson_opts.add_argument("--rho", type=_finite_float, default=1.0)
-    aronson_opts.add_argument("--k", type=_finite_float, default=4.0)
-    aronson_opts.add_argument("--c", type=_finite_float, default=2.0)
-    aronson_opts.add_argument("--tau0", type=_finite_float, default=0.0)
-    aronson_opts.add_argument("--y0", type=_finite_float, default=0.0)
-    aronson_opts.add_argument("--w0", type=_finite_float, default=0.0)
-    aronson_opts.add_argument("--x1", type=_finite_float, default=0.0)
-    aronson_opts.add_argument("--v1", type=_finite_float, default=0.0)
-    aronson_opts.add_argument("--samples", type=_positive_int, default=30)
-    aronson_opts.add_argument("--t", type=_finite_float, default=1.0)
-    aronson_opts.add_argument("--kind", default="NashOnDiag",
-                              choices=["NashOnDiag", "UpperUnconditional", "UpperConditional", "LowerExponential"])
-    aronson_opts.add_argument("--nx", type=_positive_int, default=64)
-    aronson_opts.add_argument("--nv", type=_positive_int, default=128)
-    aronson_opts.add_argument("--x-period", type=_finite_float, default=8.0)
-    aronson_opts.add_argument("--v-extent", type=_finite_float, default=8.0)
-    aronson_opts.add_argument("--dt", type=_finite_float, default=0.01)
-    aronson_opts.add_argument("--steps", type=_positive_int, default=10)
-    aronson_opts.add_argument("--scheme", choices=["explicit", "implicit", "cn"], default="cn")
     p = sub.add_parser("aronson", help="barrier and decay-envelope checks")
     _add_common(p)
     asub = p.add_subparsers(dest="aronson_cmd", required=True)
-    for name in ("barrier", "k-threshold", "energy", "envelope"):
-        asub.add_parser(name, parents=[aronson_opts])
+    p = asub.add_parser("barrier")
+    _add_kernel_config(p)
+    _add_floats(p, rho=1.0, k=4.0, c=2.0, tau0=0.0, y0=0.0, w0=0.0, x1=0.0, v1=0.0)
+    p = asub.add_parser("k-threshold")
+    _add_kernel_config(p)
+    _add_floats(p, rho=1.0, c=2.0, tau0=0.0, y0=0.0, w0=0.0)
+    p.add_argument("--samples", type=_positive_int, default=30)
+    p = asub.add_parser("energy")
+    _add_kernel_config(p)
+    _add_floats(p, rho=1.0, k=4.0, y0=0.0, w0=0.0)
+    _add_grid(p, nx=64, nv=128, v_extent=8.0, steps=10)
+    p = asub.add_parser("envelope")
+    _add_floats(p, t=1.0)
+    p.add_argument("--kind", default="NashOnDiag",
+                   choices=["NashOnDiag", "UpperUnconditional", "UpperConditional", "LowerExponential"])
 
     p = sub.add_parser("sweep", help="refinement sweeps (CSV)")
     _add_common(p)
     p.add_argument("what", choices=["harnack-strong"])
     p.add_argument("--refinements", type=_positive_int, default=3)
-    p.add_argument("--r0", type=_finite_float, default=0.125)
-    p.add_argument("--t0", type=_finite_float, default=0.0)
-    p.add_argument("--x0", type=_finite_float, default=0.0)
-    p.add_argument("--v0", type=_finite_float, default=0.0)
-    p.add_argument("--t-offset", dest="t_offset", type=_finite_float, default=1.0)
-    p.add_argument("--field", default=None)
-    p.add_argument("--nodes", type=_positive_int, default=4)
+    _add_point(p, nodes=4)
+    _add_floats(p, r0=0.125)
 
     return ap
 

@@ -178,11 +178,12 @@ class PhaseField:
         at = ft - it
         it1 = np.minimum(it + 1, g.nt - 1)
 
+        # wrapped as floats: a finite x beyond the int64 range still wraps
         fx = (x + 0.5 * g.x_period) / g.dx
-        ix = np.floor(fx).astype(int)
+        ix = np.floor(fx)
         ax = fx - ix
-        ix0 = np.mod(ix, g.nx)
-        ix1 = np.mod(ix + 1, g.nx)
+        ix0 = np.mod(ix, g.nx).astype(int)
+        ix1 = np.mod(ix + 1, g.nx).astype(int)
 
         fv = np.clip((v + g.v_extent) / g.dv, 0.0, g.nv - 1 - 1e-12)
         iv = np.floor(fv).astype(int)

@@ -174,7 +174,12 @@ def weak_harnack_ratio(
     _check_resolution(f, future)
     pv, w = _cyl_values(f, past, nodes)
     fv, _ = _cyl_values(f, future, nodes)
-    num = float((np.clip(pv, 0.0, None) ** zeta).sum() * w) ** (1.0 / zeta)
+    with np.errstate(over="raise"):
+        try:
+            num = float((np.clip(pv, 0.0, None) ** zeta).sum() * w) ** (1.0 / zeta)
+        except ArithmeticError:
+            raise ValueError(f"zeta = {zeta:g} overflows the L^zeta average of the past values "
+                             f"(largest {float(pv.max()):.6g})") from None
     inf_raw = float(fv.min())
     notes = []
     inf = max(inf_raw, 0.0)
@@ -414,19 +419,25 @@ def degiorgi_trace(
     return DeGiorgiTrace(R=R, delta=delta, p=p, zeta=zeta, L=L, sequence=seq, decay_ok=decay_ok, chebyshev_ok=cheb_ok)
 
 
+# the path is held as Python tuples and written as CSV: 10^5 links are
+# about 16 MB and a 6 MB file
+_MAX_LINKS = 100_000
+
+
 def harnack_chain(start, end, s: float) -> dict:
     """Chain construction from ``start = (tau0, y0, w0)`` to
     ``end = (t, x, v)``: the number of links, the intermediate points,
     and the exponent bracket of the resulting pointwise bound.  The
     horizon is the end time ``t``, so the link radius is
-    ``sigma = min(1, t^{1/(2s)})``."""
+    ``sigma = min(1, t^{1/(2s)})``.  A chain of more than ``_MAX_LINKS``
+    links is rejected before its path is built."""
     tau0, y0, w0 = float(start[0]), float(start[1]), float(start[2])
     t, x, v = float(end[0]), float(end[1]), float(end[2])
     if tau0 <= 0:
         raise ValueError("tau0 must be positive")
     if t <= tau0:
         raise ValueError("end time must exceed start time")
-    sigma = min(1.0, t ** (1.0 / (2 * s)))
+    sigma = min(1.0, t) ** (1.0 / (2 * s))  # t^{1/(2s)} would overflow for t > 1 and small s
     dt = t - tau0
     dx = x - y0 - dt * w0
     dv = v - w0
@@ -436,7 +447,10 @@ def harnack_chain(start, end, s: float) -> dict:
         (3.0 * 2.0 ** (2 * s)) ** (1 + 2 * s) * abs(dx) ** (2 * s) / dt ** (1 + 2 * s),
         3.0 * 2.0 ** (2 * s) * abs(dv) ** (2 * s) / dt,
     ]
-    N = max(1, math.ceil(max(terms)))
+    links = max(terms)
+    if not links <= _MAX_LINKS:
+        raise ValueError(f"the chain needs N = ceil({links:.6g}) links, which violates the rule N <= {_MAX_LINKS}")
+    N = max(1, math.ceil(links))
     nu = np.arange(N + 1) / N
     path = [
         (
@@ -492,7 +506,14 @@ def lower_bound_check(tab: FundamentalSolutionTable, alpha: float = 1.0) -> dict
         cone_masses.append(float((vals * inside).sum() * (2 * xr / cone_nodes) * (2 * vr / cone_nodes)))
     M = min(cone_masses)
     if M <= 0:
-        return {"M": M, "C1": 0.0, "C2": math.inf, "alpha": alpha, "flagged": "cone mass nonpositive"}
+        # C2 has no value; the cone's box scales with t as the table's does,
+        # so the last cone's nodes show whether any lies inside the table
+        flagged = "cone mass nonpositive"
+        xb, vb = float(np.abs(tab.x_axis).max()), float(np.abs(tab.v_axis).max())
+        if xr / cone_nodes > xb or vr / cone_nodes > vb:
+            flagged += (f": every node of the cone's box (+-{xr:.6g} in x, +-{vr:.6g} in v) lies outside the "
+                        f"table's box (+-{xb:.6g}, +-{vb:.6g}), where the table reads 0")
+        return {"M": M, "C1": 0.0, "C2": None, "alpha": alpha, "flagged": flagged}
 
     beta = peak_decay_exponent(s)
     t = tab.t

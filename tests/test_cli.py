@@ -22,6 +22,7 @@ import kineticlab
 from kineticlab import cli, fundsol, solver
 from kineticlab.cli import main
 from kineticlab.fields import PhaseField, PhaseGrid, save_field
+from test_cli_reports import RUNS, _write_inputs
 
 
 def _manifest(out):
@@ -66,8 +67,20 @@ def _numeric_flags(ap, path=()):
                 yield from _numeric_flags(sub, path + (name,))
 
 
+def _leaves(ap, path=(), chain=()):
+    """``(path, parsers)`` of every leaf mode below ``ap``: its command words
+    and the parsers from its subcommand down to it."""
+    subs = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    if path and not subs:
+        yield path, chain
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaves(sub, path + (name,), chain + (sub,))
+
+
 PARSER = cli.build_parser()
 NUMERIC_FLAGS = list(_numeric_flags(PARSER))
+LEAVES = dict(_leaves(PARSER))
 NON_FINITE = ["nan", "-nan", "NaN", "inf", "-inf", "+inf", "Infinity", "-Infinity", "-iNF"]
 RULES = {cli._finite_float: "must be a finite number", cli._positive_int: "must be a positive integer",
          int: "invalid int value"}
@@ -421,10 +434,18 @@ class TestExitCodes:
         (["aronson", "--s", "0.25", "barrier", "--rho", "-1"], "rho must be positive"),
         (["aronson", "--s", "0.25", "k-threshold", "--rho", "-1"], "rho must be positive"),
         (["harnack", "--n-freq", "128", "degiorgi", "--zeta", "0"], "zeta must lie in (0, 1)"),
+        # the past values near the source exceed 1, so f^zeta overflows
+        (["harnack", "--n-freq", "128", "weak", "--zeta", "1e12"],
+         "zeta = 1e+12 overflows the L^zeta average of the past values"),
+        (["harnack", "chain", "--tau0", "1e-12"],
+         "the chain needs N = ceil(6.66667e+11) links, which violates the rule N <= 100000"),
+        (["harnack", "chain", "--x1", "1e12"],
+         "the chain needs N = ceil(3.6e+13) links, which violates the rule N <= 100000"),
     ])
     def test_rule_is_checked_before_what_is_derived_from_it(self, tmp_path, capsys, argv, rule):
         # each rule is checked before what is derived from its value: sigma
-        # divides by k, and the De Giorgi level cap by zeta
+        # divides by k, the De Giorgi level cap by zeta, the weak average
+        # raises to zeta, and the chain's path holds N + 1 points
         out = tmp_path / "x"
         assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
         assert rule in capsys.readouterr().err
@@ -548,6 +569,146 @@ class TestNumericFlags:
             assert "argument --w0: must be a finite number" in err
 
 
+def _declared(path):
+    """The destinations of the flags the leaf mode ``path`` accepts."""
+    return {a.dest for ap in LEAVES[path] for a in ap._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)}
+
+
+def _leaf(argv):
+    args = PARSER.parse_args(argv)
+    return (args.cmd,) + tuple(value for key, value in vars(args).items() if key.endswith("_cmd"))
+
+
+def _unread(path):
+    """Flags ``path`` accepts without reading them, kept because the bench
+    passes them: ``--seed`` outside the two modes that draw samples, and the
+    group-level ``--n-freq`` in the harnack and aronson modes that build no
+    table."""
+    unread = set() if path in {("ellipticity",), ("aronson", "k-threshold")} else {"seed"}
+    if path in {("harnack", "tail"), ("harnack", "chain"), ("aronson", "barrier"), ("aronson", "k-threshold"),
+                ("aronson", "energy")}:
+        unread.add("n_freq")
+    return unread
+
+
+# the golden runs, one or more per leaf mode, and the cross-validated solve,
+# the one solve path that reads --n-freq
+READ_RUNS = {}
+for _argv in [*RUNS.values(), ["solve", "--cross-validate", "--nx", "32", "--nv", "32", "--steps", "2",
+                               "--n-freq", "64"]]:
+    READ_RUNS.setdefault(_leaf(_argv), []).append(_argv)
+
+SWEEP_VALUES = ["0", "-1", "1e-12", "1e12"]
+# small base arguments per leaf mode; a swept flag of the mode's own parser
+# follows them, so it overrides theirs
+SWEEP_BASE = {
+    ("solve",): ["--nx", "16", "--nv", "16", "--steps", "2"],
+    ("ellipticity",): ["--samples", "4"],
+    ("harnack", "tail"): ["--field", "{field}", "--t0", "0.6", "--R", "0.3", "--nodes", "4"],
+    ("aronson", "k-threshold"): ["--samples", "1"],
+    ("aronson", "energy"): ["--nx", "16", "--nv", "32", "--steps", "2"],
+    ("sweep",): ["harnack-strong", "--refinements", "1"],
+}
+# the numerical failures (exit 3) a swept value may give, and their messages
+SWEEP_FAILURES = {
+    **{(path, "--s", "1e-12"): "frequency extent search did not converge"
+       for path in [("fundsol",), ("harnack", "l1linf"), ("harnack", "degiorgi"), ("harnack", "lower"),
+                    ("aronson", "envelope")]},
+    (("aronson", "k-threshold"), "--c", "1e12"): "no feasible k below 16777216",
+}
+
+
+class TestModeFlags:
+    """Each leaf mode declares only the flags it reads, and every value of a
+    float flag either runs or is rejected as a configuration error."""
+
+    def test_every_leaf_has_a_golden_run(self):
+        assert sorted(READ_RUNS) == sorted(LEAVES)
+
+    @pytest.mark.parametrize("path", sorted(LEAVES), ids="-".join)
+    def test_each_mode_reads_what_it_declares(self, tmp_path, monkeypatch, path):
+        reads = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        class RecordingParser:
+            # main's parser, whose namespace records the reads after parsing
+            @staticmethod
+            def parse_args(argv):
+                args = PARSER.parse_args(argv)
+                args.__class__ = Recording
+                return args
+
+        monkeypatch.setattr(cli, "_parser", RecordingParser)
+        paths = _write_inputs(str(tmp_path))
+        for i, argv in enumerate(READ_RUNS[path]):
+            argv = [a.format(**paths) for a in argv]
+            assert main(argv[:1] + ["--out", str(tmp_path / f"run{i}")] + argv[1:]) == 0
+        assert _declared(path) - reads == _unread(path)
+
+    @pytest.mark.parametrize("argv", [
+        RUNS["harnack-tail"],
+        # a velocity whose jump term is live: at the golden point the ball is flat
+        ["aronson", "barrier", "--rho", "1.0", "--k", "2.0", "--x1", "0.1", "--v1", "5"],
+        # a c at which k = 1 is not feasible, so the kernel moves the threshold
+        ["aronson", "k-threshold", "--samples", "3", "--c", "100"],
+        RUNS["aronson-energy"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_kernel_config_reaches_the_mode(self, tmp_path, argv):
+        paths = _write_inputs(str(tmp_path))
+        reports = []
+        for extra in ([], ["--kernel-config", paths["perturbed"]]):
+            run = [a.format(**paths) for a in argv] + extra
+            out = tmp_path / f"run{len(reports)}"
+            assert main(run[:1] + ["--out", str(out)] + run[1:]) == 0
+            reports.append({f: (out / f).read_bytes() for f in sorted(os.listdir(out)) if f != "manifest.json"})
+        assert reports[0].keys() == reports[1].keys()
+        assert all(reports[0][f] != reports[1][f] for f in reports[0])
+
+    @pytest.mark.parametrize("argv", [
+        ["harnack", "strong", "--kernel-config", "{perturbed}"],
+        ["harnack", "--kernel-config", "{perturbed}", "strong"],
+        ["harnack", "--kernel-config", "{perturbed}", "tail", "--field", "{field}"],
+        ["aronson", "envelope", "--kernel-config", "{perturbed}"],
+        ["fundsol", "--kernel-config", "{perturbed}"],
+        ["sweep", "harnack-strong", "--kernel-config", "{perturbed}"],
+    ])
+    def test_kernel_config_is_refused_where_it_is_not_read(self, tmp_path, argv):
+        paths = _write_inputs(str(tmp_path))
+        out = tmp_path / "x"
+        assert main(argv[:1] + ["--out", str(out)] + [a.format(**paths) for a in argv[1:]]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", sorted(LEAVES), ids="-".join)
+    def test_float_values_exit_0_or_2(self, tmp_path, capsys, path):
+        paths = _write_inputs(str(tmp_path))
+        base = [a.format(**paths) for a in SWEEP_BASE.get(path, [])]
+        n_freq = ["--n-freq", "64"] if "n_freq" in _declared(path) else []
+        wrong = []
+        for depth, ap in enumerate(LEAVES[path]):
+            group = depth < len(path) - 1  # a group-level flag goes before the mode word
+            for action in ap._actions:
+                if action.type is not cli._finite_float:
+                    continue
+                flag = action.option_strings[0]
+                for value in SWEEP_VALUES:
+                    pair = [flag, value]
+                    out = str(tmp_path / f"{depth}{flag}{value}")
+                    argv = ([path[0], "--out", out] + n_freq + (pair if group else []) + list(path[1:]) + base
+                            + ([] if group else pair))
+                    code = main(argv)
+                    err = capsys.readouterr().err
+                    if code == 3 and SWEEP_FAILURES.get((path, flag, value), "\0") in err:
+                        continue
+                    if code not in (0, 2):
+                        wrong.append((flag, value, code, err))
+        assert wrong == []
+
+
 class TestEmitter:
     def test_config_error_leaves_no_directory(self, tmp_path):
         out = tmp_path / "x"
@@ -643,9 +804,9 @@ class TestParserCache:
             assert [v for v in ap._defaults.values() if callable(v)] == []
 
     def test_subcommand_help_is_unchanged(self, monkeypatch):
-        # every subcommand's help text, captured once from the parser that
-        # declared the harnack and aronson options per mode; the top-level
-        # text is the module docstring and is not compared
+        # every subcommand's help text, captured once from the parser whose
+        # modes declare only the options they read; the top-level text is
+        # the module docstring and is not compared
         monkeypatch.setenv("COLUMNS", "80")
         with open(os.path.join(os.path.dirname(__file__), "cli_help.json")) as fh:
             want = json.load(fh)

@@ -132,6 +132,13 @@ class TestPhaseField:
         f = PhaseField(g, vals)
         assert f.sample(0.0, g.x_axis[0], 0.0) == pytest.approx(f.sample(0.0, g.x_axis[0] + g.x_period, 0.0), rel=1e-12)
 
+    def test_x_beyond_the_int64_range_is_sampled(self):
+        # floor(x / dx) does not fit an int64 there; casting it warned and
+        # gave a bogus cell, so the cell is wrapped as a float first
+        vals = np.random.default_rng(0).normal(size=(3, 16, 16))
+        got = PhaseField(_grid(), vals).sample(0.5, np.array([1e30, -1e30]), 0.1)
+        assert np.all((vals.min() <= got) & (got <= vals.max()))
+
 
     @pytest.mark.parametrize("nt", [1, 3])
     def test_per_axis_bit_identical_to_broadcast_first(self, nt):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from kineticlab import harnack
+from kineticlab.fundsol import j0_table
 from kineticlab.geometry import CylinderKind, PhasePoint, make_cylinder
 from kineticlab.harnack import (
     AnalyticField,
@@ -186,6 +188,19 @@ class TestChain:
         with pytest.raises(ValueError):
             harnack_chain((1.0, 0.0, 0.0), (0.5, 0.0, 0.0), S)
 
+    def test_link_count_is_capped_before_the_path_is_built(self, monkeypatch):
+        # the worked chain needs 36 links
+        monkeypatch.setattr(harnack, "_MAX_LINKS", 35)
+        with pytest.raises(ValueError, match=r"violates the rule N <= 35"):
+            harnack_chain((1.0, 0.0, 0.0), (2.0, 1.0, 1.0), S)
+        monkeypatch.setattr(harnack, "_MAX_LINKS", 36)
+        assert len(harnack_chain((1.0, 0.0, 0.0), (2.0, 1.0, 1.0), S)["path"]) == 37
+
+    def test_link_radius_at_small_s(self):
+        # t^{1/(2s)} overflows a float at s = 1e-12 and t > 1; min(1, t) is raised instead
+        assert harnack_chain((1.0, 0.0, 0.0), (2.0, 1.0, 1.0), 1e-12)["sigma"] == 1.0
+        assert harnack_chain((0.25, 0.0, 0.0), (0.5, 1.0, 1.0), 0.3)["sigma"] == 0.5 ** (1.0 / 0.6)
+
 
 class TestLowerBound:
     def test_cone_mass_positive(self, tab256):
@@ -194,6 +209,15 @@ class TestLowerBound:
         assert rep["C1"] > 0
         assert rep["C2"] > 0
         assert rep["flagged"] is None
+
+    @pytest.mark.parametrize("alpha", [30.0, 1e3, 1e12])
+    def test_cone_outside_the_table_is_flagged_without_c2(self, alpha):
+        # at n_freq 128 the table box is +-2.5; the cone's box at alpha 30 is
+        # +-900 in x, so every midpoint node samples 0
+        rep = lower_bound_check(j0_table(1.0, S, n_freq=128), alpha=alpha)
+        assert rep["M"] == 0.0 and rep["C1"] == 0.0 and rep["C2"] is None
+        assert rep["flagged"].startswith("cone mass nonpositive: every node of the cone's box")
+        assert "lies outside the table's box (+-2.51327, +-2.51327)" in rep["flagged"]
 
 
 class TestFundamentalField:
