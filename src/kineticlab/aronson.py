@@ -278,6 +278,20 @@ def _flat_segment(p: BarrierParams, half, mid, mX, ends):
     return (abs(half * first + mid - p.w0) / (3 * p.rho) <= mX) & (abs(half * last + mid - p.w0) / (3 * p.rho) <= mX)
 
 
+def _clear_of_v(v, half, mid, ends):
+    """Whether every node ``half * x_i + mid`` of a segment lies more than
+    1e-12 from ``v``, on Python floats; ``ends`` as in ``_flat_segment``.
+
+    The rounded nodes are monotone in ``x_i``, so ``v`` more than 1e-12
+    below the first node or above the last one is that far from every
+    node.  ``v`` is a breakpoint, outside every open segment, so False
+    means an end node lies within 1e-12 of ``v`` (up to the rounding of
+    the nodes); ``_segment_sums`` then tests the nodes one by one.
+    """
+    first, last = ends
+    return half * first + mid - v > 1e-12 or v - (half * last + mid) > 1e-12
+
+
 def _jump_block(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L):
     """``_jump_quadratic`` on one block of live points.
 
@@ -304,23 +318,25 @@ def _jump_block(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L):
     return sums.sum(axis=1)
 
 
-def _segment_sums(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, mX, L, half, mid):
+def _segment_sums(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, mX, L, half, mid, clear=False):
     """Gauss-Legendre sums of the jump integrand over segments with nodes
     ``half * x_i + mid`` (``half, mid`` of shape ``(M, 1)``), one per row.
 
     ``t, x, v, gv, L`` and ``mX = max(1, gx)`` are the owning points' values,
     shape ``(M, 1)``, or one point's floats.  Nodes within 1e-12 of ``v``
-    get zero weight.  Kernels see flattened 1-D ``t, x, v, w`` node arrays.
+    get zero weight; ``clear`` says that no node is (``_clear_of_v``), and
+    skips the test.  Kernels see flattened 1-D ``t, x, v, w`` node arrays.
     """
     nodes, weights = gauss_legendre(_QUAD_N)
     w = half * nodes + mid  # (M, _QUAD_N)
-    keep = abs(w - v) > 1e-12
     ww = half * weights
-    if not keep.all():
-        # dropped nodes get no weight and are moved off the diagonal so the
-        # kernel stays finite
-        ww = np.where(keep, ww, 0.0)
-        w = np.where(keep, w, v + p.rho)
+    if not clear:
+        keep = abs(w - v) > 1e-12
+        if not keep.all():
+            # dropped nodes get no weight and are moved off the diagonal so
+            # the kernel stays finite
+            ww = np.where(keep, ww, 0.0)
+            w = np.where(keep, w, v + p.rho)
     # sqrt(H) with multiplier max(1, |vel - w0|/(3 rho), gx) = max(|vel - w0|/(3 rho), mX)
     sqrtH_v = np.exp(-0.5 * np.maximum(gv, mX) * L)
     sqrtH_w = np.exp(-0.5 * np.maximum(abs(w - p.w0) / (3 * p.rho), mX) * L)
@@ -365,14 +381,15 @@ def _point_parts(p: BarrierParams, kspec: KernelSpec, t, x, v):
     # lo, v and hi lie in the ball already; the others are clipped to it
     outer = (w0, w0 - 2 * rho, w0 + 2 * rho, w0 - 3 * rho * mX, w0 + 3 * rho * mX)
     brk = sorted([lo, hi, v] + [lo if q < lo else hi if q > hi else q for q in outer])
-    v_flat, ends, segs = gv <= mX, _end_nodes(), []
+    v_flat, ends, segs, clear = gv <= mX, _end_nodes(), [], True
     for a, b in zip(brk[:-1], brk[1:]):
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
         if b - a >= 1e-14 and not (v_flat and _flat_segment(p, half, mid, mX, ends)):
             segs.append((half, mid))
+            clear = clear and _clear_of_v(v, half, mid, ends)
     if not segs:
         return TH, 0.0, tie
-    sums = _segment_sums(p, kspec, t, x, v, gv, mX, L, *np.array(segs).T[:, :, None])
+    sums = _segment_sums(p, kspec, t, x, v, gv, mX, L, *np.array(segs).T[:, :, None], clear=clear)
     # numpy adds fewer than eight values in order, so these sums add up as
     # the batch's seven slots do, whose others hold 0.0
     return TH, float(sums.sum()), tie

@@ -404,11 +404,12 @@ class FundamentalSolutionTable:
         """Evaluate ``J(t, x, v)`` from the unit-time profile.
 
         ``t`` (default: the table's time) broadcasts with ``x`` and
-        ``v``; every entry must be finite and positive.  The profile is
-        read by the tensor-product not-a-knot cubic interpolant on the
-        unit-time axes (the same interpolant as FITPACK's ``regrid`` at
-        ``s = 0``); points outside the tabulated box, and NaN points,
-        give 0.  Uniform axes of at least 4 nodes are required.
+        ``v``; every entry must be finite and positive, and every ``x`` and
+        ``v`` finite (else ``ValueError``).  The profile is read by the
+        tensor-product not-a-knot cubic interpolant on the unit-time axes
+        (the same interpolant as FITPACK's ``regrid`` at ``s = 0``); points
+        outside the tabulated box give 0.  Uniform axes of at least 4
+        nodes are required.
 
         A table made by ``j0_table`` reads the cached unit-time profile it
         was made from, through the one sampler of that profile, built on
@@ -427,8 +428,13 @@ class FundamentalSolutionTable:
                 scaled = np.multiply(self.values.T, self.t**beta, order="C").T
                 self._sampler = _BicubicSampler(xu, vu, scaled)
         t = _positive_time(self.t if t is None else t)
-        xu = np.asarray(x, dtype=float) / t ** (1 + 1 / (2 * s))
-        vu = np.asarray(v, dtype=float) / t ** (1 / (2 * s))
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        for name, q in (("x", x), ("v", v)):
+            if not np.isfinite(q).all():
+                raise ValueError(f"sample coordinate {name} must be finite")
+        xu = x / t ** (1 + 1 / (2 * s))
+        vu = v / t ** (1 / (2 * s))
         return t**-beta * self._sampler(xu, vu)
 
 
@@ -464,6 +470,14 @@ def modified_convolution(f: np.ndarray, g: np.ndarray, t: float, dx: float, dv: 
     the origin at index ``n // 2``.  The shear by ``t v'`` is applied in
     Fourier space (trigonometric interpolation), so it wraps around the
     periodic box; at ``t = 0`` this is the ordinary periodic convolution.
+
+    The fields are real, so x is transformed by ``rfft`` and back by
+    ``irfft``: the result is the real part of the same product taken on
+    full complex transforms.  Nyquist rule: for even ``nx`` the line
+    ``phi = pi/dx`` is its own mirror image, so that real part keeps only
+    ``cos(phi t v')`` of its shear phase.  ``irfft`` reads only the real
+    part of the line and the line of ``g`` is real, so this holds without
+    touching the phase.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -471,12 +485,17 @@ def modified_convolution(f: np.ndarray, g: np.ndarray, t: float, dx: float, dv: 
         raise ValueError("fields must share a grid")
     nx, nv = f.shape
     v_axis = dv * (np.arange(nv) - nv // 2)
-    phi = 2 * np.pi * np.fft.fftfreq(nx, d=dx)
-    Fh = np.fft.fft(f, axis=0)
-    Fh = Fh * np.exp(-1j * phi[:, None] * t * v_axis[None, :])
-    Fh2 = np.fft.fft(Fh, axis=1)
-    Gh = np.fft.fft2(np.fft.ifftshift(g))
-    out = np.fft.ifft2(Fh2 * Gh).real * dx * dv
+    phi = 2 * np.pi * np.fft.rfftfreq(nx, d=dx)
+    Gh = np.fft.rfft(np.fft.ifftshift(g), axis=0)
+    np.fft.fft(Gh, axis=1, out=Gh)
+    Fh = np.fft.rfft(f, axis=0)
+    Fh *= np.exp(-1j * phi[:, None] * t * v_axis[None, :])
+    np.fft.fft(Fh, axis=1, out=Fh)
+    Fh *= Gh
+    del Gh
+    np.fft.ifft(Fh, axis=1, out=Fh)
+    out = np.fft.irfft(Fh, n=nx, axis=0)
+    out *= dx * dv
     return out
 
 

@@ -442,7 +442,7 @@ def harnack_chain(start, end, s: float) -> dict:
     dx = x - y0 - dt * w0
     dv = v - w0
     terms = [
-        dt / (3.0 * sigma ** (2 * s)),
+        dt / (3.0 * min(1.0, t)),  # sigma^{2s}, which would underflow to 0 for t < 1 and small s
         dt / (3.0 * tau0),
         (3.0 * 2.0 ** (2 * s)) ** (1 + 2 * s) * abs(dx) ** (2 * s) / dt ** (1 + 2 * s),
         3.0 * 2.0 ** (2 * s) * abs(dv) ** (2 * s) / dt,

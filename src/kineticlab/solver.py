@@ -17,6 +17,15 @@ one inverse transform, of the final state.
 ``step_transport`` and ``step_collision`` are the same two maps on a
 physical ``(nx, nv)`` slice.
 
+Because each x-wavenumber column of ``G`` evolves on its own, the steps
+split exactly into column blocks that exchange nothing until the run
+ends.  ``fundamental_approx``, which records only its last state, steps
+the columns ``[0, m//2)`` on the calling thread and ``[m//2, m)``, with
+``m = nx//2 + 1``, on a second thread, whose GEMMs and phase products
+release the interpreter lock.  The two blocks are fixed whatever the
+core count, so reports match on every machine; ``solve`` records every
+step and keeps one block.
+
 The kernel is frozen at ``(t, x) = (0, 0)`` when the velocity matrix
 is assembled, so kernels with genuine (t, x) dependence are treated in
 frozen-coefficient fashion.
@@ -24,7 +33,9 @@ frozen-coefficient fashion.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -162,24 +173,63 @@ def step_collision(f: np.ndarray, dt: float, op: np.ndarray, scheme: str, prop=N
     return f @ M.T
 
 
-def _strang_steps(k: KernelSpec, f: np.ndarray, grid: PhaseGrid, config: SolverConfig):
-    """Run the Strang-split scheme from the slice ``f`` and yield, after
-    each step, the state ``G = rfft_x(f)`` and the mass that step leaked.
-
-    The yielded state is updated in place by the next step.
-    """
+def _initial_state(k: KernelSpec, f: np.ndarray, grid: PhaseGrid, config: SolverConfig):
+    """The state ``G = rfft_x(f)`` of the slice ``f``, the run's collision
+    map ``M`` and its transport half-step phase."""
     G = np.fft.rfft(f, axis=0).T.copy()
-    dt = config.dt
-    M = collision_propagator(assemble_operator_matrix(k, grid, torus=config.torus), dt, config.scheme)
-    half = _transport_phase(grid, 0.5 * dt)
-    for _ in range(config.steps):
+    M = collision_propagator(assemble_operator_matrix(k, grid, torus=config.torus), config.dt, config.scheme)
+    return G, M, _transport_phase(grid, 0.5 * config.dt)
+
+
+def _strang_steps(G: np.ndarray, M: np.ndarray, half: np.ndarray, steps: int):
+    """Take ``steps`` Strang steps of the column block ``G`` of a state,
+    whose transport half-step phase is ``half``, and yield after each step
+    the block and the real part its column 0 lost in the collision.
+
+    The first step updates ``G`` in place; later steps update the yielded
+    block in place.
+    """
+    for _ in range(steps):
         G *= half
         before = G[:, 0].real.sum()
         # the real M acts on the interleaved real and imaginary parts
         G = (M @ G.view(float)).view(complex)
-        leak = float((before - G[:, 0].real.sum()) * grid.dx * grid.dv)
+        lost = before - G[:, 0].real.sum()
         G *= half
-        yield G, leak
+        yield G, lost
+
+
+def _final_block(G: np.ndarray, M: np.ndarray, half: np.ndarray, steps: int) -> np.ndarray:
+    """The column block ``G`` after ``steps`` steps of ``_strang_steps``."""
+    for G, _ in _strang_steps(G, M, half, steps):
+        pass
+    return G
+
+
+def _start_thread(fn, *args):
+    """Run ``fn(*args)`` on a new thread, in a copy of the caller's context
+    so that numpy's error state carries over.  Returns a function that
+    joins the thread and returns ``fn``'s result or raises its exception
+    (a warning raised as an error included)."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((fn(*args), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run,))
+    thread.start()
+
+    def join():
+        thread.join()
+        value, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return join
 
 
 def _physical(G: np.ndarray, grid: PhaseGrid) -> np.ndarray:
@@ -199,8 +249,8 @@ def solve(k: KernelSpec, f0: np.ndarray, grid: PhaseGrid, config: SolverConfig) 
         raise ValueError("initial slice shape does not match grid")
     traj = Trajectory(grid=grid)
     traj.record(0.0, f, keep_slice=True)
-    for n, (G, leak) in enumerate(_strang_steps(k, f, grid, config), start=1):
-        traj.leak_total += leak
+    for n, (G, lost) in enumerate(_strang_steps(*_initial_state(k, f, grid, config), config.steps), start=1):
+        traj.leak_total += float(lost * grid.dx * grid.dv)
         keep = n % config.save_every == 0 or n == config.steps
         traj.record(n * config.dt, _physical(G, grid), keep_slice=keep)
     return traj
@@ -245,7 +295,12 @@ def fundamental_approx(
 
     The run takes the steps of ``solve`` and records the diagnostics of
     the first and the last slice only, so only the final state is
-    transformed back to ``(x, v)``.  The reference is
+    transformed back to ``(x, v)``.  Its x-wavenumber columns ``[m//2,
+    m)``, ``m = nx//2 + 1``, are stepped on a second thread while the
+    calling thread steps ``[0, m//2)`` and reads the leak from column 0;
+    every column evolves on its own, so the split is exact, and the
+    blocks are joined once, after the last step.  An exception raised on
+    the second thread is raised here.  The reference is
     ``J(T)`` built by ``j0_lattice`` on the solve lattice, cut from the
     lattice ``P`` times larger, with
     ``P = max(2, ceil(n_freq / max(nx, nv)))``, so the reference's
@@ -264,8 +319,15 @@ def fundamental_approx(
     f0 = mollified_delta(grid, s)
     traj = Trajectory(grid=grid)
     traj.record(0.0, f0, keep_slice=False)
-    for G, leak in _strang_steps(k, f0, grid, config):
-        traj.leak_total += leak
+    G, M, half = _initial_state(k, f0, grid, config)
+    h = G.shape[1] // 2
+    join = _start_thread(_final_block, G[:, h:], M, half[:, h:], config.steps)
+    try:
+        for block, lost in _strang_steps(G[:, :h], M, half[:, :h], config.steps):
+            traj.leak_total += float(lost * grid.dx * grid.dv)
+    finally:
+        G[:, h:] = join()
+    G[:, :h] = block
     fT = _physical(G, grid)
     traj.record(T, fT, keep_slice=False)
 

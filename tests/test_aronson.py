@@ -529,7 +529,7 @@ class TestBatchedResidual:
         # transport term run on Python floats
         monkeypatch.setattr(aronson, "np", types.SimpleNamespace(
             ndarray=np.ndarray, exp=np.exp, log=np.log, power=np.power, array=np.array, zeros=np.zeros))
-        monkeypatch.setattr(aronson, "_segment_sums", lambda *args: np.zeros(len(args[-1])))
+        monkeypatch.setattr(aronson, "_segment_sums", lambda *args, **kwargs: np.zeros(len(args[-1])))
         assert barrier_residual_parts(p, k, velocity) == (TH[2], 0.0, False)
 
     def test_rejects_bad_shape(self):
@@ -648,6 +648,32 @@ class TestSegmentSkip:
         # every segment with an integrand not identically 0.0 is integrated,
         # in the batch and one point at a time
         assert sum(sizes) == 2 * 2 * 24 * _contributing_segments(p, v, gv, gx).sum()
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
+    def test_node_test_is_skipped_only_where_every_node_clears_v(self, monkeypatch, s):
+        # v is put 1e-14 to 1e-10 outside the flat-zone edge e, so that the
+        # segment [e, v] has nodes within 1e-12 of v and the nodes are tested
+        # one by one; elsewhere the two end nodes decide and the test is skipped
+        k = normalized_fractional(s)
+        p = self._params(s)
+        t = 0.5 * (p.tau0 + p.sigma)
+        x = p.y0 + (p.sigma + t - 2 * p.tau0) * p.w0
+        edge = p.w0 + 3 * p.rho * max(1.0, float(aronson._state(p, t, x, 0.0)[3]))
+        Z = np.array([(t, x, edge + d) for d in np.geomspace(1e-14, 1e-10, 9)]
+                     + list(region_samples(p, 12, np.random.default_rng(4))))
+        want = barrier_residual(p, k, Z)
+        calls, segment_sums = [], aronson._segment_sums
+
+        def spy(*args, clear=False):
+            calls.append((args[4], args[-2], args[-1], clear))
+            return segment_sums(*args, clear=clear)
+
+        monkeypatch.setattr(aronson, "_segment_sums", spy)
+        np.testing.assert_array_equal([barrier_residual(p, k, z) for z in Z], want)
+        nodes = aronson.gauss_legendre(24)[0]
+        near = [bool((abs(half * nodes + mid - v) <= 1e-12).any()) for v, half, mid, _ in calls]
+        assert [not clear for *_, clear in calls] == near
+        assert any(near) and not all(near)
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
     def test_live_points_evaluate_only_contributing_segments(self, monkeypatch, s):

@@ -451,6 +451,15 @@ class TestExitCodes:
         assert rule in capsys.readouterr().err
         assert not out.exists()
 
+    def test_chain_whose_link_radius_underflows_runs(self, tmp_path):
+        # at s = 1e-12 and an end time below 1 the link radius t^{1/(2s)}
+        # underflows to 0; the first term divides by sigma^{2s} = min(1, t)
+        out = tmp_path / "x"
+        assert main(["harnack", "--s", "1e-12", "--out", str(out), "chain", "--tau0", "0.25", "--t1", "0.5"]) == 0
+        with open(out / "harnack_chain.json") as fh:
+            rep = json.load(fh)
+        assert rep["sigma"] == 0.0 and rep["terms"][0] == 0.25 / 1.5
+
     def test_overflowing_degiorgi_cap_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert main(["harnack", "--n-freq", "128", "--out", str(out), "degiorgi", "--p", "1.05"]) == 2

@@ -380,15 +380,24 @@ class TestSampler:
         c_tab.sample(0.0, 0.0)
         np.testing.assert_array_equal(tab._sampler.coef, c_tab._sampler.coef)
 
-    def test_outside_and_nan_points_are_zero(self, tab256):
+    def test_outside_points_are_zero(self, tab256):
         x0, x1 = tab256.x_axis[0], tab256.x_axis[-1]
         v0, v1 = tab256.v_axis[0], tab256.v_axis[-1]
-        x = np.array([np.nextafter(x0, -np.inf), np.nextafter(x1, np.inf), 0.0, 0.0, np.nan, 0.0, np.inf, -np.inf])
-        v = np.array([0.0, 0.0, np.nextafter(v0, -np.inf), np.nextafter(v1, np.inf), 0.0, np.nan, 0.0, 0.0])
+        x = np.array([np.nextafter(x0, -np.inf), np.nextafter(x1, np.inf), 0.0, 0.0, 1e300, 0.0])
+        v = np.array([0.0, 0.0, np.nextafter(v0, -np.inf), np.nextafter(v1, np.inf), 0.0, -1e300])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = tab256.sample(x, v)
         assert np.array_equal(got, np.zeros(len(x)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", ["x", "v"])
+    def test_non_finite_points_rejected(self, tab256, axis, bad):
+        # as PhaseField.sample: a non-finite coordinate is no point of the field
+        coords = {"x": np.array([0.0, 0.5]), "v": 0.0}
+        coords[axis] = np.array([0.0, bad])
+        with pytest.raises(ValueError, match=f"sample coordinate {axis} must be finite"):
+            tab256.sample(**coords)
 
     def test_per_axis_bit_identical_to_broadcast_first(self, tab256):
         tab256.sample(0.0, 0.0)
@@ -573,6 +582,26 @@ class TestComposition:
         g[n // 2, n // 2] = 1.0 / (dx * dv)
         out = modified_convolution(f, g, 0.0, dx, dv)
         assert np.max(np.abs(out - f)) < 1e-10
+
+    @staticmethod
+    def _complex_convolution(f, g, t, dx, dv):
+        """The sheared convolution on full complex transforms: the real part
+        of ``ifft2(fft_v(fft_x(f) e^{-i phi t v}) fft2(ifftshift(g)))``."""
+        nx, nv = f.shape
+        v_axis = dv * (np.arange(nv) - nv // 2)
+        phi = 2 * np.pi * np.fft.fftfreq(nx, d=dx)
+        Fh = np.fft.fft(f, axis=0) * np.exp(-1j * phi[:, None] * t * v_axis[None, :])
+        return np.fft.ifft2(np.fft.fft(Fh, axis=1) * np.fft.fft2(np.fft.ifftshift(g))).real * dx * dv
+
+    @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("nx, nv", [(32, 24), (33, 24), (31, 17)])
+    def test_real_transforms_match_complex_ones(self, nx, nv, t):
+        # the Nyquist line of an even nx keeps cos(phi t v) of its phase
+        rng = np.random.default_rng(nx + nv)
+        f, g = rng.random((nx, nv)), rng.random((nx, nv))
+        want = self._complex_convolution(f, g, t, 0.3, 0.2)
+        got = modified_convolution(f, g, t, 0.3, 0.2)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_chapman_kolmogorov_small_residual(self):
         rep = chapman_kolmogorov_residual(0.5, 0.5, S, n_freq=256)

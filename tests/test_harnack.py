@@ -201,6 +201,12 @@ class TestChain:
         assert harnack_chain((1.0, 0.0, 0.0), (2.0, 1.0, 1.0), 1e-12)["sigma"] == 1.0
         assert harnack_chain((0.25, 0.0, 0.0), (0.5, 1.0, 1.0), 0.3)["sigma"] == 0.5 ** (1.0 / 0.6)
 
+    @pytest.mark.parametrize("s", [1e-12, 0.3, 0.5, 0.8])
+    def test_first_term_divides_by_min_one_t(self, s):
+        # sigma^{2s} is min(1, t); at s = 1e-12 and t < 1, sigma underflows to 0
+        for tau0, t in ((0.25, 0.5), (1.0, 2.0)):
+            assert harnack_chain((tau0, 0.0, 0.0), (t, 1.0, 1.0), s)["terms"][0] == (t - tau0) / (3.0 * min(1.0, t))
+
 
 class TestLowerBound:
     def test_cone_mass_positive(self, tab256):

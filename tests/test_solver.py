@@ -1,13 +1,17 @@
 """Split-step solver: schemes, conservation, diagnostics."""
 
 import math
+import sys
+import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
+from kineticlab import cli, solver
 from kineticlab.fields import PhaseGrid
 from kineticlab.kernels import SymmetricPerturbation, normalized_fractional
 from kineticlab.operators import assemble_operator_matrix
@@ -253,6 +257,111 @@ class TestFundamentalApprox:
         errs = [fundamental_approx(k, g, 0.2, SolverConfig(dt=0.05, steps=4), S, n_freq=p * g.nx)["sup_rel_error"]
                 for p in (2, 4)]
         assert errs[1] <= errs[0]
+
+
+class TestColumnBlocks:
+    """``fundamental_approx`` steps its x-wavenumber columns as two blocks
+    on two threads; each column evolves on its own, so the split is exact."""
+
+    @staticmethod
+    def _two_block_run(monkeypatch, k, g, cfg):
+        """The final state and the worker's thread and block width of one
+        ``fundamental_approx`` run."""
+        seen = {}
+        physical, final_block = solver._physical, solver._final_block
+
+        def record_state(G, grid):
+            seen["G"] = G.copy()
+            return physical(G, grid)
+
+        def record_worker(G, *args):
+            seen["worker"], seen["width"] = threading.get_ident(), G.shape[1]
+            return final_block(G, *args)
+
+        monkeypatch.setattr(solver, "_physical", record_state)
+        monkeypatch.setattr(solver, "_final_block", record_worker)
+        fundamental_approx(k, g, cfg.dt * cfg.steps, cfg, S, n_freq=2 * max(g.nx, g.nv))
+        return seen
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit", "cn"])
+    @pytest.mark.parametrize("grid, steps", [
+        # criterion 6's grid, and one whose blocks are 1 and 2 columns wide
+        (PhaseGrid(nt=1, nx=256, nv=256, x_period=16.0, v_extent=12.0), 20),
+        (PhaseGrid(nt=1, nx=4, nv=32, x_period=4.0, v_extent=6.0), 20),
+    ], ids=["criterion-6", "nx-4"])
+    def test_two_blocks_match_one(self, monkeypatch, grid, steps, scheme):
+        k = normalized_fractional(S)
+        cfg = SolverConfig(dt=0.01, steps=steps, scheme=scheme)
+        G, M, half = solver._initial_state(k, mollified_delta(grid, S), grid, cfg)
+        one = solver._final_block(G, M, half, steps)
+        seen = self._two_block_run(monkeypatch, k, grid, cfg)
+        m = grid.nx // 2 + 1
+        assert seen["worker"] != threading.get_ident() and seen["width"] == m - m // 2
+        assert np.abs(seen["G"] - one).max() <= 1e-14 * np.abs(one).max()
+
+    def test_blocks_hold_under_frequent_thread_switches(self, setup):
+        # the threads share one state array and write disjoint columns of it
+        k, g, f0 = setup
+        cfg = SolverConfig(dt=0.05, steps=8)
+        traj = solve(k, f0, g, cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reps = [fundamental_approx(k, g, 0.4, cfg, S, n_freq=128) for _ in range(4)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(rep == reps[0] for rep in reps)
+        assert reps[0]["computed_peak"] == traj.final.max() and reps[0]["mass_final"] == traj.mass[-1]
+
+    @staticmethod
+    def _failing_worker(monkeypatch, fail):
+        """Make the second thread's block call ``fail`` after its first step."""
+        caller, steps = threading.get_ident(), solver._strang_steps
+
+        def strang_steps(*args):
+            for n, out in enumerate(steps(*args)):
+                if n == 1 and threading.get_ident() != caller:
+                    fail()
+                yield out
+
+        monkeypatch.setattr(solver, "_strang_steps", strang_steps)
+
+    def test_exception_in_the_worker_reaches_the_caller(self, monkeypatch, setup):
+        k, g, _ = setup
+
+        def fail():
+            raise np.linalg.LinAlgError("worker block failed")
+
+        self._failing_worker(monkeypatch, fail)
+        threads = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="worker block failed"):
+            fundamental_approx(k, g, 0.2, SolverConfig(dt=0.05, steps=4), S, n_freq=128)
+        assert threading.active_count() == threads
+
+    def test_warning_as_error_in_the_worker_reaches_the_caller(self, monkeypatch, setup):
+        k, g, _ = setup
+        self._failing_worker(monkeypatch, lambda: np.float64(1e308) * 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                fundamental_approx(k, g, 0.2, SolverConfig(dt=0.05, steps=4), S, n_freq=128)
+
+    def test_worker_keeps_the_callers_numpy_error_state(self, monkeypatch, setup):
+        k, g, _ = setup
+        self._failing_worker(monkeypatch, lambda: np.float64(1e308) * 10.0)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            fundamental_approx(k, g, 0.2, SolverConfig(dt=0.05, steps=4), S, n_freq=128)
+
+    def test_numerical_failure_in_the_worker_exits_3(self, monkeypatch, tmp_path, capsys):
+        def fail():
+            raise FloatingPointError("overflow in the worker block")
+
+        self._failing_worker(monkeypatch, fail)
+        out = tmp_path / "x"
+        argv = ["solve", "--cross-validate", "--out", str(out), "--nx", "16", "--nv", "16", "--steps", "4"]
+        assert cli.main(argv) == 3
+        assert "numerical failure: overflow in the worker block" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrajectoryField:
