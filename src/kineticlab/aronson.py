@@ -26,10 +26,13 @@ runs through ``_point_parts``, one straight line on Python floats that
 computes only its active branch and calls numpy only for ``np.power``,
 ``np.log`` and ``np.exp`` (the same loops on a float as on an array) and
 for the quadrature of a live ball, so its residual is the batch's, bit for
-bit.  Every point must have finite coordinates and ``t`` in
-``[tau0, sigma]``.  The jump term integrates only what can contribute: a
-ball where the barrier is flat costs no kernel evaluation, nor does a
-segment on which the integrand is identically 0.0 (``_jump_quadratic``).
+bit.  Both share ``_segment_sums``, where the owning points' ``t, x, v``
+(floats, or a batch's ``(M, 1)`` columns) broadcast against the node block
+and a ``symmetric`` kernel is evaluated once.  Every point must have finite
+coordinates and ``t`` in ``[tau0, sigma]``.  The jump term integrates only
+what can contribute: a ball where the barrier is flat costs no kernel
+evaluation, nor does a segment on which the integrand is identically 0.0
+(``_jump_quadratic``).
 
 ``region_samples`` draws its attempts in blocks from the caller's
 generator and leaves the points and the generator's full state as one
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -259,6 +263,7 @@ def _jump_quadratic(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L):
     return I
 
 
+@lru_cache(maxsize=None)
 def _end_nodes():
     """The first and last Gauss-Legendre abscissae, as Python floats."""
     nodes, _ = gauss_legendre(_QUAD_N)
@@ -267,8 +272,8 @@ def _end_nodes():
 
 def _flat_segment(p: BarrierParams, half, mid, mX, ends):
     """Whether every node ``half * x_i + mid`` of a segment has multiplier
-    ``mX``, i.e. ``|w - w0|/(3 rho) <= mX``; on floats or elementwise.
-    ``ends`` are the first and last abscissae ``x_i`` (``_end_nodes``).
+    ``mX``, i.e. ``|w - w0|/(3 rho) <= mX``, elementwise.  ``ends`` are the
+    first and last abscissae ``x_i`` (``_end_nodes``).
 
     The nodes are monotone in the abscissa ``x_i`` after rounding too, and
     ``|w - w0|`` is convex, so the two end nodes, computed as every node
@@ -276,20 +281,6 @@ def _flat_segment(p: BarrierParams, half, mid, mX, ends):
     """
     first, last = ends
     return (abs(half * first + mid - p.w0) / (3 * p.rho) <= mX) & (abs(half * last + mid - p.w0) / (3 * p.rho) <= mX)
-
-
-def _clear_of_v(v, half, mid, ends):
-    """Whether every node ``half * x_i + mid`` of a segment lies more than
-    1e-12 from ``v``, on Python floats; ``ends`` as in ``_flat_segment``.
-
-    The rounded nodes are monotone in ``x_i``, so ``v`` more than 1e-12
-    below the first node or above the last one is that far from every
-    node.  ``v`` is a breakpoint, outside every open segment, so False
-    means an end node lies within 1e-12 of ``v`` (up to the rounding of
-    the nodes); ``_segment_sums`` then tests the nodes one by one.
-    """
-    first, last = ends
-    return half * first + mid - v > 1e-12 or v - (half * last + mid) > 1e-12
 
 
 def _jump_block(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L):
@@ -320,12 +311,19 @@ def _jump_block(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L):
 
 def _segment_sums(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, mX, L, half, mid, clear=False):
     """Gauss-Legendre sums of the jump integrand over segments with nodes
-    ``half * x_i + mid`` (``half, mid`` of shape ``(M, 1)``), one per row.
+    ``w = half * x_i + mid`` (``half, mid`` of shape ``(M, 1)``), one per row.
 
     ``t, x, v, gv, L`` and ``mX = max(1, gx)`` are the owning points' values,
-    shape ``(M, 1)``, or one point's floats.  Nodes within 1e-12 of ``v``
-    get zero weight; ``clear`` says that no node is (``_clear_of_v``), and
-    skips the test.  Kernels see flattened 1-D ``t, x, v, w`` node arrays.
+    ``(M, 1)`` columns, or one point's floats; they broadcast against the
+    ``(M, _QUAD_N)`` node block, and so does the kernel, which sees them
+    and ``w`` as they are.  Nodes within 1e-12 of ``v`` get zero weight;
+    ``clear`` says that no node is, and skips the test.
+
+    sqrt(H)(w), the squared difference from sqrt(H)(v), the kernel factor
+    and the weights are applied in one buffer, each element in the order
+    of ``(sqrtH_v - sqrtH_w) ** 2 * (K(v, w) + K(w, v)) * weight``.  A
+    ``symmetric`` kernel is evaluated once and added to itself, which is
+    ``K(v, w) + K(w, v)`` bit for bit.
     """
     nodes, weights = gauss_legendre(_QUAD_N)
     w = half * nodes + mid  # (M, _QUAD_N)
@@ -339,14 +337,19 @@ def _segment_sums(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, mX, L, half,
             w = np.where(keep, w, v + p.rho)
     # sqrt(H) with multiplier max(1, |vel - w0|/(3 rho), gx) = max(|vel - w0|/(3 rho), mX)
     sqrtH_v = np.exp(-0.5 * np.maximum(gv, mX) * L)
-    sqrtH_w = np.exp(-0.5 * np.maximum(abs(w - p.w0) / (3 * p.rho), mX) * L)
-    # each owner's t, x and v at every node of its segment
-    txv = np.empty((3,) + w.shape)
-    txv[0], txv[1], txv[2] = t, x, v
-    tt, xx, vv = txv.reshape(3, -1)
-    wf = w.ravel()
-    Ks = np.asarray(kspec._eval(tt, xx, vv, wf), dtype=float) + np.asarray(kspec._eval(tt, xx, wf, vv), dtype=float)
-    return ((sqrtH_v - sqrtH_w) ** 2 * Ks.reshape(w.shape) * ww).sum(axis=1)
+    buf = np.subtract(w, p.w0)
+    np.abs(buf, out=buf)
+    buf /= 3 * p.rho
+    np.maximum(buf, mX, out=buf)
+    buf *= -0.5
+    buf *= L
+    np.exp(buf, out=buf)  # sqrt(H)(w)
+    np.subtract(sqrtH_v, buf, out=buf)
+    np.square(buf, out=buf)
+    K = np.asarray(kspec._eval(t, x, v, w), dtype=float)
+    buf *= K + (K if kspec.symmetric else np.asarray(kspec._eval(t, x, w, v), dtype=float))
+    buf *= ww
+    return buf.sum(axis=1)
 
 
 def _point_parts(p: BarrierParams, kspec: KernelSpec, t, x, v):
@@ -381,12 +384,22 @@ def _point_parts(p: BarrierParams, kspec: KernelSpec, t, x, v):
     # lo, v and hi lie in the ball already; the others are clipped to it
     outer = (w0, w0 - 2 * rho, w0 + 2 * rho, w0 - 3 * rho * mX, w0 + 3 * rho * mX)
     brk = sorted([lo, hi, v] + [lo if q < lo else hi if q > hi else q for q in outer])
-    v_flat, ends, segs, clear = gv <= mX, _end_nodes(), [], True
+    first, last = _end_nodes()
+    v_flat, segs, clear = gv <= mX, [], True
     for a, b in zip(brk[:-1], brk[1:]):
+        if b - a < 1e-14:
+            continue
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        if b - a >= 1e-14 and not (v_flat and _flat_segment(p, half, mid, mX, ends)):
-            segs.append((half, mid))
-            clear = clear and _clear_of_v(v, half, mid, ends)
+        # the end nodes, computed as every node is: the rounded nodes are
+        # monotone in the abscissa, so they bound the segment's multipliers
+        # (_flat_segment) and its distances from v, which is a breakpoint
+        # outside every open segment; False in ``clear`` means an end node
+        # lies within 1e-12 of v, and _segment_sums tests node by node
+        w_first, w_last = half * first + mid, half * last + mid
+        if v_flat and abs(w_first - w0) / (3 * rho) <= mX and abs(w_last - w0) / (3 * rho) <= mX:
+            continue
+        segs.append((half, mid))
+        clear = clear and (w_first - v > 1e-12 or v - w_last > 1e-12)
     if not segs:
         return TH, 0.0, tie
     sums = _segment_sums(p, kspec, t, x, v, gv, mX, L, *np.array(segs).T[:, :, None], clear=clear)

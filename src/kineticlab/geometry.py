@@ -72,6 +72,10 @@ class KineticCylinder:
             raise ValueError("order parameter s must lie in (0, 1)")
         if not isinstance(self.kind, CylinderKind):
             raise ValueError(f"invalid cylinder kind: {self.kind!r}")
+        try:
+            self.r ** (1 + 2 * self.s)
+        except OverflowError:
+            raise ValueError("cylinder radius r violates the rule r^{1+2s} finite (the position radius)") from None
 
     # -- derived geometry ------------------------------------------------
 

@@ -45,10 +45,43 @@ def frac_normalization(s: float) -> float:
     return 4.0**s * math.gamma(0.5 + s) * s / (math.pi**0.5 * math.gamma(1 - s))
 
 
+def _legendre_series(x, c):
+    """The Legendre series with coefficients ``c`` (low to high degree) at
+    ``x``, by the Clenshaw recursion of numpy's ``legval``."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per ``n``."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per ``n``.
+
+    Step for step numpy's ``leggauss`` (so bit for bit its rule), without
+    importing ``numpy.polynomial``: the eigenvalues of the scaled companion
+    matrix of ``P_n``, one Newton step, weights from ``P_n'`` and
+    ``P_{n-1}``, then symmetrization and scaling to total weight 2.
+    """
+    if n < 1:
+        raise ValueError("need at least one node")
+    c = [0.0] * n + [1.0]  # P_n
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[: n - 1] * scl[1:n]
+    nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    # P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
+    dc = [float(2 * k + 1) if (n - 1 - k) % 2 == 0 else 0.0 for k in range(n)]
+    df = _legendre_series(nodes, dc)
+    nodes -= _legendre_series(nodes, c) / df
+    fm = _legendre_series(nodes, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    weights = 1 / (fm * df)
+    weights = (weights + weights[::-1]) / 2
+    nodes = (nodes - nodes[::-1]) / 2
+    weights *= 2.0 / weights.sum()
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -67,6 +100,14 @@ _TAIL_LOG_RATIO = math.log(_TAIL_CUT) / _TAIL_PANELS
 _TAIL_CAPPED_PANELS = 50
 _TAPER_BETA = 20.0
 _TAIL_BLOCK = 32_000
+# The far field at ``v`` is taken only for ``|v| + dist <= _TAIL_RESOLUTION
+# * h`` and ``dist <= _TAIL_DIST_MAX``, where ``h`` is the smallest panel
+# scale, ``dist`` or the oscillation length if that is shorter: the nodes
+# ``v + side u`` then carry ``u`` to about 2e-8 of ``h`` (far beyond the
+# rule they round onto ``v`` or onto each other), and ``u^{-(1+2s)}`` stays
+# a normal float at every node.
+_TAIL_RESOLUTION = 1e8
+_TAIL_DIST_MAX = 1e80
 
 
 def _kaiser_taper(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,9 +169,17 @@ def _tail_layout(capped: bool):
 class KernelSpec:
     """Base class for jump kernels; subclasses implement ``_eval``.
 
-    Evaluation is vectorized over ``v`` and ``w``; the batched barrier
-    residual also passes ``t`` and ``x`` as 1-D arrays of the same length.
+    ``_eval(t, x, v, w)`` receives floats or arrays that broadcast against
+    each other (the barrier residual passes a point's ``t, x, v`` as
+    floats, or a batch's as ``(M, 1)`` columns, against an ``(M, n)``
+    block of nodes ``w``) and returns the kernel at their broadcast shape.
     ``v == w`` is a singularity.
+
+    ``symmetric = True`` promises ``K(t, x, v, w) == K(t, x, w, v)`` bit
+    for bit at every point, not only to rounding; the barrier residual then
+    evaluates ``K(v, w)`` once and adds it to itself, which is exactly
+    ``K(v, w) + K(w, v)``.  ``check_symmetry`` measures the asymmetry of a
+    new kernel; declare it symmetric only if that reads exactly 0.
 
     ``oscillation_length`` is a velocity length over which the kernel's
     multiplier ``|v - w|^{1+2s} K`` may oscillate.  No far-field panel is
@@ -143,6 +192,7 @@ class KernelSpec:
 
     s: float
     oscillation_length: float | None = 2.0
+    symmetric = False
 
     def _eval(self, t, x, v, w):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -180,12 +230,19 @@ class KernelSpec:
         ``v = 3.9``, ``dist = 0.1``, s = 0.1, p = 0.5.
 
         Points are taken in blocks of at most ``_TAIL_BLOCK`` nodes.
-        Scalar inputs give a float.
+        Scalar inputs give a float.  Raises ``ValueError`` unless ``|v| +
+        dist <= _TAIL_RESOLUTION * min(dist, oscillation_length)`` and ``dist
+        <= _TAIL_DIST_MAX`` at every point.
         """
         v, dist, t, x = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (v, dist, t, x)))
+        length = self.oscillation_length
+        h = dist if length is None else np.minimum(dist, length)
+        if not ((abs(v) + dist <= _TAIL_RESOLUTION * h) & (dist <= _TAIL_DIST_MAX)).all():
+            scale = "dist" if length is None else f"min(dist, {length:g})"
+            raise ValueError(f"far-field distance dist violates the rule |v| + dist <= {_TAIL_RESOLUTION:g} {scale} "
+                             f"and dist <= {_TAIL_DIST_MAX:g}, under which the nodes v + side u resolve u")
         shape = v.shape
         v, dist, t, x = (a.reshape(-1, 1) for a in (v, dist, t, x))
-        length = self.oscillation_length
         y, r_y, w_near, w_far, omega, first = _tail_layout(length is not None)
         panels = len(y) // _TAIL_ORDER
         alpha = 1 + 2 * self.s
@@ -245,6 +302,7 @@ class FractionalLaplacian(KernelSpec):
     c: float
     s: float
     oscillation_length = None
+    symmetric = True  # |v - w| == |w - v|
 
     def _eval(self, t, x, v, w):
         return self.c * np.abs(v - w) ** -(1 + 2 * self.s)
@@ -271,6 +329,8 @@ class SymmetricPerturbation(KernelSpec):
     multiplier: object  # callable a(v, w)
     a_min: float = 1.0
     a_max: float = 1.0
+    # the base is symmetric, and _a adds its two terms commutatively
+    symmetric = True
 
     @property
     def s(self):

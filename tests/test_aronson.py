@@ -22,7 +22,7 @@ from kineticlab.aronson import (
     region_samples,
 )
 from kineticlab.fields import PhaseGrid
-from kineticlab.kernels import FractionalLaplacian, KernelSpec, normalized_fractional
+from kineticlab.kernels import FractionalLaplacian, KernelSpec, kernel_from_config, normalized_fractional
 from kineticlab.solver import SolverConfig, mollified_delta, solve
 
 S = 0.5
@@ -367,12 +367,13 @@ def _contributing_segments(p, v, gv, gx, quad_n=24):
 
 
 def _kernel_sizes(monkeypatch, k):
-    """A list that records the node count of every later ``k._eval`` call."""
+    """A list that records the node count of every later ``k._eval`` call:
+    the size its broadcast ``t, x, v, w`` take."""
     sizes = []
     real = type(k)._eval
 
     def counting(self, t, x, v, w):
-        sizes.append(np.size(w))
+        sizes.append(np.broadcast(t, x, v, w).size)
         return real(self, t, x, v, w)
 
     monkeypatch.setattr(type(k), "_eval", counting)
@@ -446,6 +447,22 @@ class TestBatchedResidual:
                 loop = [barrier_residual_parts(p, k, z) for z in points]
                 np.testing.assert_array_equal(np.column_stack([TH, I, tie]), loop)
         np.testing.assert_array_equal(barrier_values(p, *Z.T), [barrier_eval(p, z) for z in Z])
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
+    def test_symmetric_kernel_evaluated_once_keeps_every_bit(self, s):
+        # the same kernels declared asymmetric evaluate K(v, w) and K(w, v);
+        # evaluated once and added to itself, a symmetric kernel gives the
+        # same residuals, one point at a time and batched
+        p = BarrierParams(rho=0.8, k=2.0, tau0=0.1, sigma=0.1 + 0.8 ** (2 * s) / 8, y0=0.7, w0=-1.3, s=s)
+        Z = np.array(region_samples(p, 12, np.random.default_rng(9)))
+        perturbed = kernel_from_config(f"kind = perturbed\nc = 0.3\ns = {s!r}\na_min = 0.5\na_max = 1.5")
+        for k in (normalized_fractional(s), perturbed):
+            two_sided = type("TwoSided", (type(k),), {"symmetric": False})(
+                **{f.name: getattr(k, f.name) for f in dataclasses.fields(k)})
+            assert k.symmetric and not two_sided.symmetric
+            want = barrier_residual(p, two_sided, Z)
+            np.testing.assert_array_equal(barrier_residual(p, k, Z), want)
+            np.testing.assert_array_equal([barrier_residual(p, k, z) for z in Z], want)
 
     def test_blocked_batch_is_bit_identical(self, monkeypatch):
         # N straddles a block boundary, and flat points are interleaved
@@ -646,8 +663,10 @@ class TestSegmentSkip:
         np.testing.assert_array_equal(barrier_residual_parts(p, k, Z)[1], full)
         np.testing.assert_array_equal([barrier_residual_parts(p, k, z)[1] for z in Z], full)
         # every segment with an integrand not identically 0.0 is integrated,
-        # in the batch and one point at a time
-        assert sum(sizes) == 2 * 2 * 24 * _contributing_segments(p, v, gv, gx).sum()
+        # in the batch and one point at a time, by one kernel evaluation of a
+        # symmetric kernel or two of an asymmetric one
+        evals = 1 if k.symmetric else 2
+        assert sum(sizes) == 2 * evals * 24 * _contributing_segments(p, v, gv, gx).sum()
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
     def test_node_test_is_skipped_only_where_every_node_clears_v(self, monkeypatch, s):
@@ -677,7 +696,6 @@ class TestSegmentSkip:
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
     def test_live_points_evaluate_only_contributing_segments(self, monkeypatch, s):
-        k = _asymmetric(s)
         p = self._params(s)
         Z = np.array(region_samples(p, 12, np.random.default_rng(4)))
         t, x, v = Z.T
@@ -685,15 +703,18 @@ class TestSegmentSkip:
         want = _contributing_segments(p, v, gv, gx)
         live = ~_flat(p, v, gx)
         assert 0 < want.sum() < 7 * live.sum()
-        sizes = _kernel_sizes(monkeypatch, k)
-        # two kernel calls on quad_n = 24 nodes per contributing segment
-        for z, n in zip(Z, want):
+        for k in (_asymmetric(s), normalized_fractional(s)):
+            sizes = _kernel_sizes(monkeypatch, k)
+            # two kernel calls (an asymmetric kernel) or one (a symmetric
+            # one) on quad_n = 24 nodes per contributing segment
+            evals = 1 if k.symmetric else 2
+            for z, n in zip(Z, want):
+                sizes.clear()
+                barrier_residual_parts(p, k, z)
+                assert sizes == ([24 * n] * evals if n else [])
             sizes.clear()
-            barrier_residual_parts(p, k, z)
-            assert sizes == ([24 * n] * 2 if n else [])
-        sizes.clear()
-        barrier_residual_parts(p, k, Z)
-        assert sizes == [24 * want.sum()] * 2
+            barrier_residual_parts(p, k, Z)
+            assert sizes == [24 * want.sum()] * evals
 
 
 class TestThreshold:

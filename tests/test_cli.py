@@ -609,6 +609,9 @@ for _argv in [*RUNS.values(), ["solve", "--cross-validate", "--nx", "32", "--nv"
     READ_RUNS.setdefault(_leaf(_argv), []).append(_argv)
 
 SWEEP_VALUES = ["0", "-1", "1e-12", "1e12"]
+# huge but finite values, swept where they once ended in an overflow or in
+# far-field nodes that round onto the velocity
+SWEEP_EXTRA = {("harnack", "tail"): ["1e17", "1e300", "-1e300"]}
 # small base arguments per leaf mode; a swept flag of the mode's own parser
 # follows them, so it overrides theirs
 SWEEP_BASE = {
@@ -704,7 +707,7 @@ class TestModeFlags:
                 if action.type is not cli._finite_float:
                     continue
                 flag = action.option_strings[0]
-                for value in SWEEP_VALUES:
+                for value in SWEEP_VALUES + SWEEP_EXTRA.get(path, []):
                     pair = [flag, value]
                     out = str(tmp_path / f"{depth}{flag}{value}")
                     argv = ([path[0], "--out", out] + n_freq + (pair if group else []) + list(path[1:]) + base
@@ -716,6 +719,21 @@ class TestModeFlags:
                     if code not in (0, 2):
                         wrong.append((flag, value, code, err))
         assert wrong == []
+
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--v0", "1e17", "violates the rule |v| + dist <= 1e+08 dist"),
+        ("--v0", "1e300", "violates the rule |v| + dist <= 1e+08 dist"),
+        ("--v0", "-1e300", "dist <= 1e+80"),
+        ("--R", "1e300", "violates the rule r^{1+2s} finite"),
+    ])
+    def test_huge_tail_inputs_name_the_rule(self, tmp_path, capsys, flag, value, rule):
+        paths = _write_inputs(str(tmp_path))
+        out = tmp_path / "x"
+        base = [a.format(**paths) for a in SWEEP_BASE[("harnack", "tail")]]
+        assert main(["harnack", "--out", str(out), "tail"] + base + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert rule in err and "Warning" not in err
+        assert not out.exists()
 
 
 class TestEmitter:
@@ -741,7 +759,8 @@ class TestEmitter:
 class TestColdStart:
     def test_cli_import_loads_no_lazy_dependency(self):
         # every run pays for what importing the CLI loads; these load only
-        # where a mode needs them (quadrature nodes, seeded sampling, tests)
+        # where a mode needs them (seeded sampling, tests), and
+        # numpy.polynomial nowhere (test_kernels guards the quadrature users)
         src = os.path.dirname(os.path.dirname(os.path.abspath(kineticlab.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         lazy = ("numpy.polynomial", "numpy.random", "scipy")

@@ -1,6 +1,9 @@
 """Kernel models, the far-field rule and ellipticity diagnostics."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -157,6 +160,34 @@ class TestFarFieldQuadrature:
         frac = FractionalLaplacian(c=1.0, s=0.5)
         np.testing.assert_array_equal(frac.one_sided_tail(v, dist), np.broadcast_to(1.0 / dist, (3, 4)))
 
+    @pytest.mark.parametrize("v, dist", [(1e17, 0.3), (-1e17, 0.3), (1e300, 0.3), (1.0, 0.0), (0.0, 1e300), (-1e300, 1e300),
+                                         (0.0, math.nan)])
+    def test_rejects_distances_the_nodes_cannot_resolve(self, v, dist):
+        # far beyond |v| + dist = 1e8 h the nodes v + u lose u (near 1e16 h
+        # they round onto v or onto each other), and past dist = 1e80 the far
+        # model u^{-(1+2s)} underflows; either would end in a warning and a
+        # NaN or an infinity
+        env = PowerLawEnvelope(0.05, 2.0).envelope
+        rule = r"violates the rule \|v\| \+ dist <= 1e\+08 (dist|min\(dist, 2\)) and dist <= 1e\+80"
+        for k, weight in ((_perturbed(), None), (FractionalLaplacian(c=1.0, s=0.5), env)):
+            with pytest.raises(ValueError, match=rule):
+                k.one_sided_tail(np.array([0.0, v]), np.array([1.0, dist]), side=-1, weight=weight)
+
+    def test_panel_scale_is_the_shorter_of_dist_and_the_oscillation_length(self):
+        # the perturbed kernel's uniform panels are 2 wide, so a distance far
+        # beyond 2e8 leaves them unresolved; the pure power law has none
+        env = PowerLawEnvelope(0.05, 2.0).envelope
+        frac, perturbed = FractionalLaplacian(c=1.0, s=0.5), _perturbed()
+        assert math.isfinite(frac.one_sided_tail(0.0, 1e80, weight=env))
+        assert math.isfinite(perturbed.one_sided_tail(0.0, 1e8))
+        with pytest.raises(ValueError, match=r"1e\+08 min\(dist, 2\)"):
+            perturbed.one_sided_tail(0.0, 1e9)
+        for k in (frac, perturbed):
+            for v in (0.5e8 - 1.0, -0.5e8 + 1.0):
+                assert math.isfinite(k.one_sided_tail(v, 1.0, weight=env))
+            with pytest.raises(ValueError):
+                k.one_sided_tail(1e8, 1.0, weight=env)
+
 
 class TestGaussLegendre:
     def test_cached_and_read_only(self):
@@ -165,6 +196,95 @@ class TestGaussLegendre:
         assert weights.sum() == pytest.approx(2.0, rel=1e-14)
         with pytest.raises(ValueError):
             nodes[0] = 0.0
+
+    def test_numpy_leggauss_bit_for_bit(self):
+        for n in range(1, 101):
+            nodes, weights = gauss_legendre(n)
+            want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+            assert nodes.tobytes() == want_nodes.tobytes(), n
+            assert weights.tobytes() == want_weights.tobytes(), n
+
+    def test_rejects_fewer_than_one_node(self):
+        with pytest.raises(ValueError):
+            gauss_legendre(0)
+
+    def test_quadrature_users_never_import_numpy_polynomial(self):
+        # the threshold search, the operator assembly of a kernel without a
+        # closed form and the weighted far field all build Gauss-Legendre
+        # rules; none of them may load numpy.polynomial
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
+        code = "\n".join([
+            "import sys",
+            "from kineticlab import aronson, kernels, operators",
+            "from kineticlab.fields import PhaseGrid, PowerLawEnvelope",
+            "frac = kernels.normalized_fractional(0.5)",
+            "aronson.k_threshold(1.0, 0.1, 0.0, 0.0, 0.5, frac, n_per_region=3)",
+            "perturbed = kernels.kernel_from_config('kind = perturbed\\nc = 0.3\\ns = 0.5\\na_min = 0.5\\na_max = 1.5')",
+            "grid = PhaseGrid(nt=1, nx=2, nv=16, x_period=1.0, v_extent=4.0, t0=0.0, t1=1.0)",
+            "operators.assemble_operator_matrix(perturbed, grid)",
+            "frac.one_sided_tail(0.5, 1.0, weight=PowerLawEnvelope(0.05, 2.0).envelope)",
+            "print('numpy.polynomial' in sys.modules)",
+        ])
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "False"
+
+
+def _asymmetric_multiplier(v, w):
+    return 1.0 + 0.4 * np.tanh(v - 2.0 * w) + 0.1 * np.sin(w)
+
+
+# one instance per order s of every kernel class that declares itself
+# symmetric; the perturbation is built on a deliberately asymmetric multiplier
+SYMMETRIC_KERNELS = {
+    FractionalLaplacian: [lambda s: FractionalLaplacian(c=1.3, s=s)],
+    SymmetricPerturbation: [
+        lambda s: SymmetricPerturbation(base=FractionalLaplacian(c=0.7, s=s), multiplier=_asymmetric_multiplier,
+                                        a_min=0.5, a_max=1.5),
+        lambda s: kernel_from_config(f"kind = perturbed\nc = 0.3\ns = {s!r}\na_min = 0.5\na_max = 1.5"),
+    ],
+}
+
+
+def _swapped_pairs(rng, n):
+    """Velocity pairs with |v|, |w| from 1e-12 to 1e12 of either sign: random
+    ones, and every pair of distinct extremes."""
+    v, w = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, 12.0, n) for _ in range(2))
+    extremes = np.array([s * m for s in (-1.0, 1.0) for m in (1e-12, 1e-6, 1.0, 1e6, 1e12)])
+    ev, ew = np.meshgrid(extremes, extremes, indexing="ij")
+    distinct = ev != ew
+    return np.concatenate([v, ev[distinct]]), np.concatenate([w, ew[distinct]])
+
+
+class TestSymmetricKernels:
+    """``symmetric = True`` promises ``K(v, w) == K(w, v)`` bit for bit."""
+
+    def test_every_symmetric_class_is_covered(self):
+        declared = {c for c in vars(kernels).values()
+                    if isinstance(c, type) and issubclass(c, KernelSpec) and c.symmetric}
+        assert declared == set(SYMMETRIC_KERNELS)
+        assert not KernelSpec.symmetric
+
+    def test_the_multiplier_is_asymmetric(self):
+        v, w = _swapped_pairs(np.random.default_rng(1), 256)
+        assert (_asymmetric_multiplier(v, w) != _asymmetric_multiplier(w, v)).mean() > 0.5
+
+    @pytest.mark.parametrize("cls", sorted(SYMMETRIC_KERNELS, key=lambda c: c.__name__), ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_swapped_velocities_bit_for_bit(self, cls, s):
+        rng = np.random.default_rng(7)
+        v, w = _swapped_pairs(rng, 4096)
+        t, x = rng.uniform(-2.0, 2.0, (2, v.size))
+        for make in SYMMETRIC_KERNELS[cls]:
+            k = make(s)
+            assert type(k) is cls and k.symmetric
+            assert k._eval(t, x, v, w).tobytes() == k._eval(t, x, w, v).tobytes()
+            # and on the broadcast shapes of the barrier residual: (M, 1)
+            # owners against an (M, 24) node block
+            vb, wb = v[:96, None], w[:96 * 24].reshape(96, 24)
+            tb, xb = t[:96, None], x[:96, None]
+            assert k._eval(tb, xb, vb, wb).tobytes() == k._eval(tb, xb, wb, vb).tobytes()
+            assert check_symmetry(k)["max_relative_asymmetry"] == 0.0
 
 
 def _coercivity_loop(k, family, n=256, box=2.0):
