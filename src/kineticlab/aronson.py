@@ -43,6 +43,13 @@ is bit 31 of ``next_uint32``; and ``next_uint32`` serves the low half of a
 64-bit output, then its buffered high half.  So an attempt's ``k`` doubles
 and two signs are one row of ``rng.random((n, k + 1))``, the signs being
 bits 20 and 52 of the 53-bit integer that the row's last double carries.
+A block is mapped and classified as arrays: the uniform maps, the signs,
+``v``, ``x`` and the region index, which ``barrier_region`` gives for one
+point and for an ``(N, 3)`` array alike.  Only the powers ``Xr^{1+2s}``
+and the spatial root run per element, as Python float ``**`` (the C
+library ``pow``; numpy's vectorized ``pow`` may differ in the last bit).
+The points and the state do not depend on the block size, so
+``_SAMPLE_BLOCK`` only bounds a block's memory.
 """
 
 from __future__ import annotations
@@ -156,25 +163,24 @@ def barrier_eval(p: BarrierParams, z) -> float:
     return float(barrier_values(p, t, x, v))
 
 
-def barrier_region(p: BarrierParams, z) -> int:
-    """Case index 1..6 of the barrier's region decomposition.
+def barrier_region(p: BarrierParams, z):
+    """Case index 1..6 of the barrier's region decomposition: an int for one
+    phase point ``z = (t, x, v)``, an int array for an ``(N, 3)`` array.
 
     Thresholds are ``2 rho, 3 rho`` for the velocity distance and
     ``3 rho`` (and the velocity distance) for the spatial root; ties go
     to the lower-index case.
     """
-    t, x, v = float(z[0]), float(z[1]), float(z[2])
-    rho = p.rho
+    t, x, v, one = _as_points(z)
+    rho, r = p.rho, 1.0 / (1 + 2 * p.s)
     dv = abs(v - p.w0)
-    # on Python floats: the same C library pow a numpy float scalar's ``**`` calls
-    X = abs(x - p.y0 - (p.sigma + t - 2 * p.tau0) * p.w0) ** (1.0 / (1 + 2 * p.s))
-    if dv <= 2 * rho:
-        return 1 if X <= 3 * rho else 2
-    if dv <= 3 * rho:
-        return 3 if X <= 3 * rho else 4
-    if X <= 3 * rho or X <= dv:
-        return 5
-    return 6
+    X = abs(x - p.y0 - (p.sigma + t - 2 * p.tau0) * p.w0)
+    # on Python floats: the C library pow a numpy float scalar's ``**`` calls
+    X = X**r if one else np.array([q**r for q in X.tolist()])
+    # the velocity band 0, 1 or 2 (``* 1``: numpy adds bools as ``or``), then
+    # the even case of the band where the spatial root is the larger
+    band = (dv > 2 * rho) * 1 + (dv > 3 * rho) * 1
+    return 1 + 2 * band + ((X > 3 * rho) & ((dv <= 3 * rho) | (X > dv)))
 
 
 def _transport_term(p: BarrierParams, state, v):
@@ -304,20 +310,22 @@ def _jump_block(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, gx, L):
     flat = (gv <= mX)[:, None] & _flat_segment(p, half, mid, mX[:, None], _end_nodes())
     i, j = np.nonzero((b - a >= 1e-14) & ~flat)
     sums = np.zeros(a.shape)
-    owner = (q[i, None] for q in (t, x, v, gv, mX, L))
+    # sqrt(H)(v): multiplier max(1, gv, gx) = max(gv, mX)
+    owner = (q[i, None] for q in (t, x, v, np.exp(-0.5 * np.maximum(gv, mX) * L), mX, L))
     sums[i, j] = _segment_sums(p, kspec, *owner, half[i, j, None], mid[i, j, None])
     return sums.sum(axis=1)
 
 
-def _segment_sums(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, mX, L, half, mid, clear=False):
+def _segment_sums(p: BarrierParams, kspec: KernelSpec, t, x, v, sqrtH_v, mX, L, half, mid, clear=False):
     """Gauss-Legendre sums of the jump integrand over segments with nodes
     ``w = half * x_i + mid`` (``half, mid`` of shape ``(M, 1)``), one per row.
 
-    ``t, x, v, gv, L`` and ``mX = max(1, gx)`` are the owning points' values,
-    ``(M, 1)`` columns, or one point's floats; they broadcast against the
-    ``(M, _QUAD_N)`` node block, and so does the kernel, which sees them
-    and ``w`` as they are.  Nodes within 1e-12 of ``v`` get zero weight;
-    ``clear`` says that no node is, and skips the test.
+    ``t, x, v, sqrtH_v = sqrt(H)(v), L`` and ``mX = max(1, gx)`` are the
+    owning points' values, ``(M, 1)`` columns, or one point's floats; they
+    broadcast against the ``(M, _QUAD_N)`` node block, and so does the
+    kernel, which sees them and ``w`` as they are.  Nodes within 1e-12 of
+    ``v`` get zero weight; ``clear`` says that no node is, and skips the
+    test.
 
     sqrt(H)(w), the squared difference from sqrt(H)(v), the kernel factor
     and the weights are applied in one buffer, each element in the order
@@ -335,15 +343,13 @@ def _segment_sums(p: BarrierParams, kspec: KernelSpec, t, x, v, gv, mX, L, half,
             # the kernel stays finite
             ww = np.where(keep, ww, 0.0)
             w = np.where(keep, w, v + p.rho)
-    # sqrt(H) with multiplier max(1, |vel - w0|/(3 rho), gx) = max(|vel - w0|/(3 rho), mX)
-    sqrtH_v = np.exp(-0.5 * np.maximum(gv, mX) * L)
+    # sqrt(H)(w), multiplier max(1, |w - w0|/(3 rho), gx) = max(|w - w0|/(3 rho), mX)
     buf = np.subtract(w, p.w0)
     np.abs(buf, out=buf)
     buf /= 3 * p.rho
     np.maximum(buf, mX, out=buf)
-    buf *= -0.5
-    buf *= L
-    np.exp(buf, out=buf)  # sqrt(H)(w)
+    buf *= -0.5 * L  # the scaling by -0.5 is exact, so this is (buf * -0.5) * L
+    np.exp(buf, out=buf)
     np.subtract(sqrtH_v, buf, out=buf)
     np.square(buf, out=buf)
     K = np.asarray(kspec._eval(t, x, v, w), dtype=float)
@@ -385,7 +391,7 @@ def _point_parts(p: BarrierParams, kspec: KernelSpec, t, x, v):
     outer = (w0, w0 - 2 * rho, w0 + 2 * rho, w0 - 3 * rho * mX, w0 + 3 * rho * mX)
     brk = sorted([lo, hi, v] + [lo if q < lo else hi if q > hi else q for q in outer])
     first, last = _end_nodes()
-    v_flat, segs, clear = gv <= mX, [], True
+    rho3, v_flat, segs, clear = 3 * rho, gv <= mX, [], True
     for a, b in zip(brk[:-1], brk[1:]):
         if b - a < 1e-14:
             continue
@@ -396,16 +402,20 @@ def _point_parts(p: BarrierParams, kspec: KernelSpec, t, x, v):
         # outside every open segment; False in ``clear`` means an end node
         # lies within 1e-12 of v, and _segment_sums tests node by node
         w_first, w_last = half * first + mid, half * last + mid
-        if v_flat and abs(w_first - w0) / (3 * rho) <= mX and abs(w_last - w0) / (3 * rho) <= mX:
+        if v_flat and abs(w_first - w0) / rho3 <= mX and abs(w_last - w0) / rho3 <= mX:
             continue
         segs.append((half, mid))
         clear = clear and (w_first - v > 1e-12 or v - w_last > 1e-12)
     if not segs:
         return TH, 0.0, tie
-    sums = _segment_sums(p, kspec, t, x, v, gv, mX, L, *np.array(segs).T[:, :, None], clear=clear)
-    # numpy adds fewer than eight values in order, so these sums add up as
-    # the batch's seven slots do, whose others hold 0.0
-    return TH, float(sums.sum()), tie
+    hm = np.array(segs)  # rows (half, mid); hm[:, :1] and hm[:, 1:] are (S, 1)
+    sqrtH_v = np.exp(-0.5 * max(gv, mX) * L)
+    I, *rest = _segment_sums(p, kspec, t, x, v, sqrtH_v, mX, L, hm[:, :1], hm[:, 1:], clear=clear).tolist()
+    # added in order, as numpy adds fewer than eight values and so the
+    # batch's seven slots, whose others hold 0.0
+    for q in rest:
+        I += q
+    return TH, I, tie
 
 
 def barrier_residual_parts(p: BarrierParams, kspec: KernelSpec, z):
@@ -448,21 +458,9 @@ def barrier_residual(p: BarrierParams, kspec: KernelSpec, z, c: float = 2.0):
     return float(res) if one else res
 
 
-# Attempts per block of ``region_samples``: a block's three generator calls
-# (about 12 us) cost 0.2 us per attempt, and its rows, Python lists of about
-# 0.2 kB each, hold near 13 kB while the block is read.
-_SAMPLE_BLOCK = 64
-
-
-def _attempts(rng: np.random.Generator, n: int, k: int):
-    """``n`` attempts ``(u, sv, sx)`` of ``k`` uniform doubles and two sign
-    bits, drawn as ``region_samples`` describes: the first ``n - 1`` as
-    rows of one block, the last one by ``rng.random(k)`` and
-    ``rng.integers(0, 2, size=2)``."""
-    for *u, d in rng.random((n - 1, k + 1)).tolist():
-        m = int(d * 2.0**53)
-        yield u, m >> 20 & 1, m >> 52
-    yield rng.random(k).tolist(), *rng.integers(0, 2, size=2).tolist()
+# Attempts per block of ``region_samples``.  Points and generator state do
+# not depend on it; it only bounds a block's arrays (about 1 MB).
+_SAMPLE_BLOCK = 4096
 
 
 def region_samples(p: BarrierParams, n_per_region: int, rng: np.random.Generator):
@@ -488,23 +486,29 @@ def region_samples(p: BarrierParams, n_per_region: int, rng: np.random.Generator
     for region in range(1, 7):
         X_lo, X_hi = (0.0, 2.9 * rho) if region in (1, 3, 5) else (3.1 * rho, 12.0 * rho)
         dv_lo, dv_hi = ((0.0, 1.9 * rho), (2.1 * rho, 2.9 * rho), (3.1 * rho, 12.0 * rho))[(region - 1) // 2]
+        k = 4 if region == 6 else 3
         count = 0
         while count < n_per_region:
             n = min(n_per_region - count, _SAMPLE_BLOCK) if blocks else 1
-            for u, sv, sx in _attempts(rng, n, 4 if region == 6 else 3):
-                # Generator.uniform's own formula, lo + (hi - lo) * random()
-                t = p.tau0 + (p.sigma - p.tau0) * u[0]
-                Xr = X_lo + (X_hi - X_lo) * u[1]
-                dv = dv_lo + (dv_hi - dv_lo) * u[2]
-                if region == 6:
-                    X_min = max(3.1 * rho, dv * 1.01)
-                    Xr = X_min + (14.0 * rho - X_min) * u[3]
-                v = p.w0 + (-1.0, 1.0)[sv] * dv
-                x = p.y0 + (p.sigma + t - 2 * p.tau0) * p.w0 + (-1.0, 1.0)[sx] * Xr**e
-                z = (t, x, v)
-                if barrier_region(p, z) == region:
-                    out.append(z)
-                    count += 1
+            rows, last = rng.random((n - 1, k + 1)), rng.random(k)
+            sv, sx = rng.integers(0, 2, size=2)
+            # the last attempt as one more row: its signs as bits 20 and 52
+            # of the 53-bit integer of its last double
+            u = np.vstack((rows, [*last, (sv << 20 | sx << 52) * 2.0**-53])).T
+            m = (u[k] * 2.0**53).astype(np.int64)
+            # Generator.uniform's own formula, lo + (hi - lo) * random()
+            t = p.tau0 + (p.sigma - p.tau0) * u[0]
+            Xr = X_lo + (X_hi - X_lo) * u[1]
+            dv = dv_lo + (dv_hi - dv_lo) * u[2]
+            if region == 6:
+                X_min = np.maximum(3.1 * rho, dv * 1.01)
+                Xr = X_min + (14.0 * rho - X_min) * u[3]
+            X = np.array([q**e for q in Xr.tolist()])  # libm pow, as barrier_region's root
+            x = p.y0 + (p.sigma + t - 2 * p.tau0) * p.w0 + np.where(m >> 52, X, -X)
+            z = np.column_stack((t, x, p.w0 + np.where(m >> 20 & 1, dv, -dv)))
+            t, x, v = z[barrier_region(p, z) == region].T.tolist()
+            out += zip(t, x, v)
+            count += len(t)
     return out
 
 

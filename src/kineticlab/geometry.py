@@ -76,6 +76,14 @@ class KineticCylinder:
             self.r ** (1 + 2 * self.s)
         except OverflowError:
             raise ValueError("cylinder radius r violates the rule r^{1+2s} finite (the position radius)") from None
+        # a window or radius that rounds away at the centre has no nodes
+        # apart from the centre's own coordinate
+        c, (lo, hi) = self.center, self.time_window()
+        for rule, gone in (("lo < hi for the time window", lo == hi),
+                           ("x + r^{1+2s} != x for the position radius", c.x + self.x_radius == c.x),
+                           ("v + r != v for the velocity radius", c.v + self.ball_radius == c.v)):
+            if gone:
+                raise ValueError(f"cylinder at {c} violates the rule {rule}: it rounds away at the centre")
 
     # -- derived geometry ------------------------------------------------
 

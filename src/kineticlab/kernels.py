@@ -17,6 +17,7 @@ quadrature on both sides.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -357,9 +358,12 @@ def check_symmetry(k: KernelSpec, samples: int = 256, seed: int = 0) -> dict:
     tol = 1e-12
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    v = rng.uniform(-3.0, 3.0, samples)
-    w = rng.uniform(-3.0, 3.0, samples)
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    # the stdlib generator: numpy.random would cost a cold run its import
+    rnd = random.Random(seed)
+    v = np.array([rnd.uniform(-3.0, 3.0) for _ in range(samples)])
+    w = np.array([rnd.uniform(-3.0, 3.0) for _ in range(samples)])
     w = np.where(np.abs(v - w) < 1e-6, w + 1.0, w)
     kvw = np.asarray(k._eval(0.0, 0.0, v, w), dtype=float)
     kwv = np.asarray(k._eval(0.0, 0.0, w, v), dtype=float)

@@ -609,8 +609,9 @@ for _argv in [*RUNS.values(), ["solve", "--cross-validate", "--nx", "32", "--nv"
     READ_RUNS.setdefault(_leaf(_argv), []).append(_argv)
 
 SWEEP_VALUES = ["0", "-1", "1e-12", "1e12"]
-# huge but finite values, swept where they once ended in an overflow or in
-# far-field nodes that round onto the velocity
+# huge but finite values, swept where they once ended in an overflow, in
+# far-field nodes that round onto the velocity, or (--t0, --x0) in a
+# cylinder whose window or position radius rounds away at its centre
 SWEEP_EXTRA = {("harnack", "tail"): ["1e17", "1e300", "-1e300"]}
 # small base arguments per leaf mode; a swept flag of the mode's own parser
 # follows them, so it overrides theirs
@@ -721,10 +722,15 @@ class TestModeFlags:
         assert wrong == []
 
     @pytest.mark.parametrize("flag, value, rule", [
-        ("--v0", "1e17", "violates the rule |v| + dist <= 1e+08 dist"),
-        ("--v0", "1e300", "violates the rule |v| + dist <= 1e+08 dist"),
-        ("--v0", "-1e300", "dist <= 1e+80"),
+        # the cylinder's velocity radius (R/2 = 0.15) rounds away at these
+        # centres before the far field is built
+        ("--v0", "1e17", "violates the rule v + r != v for the velocity radius"),
+        ("--v0", "1e300", "violates the rule v + r != v for the velocity radius"),
+        ("--v0", "-1e300", "violates the rule v + r != v for the velocity radius"),
+        ("--v0", "1e12", "violates the rule |v| + dist <= 1e+08 dist"),
         ("--R", "1e300", "violates the rule r^{1+2s} finite"),
+        ("--t0", "1e300", "violates the rule lo < hi for the time window"),
+        ("--x0", "1e17", "violates the rule x + r^{1+2s} != x for the position radius"),
     ])
     def test_huge_tail_inputs_name_the_rule(self, tmp_path, capsys, flag, value, rule):
         paths = _write_inputs(str(tmp_path))
@@ -765,6 +771,16 @@ class TestColdStart:
         env = dict(os.environ, PYTHONPATH=src)
         lazy = ("numpy.polynomial", "numpy.random", "scipy")
         code = f"import sys, kineticlab.cli; print(sorted(m for m in sys.modules if m.startswith({lazy})))"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "[]"
+
+    def test_ellipticity_run_loads_no_numpy_random(self, tmp_path):
+        # its symmetry samples come from the stdlib generator
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kineticlab.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, kineticlab.cli; "
+                f"assert kineticlab.cli.main(['ellipticity', '--fit', '--out', {str(tmp_path / 'e')!r}]) == 0; "
+                "print(sorted(m for m in sys.modules if m.startswith(('numpy.random', 'numpy.polynomial', 'scipy'))))")
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert run.stdout.strip() == "[]"
 

@@ -1,6 +1,7 @@
 """Phase points and cylinder geometry."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,3 +110,19 @@ class TestCylinders:
             make_cylinder(z, 1.0, 1.5, CylinderKind.CURRENT)
         with pytest.raises(ValueError):
             KineticCylinder(z, 1.0, 0.5, "current")
+
+    @pytest.mark.parametrize("kind", list(CylinderKind))
+    @pytest.mark.parametrize("center, rule", [
+        ((1e300, 0.0, 0.0), "lo < hi for the time window"),
+        ((0.6, 1e17, 0.0), "x + r^{1+2s} != x for the position radius"),
+        ((0.6, 0.0, 1e17), "v + r != v for the velocity radius"),
+    ])
+    def test_rejects_a_cylinder_that_rounds_away_at_its_centre(self, kind, center, rule):
+        with pytest.raises(ValueError, match=re.escape(rule)):
+            make_cylinder(_pt(*center), 0.3, 0.5, kind)
+
+    @pytest.mark.parametrize("kind", list(CylinderKind))
+    def test_keeps_a_large_centre_whose_extents_survive(self, kind):
+        c = make_cylinder(_pt(1e12, 1e12, 1e12), 0.3, 0.5, kind)
+        lo, hi = c.time_window()
+        assert lo < hi and c.center.x + c.x_radius > c.center.x and c.center.v + c.ball_radius > c.center.v

@@ -328,6 +328,11 @@ class TestEllipticityChecks:
 
         rep = check_symmetry(Skewed())
         assert not rep["pass"]
+        # the samples are seeded: the same seed, the same report
+        assert check_symmetry(Skewed(), seed=3) == check_symmetry(Skewed(), seed=3)
+        assert check_symmetry(Skewed(), samples=1, seed=3) != check_symmetry(Skewed(), samples=1, seed=4)
+        with pytest.raises(ValueError, match="non-negative"):
+            check_symmetry(Skewed(), seed=-1)
 
     def test_upper_bound_unit_kernel(self):
         # tail(v, r) = 2/r exactly, so the fitted constant is 2
