@@ -31,9 +31,10 @@ further out, without holding that lattice: the spectrum is sampled and
 transformed along ``phi`` in blocks of ``xi`` rows, each no larger than
 the result, and only the kept ``x >= 0`` columns are stored and inverted
 along ``xi``, so the build holds about ``pad`` results.
-Tables read the unit-time profile, which is ``j0_lattice`` at ``t = 1``
-(``pad = 1``) on the lattice dual to frequency extents grown
-automatically until the symbol is below a target at the boundary.
+A table is ``(s, t, n_freq)``: a view at time ``t`` of the unit-time
+profile, which is ``j0_lattice`` at ``t = 1`` (``pad = 1``) on the
+lattice dual to frequency extents grown automatically until the symbol
+is below a target at the boundary.
 
 ``FundamentalSolutionTable.sample`` reads the unit-time profile by the
 tensor-product not-a-knot cubic interpolant on its uniform axes (the
@@ -42,17 +43,16 @@ uniform cubic B-spline coefficients and evaluated with the closed-form
 cardinal weights (Unser 1999).  It is zero outside the tabulated box,
 and its time argument broadcasts with the points.
 
-Unit-time profiles are cached per exact ``(n_freq, s)`` and
-held read-only.  Every table ``j0_table`` makes from one profile, at any
-time, samples through one sampler of that profile, built from the
-profile itself on the first ``sample`` of any of them; a table that is
-never sampled builds none.
+Unit-time profiles and their samplers are cached per exact
+``(n_freq, s)`` and held read-only.  Every table of one profile samples
+through its one sampler, built on the first ``sample`` of any of them,
+and holds no array until its axes or values are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -255,17 +255,6 @@ def _positive_time(t):
     return t
 
 
-def _uniform_step(axis: np.ndarray) -> float:
-    """Node spacing of a uniform increasing axis of at least 4 nodes."""
-    n = len(axis)
-    if n < 4:
-        raise ValueError("the cubic sampler needs at least 4 nodes per axis")
-    h = float(axis[-1] - axis[0]) / (n - 1)
-    if not (h > 0 and np.max(np.abs(np.diff(axis) - h)) <= 1e-8 * h):
-        raise ValueError("the cubic sampler needs uniform increasing axes")
-    return h
-
-
 def _not_a_knot_coefficients(y: np.ndarray) -> np.ndarray:
     """Uniform cubic B-spline coefficients ``c_{-1} .. c_n`` (rows) of the
     not-a-knot interpolant of the rows ``y_0 .. y_{n-1}``, column by column.
@@ -329,8 +318,8 @@ class _BicubicSampler:
     def __init__(self, x_axis: np.ndarray, v_axis: np.ndarray, values: np.ndarray):
         self.lo = (float(x_axis[0]), float(v_axis[0]))
         self.hi = (float(x_axis[-1]), float(v_axis[-1]))
-        self.h = (_uniform_step(x_axis), _uniform_step(v_axis))
         self.n = values.shape
+        self.h = tuple((hi - lo) / (n - 1) for lo, hi, n in zip(self.lo, self.hi, self.n))
         coef = _not_a_knot_coefficients(np.ascontiguousarray(values.T, dtype=float))
         coef = np.ascontiguousarray(coef.T)  # frees the first pass before the second
         self.coef = _not_a_knot_coefficients(coef).ravel()
@@ -361,28 +350,35 @@ class _BicubicSampler:
 @lru_cache(maxsize=8)
 def _unit_sampler(n_freq: int, s: float) -> _BicubicSampler:
     """The sampler of the cached unit-time profile, built once and shared by
-    every table ``j0_table`` makes from that profile."""
+    every table of that profile."""
     return _BicubicSampler(*_unit_profile(n_freq, s)[:3])
 
 
-@dataclass
+@dataclass(frozen=True)
 class FundamentalSolutionTable:
-    """Gridded values of ``J`` at a fixed time.
-
-    ``sample`` reads ``J`` at any time from these values through the
-    self-similar rescaling.
-    """
+    """``J`` at time ``t``: the cached unit-time profile of ``(n_freq, s)``
+    seen through the self-similar rescaling, its arrays at ``t`` computed
+    on first read."""
 
     s: float
     t: float
-    x_axis: np.ndarray
-    v_axis: np.ndarray
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
-    # not constructor arguments, so dataclasses.replace starts a table afresh
-    _sampler: object = field(default=None, init=False, repr=False, compare=False)
-    # (n_freq, s) of the cached unit-time profile a j0_table table samples
-    _profile_key: tuple = field(default=None, init=False, repr=False, compare=False)
+    n_freq: int
+
+    @cached_property
+    def x_axis(self) -> np.ndarray:
+        return _unit_profile(self.n_freq, self.s)[0] * self.t ** (1 + 1 / (2 * self.s))
+
+    @cached_property
+    def v_axis(self) -> np.ndarray:
+        return _unit_profile(self.n_freq, self.s)[1] * self.t ** (1 / (2 * self.s))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _unit_profile(self.n_freq, self.s)[2] * self.t ** -peak_decay_exponent(self.s)
+
+    @property
+    def meta(self) -> dict:
+        return dict(_unit_profile(self.n_freq, self.s)[3])
 
     @property
     def dx(self) -> float:
@@ -408,25 +404,9 @@ class FundamentalSolutionTable:
         ``v`` finite (else ``ValueError``).  The profile is read by the
         tensor-product not-a-knot cubic interpolant on the unit-time axes
         (the same interpolant as FITPACK's ``regrid`` at ``s = 0``); points
-        outside the tabulated box give 0.  Uniform axes of at least 4
-        nodes are required.
-
-        A table made by ``j0_table`` reads the cached unit-time profile it
-        was made from, through the one sampler of that profile, built on
-        the first ``sample`` of any table made from it.  A table made with
-        the constructor builds its own sampler from its ``values``.
+        outside the tabulated box give 0.
         """
         s = self.s
-        beta = peak_decay_exponent(s)
-        if self._sampler is None:
-            if self._profile_key is not None:
-                self._sampler = _unit_sampler(*self._profile_key)
-            else:
-                xu = self.x_axis / self.t ** (1 + 1 / (2 * s))
-                vu = self.v_axis / self.t ** (1 / (2 * s))
-                # scaled into the transposed layout the sampler reads, in one pass
-                scaled = np.multiply(self.values.T, self.t**beta, order="C").T
-                self._sampler = _BicubicSampler(xu, vu, scaled)
         t = _positive_time(self.t if t is None else t)
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -435,32 +415,24 @@ class FundamentalSolutionTable:
                 raise ValueError(f"sample coordinate {name} must be finite")
         xu = x / t ** (1 + 1 / (2 * s))
         vu = v / t ** (1 / (2 * s))
-        return t**-beta * self._sampler(xu, vu)
+        return t**-peak_decay_exponent(s) * _unit_sampler(self.n_freq, s)(xu, vu)
 
 
 def j0_table(t: float, s: float, n_freq: int = 256) -> FundamentalSolutionTable:
-    """Build the fundamental-solution table at time ``t``."""
+    """The fundamental-solution table at time ``t``; it holds no array
+    until its axes or values are read."""
     t = float(_positive_time(t))
     if n_freq < 4:
         raise ValueError("n_freq must be at least 4")
     x_axis, v_axis, vals, meta = _unit_profile(n_freq, s)
-    beta = peak_decay_exponent(s)
-    tab = FundamentalSolutionTable(
-        s=s,
-        t=t,
-        x_axis=x_axis * t ** (1 + 1 / (2 * s)),
-        v_axis=v_axis * t ** (1 / (2 * s)),
-        values=vals * t**-beta,
-        meta=dict(meta),
-    )
-    tab._profile_key = (n_freq, s)
-    mass = tab.mass()
+    # the unit-time mass: the self-similar rescaling preserves it
+    mass = float(vals.sum() * (x_axis[1] - x_axis[0]) * (v_axis[1] - v_axis[0]))
     if not abs(mass - 1.0) <= 1e-2:
         raise RuntimeError(
             f"mass deficit {abs(mass - 1.0):.2e}: increase the frequency "
             f"extents beyond ({meta['phi_extent']}, {meta['xi_extent']}) or n_freq"
         )
-    return tab
+    return FundamentalSolutionTable(s=s, t=t, n_freq=n_freq)
 
 
 def modified_convolution(f: np.ndarray, g: np.ndarray, t: float, dx: float, dv: float) -> np.ndarray:

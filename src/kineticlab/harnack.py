@@ -97,9 +97,11 @@ class HarnackReport:
 
 
 def _check_resolution(f, cyl: KineticCylinder):
-    """Gridded fields must resolve the cylinder by >= 4 cells per axis."""
+    """Gridded fields must hold the cylinder in their domain and resolve it
+    by >= 4 cells per axis."""
     if not isinstance(f, PhaseField):
         return
+    _check_domain(f, cyl)
     g = f.grid
     lo, hi = cyl.time_window()
     if g.nt > 1 and (hi - lo) < 4 * g.dt:
@@ -108,6 +110,22 @@ def _check_resolution(f, cyl: KineticCylinder):
         raise ValueError("position axis does not resolve the cylinder (need >= 4 cells)")
     if 2 * cyl.ball_radius < 4 * g.dv:
         raise ValueError("velocity axis does not resolve the cylinder (need >= 4 cells)")
+
+
+def _check_domain(f, cyl: KineticCylinder):
+    """Gridded fields are read inside their saved domain only: beyond its
+    times and velocity axis ``PhaseField.sample`` reads clamped edge values."""
+    if not isinstance(f, PhaseField):
+        return
+    g, c, r = f.grid, cyl.center, cyl.ball_radius
+    lo, hi = cyl.time_window()
+    if g.nt > 1 and not g.t0 <= lo <= hi <= g.t1:
+        raise ValueError(f"cylinder time window [{lo:.6g}, {hi:.6g}] violates the rule t0 <= t <= t1 of the "
+                         f"field saved on [{g.t0:.6g}, {g.t1:.6g}]")
+    v_lo, v_hi = g.v_axis[[0, -1]]
+    if not v_lo <= c.v - r <= c.v + r <= v_hi:
+        raise ValueError(f"cylinder velocity ball [{c.v - r:.6g}, {c.v + r:.6g}] violates the rule "
+                         f"v_axis[0] <= v <= v_axis[-1] of the field's velocity axis [{v_lo:.6g}, {v_hi:.6g}]")
 
 
 def _cyl_values(f, cyl: KineticCylinder, nodes: tuple):
@@ -262,8 +280,9 @@ def tail_bound_ratio(
         raise TypeError("tail measurement needs a gridded field with a far-field closure")
     g = f.grid
     v0 = z0.v
-    inner = make_cylinder(z0, R / 2, s, CylinderKind.CURRENT)
     outer = make_cylinder(z0, R, s, CylinderKind.CURRENT)
+    _check_domain(f, outer)  # it holds the inner cylinder
+    inner = make_cylinder(z0, R / 2, s, CylinderKind.CURRENT)
     T, X, V, w = inner.nodes(*nodes)
     above = f.sample(T, X, V) > l
     T, X, V = T[above], X[above], V[above]
@@ -379,14 +398,20 @@ def degiorgi_trace(
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
 
+    reads = {}  # each cylinder is read once per exact radius
+
+    def cyl_values(r: float):
+        if r not in reads:
+            cyl = make_cylinder(z0, r, s, CylinderKind.CURRENT)
+            _check_domain(f, cyl)
+            reads[r] = _cyl_values(f, cyl, nodes)
+        return reads[r]
+
     def trunc_mass(r: float, level: float) -> float:
-        cyl = make_cylinder(z0, r, s, CylinderKind.CURRENT)
-        vals, w = _cyl_values(f, cyl, nodes)
+        vals, w = cyl_values(r)
         return float(np.clip(vals - level, 0.0, None).sum() * w)
 
-    big = make_cylinder(z0, R, s, CylinderKind.CURRENT)
-    bv, _ = _cyl_values(f, big, nodes)
-    sup_f = float(bv.max())
+    sup_f = float(cyl_values(R)[0].max())
     A0 = trunc_mass(R, 0.0)
     L = degiorgi_level_cap(A0, R, delta, p, zeta, sup_f, s)
     if not math.isfinite(L):
@@ -410,8 +435,7 @@ def degiorgi_trace(
             decay_ok = False
         if k >= 1 and L > 0:
             # Chebyshev: measure of the upper level set in the previous cylinder
-            cyl = make_cylinder(z0, seq[k - 1][2], s, CylinderKind.CURRENT)
-            vals, w = _cyl_values(f, cyl, nodes)
+            vals, w = cyl_values(seq[k - 1][2])
             meas = float((vals > l_k).sum() * w)
             if meas > 2.0 ** (k + 2) * prev_A / L + 1e-12:
                 cheb_ok = False

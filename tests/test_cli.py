@@ -727,7 +727,11 @@ class TestModeFlags:
         ("--v0", "1e17", "violates the rule v + r != v for the velocity radius"),
         ("--v0", "1e300", "violates the rule v + r != v for the velocity radius"),
         ("--v0", "-1e300", "violates the rule v + r != v for the velocity radius"),
-        ("--v0", "1e12", "violates the rule |v| + dist <= 1e+08 dist"),
+        # the field is saved on t in [0, 1] and v_axis in [-4, 3.75]; it is
+        # not read at clamped edge values beyond them
+        ("--v0", "1e12", "violates the rule v_axis[0] <= v <= v_axis[-1]"),
+        ("--v0", "100", "violates the rule v_axis[0] <= v <= v_axis[-1]"),
+        ("--t0", "1e15", "violates the rule t0 <= t <= t1"),
         ("--R", "1e300", "violates the rule r^{1+2s} finite"),
         ("--t0", "1e300", "violates the rule lo < hi for the time window"),
         ("--x0", "1e17", "violates the rule x + r^{1+2s} != x for the position radius"),
@@ -783,6 +787,25 @@ class TestColdStart:
                 "print(sorted(m for m in sys.modules if m.startswith(('numpy.random', 'numpy.polynomial', 'scipy'))))")
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert run.stdout.strip() == "[]"
+
+
+class TestTracedBench:
+    def test_traced_runs_reach_the_table_layers(self, tmp_path):
+        # bench/tracing.py wraps package functions and methods by name; a
+        # renamed layer would leave its spans empty under `bench/run.py --trace 1`
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), os.path.join(root, "bench")]))
+        code = ("import json, tracing\n"
+                "tracer = tracing.Tracer()\n"
+                "tracing.install(tracer)\n"
+                "from kineticlab.cli import main\n"
+                f"assert main(['fundsol', '--n-freq', '64', '--out', {str(tmp_path / 'f')!r}]) == 0\n"
+                f"assert main(['harnack', '--n-freq', '64', '--out', {str(tmp_path / 'h')!r}, 'lower']) == 0\n"
+                "print(json.dumps(tracing.layer_totals(tracer.spans), default=list))")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        totals = json.loads(run.stdout)
+        assert totals["fundsol.j0_table"]["calls"] == 3  # fundsol, its composition check, lower
+        assert totals["fundsol.FundamentalSolutionTable.sample"]["work"] > 0  # points read
 
 
 class TestExports:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import tracemalloc
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -283,9 +284,9 @@ def _reference_spline(tab):
     return lambda x, v: tab.t ** -peak_decay_exponent(tab.s) * spline.ev(x / st, v / sv)
 
 
-def _box_edges(tab, n=101):
-    x0, x1 = tab.x_axis[0], tab.x_axis[-1]
-    v0, v1 = tab.v_axis[0], tab.v_axis[-1]
+def _box_edges(x_axis, v_axis, n=101):
+    x0, x1 = x_axis[0], x_axis[-1]
+    v0, v1 = v_axis[0], v_axis[-1]
     xs = np.linspace(x0, x1, n)
     vs = np.linspace(v0, v1, n)
     x = np.concatenate([xs, xs, np.full(n, x0), np.full(n, x1), [x0, x0, x1, x1]])
@@ -293,15 +294,23 @@ def _box_edges(tab, n=101):
     return x, v
 
 
-def _rescaled(tab, t):
-    """A table of ``tab``'s profile at time ``t``, by the self-similar law."""
-    ratio = t / tab.t
-    return FundamentalSolutionTable(
-        s=tab.s, t=t,
-        x_axis=tab.x_axis * ratio ** (1 + 1 / (2 * tab.s)),
-        v_axis=tab.v_axis * ratio ** (1 / (2 * tab.s)),
-        values=tab.values * ratio ** -peak_decay_exponent(tab.s),
-    )
+def _assert_sampler_matches_fitpack(x_axis, v_axis, values, x, v):
+    """``_BicubicSampler`` on uniform axes against FITPACK's interpolating
+    bicubic on the same nodes."""
+    got = fundsol._BicubicSampler(x_axis, v_axis, values)(x, v)
+    ref = RectBivariateSpline(x_axis, v_axis, values, kx=3, ky=3).ev(x, v)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(values))
+
+
+def _scaled_sample(tab, x, v, t=None):
+    """``J`` read through a sampler built on ``tab``'s t-scaled arrays scaled
+    back to unit time: the arithmetic of a table that samples its own
+    values, kept as the reference of the one profile sampler."""
+    s, beta = tab.s, peak_decay_exponent(tab.s)
+    sampler = fundsol._BicubicSampler(tab.x_axis / tab.t ** (1 + 1 / (2 * s)),
+                                      tab.v_axis / tab.t ** (1 / (2 * s)), tab.values * tab.t**beta)
+    t = np.asarray(tab.t if t is None else t, dtype=float)
+    return t**-beta * sampler(np.asarray(x) / t ** (1 + 1 / (2 * s)), np.asarray(v) / t ** (1 / (2 * s)))
 
 
 def _broadcast_first_bicubic(sampler, x, v):
@@ -351,44 +360,39 @@ class TestSampler:
         assert np.max(np.abs(got - tab256.values)) <= 1e-12 * tab256.peak()
 
     def test_box_edges_and_corners(self, tab256):
-        self._assert_matches(tab256, *_box_edges(tab256))
+        self._assert_matches(tab256, *_box_edges(tab256.x_axis, tab256.v_axis))
 
     def test_unequal_axis_lengths(self):
         rng = np.random.default_rng(2)
         nx, nv = 37, 11
         x_axis = np.linspace(-2.0, 3.0, nx)
         v_axis = np.linspace(-1.0, 1.0, nv)
-        tab = FundamentalSolutionTable(s=S, t=1.0, x_axis=x_axis, v_axis=v_axis,
-                                       values=rng.standard_normal((nx, nv)))
-        x = np.concatenate([rng.uniform(-2.0, 3.0, 5000), _box_edges(tab)[0]])
-        v = np.concatenate([rng.uniform(-1.0, 1.0, 5000), _box_edges(tab)[1]])
-        self._assert_matches(tab, x, v)
+        ex, ev = _box_edges(x_axis, v_axis)
+        x = np.concatenate([rng.uniform(-2.0, 3.0, 5000), ex])
+        v = np.concatenate([rng.uniform(-1.0, 1.0, 5000), ev])
+        _assert_sampler_matches_fitpack(x_axis, v_axis, rng.standard_normal((nx, nv)), x, v)
 
-    def test_at_time_copy(self, tab256):
+    def test_at_time_axes(self):
+        # the t-scaled arrays of a table at t = 1.7: axes of any uniform step
         rng = np.random.default_rng(3)
-        tab = _rescaled(tab256, 1.7)
-        x = np.concatenate([rng.uniform(tab.x_axis[0], tab.x_axis[-1], 5000), _box_edges(tab)[0]])
-        v = np.concatenate([rng.uniform(tab.v_axis[0], tab.v_axis[-1], 5000), _box_edges(tab)[1]])
-        self._assert_matches(tab, x, v)
-
-    def test_coefficients_independent_of_table_layout(self, tab256):
-        tab = _rescaled(tab256, 1.7)
-        c_tab = FundamentalSolutionTable(s=tab.s, t=tab.t, x_axis=tab.x_axis, v_axis=tab.v_axis,
-                                         values=np.ascontiguousarray(tab.values))
-        assert tab.values.flags.f_contiguous and c_tab.values.flags.c_contiguous
-        tab.sample(0.0, 0.0)
-        c_tab.sample(0.0, 0.0)
-        np.testing.assert_array_equal(tab._sampler.coef, c_tab._sampler.coef)
+        tab = j0_table(1.7, S, n_freq=256)
+        ex, ev = _box_edges(tab.x_axis, tab.v_axis)
+        x = np.concatenate([rng.uniform(tab.x_axis[0], tab.x_axis[-1], 5000), ex])
+        v = np.concatenate([rng.uniform(tab.v_axis[0], tab.v_axis[-1], 5000), ev])
+        _assert_sampler_matches_fitpack(tab.x_axis, tab.v_axis, tab.values, x, v)
 
     def test_outside_points_are_zero(self, tab256):
-        x0, x1 = tab256.x_axis[0], tab256.x_axis[-1]
-        v0, v1 = tab256.v_axis[0], tab256.v_axis[-1]
-        x = np.array([np.nextafter(x0, -np.inf), np.nextafter(x1, np.inf), 0.0, 0.0, 1e300, 0.0])
-        v = np.array([0.0, 0.0, np.nextafter(v0, -np.inf), np.nextafter(v1, np.inf), 0.0, -1e300])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = tab256.sample(x, v)
-        assert np.array_equal(got, np.zeros(len(x)))
+        # the table and the bare sampler on axes of no table (37 x 11 nodes)
+        x_axis, v_axis = np.linspace(-2.0, 3.0, 37), np.linspace(-1.0, 1.0, 11)
+        sampler = fundsol._BicubicSampler(x_axis, v_axis, np.random.default_rng(7).standard_normal((37, 11)))
+        for read, xs, vs in ((tab256.sample, tab256.x_axis, tab256.v_axis), (sampler, x_axis, v_axis)):
+            x0, x1, v0, v1 = xs[0], xs[-1], vs[0], vs[-1]
+            x = np.array([np.nextafter(x0, -np.inf), np.nextafter(x1, np.inf), 0.5, 0.5, 1e300, 0.5])
+            v = np.array([0.5, 0.5, np.nextafter(v0, -np.inf), np.nextafter(v1, np.inf), 0.5, -1e300])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = read(x, v)
+            assert np.array_equal(got, np.zeros(len(x)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("axis", ["x", "v"])
@@ -400,8 +404,7 @@ class TestSampler:
             tab256.sample(**coords)
 
     def test_per_axis_bit_identical_to_broadcast_first(self, tab256):
-        tab256.sample(0.0, 0.0)
-        sampler = tab256._sampler
+        sampler = fundsol._unit_sampler(tab256.n_freq, tab256.s)
         x0, x1 = sampler.lo[0], sampler.hi[0]
         v0, v1 = sampler.lo[1], sampler.hi[1]
         rng = np.random.default_rng(5)
@@ -425,19 +428,6 @@ class TestSampler:
     def test_scalar_and_shape(self, tab256):
         assert np.shape(tab256.sample(0.0, 0.0)) == ()
         assert tab256.sample(np.zeros((3, 1)), np.zeros(4)).shape == (3, 4)
-
-    def test_non_uniform_axes_rejected(self):
-        x_axis = np.array([0.0, 1.0, 2.0, 3.5, 4.0])
-        v_axis = np.linspace(0.0, 1.0, 5)
-        tab = FundamentalSolutionTable(s=S, t=1.0, x_axis=x_axis, v_axis=v_axis, values=np.ones((5, 5)))
-        with pytest.raises(ValueError, match="uniform"):
-            tab.sample(1.0, 0.5)
-
-    def test_too_few_nodes_rejected(self):
-        axis = np.linspace(0.0, 1.0, 3)
-        tab = FundamentalSolutionTable(s=S, t=1.0, x_axis=axis, v_axis=axis, values=np.ones((3, 3)))
-        with pytest.raises(ValueError, match="4 nodes"):
-            tab.sample(0.5, 0.5)
 
     def test_time_array_bit_identical_to_per_time_calls(self, tab256):
         rng = np.random.default_rng(4)
@@ -488,7 +478,7 @@ def _points(tab, n=5000, seed=6):
     x = rng.uniform(1.05 * tab.x_axis[0], 1.05 * tab.x_axis[-1], n)
     v = rng.uniform(1.05 * tab.v_axis[0], 1.05 * tab.v_axis[-1], n)
     X, V = np.meshgrid(tab.x_axis, tab.v_axis, indexing="ij")
-    ex, ev = _box_edges(tab)
+    ex, ev = _box_edges(tab.x_axis, tab.v_axis)
     return np.concatenate([x, ex, X.ravel()]), np.concatenate([v, ev, V.ravel()])
 
 
@@ -496,39 +486,69 @@ class TestSharedSampler:
     """Tables that ``j0_table`` makes from one cached unit-time profile read
     it through one sampler, built on their first ``sample``."""
 
-    def test_tables_of_one_profile_share_one_sampler(self):
-        a, b = j0_table(1.0, S, n_freq=64), j0_table(1.0, S, n_freq=64)
-        assert a._sampler is None and b._sampler is None
+    def test_tables_of_one_profile_share_one_sampler(self, monkeypatch):
+        built, sampler = [], fundsol._BicubicSampler
+
+        class Recording(sampler):
+            def __init__(self, x_axis, v_axis, values):
+                built.append(values.shape)
+                super().__init__(x_axis, v_axis, values)
+
+        # a cache of this test's own, so that every build is seen
+        monkeypatch.setattr(fundsol, "_unit_sampler", lru_cache(maxsize=8)(fundsol._unit_sampler.__wrapped__))
+        monkeypatch.setattr(fundsol, "_BicubicSampler", Recording)
+        a, b = j0_table(1.0, S, n_freq=64), j0_table(2.0, S, n_freq=64)
+        assert built == []
         a.sample(0.0, 0.0)
         b.sample(0.0, 0.0)
-        assert a._sampler is b._sampler
-        for other, shared in ((j0_table(2.0, S, n_freq=64), True), (j0_table(1.0, 0.3, n_freq=64), False)):
-            other.sample(0.0, 0.0)
-            assert (other._sampler is a._sampler) is shared
+        assert built == [(64, 64)]
+        j0_table(1.0, 0.3, n_freq=64).sample(0.0, 0.0)
+        assert built == [(64, 64)] * 2
+
+    def test_fields_are_s_t_n_freq(self):
+        assert tuple(f.name for f in dataclasses.fields(FundamentalSolutionTable)) == ("s", "t", "n_freq")
+        tab = j0_table(2.0, S, n_freq=64)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tab.t = 1.0
+        assert tab == j0_table(2.0, S, n_freq=64)
+
+    def test_a_fresh_table_holds_no_array(self):
+        tab = j0_table(2.0, S, n_freq=64)
+        tab.sample(0.0, 0.0)
+        assert sorted(vars(tab)) == ["n_freq", "s", "t"]
+        tab.values
+        tab.dx
+        assert sorted(vars(tab)) == ["n_freq", "s", "t", "values", "x_axis"]
+
+    def test_meta_is_a_copy_of_the_profile_record(self):
+        tab = j0_table(2.0, S, n_freq=64)
+        record = fundsol._unit_profile(64, S)[3]
+        meta = tab.meta
+        assert meta == record and meta is not record
+        meta["ringing"] = 1.0
+        assert tab.meta == record and record["ringing"] != 1.0
 
     @pytest.mark.parametrize("t", [None, 0.3, 1.0, 2.5])
-    def test_bit_identical_to_constructed_table_at_unit_time(self, t):
+    def test_bit_identical_to_scaled_arrays_at_unit_time(self, t):
         tab = j0_table(1.0, S, n_freq=64)
-        ref = _rescaled(tab, tab.t)
         x, v = _points(tab)
-        assert np.array_equal(tab.sample(x, v, t=t), ref.sample(x, v, t=t))
+        assert np.array_equal(tab.sample(x, v, t=t), _scaled_sample(tab, x, v, t=t))
 
     @pytest.mark.parametrize("t", [0.5, 2.0])
     def test_bit_identical_at_power_of_two_times(self, t):
         # at s = 1/2 the self-similar factors t^2 and t^3 are exact
         tab = j0_table(t, S, n_freq=64)
         x, v = _points(tab)
-        assert np.array_equal(tab.sample(x, v), _rescaled(tab, tab.t).sample(x, v))
+        assert np.array_equal(tab.sample(x, v), _scaled_sample(tab, x, v))
 
     @pytest.mark.parametrize("s", [0.25, S, 0.8])
     def test_last_bits_at_other_times(self, s):
-        # the constructed table's sampler reads t^-beta values on t-scaled
-        # axes, each scaled back with a rounding: up to 7.3e-16 of the peak
+        # the reference reads t^-beta values on t-scaled axes, each scaled
+        # back with a rounding: up to 7.3e-16 of the peak
         tab = j0_table(1.7, s, n_freq=64)
-        ref = _rescaled(tab, tab.t)
         x, v = _points(tab)
         for t in (None, 0.7):
-            want = ref.sample(x, v, t=t)
+            want = _scaled_sample(tab, x, v, t=t)
             assert np.max(np.abs(tab.sample(x, v, t=t) - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_a_fundsol_run_builds_no_sampler_for_its_table(self, tmp_path, monkeypatch):
@@ -546,19 +566,11 @@ class TestSharedSampler:
         # only the composition check samples, on its own 128-node table
         assert built and not [b for b in built if 256 in b]
 
-    def test_a_replaced_table_samples_its_own_values(self):
-        tab = j0_table(1.0, S, n_freq=64)
-        tab.sample(0.0, 0.0)
-        double = dataclasses.replace(tab, values=2.0 * tab.values)
-        x, v = _points(tab, n=500)
-        assert np.array_equal(double.sample(x, v), _rescaled(double, double.t).sample(x, v))
-        assert np.array_equal(double.sample(x, v), 2.0 * tab.sample(x, v))
-
     def test_cached_arrays_are_read_only(self):
         x_axis, v_axis, vals, _ = fundsol._unit_profile(64, S)
         tab = j0_table(2.0, S, n_freq=64)
         tab.sample(0.0, 0.0)
-        for a in (x_axis, v_axis, vals, tab._sampler.coef):
+        for a in (x_axis, v_axis, vals, fundsol._unit_sampler(64, S).coef):
             assert not a.flags.writeable
         assert tab.values.flags.writeable
 

@@ -1,11 +1,13 @@
 """Harnack-type measurements: ratios, level sequences, chains."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from kineticlab import harnack
+from kineticlab.fields import PhaseField, PhaseGrid
 from kineticlab.fundsol import j0_table
 from kineticlab.geometry import CylinderKind, PhasePoint, make_cylinder
 from kineticlab.harnack import (
@@ -136,7 +138,65 @@ class TestTailBound:
             assert rep.params["lhs"] == pytest.approx(_tail_lhs_loop(field, k, z, 0.5, level, (6, 6, 6)), rel=1e-12)
 
 
+class TestFieldDomain:
+    """A saved field is read inside its saved times and velocity axis only:
+    beyond them ``PhaseField.sample`` reads clamped edge values."""
+
+    MEASURES = {
+        "tail": lambda f, k, z: tail_bound_ratio(f, k, z, 0.5, s=S),
+        "degiorgi": lambda f, k, z: degiorgi_trace(f, z, 0.5, delta=0.5, p=1.14, s=S),
+        # the rule every measurement that checks the resolution reads first
+        "resolution": lambda f, k, z: harnack._check_resolution(f, make_cylinder(z, 0.5, S, CylinderKind.CURRENT)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    @pytest.mark.parametrize("z, rule", [
+        (PhasePoint(1.5, 0.0, 0.0), "violates the rule t0 <= t <= t1"),
+        (PhasePoint(1e15, 0.0, 0.0), "violates the rule t0 <= t <= t1"),
+        (PhasePoint(0.3, 0.0, 0.0), "violates the rule t0 <= t <= t1"),
+        (PhasePoint(1.0, 0.0, 7.6), "violates the rule v_axis[0] <= v <= v_axis[-1]"),
+        (PhasePoint(1.0, 0.0, -100.0), "violates the rule v_axis[0] <= v <= v_axis[-1]"),
+    ])
+    def test_cylinder_outside_the_saved_field_is_rejected(self, solver_run, frac_kernel, name, z, rule):
+        # the field is saved on t in [0, 1] and v_axis in [-8, 7.6875]
+        _, field = solver_run
+        with pytest.raises(ValueError, match=re.escape(rule)):
+            self.MEASURES[name](field, frac_kernel, z)
+
+    def test_the_closed_domain_is_inside(self, solver_run, frac_kernel):
+        # the window [0, 1] of R = 1 at t = 1 and a ball reaching v_axis[-1]
+        _, field = solver_run
+        tail_bound_ratio(field, frac_kernel, PhasePoint(1.0, 0.0, 0.0), 1.0, s=S)
+        tail_bound_ratio(field, frac_kernel, PhasePoint(1.0, 0.0, 7.1875), 0.5, s=S)
+
+    def test_one_slice_has_no_time_rule(self, solver_run, frac_kernel):
+        _, field = solver_run
+        g = field.grid
+        one = PhaseField(PhaseGrid(nt=1, nx=g.nx, nv=g.nv, x_period=g.x_period, v_extent=g.v_extent),
+                         field.values[-1:], field.farfield)
+        tail_bound_ratio(one, frac_kernel, PhasePoint(1e15, 0.0, 0.0), 0.5, s=S)
+        with pytest.raises(ValueError, match=re.escape("v_axis[0] <= v <= v_axis[-1]")):
+            tail_bound_ratio(one, frac_kernel, PhasePoint(1e15, 0.0, 7.6), 0.5, s=S)
+
+
 class TestDeGiorgi:
+    @pytest.mark.parametrize("R", [0.5, 0.3])
+    def test_reads_each_cylinder_once(self, solver_run, monkeypatch, R):
+        _, field = solver_run
+        z = PhasePoint(1.0, 0.0, 0.0)
+        # R and r_0 .. r_6, of which r_0 == R
+        reads = len({R, *(R / 8 + 2.0**-k * (7 * R / 8) for k in range(7))})
+        assert reads == 7
+        calls = []
+        sample = field.sample
+        monkeypatch.setattr(field, "sample", lambda t, x, v: calls.append(1) or sample(t, x, v))
+        tr = degiorgi_trace(field, z, R, delta=0.5, p=1.14, s=S)
+        assert len(calls) == reads
+        # every A_k as its own read of its cylinder gives it
+        for k, l_k, r_k, A_k in tr.sequence:
+            T, X, V, w = make_cylinder(z, r_k, S, CylinderKind.CURRENT).nodes(8, 8, 8)
+            assert A_k == float(np.clip(sample(T, X, V) - l_k, 0.0, None).sum() * w)
+
     def test_exponent_window_enforced(self, solver_run):
         _, field = solver_run
         z = PhasePoint(1.0, 0.0, 0.0)
