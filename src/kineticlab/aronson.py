@@ -75,7 +75,6 @@ __all__ = [
     "k_threshold",
     "region_samples",
     "aronson_energy_check",
-    "DecayEnvelope",
     "decay_envelope_check",
 ]
 
@@ -599,18 +598,6 @@ def aronson_energy_check(traj: Trajectory, p: BarrierParams) -> dict:
     }
 
 
-@dataclass
-class DecayEnvelope:
-    kind: str
-    s: float
-    constant: float
-    extra: dict
-
-    def as_dict(self) -> dict:
-        # "d": the report format names the velocity dimension, which is 1
-        return {"kind": self.kind, "s": self.s, "d": 1, "constant": self.constant, "extra": self.extra}
-
-
 def _upper_envelope(tab: FundamentalSolutionTable, exponent: float, X, V):
     """``t^{-beta} [1 + max(|v|^{2s}, |x - t v|^{2s/(1+2s)}) / t]^{exponent}``
     (base point at the origin)."""
@@ -620,38 +607,29 @@ def _upper_envelope(tab: FundamentalSolutionTable, exponent: float, X, V):
     return t**-beta * (1.0 + arg / t) ** exponent
 
 
-def decay_envelope_check(tab: FundamentalSolutionTable, kind: str) -> DecayEnvelope:
+def decay_envelope_check(tab: FundamentalSolutionTable, kind: str) -> dict:
     """Fit the envelope constant of the requested kind on the table.
 
     ``NashOnDiag`` reads ``t^beta J(t, 0, 0)`` at eight times spaced
     geometrically over ``[t/10, t]``; the upper kinds divide by
-    ``_upper_envelope`` with the bracket exponent of the kind.
+    ``_upper_envelope`` with the bracket exponent of the kind.  The report's
+    ``d`` names the velocity dimension, which is 1.
     """
     s = tab.s
-    beta = peak_decay_exponent(s)
-    ring = max(abs(tab.meta.get("ringing", 0.0)), 1e-300)
     if kind == "NashOnDiag":
         ts = np.geomspace(tab.t / 10.0, tab.t, 8)
-        vals = tab.sample(0.0, 0.0, t=ts) * ts**beta
-        return DecayEnvelope(
-            kind=kind,
-            s=s,
-            constant=float(vals.max()),
-            extra={"variation": float(vals.max() - vals.min()), "times": ts.tolist()},
-        )
-    if kind in ("UpperUnconditional", "UpperConditional"):
+        vals = tab.sample(0.0, 0.0, t=ts) * ts ** peak_decay_exponent(s)
+        constant = float(vals.max())
+        extra = {"variation": float(vals.max() - vals.min()), "times": ts.tolist()}
+    elif kind in ("UpperUnconditional", "UpperConditional"):
         bracket_exponent = -0.25 if kind == "UpperUnconditional" else -(2 * (1 + s) + 2 * s) / (2 * s)
-        X, V, J = _eval_window(tab)
+        X, V, J, pos = _eval_window(tab)
         env = _upper_envelope(tab, bracket_exponent, X, V)
-        pos = J > 10.0 * ring
-        C = float(np.max(J[pos] / env[pos]))
-        return DecayEnvelope(
-            kind=kind,
-            s=s,
-            constant=C,
-            extra={"bracket_exponent": bracket_exponent, "excluded_nodes": int((~pos).sum())},
-        )
-    if kind == "LowerExponential":
-        rep = lower_bound_check(tab)
-        return DecayEnvelope(kind=kind, s=s, constant=rep["C1"], extra=rep)
-    raise ValueError(f"unknown envelope kind {kind!r}")
+        constant = float(np.max(J[pos] / env[pos]))
+        extra = {"bracket_exponent": bracket_exponent, "excluded_nodes": int((~pos).sum())}
+    elif kind == "LowerExponential":
+        extra = lower_bound_check(tab)
+        constant = extra["C1"]
+    else:
+        raise ValueError(f"unknown envelope kind {kind!r}")
+    return {"kind": kind, "s": s, "d": 1, "constant": constant, "extra": extra}

@@ -43,7 +43,7 @@ import numpy as np
 from . import __version__
 from .fields import PhaseGrid, load_field
 from .fundsol import chapman_kolmogorov_residual, j0_table
-from .geometry import CylinderKind, KineticCylinder, PhasePoint, make_cylinder
+from .geometry import PhasePoint
 from .harnack import (
     degiorgi_trace,
     fundamental_field,
@@ -65,10 +65,6 @@ from .kernels import (
 from .solver import SolverConfig, fundamental_approx, mollified_delta, solve
 
 __all__ = ["main"]
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _json_default(o):
@@ -143,34 +139,20 @@ class Emitter:
             fh.write("\n")
 
 
-def _check_s(s: float) -> float:
-    if not 0.0 < s < 1.0:
-        raise ConfigError(f"s = {s} violates the constraint s in (0, 1)")
-    return s
-
-
 def _kernel_from_args(args) -> object:
     if args.kernel_config:
         with open(args.kernel_config) as fh:
             return kernel_from_config(fh.read())
-    return normalized_fractional(_check_s(args.s))
+    return normalized_fractional(args.s)
 
 
-def _field_from_args(args, s: float, earliest: KineticCylinder):
+def _field_from_args(args):
     """The saved field of ``--field``, or else the explicit solution shifted
-    by ``--t-offset``.  The explicit solution vanishes where
-    ``t + t_offset <= 0``, which would leave every ratio on a cylinder
-    reaching there without a value, so that offset is rejected over the
-    time window of ``earliest``, the measurement's cylinder reaching
-    furthest into the past."""
+    by ``--t-offset``; a measurement on it rejects a cylinder reaching back
+    to its source, where it vanishes."""
     if args.field:
         return load_field(args.field)
-    lo, hi = earliest.time_window()
-    if not lo + args.t_offset > 0:
-        raise ConfigError(
-            f"t_offset = {args.t_offset} violates the rule t + t_offset > 0 over the cylinder's "
-            f"time window [{lo:.6g}, {hi:.6g}]: the explicit field vanishes where t + t_offset <= 0")
-    tab = j0_table(1.0, s, n_freq=args.n_freq)
+    tab = j0_table(1.0, args.s, n_freq=args.n_freq)
     return fundamental_field(tab, t_offset=args.t_offset)
 
 
@@ -184,7 +166,7 @@ _EDGE_LEVEL_LIMIT = 1e-3
 
 
 def _run_fundsol(args, em: Emitter) -> None:
-    s = _check_s(args.s)
+    s = args.s
     tab = j0_table(args.t, s, n_freq=args.n_freq)
     ck = chapman_kolmogorov_residual(args.t / 2, args.t / 2, s, n_freq=min(args.n_freq, 128))
     notes = []
@@ -208,7 +190,7 @@ def _grid_from_args(args) -> PhaseGrid:
 
 
 def _run_solve(args, em: Emitter) -> None:
-    s = _check_s(args.s)
+    s = args.s
     grid = _grid_from_args(args)
     k = _kernel_from_args(args)
     # the reports read the diagnostics and the final slice only
@@ -231,7 +213,6 @@ def _run_solve(args, em: Emitter) -> None:
 
 
 def _run_ellipticity(args, em: Emitter) -> None:
-    s = _check_s(args.s)
     k = _kernel_from_args(args)
     sym = check_symmetry(k, samples=args.samples, seed=args.seed)
     upper = check_upper_bound(k)
@@ -245,7 +226,7 @@ def _run_ellipticity(args, em: Emitter) -> None:
 
 
 def _run_harnack(args, em: Emitter) -> None:
-    s = _check_s(args.s)
+    s = args.s
     sub = args.harnack_cmd
     if sub == "chain":
         rep = harnack_chain((args.tau0, args.y0, args.w0), (args.t1, args.x1, args.v1), s)
@@ -259,29 +240,26 @@ def _run_harnack(args, em: Emitter) -> None:
     z0 = PhasePoint(args.t0, args.x0, args.v0)
     nodes = (args.nodes, args.nodes, args.nodes)
     if sub == "strong":
-        f = _field_from_args(args, s, make_cylinder(z0, args.r0, s, CylinderKind.TILDE_PAST_QUARTER))
-        rep = strong_harnack_ratio(f, z0, args.r0, s, nodes=nodes)
-        em.json("harnack_strong.json", rep.as_dict())
+        rep = strong_harnack_ratio(_field_from_args(args), z0, args.r0, s, nodes=nodes)
+        em.json("harnack_strong.json", rep)
     elif sub == "weak":
-        f = _field_from_args(args, s, make_cylinder(z0, args.r0, s, CylinderKind.TILDE_PAST_HALF))
-        rep = weak_harnack_ratio(f, z0, args.r0, zeta=args.zeta, s=s, nodes=nodes)
-        em.json("harnack_weak.json", rep.as_dict())
+        rep = weak_harnack_ratio(_field_from_args(args), z0, args.r0, zeta=args.zeta, s=s, nodes=nodes)
+        em.json("harnack_weak.json", rep)
     elif sub == "l1linf":
-        f = _field_from_args(args, s, make_cylinder(z0, args.R, s, CylinderKind.CURRENT))
-        rep = l1_linf_ratio(f, z0, args.R, s, nodes=nodes)
-        em.json("harnack_l1linf.json", rep.as_dict())
+        rep = l1_linf_ratio(_field_from_args(args), z0, args.R, s, nodes=nodes)
+        em.json("harnack_l1linf.json", rep)
     elif sub == "tail":
         if not args.field:
-            raise ConfigError("tail measurement needs --field (a saved gridded field)")
+            raise ValueError("tail measurement needs --field (a saved gridded field)")
         f = load_field(args.field)
         k = _kernel_from_args(args)
         rep = tail_bound_ratio(f, k, z0, args.R, l=args.level, zeta=args.zeta, s=s, nodes=nodes)
-        em.json("harnack_tail.json", rep.as_dict())
+        em.json("harnack_tail.json", rep)
     else:  # degiorgi
-        f = _field_from_args(args, s, make_cylinder(z0, args.R, s, CylinderKind.CURRENT))
+        f = _field_from_args(args)
         trace = degiorgi_trace(f, z0, args.R, delta=args.delta, p=args.p, zeta=args.zeta, s=s, nodes=nodes)
-        em.json("harnack_degiorgi.json", trace.as_dict())
-        em.csv("degiorgi.csv", ["k", "l_k", "r_k", "A_k"], trace.sequence)
+        em.json("harnack_degiorgi.json", trace)
+        em.csv("degiorgi.csv", ["k", "l_k", "r_k", "A_k"], trace["sequence"])
 
 
 def _run_aronson(args, em: Emitter) -> None:
@@ -295,7 +273,7 @@ def _run_aronson(args, em: Emitter) -> None:
         k_threshold,
     )
 
-    s = _check_s(args.s)
+    s = args.s
     sub = args.aronson_cmd
     if sub in ("barrier", "energy"):
         BarrierParams.check_scale(args.rho, args.k)  # before sigma is derived from them
@@ -331,18 +309,19 @@ def _run_aronson(args, em: Emitter) -> None:
     else:  # envelope
         tab = j0_table(args.t, s, n_freq=args.n_freq)
         rep = decay_envelope_check(tab, args.kind)
-        em.json("aronson_envelope.json", rep.as_dict())
+        em.json("aronson_envelope.json", rep)
 
 
 def _run_sweep(args, em: Emitter) -> None:
-    s = _check_s(args.s)
+    s = args.s
     z0 = PhasePoint(args.t0, args.x0, args.v0)
-    f = _field_from_args(args, s, make_cylinder(z0, args.r0, s, CylinderKind.TILDE_PAST_QUARTER))
+    f = _field_from_args(args)
     rows = []
     n = args.nodes
     for _ in range(args.refinements):
         rep = strong_harnack_ratio(f, z0, args.r0, s, nodes=(n, n, n))
-        rows.append((n, rep.sup, rep.inf, rep.ratio))
+        # a ratio flagged for a vanishing infimum is written inf
+        rows.append((n, rep["sup"], rep["inf"], math.inf if rep["ratio"] is None else rep["ratio"]))
         n *= 2
     em.csv("sweep_harnack_strong.csv", ["nodes", "sup", "inf", "ratio"], rows)
 
@@ -360,6 +339,14 @@ def _finite_float(text: str) -> float:
     raise argparse.ArgumentTypeError("must be a finite number")
 
 
+def _jump_order(text: str) -> float:
+    """argparse type of ``--s``: a finite number in (0, 1)."""
+    s = _finite_float(text)
+    if not 0.0 < s < 1.0:
+        raise argparse.ArgumentTypeError(f"s = {s} violates the constraint s in (0, 1)")
+    return s
+
+
 def _positive_int(text: str) -> int:
     """argparse type of a count that must be at least 1."""
     with contextlib.suppress(ValueError):
@@ -374,7 +361,7 @@ def _add_common(p: argparse.ArgumentParser, n_freq: bool = True) -> None:
     passes ``--seed`` to every run, though only ``ellipticity`` and ``aronson
     k-threshold`` draw samples, and ``--n-freq`` before any harnack or
     aronson mode word."""
-    p.add_argument("--s", type=_finite_float, default=0.5, help="jump order parameter, in (0, 1)")
+    p.add_argument("--s", type=_jump_order, default=0.5, help="jump order parameter, in (0, 1)")
     p.add_argument("--out", default="out", help="output directory")
     if n_freq:
         p.add_argument("--n-freq", type=_positive_int, default=256, help="frequency grid size per axis")
@@ -537,7 +524,7 @@ def main(argv=None) -> int:
     try:
         globals()[f"_run_{args.cmd}"](args, em)
         em.finish()
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, np.linalg.LinAlgError, ArithmeticError) as exc:

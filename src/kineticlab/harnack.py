@@ -6,7 +6,8 @@ tail bound, the De Giorgi level sequence, Harnack chains, and the
 exponential lower-bound sufficient condition, for the homogeneous
 equation: the source bound ``h_sup`` the reports carry is 0.  Constants
 are measured, never asserted against theoretical values; the meaningful
-check is stability under refinement.
+check is stability under refinement.  Each routine returns its report as
+the plain dict the CLI writes; a ratio its notes flag is ``None``.
 
 Fields are anything with a vectorized ``sample(t, x, v)`` method
 (:class:`~kineticlab.fields.PhaseField` or :class:`AnalyticField`).
@@ -18,11 +19,11 @@ resolved by subcell sampling rather than by the storage grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PhaseField, ZeroExtension
+from .fields import PhaseField
 from .fundsol import FundamentalSolutionTable, peak_decay_exponent
 from .geometry import CylinderKind, KineticCylinder, PhasePoint, make_cylinder
 from .kernels import KernelSpec
@@ -30,8 +31,6 @@ from .kernels import KernelSpec
 __all__ = [
     "AnalyticField",
     "fundamental_field",
-    "HarnackReport",
-    "DeGiorgiTrace",
     "strong_harnack_ratio",
     "weak_harnack_ratio",
     "l1_linf_ratio",
@@ -44,10 +43,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnalyticField:
-    """Field defined by a vectorized callable ``fn(t, x, v)``."""
+    """Field defined by a vectorized callable ``fn(t, x, v)``.  An explicit
+    solution started at ``t = -t_offset`` vanishes where ``t + t_offset <= 0``;
+    a measurement reaching there is rejected."""
 
     fn: object
-    farfield: object = dc_field(default_factory=ZeroExtension)
+    t_offset: float = math.inf
 
     def sample(self, t, x, v):
         return np.asarray(self.fn(t, x, v), dtype=float)
@@ -69,39 +70,15 @@ def fundamental_field(tab: FundamentalSolutionTable, t_offset: float = 1.0) -> A
             out[ok] = tab.sample(x[ok], v[ok], t=tt[ok])
         return out
 
-    return AnalyticField(fn)
-
-
-@dataclass
-class HarnackReport:
-    kind: str
-    params: dict
-    sup: float
-    inf: float
-    ratio: float
-    resolution: tuple
-    notes: list = dc_field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        """The report; a ratio flagged infinite or NaN (the notes say why)
-        is written as ``None``, since JSON has no literal for it."""
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "sup": self.sup,
-            "inf": self.inf,
-            "ratio": self.ratio if math.isfinite(self.ratio) else None,
-            "resolution": list(self.resolution),
-            "notes": self.notes,
-        }
+    return AnalyticField(fn, t_offset)
 
 
 def _check_resolution(f, cyl: KineticCylinder):
-    """Gridded fields must hold the cylinder in their domain and resolve it
-    by >= 4 cells per axis."""
+    """Fields must hold the cylinder in their domain; gridded fields must
+    also resolve it by >= 4 cells per axis."""
+    _check_domain(f, cyl)
     if not isinstance(f, PhaseField):
         return
-    _check_domain(f, cyl)
     g = f.grid
     lo, hi = cyl.time_window()
     if g.nt > 1 and (hi - lo) < 4 * g.dt:
@@ -114,11 +91,16 @@ def _check_resolution(f, cyl: KineticCylinder):
 
 def _check_domain(f, cyl: KineticCylinder):
     """Gridded fields are read inside their saved domain only: beyond its
-    times and velocity axis ``PhaseField.sample`` reads clamped edge values."""
+    times and velocity axis ``PhaseField.sample`` reads clamped edge values.
+    An explicit field is read after its source only."""
+    lo, hi = cyl.time_window()
     if not isinstance(f, PhaseField):
+        if not lo + f.t_offset > 0:
+            raise ValueError(
+                f"t_offset = {f.t_offset} violates the rule t + t_offset > 0 over the cylinder's time window "
+                f"[{lo:.6g}, {hi:.6g}]: the explicit field vanishes where t + t_offset <= 0")
         return
     g, c, r = f.grid, cyl.center, cyl.ball_radius
-    lo, hi = cyl.time_window()
     if g.nt > 1 and not g.t0 <= lo <= hi <= g.t1:
         raise ValueError(f"cylinder time window [{lo:.6g}, {hi:.6g}] violates the rule t0 <= t <= t1 of the "
                          f"field saved on [{g.t0:.6g}, {g.t1:.6g}]")
@@ -139,7 +121,7 @@ def strong_harnack_ratio(
     r0: float,
     s: float,
     nodes: tuple = (8, 8, 8),
-) -> HarnackReport:
+) -> dict:
     """Supremum over the detached past quarter window against the
     infimum over the current quarter cylinder."""
     if not 0 < r0 < 1 / 6:
@@ -158,19 +140,12 @@ def strong_harnack_ratio(
         inf = 0.0
         notes.append(f"infimum clamped from {inf_raw:.3e} to 0")
     if inf <= 0:
-        ratio = math.inf
+        ratio = None
         notes.append("vanishing infimum: ratio flagged infinite")
     else:
         ratio = sup / inf
-    return HarnackReport(
-        kind="Strong",
-        params={"r0": r0, "s": s, "h_sup": 0.0, "center": [z0.t, z0.x, z0.v]},
-        sup=sup,
-        inf=inf,
-        ratio=ratio,
-        resolution=nodes,
-        notes=notes,
-    )
+    return {"kind": "Strong", "params": {"r0": r0, "s": s, "h_sup": 0.0, "center": [z0.t, z0.x, z0.v]},
+            "sup": sup, "inf": inf, "ratio": ratio, "resolution": list(nodes), "notes": notes}
 
 
 def weak_harnack_ratio(
@@ -180,7 +155,7 @@ def weak_harnack_ratio(
     zeta: float = 0.5,
     s: float = 0.5,
     nodes: tuple = (8, 8, 8),
-) -> HarnackReport:
+) -> dict:
     """Past L^zeta average against the infimum over the half cylinder."""
     if not 0 < r0 < 1 / 3:
         raise ValueError("require 0 < r0 < 1/3")
@@ -203,18 +178,11 @@ def weak_harnack_ratio(
     inf = max(inf_raw, 0.0)
     if inf_raw < 0:
         notes.append(f"infimum clamped from {inf_raw:.3e} to 0")
-    ratio = num / inf if inf > 0 else math.inf
-    if inf <= 0:
+    ratio = num / inf if inf > 0 else None
+    if ratio is None:
         notes.append("vanishing denominator: ratio flagged infinite")
-    return HarnackReport(
-        kind="Weak",
-        params={"r0": r0, "zeta": zeta, "s": s, "h_sup": 0.0},
-        sup=num,
-        inf=inf,
-        ratio=ratio,
-        resolution=nodes,
-        notes=notes,
-    )
+    return {"kind": "Weak", "params": {"r0": r0, "zeta": zeta, "s": s, "h_sup": 0.0},
+            "sup": num, "inf": inf, "ratio": ratio, "resolution": list(nodes), "notes": notes}
 
 
 def l1_linf_ratio(
@@ -223,7 +191,7 @@ def l1_linf_ratio(
     R: float,
     s: float,
     nodes: tuple = (8, 8, 8),
-) -> HarnackReport:
+) -> dict:
     """Supremum over the eighth cylinder against the scaled L1 mass
     ``R^{-(2(1+s)+2s)} int_{Q_R} f``."""
     if R <= 0:
@@ -238,23 +206,11 @@ def l1_linf_ratio(
     mass = float(bv.sum() * w)
     scaled = R ** -(2 * (1 + s) + 2 * s) * mass
     notes = []
-    if scaled <= 0 and sup <= 0:
-        ratio = math.nan
-        notes.append("degenerate 0/0 flagged")
-    elif scaled <= 0:
-        ratio = math.inf
-        notes.append("zero mass with positive sup: flagged")
-    else:
-        ratio = sup / scaled
-    return HarnackReport(
-        kind="L1Linf",
-        params={"R": R, "s": s, "h_sup": 0.0, "mass": mass, "scaled_mass": scaled},
-        sup=sup,
-        inf=scaled,
-        ratio=ratio,
-        resolution=nodes,
-        notes=notes,
-    )
+    ratio = sup / scaled if scaled > 0 else None
+    if ratio is None:
+        notes.append("degenerate 0/0 flagged" if sup <= 0 else "zero mass with positive sup: flagged")
+    return {"kind": "L1Linf", "params": {"R": R, "s": s, "h_sup": 0.0, "mass": mass, "scaled_mass": scaled},
+            "sup": sup, "inf": scaled, "ratio": ratio, "resolution": list(nodes), "notes": notes}
 
 
 # Cylinder nodes per block of the grid part of ``tail_bound_ratio``; a
@@ -271,7 +227,7 @@ def tail_bound_ratio(
     zeta: float = 0.5,
     s: float = 0.5,
     nodes: tuple = (6, 6, 6),
-) -> HarnackReport:
+) -> dict:
     """Nonlocal level-set tail mass against the local bound
     ``R^{-2s} sup (f-l)_+^{1-zeta} int_{Q_R} (f-l)_+^zeta``."""
     if l < 0 or R <= 0 or not 0 < zeta < 1:
@@ -316,43 +272,12 @@ def tail_bound_ratio(
         ratio = 0.0
         notes.append("empty upper level set: both sides zero")
     elif rhs <= 0:
-        ratio = math.inf
+        ratio = None
         notes.append("zero local side with nonzero tail: flagged")
     else:
         ratio = lhs / rhs
-    return HarnackReport(
-        kind="TailBound",
-        params={"R": R, "level": l, "zeta": zeta, "s": s, "lhs": lhs, "rhs": rhs},
-        sup=sup_ex,
-        inf=zeta_mass,
-        ratio=ratio,
-        resolution=nodes,
-        notes=notes,
-    )
-
-
-@dataclass
-class DeGiorgiTrace:
-    R: float
-    delta: float
-    p: float
-    zeta: float
-    L: float
-    sequence: list  # (k, l_k, r_k, A_k)
-    decay_ok: bool
-    chebyshev_ok: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "R": self.R,
-            "delta": self.delta,
-            "p": self.p,
-            "zeta": self.zeta,
-            "L": self.L,
-            "sequence": [list(row) for row in self.sequence],
-            "decay_ok": self.decay_ok,
-            "chebyshev_ok": self.chebyshev_ok,
-        }
+    return {"kind": "TailBound", "params": {"R": R, "level": l, "zeta": zeta, "s": s, "lhs": lhs, "rhs": rhs},
+            "sup": sup_ex, "inf": zeta_mass, "ratio": ratio, "resolution": list(nodes), "notes": notes}
 
 
 def degiorgi_level_cap(A0: float, R: float, delta: float, p: float, zeta: float, sup_f: float, s: float) -> float:
@@ -384,9 +309,10 @@ def degiorgi_trace(
     zeta: float = 0.5,
     s: float = 0.5,
     nodes: tuple = (8, 8, 8),
-) -> DeGiorgiTrace:
+) -> dict:
     """Level sequence ``l_k = L(1 - 2^{-k})``, shrinking radii
-    ``r_k = R/8 + 2^{-k}(7R/8)`` and truncated masses ``A_k``, k = 0 .. 6.
+    ``r_k = R/8 + 2^{-k}(7R/8)`` and truncated masses ``A_k``, k = 0 .. 6,
+    as the rows ``[k, l_k, r_k, A_k]`` of the report's ``sequence``.
 
     ``zeta`` is the exponent of the level-set tail bound the iteration
     closes (``tail_bound_ratio``), so it lies in (0, 1)."""
@@ -397,14 +323,14 @@ def degiorgi_trace(
         raise ValueError(f"p must lie in (1, {p_hi})")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    # the cylinder of R holds every r_k, the smallest about R/8
+    _check_resolution(f, make_cylinder(z0, R, s, CylinderKind.CURRENT))
 
     reads = {}  # each cylinder is read once per exact radius
 
     def cyl_values(r: float):
         if r not in reads:
-            cyl = make_cylinder(z0, r, s, CylinderKind.CURRENT)
-            _check_domain(f, cyl)
-            reads[r] = _cyl_values(f, cyl, nodes)
+            reads[r] = _cyl_values(f, make_cylinder(z0, r, s, CylinderKind.CURRENT), nodes)
         return reads[r]
 
     def trunc_mass(r: float, level: float) -> float:
@@ -429,7 +355,7 @@ def degiorgi_trace(
         l_k = 0.0 if k == 0 else L * (1.0 - 2.0**-k)
         r_k = R / 8 + 2.0**-k * (7 * R / 8)
         A_k = trunc_mass(r_k, l_k)
-        seq.append((k, l_k, r_k, A_k))
+        seq.append([k, l_k, r_k, A_k])
         target = 2.0 ** (-4 * k * p / (p - 1.0)) * A0
         if A_k > 2.0 * target + 1e-300:
             decay_ok = False
@@ -440,7 +366,8 @@ def degiorgi_trace(
             if meas > 2.0 ** (k + 2) * prev_A / L + 1e-12:
                 cheb_ok = False
         prev_A = A_k
-    return DeGiorgiTrace(R=R, delta=delta, p=p, zeta=zeta, L=L, sequence=seq, decay_ok=decay_ok, chebyshev_ok=cheb_ok)
+    return {"R": R, "delta": delta, "p": p, "zeta": zeta, "L": L, "sequence": seq, "decay_ok": decay_ok,
+            "chebyshev_ok": cheb_ok}
 
 
 # the path is held as Python tuples and written as CSV: 10^5 links are
@@ -497,14 +424,16 @@ def harnack_chain(start, end, s: float) -> dict:
 
 def _eval_window(tab: FundamentalSolutionTable):
     """Fixed kinetically-scaled 129 x 129 evaluation lattice, independent
-    of the table resolution, so refinement measures table accuracy only."""
+    of the table resolution, so refinement measures table accuracy only,
+    and the mask of its nodes where ``J`` stands clear of the table's
+    ringing, the nodes the envelope fits read."""
     s, t = tab.s, tab.t
     u = np.linspace(-1, 1, 129)
     xs = 4.0 * t ** ((1 + 2 * s) / (2 * s)) * u
     vs = 8.0 * t ** (1.0 / (2 * s)) * u
     J = tab.sample(xs[:, None], vs[None, :])
     X, V = np.meshgrid(xs, vs, indexing="ij")
-    return X, V, J
+    return X, V, J, J > 10.0 * max(abs(tab.meta["ringing"]), 1e-300)
 
 
 def lower_bound_check(tab: FundamentalSolutionTable, alpha: float = 1.0) -> dict:
@@ -541,9 +470,7 @@ def lower_bound_check(tab: FundamentalSolutionTable, alpha: float = 1.0) -> dict
 
     beta = peak_decay_exponent(s)
     t = tab.t
-    X, V, J = _eval_window(tab)
-    ring = max(abs(tab.meta.get("ringing", 0.0)), 1e-300)
-    pos = J > 10.0 * ring
+    X, V, J, pos = _eval_window(tab)
     g = np.abs(X) ** (2 * s) / t ** (1 + 2 * s) + np.abs(V) ** (2 * s) / t
     y = np.log(J[pos] * t**beta)
     gg = g[pos]

@@ -97,8 +97,8 @@ def test_06_solver_cross_validation(frac_kernel):
 def test_07_strong_harnack_stability(tab512):
     f = fundamental_field(tab512, t_offset=1.0)
     z0 = PhasePoint(1.0, 0.0, 0.0)
-    r1 = strong_harnack_ratio(f, z0, 0.125, S, nodes=(8, 8, 8)).ratio
-    r2 = strong_harnack_ratio(f, z0, 0.125, S, nodes=(16, 16, 16)).ratio
+    r1 = strong_harnack_ratio(f, z0, 0.125, S, nodes=(8, 8, 8))["ratio"]
+    r2 = strong_harnack_ratio(f, z0, 0.125, S, nodes=(16, 16, 16))["ratio"]
     drift = abs(r2 - r1) / r1
     ok = math.isfinite(r2) and drift < 0.2
     _verdict(7, "strong Harnack ratio stability", ok, f"ratios={r1:.4f} -> {r2:.4f}, drift={drift:.2%}")
@@ -107,7 +107,7 @@ def test_07_strong_harnack_stability(tab512):
 def test_08_l1_linf_dimensional_consistency():
     const = AnalyticField(lambda t, x, v: np.ones(np.broadcast(t, x, v).shape))
     z0 = PhasePoint(0.0, 0.0, 0.0)
-    ratios = [l1_linf_ratio(const, z0, R, S).ratio for R in (0.25, 0.5, 1.0)]
+    ratios = [l1_linf_ratio(const, z0, R, S)["ratio"] for R in (0.25, 0.5, 1.0)]
     spread = max(ratios) - min(ratios)
     _verdict(8, "sup/L1 scale invariance", spread <= 1e-10,
              f"ratios={ratios[0]:.12f}, spread={spread:.2e}")
@@ -119,8 +119,8 @@ def test_09_tail_bound_stability(solver_run, frac_kernel):
     worst = 0.0
     details = []
     for level in (0.0, float(np.median(field.values))):
-        r1 = tail_bound_ratio(field, frac_kernel, z, 0.5, l=level, s=S, nodes=(6, 6, 6)).ratio
-        r2 = tail_bound_ratio(field, frac_kernel, z, 0.5, l=level, s=S, nodes=(12, 12, 12)).ratio
+        r1 = tail_bound_ratio(field, frac_kernel, z, 0.5, l=level, s=S, nodes=(6, 6, 6))["ratio"]
+        r2 = tail_bound_ratio(field, frac_kernel, z, 0.5, l=level, s=S, nodes=(12, 12, 12))["ratio"]
         drift = abs(r2 - r1) / max(abs(r1), 1e-12)
         worst = max(worst, drift)
         details.append(f"l={level:.3g}: {r1:.4g}->{r2:.4g}")
@@ -131,10 +131,10 @@ def test_10_degiorgi_trace(solver_run):
     _, field = solver_run
     z = PhasePoint(1.0, 0.0, 0.0)
     tr = degiorgi_trace(field, z, 0.5, delta=0.5, p=1.14, zeta=0.5, s=S)
-    As = [row[3] for row in tr.sequence]
-    ok = tr.decay_ok and all(a >= b for a, b in zip(As, As[1:]))
+    As = [row[3] for row in tr["sequence"]]
+    ok = tr["decay_ok"] and all(a >= b for a, b in zip(As, As[1:]))
     _verdict(10, "truncated-energy decay", ok,
-             f"A0={As[0]:.3g}, A6={As[-1]:.3g}, decay_ok={tr.decay_ok}")
+             f"A0={As[0]:.3g}, A6={As[-1]:.3g}, decay_ok={tr['decay_ok']}")
 
 
 def test_11_barrier_validity(frac_kernel):
@@ -153,11 +153,11 @@ def test_11_barrier_validity(frac_kernel):
 
 def test_12_envelope_bracketing(tab256, tab512):
     nash = decay_envelope_check(tab256, "NashOnDiag")
-    variation = nash.extra["variation"]
+    variation = nash["extra"]["variation"]
     drifts = {}
     for kind in ("UpperConditional", "LowerExponential"):
-        c1 = decay_envelope_check(tab256, kind).constant
-        c2 = decay_envelope_check(tab512, kind).constant
+        c1 = decay_envelope_check(tab256, kind)["constant"]
+        c2 = decay_envelope_check(tab512, kind)["constant"]
         drifts[kind] = abs(c2 - c1) / max(abs(c1), 1e-12)
     ok = variation < 1e-6 and all(d < 0.3 for d in drifts.values())
     _verdict(12, "decay envelope constants", ok,

@@ -900,27 +900,27 @@ class TestEnergy:
 class TestEnvelopes:
     def test_nash_on_diagonal_time_independent(self, tab256):
         rep = decay_envelope_check(tab256, "NashOnDiag")
-        assert rep.extra["variation"] < 1e-6
-        assert rep.constant == pytest.approx(tab256.peak(), rel=1e-9)
+        assert rep["extra"]["variation"] < 1e-6
+        assert rep["constant"] == pytest.approx(tab256.peak(), rel=1e-9)
 
     def test_upper_envelopes_bracket_table(self, tab256):
         for kind in ("UpperUnconditional", "UpperConditional"):
             rep = decay_envelope_check(tab256, kind)
-            assert rep.constant > 0
+            assert rep["constant"] > 0
             # the fitted constant makes the envelope a true upper bound on
             # the evaluation window by construction
             from kineticlab.aronson import _upper_envelope
             from kineticlab.harnack import _eval_window
 
-            X, V, J = _eval_window(tab256)
-            env = rep.constant * _upper_envelope(tab256, rep.extra["bracket_exponent"], X, V)
+            X, V, J, _ = _eval_window(tab256)
+            env = rep["constant"] * _upper_envelope(tab256, rep["extra"]["bracket_exponent"], X, V)
             ring = abs(tab256.meta["ringing"])
             pos = J > 10 * ring
             assert np.all(J[pos] <= env[pos] * (1 + 1e-9))
 
     def test_lower_exponential_under_table(self, tab256):
         rep = decay_envelope_check(tab256, "LowerExponential")
-        ex = rep.extra
+        ex = rep["extra"]
         t, s = tab256.t, tab256.s
         X, V = np.meshgrid(np.linspace(-2, 2, 41), np.linspace(-4, 4, 41), indexing="ij")
         J = tab256.sample(X.ravel(), V.ravel()).reshape(X.shape)

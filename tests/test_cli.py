@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kineticlab
-from kineticlab import cli, fundsol, solver
+from kineticlab import aronson, cli, fundsol, harnack, kernels, solver
 from kineticlab.cli import main
-from kineticlab.fields import PhaseField, PhaseGrid, save_field
+from kineticlab.fields import PhaseField, PhaseGrid, load_field, save_field
+from kineticlab.geometry import PhasePoint
 from test_cli_reports import RUNS, _write_inputs
 
 
@@ -60,7 +61,7 @@ def _numeric_flags(ap, path=()):
     """``(path, flag, dest, completion, type)`` of every float and count flag
     below ``ap``: ``path + [flag, value] + completion`` is a command line."""
     for action in ap._actions:
-        if action.type in (cli._finite_float, cli._positive_int, int):
+        if action.type in (cli._finite_float, cli._jump_order, cli._positive_int, int):
             yield list(path), action.option_strings[0], action.dest, _completion(ap), action.type
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
@@ -82,9 +83,21 @@ PARSER = cli.build_parser()
 NUMERIC_FLAGS = list(_numeric_flags(PARSER))
 LEAVES = dict(_leaves(PARSER))
 NON_FINITE = ["nan", "-nan", "NaN", "inf", "-inf", "+inf", "Infinity", "-Infinity", "-iNF"]
-RULES = {cli._finite_float: "must be a finite number", cli._positive_int: "must be a positive integer",
-         int: "invalid int value"}
+RULES = {cli._finite_float: "must be a finite number", cli._jump_order: "must be a finite number",
+         cli._positive_int: "must be a positive integer", int: "invalid int value"}
 SPELLINGS = [repr, str, "{:e}".format, "{:.3E}".format, "{:g}".format, "{:.17g}".format, "{:f}".format]
+
+
+# all-zero saved fields: ZERO_STRONG resolves the cylinders of a strong
+# ratio at r0 = 0.16 and t0 = 1, ZERO_WIDE those of l1linf and weak
+ZERO_STRONG = PhaseGrid(nt=201, nx=128, nv=64, x_period=0.1, v_extent=0.5)
+ZERO_WIDE = PhaseGrid(nt=1, nx=1024, nv=128, x_period=1.0, v_extent=1.0)
+
+
+def _zero_field(root, grid):
+    path = str(root / "zero.bin")
+    save_field(PhaseField(grid, np.zeros((grid.nt, grid.nx, grid.nv))), path)
+    return path
 
 
 def _flag_and_value(data, flag, value):
@@ -336,19 +349,36 @@ class TestExitCodes:
     @pytest.mark.parametrize("mode, flags, name, note", [
         ("l1linf", [], "harnack_l1linf.json", "degenerate 0/0 flagged"),
         ("weak", ["--r0", "0.3"], "harnack_weak.json", "vanishing denominator: ratio flagged infinite"),
+        ("strong", ["--r0", "0.16"], "harnack_strong.json", "vanishing infimum: ratio flagged infinite"),
     ])
     def test_flagged_ratio_is_written_as_null(self, tmp_path, mode, flags, name, note):
         # on an all-zero field the ratio is 0/0 (l1linf) or over a vanishing
-        # infimum (weak); the report flags it in its notes, not as exit 3
-        grid = PhaseGrid(nt=1, nx=1024, nv=128, x_period=1.0, v_extent=1.0)
-        path = str(tmp_path / "zero.bin")
-        save_field(PhaseField(grid, np.zeros((1, 1024, 128))), path)
+        # infimum (weak, strong); the report flags it in its notes, not as exit 3
+        path = _zero_field(tmp_path, ZERO_STRONG if mode == "strong" else ZERO_WIDE)
         out = tmp_path / "x"
         assert main(["harnack", "--out", str(out), mode, "--field", path, "--t0", "1.0"] + flags) == 0
         with open(out / name) as fh:
             rep = json.load(fh)
         assert rep["ratio"] is None
         assert note in rep["notes"]
+
+    def test_flagged_sweep_ratio_is_written_inf(self, tmp_path):
+        path = _zero_field(tmp_path, ZERO_STRONG)
+        out = tmp_path / "x"
+        argv = ["sweep", "--out", str(out), "harnack-strong", "--field", path, "--t0", "1.0", "--r0", "0.16"]
+        assert main(argv + ["--refinements", "2"]) == 0
+        lines = (out / "sweep_harnack_strong.csv").read_text().splitlines()
+        assert lines == ["nodes,sup,inf,ratio", "4.0,0.0,0.0,inf", "8.0,0.0,0.0,inf"]
+
+    def test_degiorgi_on_an_unresolved_field_is_config_error(self, tmp_path, capsys):
+        # R = 0.05 spans a time window of 0.05 on a field of dt = 0.5; each
+        # r_k lies inside the cylinder of R
+        paths = _write_inputs(str(tmp_path))
+        out = tmp_path / "x"
+        argv = ["harnack", "--out", str(out), "degiorgi", "--field", paths["field"], "--t0", "0.6", "--R", "0.05"]
+        assert main(argv) == 2
+        assert "does not resolve the cylinder" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_field_file(self, tmp_path):
         code = main([
@@ -560,6 +590,11 @@ class TestNumericFlags:
             x = data.draw(st.floats(min_value=-1e300, max_value=1e300))
             text = data.draw(st.sampled_from([f(x) for f in SPELLINGS] + ["-1e-3", "-.5", "-1.", "-2E+3", "-1_000.5"]))
             want = float(text)
+        elif kind is cli._jump_order:
+            # inside (0, 1) in every spelling, "{:f}" rounding to 6 places
+            x = data.draw(st.floats(min_value=1e-3, max_value=0.999))
+            text = data.draw(st.sampled_from([f(x) for f in SPELLINGS] + [".5", "5e-1", "0_0.5"]))
+            want = float(text)
         else:
             want = data.draw(st.integers(min_value=1 if kind is cli._positive_int else None, max_value=10**9))
             text = str(want)
@@ -623,11 +658,12 @@ SWEEP_BASE = {
     ("aronson", "energy"): ["--nx", "16", "--nv", "32", "--steps", "2"],
     ("sweep",): ["harnack-strong", "--refinements", "1"],
 }
-# the numerical failures (exit 3) a swept value may give, and their messages
+# the numerical failures (exit 3) a swept value may give, and their messages;
+# every mode that builds a table builds it before its cylinders are checked
 SWEEP_FAILURES = {
     **{(path, "--s", "1e-12"): "frequency extent search did not converge"
-       for path in [("fundsol",), ("harnack", "l1linf"), ("harnack", "degiorgi"), ("harnack", "lower"),
-                    ("aronson", "envelope")]},
+       for path in [("fundsol",), ("harnack", "strong"), ("harnack", "weak"), ("harnack", "l1linf"),
+                    ("harnack", "degiorgi"), ("harnack", "lower"), ("aronson", "envelope"), ("sweep",)]},
     (("aronson", "k-threshold"), "--c", "1e12"): "no feasible k below 16777216",
 }
 
@@ -705,7 +741,7 @@ class TestModeFlags:
         for depth, ap in enumerate(LEAVES[path]):
             group = depth < len(path) - 1  # a group-level flag goes before the mode word
             for action in ap._actions:
-                if action.type is not cli._finite_float:
+                if action.type not in (cli._finite_float, cli._jump_order):
                     continue
                 flag = action.option_strings[0]
                 for value in SWEEP_VALUES + SWEEP_EXTRA.get(path, []):
@@ -744,6 +780,39 @@ class TestModeFlags:
         err = capsys.readouterr().err
         assert rule in err and "Warning" not in err
         assert not out.exists()
+
+
+def _explicit():
+    """The explicit field of the golden runs: ``--n-freq 128``, the default offset."""
+    return harnack.fundamental_field(fundsol.j0_table(1.0, 0.5, n_freq=128), t_offset=1.0)
+
+
+# the report of each golden measurement run, by the API call it makes
+Z1 = PhasePoint(1.0, 0.0, 0.0)
+API_REPORTS = {
+    "harnack-strong": lambda paths: harnack.strong_harnack_ratio(_explicit(), Z1, 0.1, 0.5),
+    "harnack-weak": lambda paths: harnack.weak_harnack_ratio(_explicit(), Z1, 0.125),
+    "harnack-l1linf": lambda paths: harnack.l1_linf_ratio(_explicit(), Z1, 0.5, 0.5),
+    "harnack-tail": lambda paths: harnack.tail_bound_ratio(
+        load_field(paths["field"]), kernels.normalized_fractional(0.5), PhasePoint(0.6, 0.0, 0.0), 0.3),
+    "harnack-degiorgi": lambda paths: harnack.degiorgi_trace(_explicit(), Z1, 0.5, delta=0.5, p=1.14),
+    "harnack-lower": lambda paths: harnack.lower_bound_check(fundsol.j0_table(1.0, 0.5, n_freq=128)),
+    **{f"aronson-envelope-{kind}": lambda paths, kind=kind: aronson.decay_envelope_check(
+        fundsol.j0_table(1.0, 0.5, n_freq=128), kind)
+       for kind in ("NashOnDiag", "UpperUnconditional", "UpperConditional", "LowerExponential")},
+}
+
+
+class TestReportsAreTheApiDicts:
+    @pytest.mark.parametrize("run", sorted(API_REPORTS))
+    def test_cli_writes_the_report_the_api_returns(self, tmp_path, run):
+        paths = _write_inputs(str(tmp_path))
+        argv = [a.format(**paths) for a in RUNS[run]]
+        out = tmp_path / "x"
+        assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 0
+        (name,) = [f for f in os.listdir(out) if f.endswith(".json") and f != "manifest.json"]
+        with open(out / name) as fh:
+            assert json.load(fh) == json.loads(json.dumps(API_REPORTS[run](paths)))
 
 
 class TestEmitter:

@@ -466,9 +466,9 @@ class TestSampler:
         monkeypatch.setattr(FundamentalSolutionTable, "sample", lambda *a, **k: calls.append(1) or sample(*a, **k))
         rep = decay_envelope_check(tab256, "NashOnDiag")
         assert len(calls) == 1
-        ts = np.asarray(rep.extra["times"])
+        ts = np.asarray(rep["extra"]["times"])
         per_time = np.array([float(sample(tab256, 0.0, 0.0, t=float(t))) for t in ts]) * ts ** peak_decay_exponent(S)
-        assert rep.constant == float(per_time.max())
+        assert rep["constant"] == float(per_time.max())
 
 
 def _points(tab, n=5000, seed=6):
