@@ -45,6 +45,7 @@ from .fields import PhaseGrid, load_field
 from .fundsol import chapman_kolmogorov_residual, j0_table
 from .geometry import PhasePoint
 from .harnack import (
+    AnalyticField,
     degiorgi_trace,
     fundamental_field,
     harnack_chain,
@@ -148,12 +149,14 @@ def _kernel_from_args(args) -> object:
 
 def _field_from_args(args):
     """The saved field of ``--field``, or else the explicit solution shifted
-    by ``--t-offset``; a measurement on it rejects a cylinder reaching back
-    to its source, where it vanishes."""
+    by ``--t-offset``.  The explicit field builds its table on its first
+    sample: every measurement checks its cylinders before it samples, so a
+    cylinder reaching back to the source, where the field vanishes, is
+    rejected before the table is paid for."""
     if args.field:
         return load_field(args.field)
-    tab = j0_table(1.0, args.s, n_freq=args.n_freq)
-    return fundamental_field(tab, t_offset=args.t_offset)
+    explicit = functools.cache(lambda: fundamental_field(j0_table(1.0, args.s, n_freq=args.n_freq), args.t_offset))
+    return AnalyticField(lambda t, x, v: explicit().fn(t, x, v), args.t_offset)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ are measured, never asserted against theoretical values; the meaningful
 check is stability under refinement.  Each routine returns its report as
 the plain dict the CLI writes; a ratio its notes flag is ``None``.
 
-Fields are anything with a vectorized ``sample(t, x, v)`` method
-(:class:`~kineticlab.fields.PhaseField` or :class:`AnalyticField`).
+Fields are a :class:`~kineticlab.fields.PhaseField` or an
+:class:`AnalyticField`, each read by its vectorized ``sample(t, x, v)``.
 Cylinder integrals and extrema use the tensor midpoint nodes of
 :class:`~kineticlab.geometry.KineticCylinder`, so tiny cylinders are
 resolved by subcell sampling rather than by the storage grid.

@@ -346,6 +346,19 @@ class TestExitCodes:
         assert "violates the rule t + t_offset > 0 over the cylinder's time window" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["harnack", "--n-freq", "1024", "strong", "--t-offset", "-5"],
+        ["harnack", "--n-freq", "1024", "degiorgi", "--t-offset", "-5"],
+        # at this s the profile build fails; the rule is named first
+        ["harnack", "--s", "1e-12", "weak"],
+        ["sweep", "harnack-strong", "--s", "1e-12"],
+    ])
+    def test_explicit_field_is_rejected_before_its_table_is_built(self, tmp_path, capsys, argv):
+        calls = fundsol._unit_profile.cache_info()[:2]  # hits, misses
+        assert main(argv[:1] + ["--out", str(tmp_path / "x")] + argv[1:]) == 2
+        assert "violates the rule t + t_offset > 0" in capsys.readouterr().err
+        assert fundsol._unit_profile.cache_info()[:2] == calls
+
     @pytest.mark.parametrize("mode, flags, name, note", [
         ("l1linf", [], "harnack_l1linf.json", "degenerate 0/0 flagged"),
         ("weak", ["--r0", "0.3"], "harnack_weak.json", "vanishing denominator: ratio flagged infinite"),
@@ -361,6 +374,17 @@ class TestExitCodes:
             rep = json.load(fh)
         assert rep["ratio"] is None
         assert note in rep["notes"]
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_overflowing_ratio_is_numerical_failure(self, tmp_path, monkeypatch, capsys, mode):
+        # the infimum is subnormal but positive, so the ratio is not flagged:
+        # it overflows to inf, which JSON cannot hold
+        field = harnack.AnalyticField(lambda t, x, v: np.where(np.broadcast_arrays(t, x, v)[2] > 0, 1.0, 5e-324))
+        monkeypatch.setattr(cli, "_field_from_args", lambda args: field)
+        out = tmp_path / "x"
+        assert main(["harnack", "--out", str(out), mode]) == 3
+        assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flagged_sweep_ratio_is_written_inf(self, tmp_path):
         path = _zero_field(tmp_path, ZERO_STRONG)
@@ -658,12 +682,11 @@ SWEEP_BASE = {
     ("aronson", "energy"): ["--nx", "16", "--nv", "32", "--steps", "2"],
     ("sweep",): ["harnack-strong", "--refinements", "1"],
 }
-# the numerical failures (exit 3) a swept value may give, and their messages;
-# every mode that builds a table builds it before its cylinders are checked
+# the numerical failures (exit 3) a swept value may give, and their messages
 SWEEP_FAILURES = {
     **{(path, "--s", "1e-12"): "frequency extent search did not converge"
-       for path in [("fundsol",), ("harnack", "strong"), ("harnack", "weak"), ("harnack", "l1linf"),
-                    ("harnack", "degiorgi"), ("harnack", "lower"), ("aronson", "envelope"), ("sweep",)]},
+       for path in [("fundsol",), ("harnack", "l1linf"), ("harnack", "degiorgi"), ("harnack", "lower"),
+                    ("aronson", "envelope")]},
     (("aronson", "k-threshold"), "--c", "1e12"): "no feasible k below 16777216",
 }
 
