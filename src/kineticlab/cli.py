@@ -200,7 +200,7 @@ def _run_solve(args, em: Emitter) -> None:
     config = SolverConfig(dt=args.dt, steps=args.steps, scheme=args.scheme, torus=not args.no_torus,
                           save_every=args.steps)
     if args.cross_validate:
-        rep = fundamental_approx(k, grid, args.dt * args.steps, config, s, n_freq=args.n_freq)
+        rep = fundamental_approx(k, grid, config, s, n_freq=args.n_freq)
         em.json("solve.json", rep)
         return
     f0 = mollified_delta(grid, s)
@@ -241,26 +241,25 @@ def _run_harnack(args, em: Emitter) -> None:
         em.json("harnack_lower.json", lower_bound_check(tab, alpha=args.alpha))
         return
     z0 = PhasePoint(args.t0, args.x0, args.v0)
-    nodes = (args.nodes, args.nodes, args.nodes)
     if sub == "strong":
-        rep = strong_harnack_ratio(_field_from_args(args), z0, args.r0, s, nodes=nodes)
+        rep = strong_harnack_ratio(_field_from_args(args), z0, args.r0, s, nodes=args.nodes)
         em.json("harnack_strong.json", rep)
     elif sub == "weak":
-        rep = weak_harnack_ratio(_field_from_args(args), z0, args.r0, zeta=args.zeta, s=s, nodes=nodes)
+        rep = weak_harnack_ratio(_field_from_args(args), z0, args.r0, zeta=args.zeta, s=s, nodes=args.nodes)
         em.json("harnack_weak.json", rep)
     elif sub == "l1linf":
-        rep = l1_linf_ratio(_field_from_args(args), z0, args.R, s, nodes=nodes)
+        rep = l1_linf_ratio(_field_from_args(args), z0, args.R, s, nodes=args.nodes)
         em.json("harnack_l1linf.json", rep)
     elif sub == "tail":
         if not args.field:
             raise ValueError("tail measurement needs --field (a saved gridded field)")
         f = load_field(args.field)
         k = _kernel_from_args(args)
-        rep = tail_bound_ratio(f, k, z0, args.R, l=args.level, zeta=args.zeta, s=s, nodes=nodes)
+        rep = tail_bound_ratio(f, k, z0, args.R, l=args.level, zeta=args.zeta, s=s, nodes=args.nodes)
         em.json("harnack_tail.json", rep)
     else:  # degiorgi
         f = _field_from_args(args)
-        trace = degiorgi_trace(f, z0, args.R, delta=args.delta, p=args.p, zeta=args.zeta, s=s, nodes=nodes)
+        trace = degiorgi_trace(f, z0, args.R, delta=args.delta, p=args.p, zeta=args.zeta, s=s, nodes=args.nodes)
         em.json("harnack_degiorgi.json", trace)
         em.csv("degiorgi.csv", ["k", "l_k", "r_k", "A_k"], trace["sequence"])
 
@@ -322,7 +321,7 @@ def _run_sweep(args, em: Emitter) -> None:
     rows = []
     n = args.nodes
     for _ in range(args.refinements):
-        rep = strong_harnack_ratio(f, z0, args.r0, s, nodes=(n, n, n))
+        rep = strong_harnack_ratio(f, z0, args.r0, s, nodes=n)
         # a ratio flagged for a vanishing infimum is written inf
         rows.append((n, rep["sup"], rep["inf"], math.inf if rep["ratio"] is None else rep["ratio"]))
         n *= 2

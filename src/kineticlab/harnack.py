@@ -11,9 +11,13 @@ the plain dict the CLI writes; a ratio its notes flag is ``None``.
 
 Fields are a :class:`~kineticlab.fields.PhaseField` or an
 :class:`AnalyticField`, each read by its vectorized ``sample(t, x, v)``.
-Cylinder integrals and extrema use the tensor midpoint nodes of
-:class:`~kineticlab.geometry.KineticCylinder`, so tiny cylinders are
-resolved by subcell sampling rather than by the storage grid.
+Every cylinder is a :class:`~kineticlab.geometry.KineticCylinder`
+``Q_r(z)``; the detached past cylinder of a Harnack ratio is ``Q_rho``
+at the point ``(5/2) r0^{2s} - (1/2) (r0/2)^{2s}`` back on the free flow
+through ``z0``.  A measurement checks all its cylinders against the
+field before it reads any, and reads each on its tensor midpoint nodes,
+a broadcast lattice, so tiny cylinders are resolved by subcell sampling
+rather than by the storage grid.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from .fields import PhaseField
 from .fundsol import FundamentalSolutionTable, peak_decay_exponent
-from .geometry import CylinderKind, KineticCylinder, PhasePoint, make_cylinder
+from .geometry import KineticCylinder, PhasePoint
 from .kernels import KernelSpec
 
 __all__ = [
@@ -43,15 +47,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnalyticField:
-    """Field defined by a vectorized callable ``fn(t, x, v)``.  An explicit
-    solution started at ``t = -t_offset`` vanishes where ``t + t_offset <= 0``;
-    a measurement reaching there is rejected."""
+    """Field defined by a vectorized callable ``fn(t, x, v)``, read at the
+    broadcast shape of its inputs.  An explicit solution started at
+    ``t = -t_offset`` vanishes where ``t + t_offset <= 0``; a measurement
+    reaching there is rejected."""
 
     fn: object
     t_offset: float = math.inf
 
     def sample(self, t, x, v):
-        return np.asarray(self.fn(t, x, v), dtype=float)
+        return np.broadcast_to(np.asarray(self.fn(t, x, v), dtype=float), np.broadcast(t, x, v).shape)
 
 
 def fundamental_field(tab: FundamentalSolutionTable, t_offset: float = 1.0) -> AnalyticField:
@@ -59,16 +64,9 @@ def fundamental_field(tab: FundamentalSolutionTable, t_offset: float = 1.0) -> A
     that evaluation times near 0 map to positive propagator times."""
 
     def fn(t, x, v):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        t, x, v = np.broadcast_arrays(t, x, v)
-        out = np.zeros_like(t)
-        tt = t + t_offset
+        tt = np.asarray(t, dtype=float) + t_offset
         ok = (tt > 0) & (tt < np.inf)  # J vanishes as t -> inf
-        if np.any(ok):
-            out[ok] = tab.sample(x[ok], v[ok], t=tt[ok])
-        return out
+        return np.where(ok, tab.sample(x, v, t=np.where(ok, tt, 1.0)), 0.0)
 
     return AnalyticField(fn, t_offset)
 
@@ -85,7 +83,7 @@ def _check_resolution(f, cyl: KineticCylinder):
         raise ValueError("time axis does not resolve the cylinder (need >= 4 cells)")
     if 2 * cyl.x_radius < 4 * g.dx:
         raise ValueError("position axis does not resolve the cylinder (need >= 4 cells)")
-    if 2 * cyl.ball_radius < 4 * g.dv:
+    if 2 * cyl.r < 4 * g.dv:
         raise ValueError("velocity axis does not resolve the cylinder (need >= 4 cells)")
 
 
@@ -100,7 +98,7 @@ def _check_domain(f, cyl: KineticCylinder):
                 f"t_offset = {f.t_offset} violates the rule t + t_offset > 0 over the cylinder's time window "
                 f"[{lo:.6g}, {hi:.6g}]: the explicit field vanishes where t + t_offset <= 0")
         return
-    g, c, r = f.grid, cyl.center, cyl.ball_radius
+    g, c, r = f.grid, cyl.center, cyl.r
     if g.nt > 1 and not g.t0 <= lo <= hi <= g.t1:
         raise ValueError(f"cylinder time window [{lo:.6g}, {hi:.6g}] violates the rule t0 <= t <= t1 of the "
                          f"field saved on [{g.t0:.6g}, {g.t1:.6g}]")
@@ -110,9 +108,20 @@ def _check_domain(f, cyl: KineticCylinder):
                          f"v_axis[0] <= v <= v_axis[-1] of the field's velocity axis [{v_lo:.6g}, {v_hi:.6g}]")
 
 
-def _cyl_values(f, cyl: KineticCylinder, nodes: tuple):
-    T, X, V, w = cyl.nodes(*nodes)
-    return f.sample(T, X, V), w
+def _read(f, nodes: int, *cyls: KineticCylinder) -> list:
+    """Check every cylinder against the field, then read each on ``nodes``
+    midpoint nodes per axis: one ``(values, w)`` pair per cylinder."""
+    for cyl in cyls:
+        _check_resolution(f, cyl)
+    return [(f.sample(T, X, V), w) for T, X, V, w in (cyl.nodes(nodes, nodes, nodes) for cyl in cyls)]
+
+
+def _past_cylinder(z0: PhasePoint, r0: float, rho: float, s: float) -> KineticCylinder:
+    """``Q_rho`` centred ``(5/2) r0^{2s} - (1/2) (r0/2)^{2s}`` back on the
+    free flow through ``z0``: the detached past cylinder of the Harnack
+    ratios at ``r0`` (``rho = r0/4`` strong, ``r0/2`` weak)."""
+    lag = 2.5 * r0 ** (2 * s) - 0.5 * (r0 / 2) ** (2 * s)
+    return KineticCylinder(PhasePoint(z0.t - lag, z0.x - lag * z0.v, z0.v), rho, s)
 
 
 def strong_harnack_ratio(
@@ -120,18 +129,13 @@ def strong_harnack_ratio(
     z0: PhasePoint,
     r0: float,
     s: float,
-    nodes: tuple = (8, 8, 8),
+    nodes: int = 8,
 ) -> dict:
-    """Supremum over the detached past quarter window against the
+    """Supremum over the detached past quarter cylinder against the
     infimum over the current quarter cylinder."""
     if not 0 < r0 < 1 / 6:
         raise ValueError("require 0 < r0 < 1/6")
-    past = make_cylinder(z0, r0, s, CylinderKind.TILDE_PAST_QUARTER)
-    future = make_cylinder(z0, r0 / 4, s, CylinderKind.CURRENT)
-    _check_resolution(f, past)
-    _check_resolution(f, future)
-    pv, _ = _cyl_values(f, past, nodes)
-    fv, _ = _cyl_values(f, future, nodes)
+    (pv, _), (fv, _) = _read(f, nodes, _past_cylinder(z0, r0, r0 / 4, s), KineticCylinder(z0, r0 / 4, s))
     sup = float(pv.max())
     inf_raw = float(fv.min())
     notes = []
@@ -145,7 +149,7 @@ def strong_harnack_ratio(
     else:
         ratio = sup / inf
     return {"kind": "Strong", "params": {"r0": r0, "s": s, "h_sup": 0.0, "center": [z0.t, z0.x, z0.v]},
-            "sup": sup, "inf": inf, "ratio": ratio, "resolution": list(nodes), "notes": notes}
+            "sup": sup, "inf": inf, "ratio": ratio, "resolution": [nodes] * 3, "notes": notes}
 
 
 def weak_harnack_ratio(
@@ -154,19 +158,14 @@ def weak_harnack_ratio(
     r0: float,
     zeta: float = 0.5,
     s: float = 0.5,
-    nodes: tuple = (8, 8, 8),
+    nodes: int = 8,
 ) -> dict:
     """Past L^zeta average against the infimum over the half cylinder."""
     if not 0 < r0 < 1 / 3:
         raise ValueError("require 0 < r0 < 1/3")
     if zeta <= 0:
         raise ValueError("zeta must be positive")
-    past = make_cylinder(z0, r0, s, CylinderKind.TILDE_PAST_HALF)
-    future = make_cylinder(z0, r0 / 2, s, CylinderKind.CURRENT)
-    _check_resolution(f, past)
-    _check_resolution(f, future)
-    pv, w = _cyl_values(f, past, nodes)
-    fv, _ = _cyl_values(f, future, nodes)
+    (pv, w), (fv, _) = _read(f, nodes, _past_cylinder(z0, r0, r0 / 2, s), KineticCylinder(z0, r0 / 2, s))
     with np.errstate(over="raise"):
         try:
             num = float((np.clip(pv, 0.0, None) ** zeta).sum() * w) ** (1.0 / zeta)
@@ -182,7 +181,7 @@ def weak_harnack_ratio(
     if ratio is None:
         notes.append("vanishing denominator: ratio flagged infinite")
     return {"kind": "Weak", "params": {"r0": r0, "zeta": zeta, "s": s, "h_sup": 0.0},
-            "sup": num, "inf": inf, "ratio": ratio, "resolution": list(nodes), "notes": notes}
+            "sup": num, "inf": inf, "ratio": ratio, "resolution": [nodes] * 3, "notes": notes}
 
 
 def l1_linf_ratio(
@@ -190,18 +189,13 @@ def l1_linf_ratio(
     z0: PhasePoint,
     R: float,
     s: float,
-    nodes: tuple = (8, 8, 8),
+    nodes: int = 8,
 ) -> dict:
     """Supremum over the eighth cylinder against the scaled L1 mass
     ``R^{-(2(1+s)+2s)} int_{Q_R} f``."""
     if R <= 0:
         raise ValueError("radius must be positive")
-    big = make_cylinder(z0, R, s, CylinderKind.CURRENT)
-    small = make_cylinder(z0, R / 8, s, CylinderKind.CURRENT)
-    _check_resolution(f, big)
-    _check_resolution(f, small)
-    bv, w = _cyl_values(f, big, nodes)
-    sv, _ = _cyl_values(f, small, nodes)
+    (bv, w), (sv, _) = _read(f, nodes, KineticCylinder(z0, R, s), KineticCylinder(z0, R / 8, s))
     sup = float(sv.max())
     mass = float(bv.sum() * w)
     scaled = R ** -(2 * (1 + s) + 2 * s) * mass
@@ -210,7 +204,7 @@ def l1_linf_ratio(
     if ratio is None:
         notes.append("degenerate 0/0 flagged" if sup <= 0 else "zero mass with positive sup: flagged")
     return {"kind": "L1Linf", "params": {"R": R, "s": s, "h_sup": 0.0, "mass": mass, "scaled_mass": scaled},
-            "sup": sup, "inf": scaled, "ratio": ratio, "resolution": list(nodes), "notes": notes}
+            "sup": sup, "inf": scaled, "ratio": ratio, "resolution": [nodes] * 3, "notes": notes}
 
 
 # Cylinder nodes per block of the grid part of ``tail_bound_ratio``; a
@@ -226,7 +220,7 @@ def tail_bound_ratio(
     l: float = 0.0,
     zeta: float = 0.5,
     s: float = 0.5,
-    nodes: tuple = (6, 6, 6),
+    nodes: int = 6,
 ) -> dict:
     """Nonlocal level-set tail mass against the local bound
     ``R^{-2s} sup (f-l)_+^{1-zeta} int_{Q_R} (f-l)_+^zeta``."""
@@ -236,12 +230,11 @@ def tail_bound_ratio(
         raise TypeError("tail measurement needs a gridded field with a far-field closure")
     g = f.grid
     v0 = z0.v
-    outer = make_cylinder(z0, R, s, CylinderKind.CURRENT)
+    outer = KineticCylinder(z0, R, s)
     _check_domain(f, outer)  # it holds the inner cylinder
-    inner = make_cylinder(z0, R / 2, s, CylinderKind.CURRENT)
-    T, X, V, w = inner.nodes(*nodes)
+    T, X, V, w = KineticCylinder(z0, R / 2, s).nodes(nodes, nodes, nodes)
     above = f.sample(T, X, V) > l
-    T, X, V = T[above], X[above], V[above]
+    T, X, V = (np.broadcast_to(a, above.shape)[above] for a in (T, X, V))
     # grid part over the stored nodes farther than R from v0, in blocks
     # of _TAIL_NODE_BLOCK cylinder nodes
     v_far = g.v_axis[np.abs(g.v_axis - v0) > R]
@@ -262,7 +255,7 @@ def tail_bound_ratio(
     far += k.one_sided_tail(V, np.maximum(V - lo, R + (V - v0)), T, X, -1, env)
     lhs = float(np.sum(near + far) * w)
 
-    To, Xo, Vo, wo = outer.nodes(*nodes)
+    To, Xo, Vo, wo = outer.nodes(nodes, nodes, nodes)
     excess = np.clip(f.sample(To, Xo, Vo) - l, 0.0, None)
     sup_ex = float(excess.max())
     zeta_mass = float((excess**zeta).sum() * wo)
@@ -277,7 +270,7 @@ def tail_bound_ratio(
     else:
         ratio = lhs / rhs
     return {"kind": "TailBound", "params": {"R": R, "level": l, "zeta": zeta, "s": s, "lhs": lhs, "rhs": rhs},
-            "sup": sup_ex, "inf": zeta_mass, "ratio": ratio, "resolution": list(nodes), "notes": notes}
+            "sup": sup_ex, "inf": zeta_mass, "ratio": ratio, "resolution": [nodes] * 3, "notes": notes}
 
 
 def degiorgi_level_cap(A0: float, R: float, delta: float, p: float, zeta: float, sup_f: float, s: float) -> float:
@@ -308,7 +301,7 @@ def degiorgi_trace(
     p: float,
     zeta: float = 0.5,
     s: float = 0.5,
-    nodes: tuple = (8, 8, 8),
+    nodes: int = 8,
 ) -> dict:
     """Level sequence ``l_k = L(1 - 2^{-k})``, shrinking radii
     ``r_k = R/8 + 2^{-k}(7R/8)`` and truncated masses ``A_k``, k = 0 .. 6,
@@ -324,13 +317,14 @@ def degiorgi_trace(
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     # the cylinder of R holds every r_k, the smallest about R/8
-    _check_resolution(f, make_cylinder(z0, R, s, CylinderKind.CURRENT))
+    _check_resolution(f, KineticCylinder(z0, R, s))
 
     reads = {}  # each cylinder is read once per exact radius
 
     def cyl_values(r: float):
         if r not in reads:
-            reads[r] = _cyl_values(f, make_cylinder(z0, r, s, CylinderKind.CURRENT), nodes)
+            T, X, V, w = KineticCylinder(z0, r, s).nodes(nodes, nodes, nodes)
+            reads[r] = f.sample(T, X, V), w
         return reads[r]
 
     def trunc_mass(r: float, level: float) -> float:

@@ -291,9 +291,9 @@ class KernelSpec:
             out[b] = near + m * (model + np.where(h[:, -1] > 0, rest, 0.0))
         return float(out[0]) if shape == () else out.reshape(shape)
 
-    def tail_mass(self, v, r, t=0.0, x=0.0):
-        """Two-sided tail ``int_{|w - v| > r} K(v, w) dw``."""
-        return self.one_sided_tail(v, r, t, x, +1) + self.one_sided_tail(v, r, t, x, -1)
+    def tail_mass(self, v, r):
+        """Two-sided tail ``int_{|w - v| > r} K(v, w) dw`` at ``(t, x) = (0, 0)``."""
+        return self.one_sided_tail(v, r) + self.one_sided_tail(v, r, side=-1)
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,7 @@ def assemble_operator_matrix(k: KernelSpec, grid: PhaseGrid, torus: bool = False
         # the loss rate of longer true jumps is restored on the diagonal
         # (their return is negligible for fields that are localized well
         # inside the box).
-        A[idx, idx] -= k.tail_mass(v_axis, grid.v_extent, 0.0, 0.0)
+        A[idx, idx] -= k.tail_mass(v_axis, grid.v_extent)
     else:
         interior = idx[1:-1]
         A[interior, interior + 1] += corr[interior]

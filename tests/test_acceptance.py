@@ -88,7 +88,7 @@ def test_05_ellipticity_fits():
 def test_06_solver_cross_validation(frac_kernel):
     grid = PhaseGrid(nt=1, nx=256, nv=256, x_period=16.0, v_extent=12.0)
     config = SolverConfig(dt=0.01, steps=100, scheme="cn", torus=True)
-    rep = fundamental_approx(frac_kernel, grid, 1.0, config, S, n_freq=1024)
+    rep = fundamental_approx(frac_kernel, grid, config, S, n_freq=1024)
     ok = rep["sup_rel_error"] < 0.01 and rep["mass_drift"] < 1e-3
     _verdict(6, "solver vs explicit solution", ok,
              f"sup rel err={rep['sup_rel_error']:.4f}, mass drift={rep['mass_drift']:.2e}")
@@ -97,8 +97,8 @@ def test_06_solver_cross_validation(frac_kernel):
 def test_07_strong_harnack_stability(tab512):
     f = fundamental_field(tab512, t_offset=1.0)
     z0 = PhasePoint(1.0, 0.0, 0.0)
-    r1 = strong_harnack_ratio(f, z0, 0.125, S, nodes=(8, 8, 8))["ratio"]
-    r2 = strong_harnack_ratio(f, z0, 0.125, S, nodes=(16, 16, 16))["ratio"]
+    r1 = strong_harnack_ratio(f, z0, 0.125, S, nodes=8)["ratio"]
+    r2 = strong_harnack_ratio(f, z0, 0.125, S, nodes=16)["ratio"]
     drift = abs(r2 - r1) / r1
     ok = math.isfinite(r2) and drift < 0.2
     _verdict(7, "strong Harnack ratio stability", ok, f"ratios={r1:.4f} -> {r2:.4f}, drift={drift:.2%}")
@@ -119,8 +119,8 @@ def test_09_tail_bound_stability(solver_run, frac_kernel):
     worst = 0.0
     details = []
     for level in (0.0, float(np.median(field.values))):
-        r1 = tail_bound_ratio(field, frac_kernel, z, 0.5, l=level, s=S, nodes=(6, 6, 6))["ratio"]
-        r2 = tail_bound_ratio(field, frac_kernel, z, 0.5, l=level, s=S, nodes=(12, 12, 12))["ratio"]
+        r1 = tail_bound_ratio(field, frac_kernel, z, 0.5, l=level, s=S, nodes=6)["ratio"]
+        r2 = tail_bound_ratio(field, frac_kernel, z, 0.5, l=level, s=S, nodes=12)["ratio"]
         drift = abs(r2 - r1) / max(abs(r1), 1e-12)
         worst = max(worst, drift)
         details.append(f"l={level:.3g}: {r1:.4g}->{r2:.4g}")

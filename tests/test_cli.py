@@ -882,22 +882,42 @@ class TestColdStart:
 
 
 class TestTracedBench:
-    def test_traced_runs_reach_the_table_layers(self, tmp_path):
-        # bench/tracing.py wraps package functions and methods by name; a
-        # renamed layer would leave its spans empty under `bench/run.py --trace 1`
+    """bench/tracing.py wraps package functions and methods by name and
+    signature; a renamed layer or a changed signature would leave its spans
+    empty, or fail, under `bench/run.py --trace 1`."""
+
+    @staticmethod
+    def _layer_totals(argvs):
+        """The tracer's per-layer totals over CLI runs that each exit 0."""
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), os.path.join(root, "bench")]))
         code = ("import json, tracing\n"
                 "tracer = tracing.Tracer()\n"
                 "tracing.install(tracer)\n"
                 "from kineticlab.cli import main\n"
-                f"assert main(['fundsol', '--n-freq', '64', '--out', {str(tmp_path / 'f')!r}]) == 0\n"
-                f"assert main(['harnack', '--n-freq', '64', '--out', {str(tmp_path / 'h')!r}, 'lower']) == 0\n"
-                "print(json.dumps(tracing.layer_totals(tracer.spans), default=list))")
+                + "".join(f"assert main({argv!r}) == 0\n" for argv in argvs)
+                + "print(json.dumps(tracing.layer_totals(tracer.spans), default=list))")
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        totals = json.loads(run.stdout)
+        return json.loads(run.stdout)
+
+    def test_traced_runs_reach_the_table_layers(self, tmp_path):
+        totals = self._layer_totals([["fundsol", "--n-freq", "64", "--out", str(tmp_path / "f")],
+                                     ["harnack", "--n-freq", "64", "--out", str(tmp_path / "h"), "lower"]])
         assert totals["fundsol.j0_table"]["calls"] == 3  # fundsol, its composition check, lower
         assert totals["fundsol.FundamentalSolutionTable.sample"]["work"] > 0  # points read
+
+    def test_traced_runs_reach_the_cylinder_and_field_layers(self, tmp_path):
+        paths = _write_inputs(str(tmp_path))
+        totals = self._layer_totals([
+            ["harnack", "--n-freq", "64", "--out", str(tmp_path / "s"), "strong"],
+            ["harnack", "--out", str(tmp_path / "t"), "tail", "--field", paths["field"], "--t0", "0.6", "--R", "0.3",
+             "--nodes", "4"],
+        ])
+        # strong reads two cylinders on 8^3 nodes, tail two on 4^3
+        nodes = totals["geometry.KineticCylinder.nodes"]
+        assert (nodes["calls"], nodes["work"]) == (4, 2 * 8**3 + 2 * 4**3)
+        assert totals["harnack.fundamental_field.sample"]["calls"] > 0
+        assert totals["fields.PhaseField.sample"]["calls"] > 0
 
 
 class TestExports:

@@ -9,7 +9,7 @@ import pytest
 from kineticlab import harnack
 from kineticlab.fields import PhaseField, PhaseGrid
 from kineticlab.fundsol import j0_table
-from kineticlab.geometry import CylinderKind, PhasePoint, make_cylinder
+from kineticlab.geometry import KineticCylinder, PhasePoint
 from kineticlab.harnack import (
     AnalyticField,
     degiorgi_level_cap,
@@ -55,15 +55,12 @@ class TestStrongRatio:
 
 class TestWeakRatio:
     def test_constant_field_gives_window_measure(self):
-        # numerator is (|window|)^{1/zeta} for f = 1; denominator is 1
-        from kineticlab.geometry import CylinderKind, make_cylinder
-
+        # numerator is (|Q_{r0/2}|)^{1/zeta} for f = 1; denominator is 1
         r0 = 0.125
         zeta = 0.5
         rep = weak_harnack_ratio(_const_field(), Z0, r0, zeta=zeta, s=S)
-        win = make_cylinder(Z0, r0, S, CylinderKind.TILDE_PAST_HALF)
-        lo, hi = win.time_window()
-        measure = (hi - lo) * (2 * win.x_radius) * (2 * win.ball_radius)
+        rho = r0 / 2
+        measure = rho ** (2 * S) * (2 * rho ** (1 + 2 * S)) * (2 * rho)
         assert rep["ratio"] == pytest.approx(measure ** (1 / zeta), rel=1e-12)
 
     def test_validation(self):
@@ -71,6 +68,44 @@ class TestWeakRatio:
             weak_harnack_ratio(_const_field(), Z0, 0.5, s=S)
         with pytest.raises(ValueError):
             weak_harnack_ratio(_const_field(), Z0, 0.1, zeta=-1.0, s=S)
+
+
+def _read_cylinders(monkeypatch, measure):
+    """The cylinders a measurement hands to its check-then-read helper."""
+    seen = []
+    read = harnack._read
+    monkeypatch.setattr(harnack, "_read", lambda f, nodes, *cyls: seen.extend(cyls) or read(f, nodes, *cyls))
+    measure()
+    return seen
+
+
+class TestPastCylinder:
+    """The strong and weak ratios compare a detached past ``Q_rho`` with the
+    current ``Q_rho``, ``rho = r0/4`` (strong) or ``r0/2`` (weak)."""
+
+    MEASURES = {
+        "strong": (4, lambda z, r0: strong_harnack_ratio(_const_field(), z, r0, S)),
+        "weak": (2, lambda z, r0: weak_harnack_ratio(_const_field(), z, r0, s=S)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_radii(self, monkeypatch, name):
+        part, measure = self.MEASURES[name]
+        z, r0 = PhasePoint(0.5, 0.3, -0.7), 0.16
+        past, current = _read_cylinders(monkeypatch, lambda: measure(z, r0))
+        assert past.r == r0 / part and past.x_radius == (r0 / part) ** (1 + 2 * S)
+        assert current == KineticCylinder(z, r0 / part, S)
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    @pytest.mark.parametrize("r0", [0.01, 0.1, 0.16])
+    def test_detached_from_the_current_cylinder(self, monkeypatch, name, r0):
+        # the past window ends before the current one starts, and its centre
+        # lies on the free flow through z0
+        z = PhasePoint(0.5, 0.3, -0.7)
+        past, current = _read_cylinders(monkeypatch, lambda: self.MEASURES[name][1](z, r0))
+        assert past.time_window()[1] < current.time_window()[0]
+        lag = z.t - past.center.t
+        assert past.center.x == pytest.approx(z.x - lag * z.v, rel=1e-14) and past.center.v == z.v
 
 
 class TestL1Linf:
@@ -84,11 +119,30 @@ class TestL1Linf:
         rep = l1_linf_ratio(_const_field(0.0), Z0, 0.5, S)
         assert rep["ratio"] is None
 
+    def test_a_field_of_time_alone_is_read_at_every_node(self):
+        # a callable that ignores x and v returns values on the time axis
+        # of the node lattice only; the field reads them at every node
+        alone = AnalyticField(lambda t, x, v: 1.0 + np.asarray(t) ** 2)
+        full = AnalyticField(lambda t, x, v: 1.0 + np.broadcast_arrays(t, x, v)[0] ** 2)
+        assert l1_linf_ratio(alone, Z0, 0.5, S) == l1_linf_ratio(full, Z0, 0.5, S)
+
+    def test_unresolved_eighth_cylinder_is_rejected_before_any_read(self, solver_run, monkeypatch):
+        # the field resolves Q_R but not Q_{R/8}
+        _, field = solver_run
+        z = PhasePoint(1.0, 0.0, 0.0)
+        harnack._check_resolution(field, KineticCylinder(z, 0.5, S))
+        calls = []
+        monkeypatch.setattr(field, "sample", lambda t, x, v: calls.append(1))
+        with pytest.raises(ValueError, match="does not resolve the cylinder"):
+            l1_linf_ratio(field, z, 0.5, S)
+        assert calls == []
+
 
 def _tail_lhs_loop(f, k, z0, R, l, nodes):
     """Reference: the level-set tail of ``tail_bound_ratio`` node by node."""
     g, v0 = f.grid, z0.v
-    T, X, V, w = make_cylinder(z0, R / 2, S, CylinderKind.CURRENT).nodes(*nodes)
+    T, X, V, w = KineticCylinder(z0, R / 2, S).nodes(nodes, nodes, nodes)
+    T, X, V = (a.ravel() for a in np.broadcast_arrays(T, X, V))
     v_far = g.v_axis[np.abs(g.v_axis - v0) > R]
     lo, hi = g.v_axis[0] - g.dv / 2, g.v_axis[-1] + g.dv / 2
 
@@ -116,8 +170,8 @@ class TestTailBound:
         _, field = solver_run
         z = PhasePoint(1.0, 0.0, 0.0)
         for level in (0.0, float(np.median(field.values))):
-            r1 = tail_bound_ratio(field, frac_kernel, z, 0.5, l=level, s=S, nodes=(6, 6, 6))["ratio"]
-            r2 = tail_bound_ratio(field, frac_kernel, z, 0.5, l=level, s=S, nodes=(12, 12, 12))["ratio"]
+            r1 = tail_bound_ratio(field, frac_kernel, z, 0.5, l=level, s=S, nodes=6)["ratio"]
+            r2 = tail_bound_ratio(field, frac_kernel, z, 0.5, l=level, s=S, nodes=12)["ratio"]
             assert abs(r2 - r1) <= 0.3 * max(abs(r1), 1e-12)
 
     def test_validation(self, solver_run, frac_kernel):
@@ -134,8 +188,30 @@ class TestTailBound:
             base=frac_kernel, multiplier=lambda v, w: 1.0 + 0.5 * np.cos(v + w), a_min=0.5, a_max=1.5)
         z = PhasePoint(1.0, 0.0, 0.3)
         for level in (0.0, float(np.median(field.values))):
-            rep = tail_bound_ratio(field, k, z, 0.5, l=level, s=S, nodes=(6, 6, 6))
-            assert rep["params"]["lhs"] == pytest.approx(_tail_lhs_loop(field, k, z, 0.5, level, (6, 6, 6)), rel=1e-12)
+            rep = tail_bound_ratio(field, k, z, 0.5, l=level, s=S, nodes=6)
+            assert rep["params"]["lhs"] == pytest.approx(_tail_lhs_loop(field, k, z, 0.5, level, 6), rel=1e-12)
+
+
+class TestBroadcastReads:
+    # a field on t in [0, 1] fine enough to resolve the strong cylinders of
+    # r0 = 0.16 and the eighth cylinder of R = 0.4
+    GRID = PhaseGrid(nt=101, nx=128, nv=64, x_period=0.1, v_extent=0.5)
+    MEASURES = {
+        "strong": lambda f, z: strong_harnack_ratio(f, z, 0.16, S, nodes=4),
+        "l1linf": lambda f, z: l1_linf_ratio(f, z, 0.4, S, nodes=4),
+        "degiorgi": lambda f, z: degiorgi_trace(f, z, 0.4, delta=0.5, p=1.14, s=S, nodes=4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_a_gridded_field_reads_each_axis_once(self, monkeypatch, name):
+        g = self.GRID
+        field = PhaseField(g, np.random.default_rng(3).uniform(0.5, 1.0, (g.nt, g.nx, g.nv)))
+        shapes = []
+        sample = field.sample
+        monkeypatch.setattr(field, "sample", lambda t, x, v: shapes.append((t.shape, x.shape, v.shape))
+                            or sample(t, x, v))
+        self.MEASURES[name](field, PhasePoint(1.0, 0.0, 0.0))
+        assert shapes and set(shapes) == {((4, 1, 1), (4, 4, 1), (4,))}
 
 
 class TestFieldDomain:
@@ -146,7 +222,7 @@ class TestFieldDomain:
         "tail": lambda f, k, z: tail_bound_ratio(f, k, z, 0.5, s=S),
         "degiorgi": lambda f, k, z: degiorgi_trace(f, z, 0.5, delta=0.5, p=1.14, s=S),
         # the rule every measurement that checks the resolution reads first
-        "resolution": lambda f, k, z: harnack._check_resolution(f, make_cylinder(z, 0.5, S, CylinderKind.CURRENT)),
+        "resolution": lambda f, k, z: harnack._check_resolution(f, KineticCylinder(z, 0.5, S)),
     }
 
     @pytest.mark.parametrize("name", sorted(MEASURES))
@@ -194,7 +270,7 @@ class TestDeGiorgi:
         assert len(calls) == reads
         # every A_k as its own read of its cylinder gives it
         for k, l_k, r_k, A_k in tr["sequence"]:
-            T, X, V, w = make_cylinder(z, r_k, S, CylinderKind.CURRENT).nodes(8, 8, 8)
+            T, X, V, w = KineticCylinder(z, r_k, S).nodes(8, 8, 8)
             assert A_k == float(np.clip(sample(T, X, V) - l_k, 0.0, None).sum() * w)
 
     def test_exponent_window_enforced(self, solver_run):

@@ -229,7 +229,7 @@ class TestFundamentalApprox:
         # the run must be what a run recording every step reports
         k, g, f0 = setup
         cfg = SolverConfig(dt=0.05, steps=4, scheme=scheme, torus=torus)
-        rep = fundamental_approx(k, g, 0.2, cfg, S, n_freq=64)
+        rep = fundamental_approx(k, g, cfg, S, n_freq=64)
         traj = solve(k, f0, g, cfg)
         assert rep["computed_peak"] == float(traj.final.max())
         assert rep["mass_initial"] == traj.mass[0]
@@ -244,7 +244,7 @@ class TestFundamentalApprox:
         cfg = SolverConfig(dt=0.01, steps=100)
         tracemalloc.start()
         try:
-            fundamental_approx(k, g, 1.0, cfg, S, n_freq=512)
+            fundamental_approx(k, g, cfg, S, n_freq=512)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -254,7 +254,7 @@ class TestFundamentalApprox:
         # a four-fold box folds less of the slow velocity tail back into
         # the reference than a two-fold one
         k, g, _ = setup
-        errs = [fundamental_approx(k, g, 0.2, SolverConfig(dt=0.05, steps=4), S, n_freq=p * g.nx)["sup_rel_error"]
+        errs = [fundamental_approx(k, g, SolverConfig(dt=0.05, steps=4), S, n_freq=p * g.nx)["sup_rel_error"]
                 for p in (2, 4)]
         assert errs[1] <= errs[0]
 
@@ -280,7 +280,7 @@ class TestColumnBlocks:
 
         monkeypatch.setattr(solver, "_physical", record_state)
         monkeypatch.setattr(solver, "_final_block", record_worker)
-        fundamental_approx(k, g, cfg.dt * cfg.steps, cfg, S, n_freq=2 * max(g.nx, g.nv))
+        fundamental_approx(k, g, cfg, S, n_freq=2 * max(g.nx, g.nv))
         return seen
 
     @pytest.mark.parametrize("scheme", ["explicit", "implicit", "cn"])
@@ -307,7 +307,7 @@ class TestColumnBlocks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            reps = [fundamental_approx(k, g, 0.4, cfg, S, n_freq=128) for _ in range(4)]
+            reps = [fundamental_approx(k, g, cfg, S, n_freq=128) for _ in range(4)]
         finally:
             sys.setswitchinterval(interval)
         assert all(rep == reps[0] for rep in reps)
@@ -335,7 +335,7 @@ class TestColumnBlocks:
         self._failing_worker(monkeypatch, fail)
         threads = threading.active_count()
         with pytest.raises(np.linalg.LinAlgError, match="worker block failed"):
-            fundamental_approx(k, g, 0.2, SolverConfig(dt=0.05, steps=4), S, n_freq=128)
+            fundamental_approx(k, g, SolverConfig(dt=0.05, steps=4), S, n_freq=128)
         assert threading.active_count() == threads
 
     def test_warning_as_error_in_the_worker_reaches_the_caller(self, monkeypatch, setup):
@@ -344,13 +344,13 @@ class TestColumnBlocks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RuntimeWarning, match="overflow"):
-                fundamental_approx(k, g, 0.2, SolverConfig(dt=0.05, steps=4), S, n_freq=128)
+                fundamental_approx(k, g, SolverConfig(dt=0.05, steps=4), S, n_freq=128)
 
     def test_worker_keeps_the_callers_numpy_error_state(self, monkeypatch, setup):
         k, g, _ = setup
         self._failing_worker(monkeypatch, lambda: np.float64(1e308) * 10.0)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            fundamental_approx(k, g, 0.2, SolverConfig(dt=0.05, steps=4), S, n_freq=128)
+            fundamental_approx(k, g, SolverConfig(dt=0.05, steps=4), S, n_freq=128)
 
     def test_numerical_failure_in_the_worker_exits_3(self, monkeypatch, tmp_path, capsys):
         def fail():
