@@ -121,7 +121,11 @@ def _past_cylinder(z0: PhasePoint, r0: float, rho: float, s: float) -> KineticCy
     free flow through ``z0``: the detached past cylinder of the Harnack
     ratios at ``r0`` (``rho = r0/4`` strong, ``r0/2`` weak)."""
     lag = 2.5 * r0 ** (2 * s) - 0.5 * (r0 / 2) ** (2 * s)
-    return KineticCylinder(PhasePoint(z0.t - lag, z0.x - lag * z0.v, z0.v), rho, s)
+    x = z0.x - lag * z0.v
+    if not math.isfinite(x):
+        raise ValueError(f"past cylinder centre x0 - lag v0 = {x} violates the rule x0 - lag v0 finite, "
+                         f"with lag = (5/2) r0^(2s) - (1/2) (r0/2)^(2s) = {lag:.6g}")
+    return KineticCylinder(PhasePoint(z0.t - lag, x, z0.v), rho, s)
 
 
 def strong_harnack_ratio(

@@ -8,23 +8,33 @@ steps: ``G = rfft_x(f)``, held as a C-contiguous ``(nv, nx//2 + 1)``
 complex array.  A transport half step is then one product with a cached
 phase table ``exp(-i phi dt/2 v)``.  The collision step is one
 precomputed linear map ``f <- M f`` per velocity column (explicit
-Euler, implicit Euler or Crank-Nicolson, built once from the dense
-velocity operator by ``collision_propagator``); the real ``M`` acts on
-the interleaved real and imaginary parts of ``G``.  Each step of
-``solve`` makes one inverse transform, for the recorded diagnostics and
-the saved slices; ``fundamental_approx`` runs the same steps and makes
-one inverse transform, of the final state.
-``step_transport`` and ``step_collision`` are the same two maps on a
-physical ``(nx, nv)`` slice.
+Euler, implicit Euler or Crank-Nicolson), applied one of two ways:
+
+* on the torus for a ``FractionalLaplacian``, the only translation-
+  invariant kernel, the velocity operator ``A`` is circulant, so ``M`` is
+  diagonal on the velocity DFT: a step is an FFT of ``G`` along v, a
+  product with the scheme's multiplier of the eigenvalues
+  ``fft(A[:, 0])``, and an in-place inverse FFT;
+* for every other kernel, and with zero extension (``torus=False``), the
+  dense ``M`` of ``collision_propagator`` acts as a real matrix on the
+  interleaved real and imaginary parts of ``G``.
+
+Each step of ``solve`` makes one inverse transform, for the recorded
+diagnostics and the saved slices; ``fundamental_approx`` runs the same
+steps and makes one inverse transform, of the final state.
+``step_transport`` and ``step_collision`` are the transport map and the
+dense collision map on a physical ``(nx, nv)`` slice.  No run calls
+them; the tests' physical-space loop and ``bench/tracing.py`` use them
+by name.
 
 Because each x-wavenumber column of ``G`` evolves on its own, the steps
 split exactly into column blocks that exchange nothing until the run
 ends.  ``fundamental_approx``, which records only its last state, steps
 the columns ``[0, m//2)`` on the calling thread and ``[m//2, m)``, with
-``m = nx//2 + 1``, on a second thread, whose GEMMs and phase products
-release the interpreter lock.  The two blocks are fixed whatever the
-core count, so reports match on every machine; ``solve`` records every
-step and keeps one block.
+``m = nx//2 + 1``, on a second thread, whose FFTs or GEMMs and phase
+products release the interpreter lock.  The two blocks are fixed
+whatever the core count, so reports match on every machine; ``solve``
+records every step and keeps one block.
 
 The kernel is frozen at ``(t, x) = (0, 0)`` when the velocity matrix
 is assembled, so kernels with genuine (t, x) dependence are treated in
@@ -43,7 +53,7 @@ import numpy as np
 
 from .fields import PhaseField, PhaseGrid
 from .fundsol import j0_lattice, modified_convolution
-from .kernels import KernelSpec
+from .kernels import FractionalLaplacian, KernelSpec
 from .operators import assemble_operator_matrix
 
 __all__ = [
@@ -150,6 +160,10 @@ def step_transport(f: np.ndarray, dt: float, grid: PhaseGrid) -> np.ndarray:
     return np.fft.irfft(Fh, n=grid.nx, axis=0)
 
 
+# the implicit weight of each scheme's ``(I - theta dt A)^{-1} (I + (1 - theta) dt A)``
+_THETA = {"explicit": 0.0, "implicit": 1.0, "cn": 0.5}
+
+
 def collision_propagator(A: np.ndarray, dt: float, scheme: str) -> np.ndarray:
     """``M`` such that one collision step of ``scheme`` for the operator
     ``A`` is ``f <- f @ M.T``:
@@ -161,7 +175,7 @@ def collision_propagator(A: np.ndarray, dt: float, scheme: str) -> np.ndarray:
     eye = np.eye(A.shape[0])
     if scheme == "explicit":
         return eye + dt * A
-    theta = 1.0 if scheme == "implicit" else 0.5
+    theta = _THETA[scheme]
     return np.linalg.solve(eye - theta * dt * A, eye + (1.0 - theta) * dt * A)
 
 
@@ -175,16 +189,28 @@ def step_collision(f: np.ndarray, dt: float, op: np.ndarray, scheme: str, prop=N
 
 def _initial_state(k: KernelSpec, f: np.ndarray, grid: PhaseGrid, config: SolverConfig):
     """The state ``G = rfft_x(f)`` of the slice ``f``, the run's collision
-    map ``M`` and its transport half-step phase."""
+    map ``M`` and its transport half-step phase.
+
+    ``M`` is the dense ``collision_propagator``, or, on the torus for a
+    ``FractionalLaplacian``, whose ``A`` is circulant, its ``(nv,)``
+    multiplier on the velocity DFT: the scheme's rational function of the
+    eigenvalues ``lam = fft(A[:, 0])``, real since ``A`` is symmetric.
+    """
     G = np.fft.rfft(f, axis=0).T.copy()
-    M = collision_propagator(assemble_operator_matrix(k, grid, torus=config.torus), config.dt, config.scheme)
-    return G, M, _transport_phase(grid, 0.5 * config.dt)
+    A = assemble_operator_matrix(k, grid, torus=config.torus)
+    half = _transport_phase(grid, 0.5 * config.dt)
+    if not (config.torus and isinstance(k, FractionalLaplacian)):
+        return G, collision_propagator(A, config.dt, config.scheme), half
+    theta = _THETA[config.scheme]
+    z = config.dt * np.fft.fft(A[:, 0]).real  # dt lam
+    return G, (1.0 + (1.0 - theta) * z) / (1.0 - theta * z), half
 
 
 def _strang_steps(G: np.ndarray, M: np.ndarray, half: np.ndarray, steps: int):
     """Take ``steps`` Strang steps of the column block ``G`` of a state,
-    whose transport half-step phase is ``half``, and yield after each step
-    the block and the real part its column 0 lost in the collision.
+    whose transport half-step phase is ``half`` and collision map ``M``
+    (see ``_initial_state``), and yield after each step the block and the
+    real part its column 0 lost in the collision.
 
     The first step updates ``G`` in place; later steps update the yielded
     block in place.
@@ -192,8 +218,13 @@ def _strang_steps(G: np.ndarray, M: np.ndarray, half: np.ndarray, steps: int):
     for _ in range(steps):
         G *= half
         before = G[:, 0].real.sum()
-        # the real M acts on the interleaved real and imaginary parts
-        G = (M @ G.view(float)).view(complex)
+        if M.ndim == 2:
+            # the real M acts on the interleaved real and imaginary parts
+            G = (M @ G.view(float)).view(complex)
+        else:
+            G = np.fft.fft(G, axis=0)
+            G *= M[:, None]
+            np.fft.ifft(G, axis=0, out=G)
         lost = before - G[:, 0].real.sum()
         G *= half
         yield G, lost
@@ -257,12 +288,17 @@ def solve(k: KernelSpec, f0: np.ndarray, grid: PhaseGrid, config: SolverConfig) 
 
 
 def trajectory_field(traj: Trajectory, farfield=None) -> PhaseField:
-    """Bundle the saved slices into a time-resolved field."""
+    """Bundle the saved slices into a time-resolved field.
+
+    The field's time axis is uniform, so the slices must be equally
+    spaced: the run's ``steps`` must be a multiple of its ``save_every``.
+    """
     g = traj.grid
-    if len(traj.slices) != len(traj.times):
-        raise ValueError("trajectory must be run with save_every=1 to bundle a field")
+    kept = np.diff(np.searchsorted(traj.times, traj.slice_times))
+    if (kept != kept[:1]).any():
+        raise ValueError("a field needs equally spaced slices: run with steps % save_every == 0")
     grid = PhaseGrid(nt=len(traj.slices), nx=g.nx, nv=g.nv, x_period=g.x_period,
-                     v_extent=g.v_extent, t0=traj.times[0], t1=traj.times[-1])
+                     v_extent=g.v_extent, t0=traj.slice_times[0], t1=traj.slice_times[-1])
     values = np.stack(traj.slices, axis=0)
     return PhaseField(grid, values, farfield)
 

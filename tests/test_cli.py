@@ -171,6 +171,30 @@ class TestSubcommands:
         assert len(traj.slices) == 2
         assert traj.final.shape == (32, 32)
 
+    @pytest.mark.parametrize("torus", [True, False], ids=["torus", "no-torus"])
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit", "cn"])
+    def test_solve_scheme_and_closure_reach_the_solver(self, tmp_path, monkeypatch, scheme, torus):
+        # the torus run steps its collision by FFT, the zero-extended one
+        # through the dense propagator
+        calls, propagator = [], solver.collision_propagator
+        monkeypatch.setattr(solver, "collision_propagator", lambda *a: calls.append(a) or propagator(*a))
+        out = tmp_path / "s"
+        argv = ["solve", "--nx", "16", "--nv", "16", "--x-period", "8", "--v-extent", "6", "--dt", "0.05",
+                "--steps", "3", "--scheme", scheme, "--out", str(out)]
+        assert main(argv + ([] if torus else ["--no-torus"])) == 0
+        assert len(calls) == (0 if torus else 1)
+
+        grid = PhaseGrid(nt=1, nx=16, nv=16, x_period=8.0, v_extent=6.0)
+        traj = solver.solve(kernels.normalized_fractional(0.5), solver.mollified_delta(grid, 0.5), grid,
+                            solver.SolverConfig(dt=0.05, steps=3, scheme=scheme, torus=torus))
+        with open(out / "solve.json") as fh:
+            assert json.load(fh) == {"mass_initial": traj.mass[0], "mass_final": traj.mass[-1],
+                                     "mass_drift": traj.mass_drift(), "leak_total": traj.leak_total}
+        header, *rows = (out / "diagnostics.csv").read_text().splitlines()
+        assert header == "t,mass,min,max,l2"
+        assert [[float(c) for c in row.split(",")] for row in rows] == [
+            list(r) for r in zip(traj.times, traj.mass, traj.minimum, traj.maximum, traj.l2)]
+
     def test_ellipticity(self, tmp_path):
         code = main(["ellipticity", "--out", str(tmp_path / "e")])
         assert code == 0
@@ -402,6 +426,17 @@ class TestExitCodes:
         argv = ["harnack", "--out", str(out), "degiorgi", "--field", paths["field"], "--t0", "0.6", "--R", "0.05"]
         assert main(argv) == 2
         assert "does not resolve the cylinder" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_overflowing_past_centre_names_the_rule(self, tmp_path, capsys, mode):
+        # lag < 5/2, so lag v0 overflows only for v0 near the largest float,
+        # where the velocity radius does not yet round away at s = 0.01
+        out = tmp_path / "x"
+        assert main(["harnack", "--s", "0.01", "--n-freq", "64", "--out", str(out), mode, "--v0", "1.5e308"]) == 2
+        err = capsys.readouterr().err
+        assert "violates the rule x0 - lag v0 finite" in err
+        assert "lag = (5/2) r0^(2s) - (1/2) (r0/2)^(2s)" in err
         assert not out.exists()
 
     def test_missing_field_file(self, tmp_path):

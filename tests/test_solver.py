@@ -110,6 +110,52 @@ class TestCollisionPropagator:
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+class TestCirculantMap:
+    """On the torus a ``FractionalLaplacian``'s ``A`` is circulant, and the
+    run steps its collision as a multiplier on the velocity DFT."""
+
+    GRID = PhaseGrid(nt=1, nx=8, nv=64, x_period=4.0, v_extent=6.0)
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+    def test_torus_operator_is_circulant(self, s):
+        A = assemble_operator_matrix(normalized_fractional(s), self.GRID, torus=True)
+        idx = np.arange(self.GRID.nv)
+        circulant = A[(idx[:, None] - idx[None, :]) % self.GRID.nv, 0]
+        assert np.abs(A - circulant).max() <= 1e-14 * np.abs(A).max()
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit", "cn"])
+    def test_multiplier_step_matches_the_propagator_gemm(self, scheme, s):
+        g, k = self.GRID, normalized_fractional(s)
+        cfg = SolverConfig(dt=0.01, steps=1, scheme=scheme)
+        f = np.random.default_rng(5).random((g.nx, g.nv))
+        G, mu, half = solver._initial_state(k, f, g, cfg)
+        assert mu.shape == (g.nv,)
+        M = collision_propagator(assemble_operator_matrix(k, g, torus=True), cfg.dt, scheme)
+        got, got_lost = next(solver._strang_steps(G.copy(), mu, half, 1))
+        want, want_lost = next(solver._strang_steps(G.copy(), M, half, 1))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # the loss is a difference of column sums: rounding scales with the sum
+        assert abs(got_lost - want_lost) <= 1e-13 * np.abs(G[:, 0]).sum()
+
+    @pytest.mark.parametrize("kernel, torus, propagators", [
+        ("fractional", True, 0),
+        ("perturbed", True, 1),
+        ("fractional", False, 1),
+    ])
+    def test_only_a_circulant_run_skips_the_propagator(self, monkeypatch, kernel, torus, propagators):
+        calls, propagator = [], solver.collision_propagator
+
+        def spy(*args):
+            calls.append(args)
+            return propagator(*args)
+
+        monkeypatch.setattr(solver, "collision_propagator", spy)
+        k = TestSpectralLoop._kernel(kernel)
+        solve(k, mollified_delta(self.GRID, S), self.GRID, SolverConfig(dt=0.05, steps=2, torus=torus))
+        assert len(calls) == propagators
+
+
 class TestMollifier:
     def test_unit_mass_and_center(self):
         g = PhaseGrid(nt=1, nx=64, nv=64, x_period=8.0, v_extent=4.0)
@@ -283,16 +329,19 @@ class TestColumnBlocks:
         fundamental_approx(k, g, cfg, S, n_freq=2 * max(g.nx, g.nv))
         return seen
 
+    @pytest.mark.parametrize("torus", [True, False], ids=["fft", "dense"])
     @pytest.mark.parametrize("scheme", ["explicit", "implicit", "cn"])
     @pytest.mark.parametrize("grid, steps", [
         # criterion 6's grid, and one whose blocks are 1 and 2 columns wide
         (PhaseGrid(nt=1, nx=256, nv=256, x_period=16.0, v_extent=12.0), 20),
         (PhaseGrid(nt=1, nx=4, nv=32, x_period=4.0, v_extent=6.0), 20),
     ], ids=["criterion-6", "nx-4"])
-    def test_two_blocks_match_one(self, monkeypatch, grid, steps, scheme):
+    def test_two_blocks_match_one(self, monkeypatch, grid, steps, scheme, torus):
+        # the torus run steps its collision by FFT, the zero-extended one by GEMM
         k = normalized_fractional(S)
-        cfg = SolverConfig(dt=0.01, steps=steps, scheme=scheme)
+        cfg = SolverConfig(dt=0.01, steps=steps, scheme=scheme, torus=torus)
         G, M, half = solver._initial_state(k, mollified_delta(grid, S), grid, cfg)
+        assert M.ndim == (1 if torus else 2)
         one = solver._final_block(G, M, half, steps)
         seen = self._two_block_run(monkeypatch, k, grid, cfg)
         m = grid.nx // 2 + 1
@@ -378,5 +427,24 @@ class TestTrajectoryField:
         k = normalized_fractional(S)
         g = PhaseGrid(nt=1, nx=32, nv=32, x_period=4.0, v_extent=4.0)
         traj = solve(k, mollified_delta(g, S), g, SolverConfig(dt=0.05, steps=4, save_every=3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="equally spaced slices: run with steps % save_every == 0"):
             trajectory_field(traj)
+
+    @pytest.mark.parametrize("steps, save_every", [(9, 4), (7, 2), (5, 3)])
+    def test_unequal_spacing_is_rejected(self, steps, save_every):
+        # 9 steps keep 0, 4, 8, 9: three intervals that divide 9, yet unequal
+        k = normalized_fractional(S)
+        g = PhaseGrid(nt=1, nx=16, nv=16, x_period=4.0, v_extent=4.0)
+        traj = solve(k, mollified_delta(g, S), g, SolverConfig(dt=0.05, steps=steps, save_every=save_every))
+        with pytest.raises(ValueError, match="steps % save_every == 0"):
+            trajectory_field(traj)
+
+    def test_bundles_equally_spaced_slices(self):
+        k = normalized_fractional(S)
+        g = PhaseGrid(nt=1, nx=32, nv=32, x_period=4.0, v_extent=4.0)
+        f0, cfg = mollified_delta(g, S), SolverConfig(dt=0.05, steps=8)
+        every = trajectory_field(solve(k, f0, g, cfg))
+        sparse = trajectory_field(solve(k, f0, g, replace(cfg, save_every=2)))
+        assert sparse.grid.nt == 5
+        assert np.array_equal(sparse.values, every.values[::2])
+        np.testing.assert_allclose(sparse.grid.t_axis, every.grid.t_axis[::2], rtol=0, atol=1e-15)
