@@ -56,7 +56,6 @@ from .harnack import (
     weak_harnack_ratio,
 )
 from .kernels import (
-    SymmetricPerturbation,
     check_coercivity,
     check_symmetry,
     check_upper_bound,
@@ -221,10 +220,8 @@ def _run_ellipticity(args, em: Emitter) -> None:
     upper = check_upper_bound(k)
     report = {"symmetry": sym, "upper_bound": upper}
     if args.fit:
-        # against the kernel's own lower constant: c for the fractional
-        # kernel, a_min c for its perturbation
-        lambda0 = k.a_min * k.base.c if isinstance(k, SymmetricPerturbation) else k.c
-        report["coercivity"] = check_coercivity(k, lambda0=lambda0)
+        # against the kernel's own lower constant a_min c
+        report["coercivity"] = check_coercivity(k, lambda0=k.a_min * k.c)
     em.json("ellipticity.json", report)
 
 

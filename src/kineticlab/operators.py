@@ -50,18 +50,13 @@ def _singular_moment(k: KernelSpec, v_axis: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _exterior_loss(k: KernelSpec, v_axis: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Per-node rate ``int_{w outside [lo, hi]} K(v_i, w) dw`` of jumps out of the box."""
-    return k.one_sided_tail(v_axis, hi - v_axis, 0.0, 0.0, +1) + k.one_sided_tail(v_axis, v_axis - lo, 0.0, 0.0, -1)
-
-
 def assemble_operator_matrix(k: KernelSpec, grid: PhaseGrid, torus: bool = False) -> np.ndarray:
     """Assemble the dense velocity operator ``A``, ``L f = A f``.
 
     With ``torus=True`` the velocity box is closed periodically
     (minimal-image distances); jumps longer than half the period are
     lost on the diagonal, so each row sums to ``-k.tail_mass(v,
-    v_extent)``.  Otherwise ``f`` is extended by zero beyond the box
+    v_extent, v_extent)``.  Otherwise ``f`` is extended by zero beyond the box
     and each row sums to minus the rate of jumps out of the box.
     """
     v_axis = grid.v_axis
@@ -100,13 +95,14 @@ def assemble_operator_matrix(k: KernelSpec, grid: PhaseGrid, torus: bool = False
         # the loss rate of longer true jumps is restored on the diagonal
         # (their return is negligible for fields that are localized well
         # inside the box).
-        A[idx, idx] -= k.tail_mass(v_axis, grid.v_extent)
+        A[idx, idx] -= k.tail_mass(v_axis, grid.v_extent, grid.v_extent)
     else:
         interior = idx[1:-1]
         A[interior, interior + 1] += corr[interior]
         A[interior, interior - 1] += corr[interior]
         A[interior, interior] += -2.0 * corr[interior]
-        A[idx, idx] -= _exterior_loss(k, v_axis, v_axis[0] - dv / 2, v_axis[-1] + dv / 2)
+        lo, hi = v_axis[0] - dv / 2, v_axis[-1] + dv / 2
+        A[idx, idx] -= k.tail_mass(v_axis, hi - v_axis, v_axis - lo)
     return A
 
 

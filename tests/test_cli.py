@@ -224,6 +224,7 @@ class TestSubcommands:
             coer = json.load(fh)["coercivity"]
         assert coer["lambda0"] == pytest.approx(0.5 / math.pi, rel=1e-15)
         assert coer["pass"] is True and coer["fitted_constant"] >= 1.0
+        assert coer["largest_ratio"] <= 1.5 / 0.5
 
     @pytest.mark.parametrize("sub, kind", [("weak", "Weak"), ("l1linf", "L1Linf")])
     def test_harnack_weak_and_l1linf(self, tmp_path, sub, kind):
@@ -322,6 +323,29 @@ class TestExitCodes:
         out = tmp_path / "x"
         assert main(argv[:1] + ["--kernel-config", str(cfg), "--out", str(out)] + argv[1:]) == 2
         assert "violates the rule d = 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["ellipticity", "--fit"],
+        ["solve", "--nx", "16", "--nv", "16", "--steps", "2"],
+    ])
+    @pytest.mark.parametrize("change, rule", [
+        ({"s": "1.5"}, "violates the rule 0 < s < 1"),
+        ({"s": "0"}, "violates the rule 0 < s < 1"),
+        ({"c": "-1.0"}, "violates the rule c > 0"),
+        ({"c": "nan"}, "violates the rule: a finite number"),
+        ({"a_min": "2", "a_max": "1"}, "violates the rule 0 < a_min <= a_max"),
+        ({"kind": None}, "key 'a_min' violates the rule: kind 'fractional' reads only"),
+        ({"sigma": "7"}, "key 'sigma' violates the rule: kind 'perturbed' reads only"),
+    ])
+    def test_kernel_config_domain_rule_is_config_error(self, tmp_path, capsys, argv, change, rule):
+        pairs = {"kind": "perturbed", "c": repr(1 / math.pi), "s": "0.5", "a_min": "0.5", "a_max": "1.5"}
+        pairs.update(change)
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in pairs.items() if value is not None))
+        out = tmp_path / "x"
+        assert main(argv[:1] + ["--kernel-config", str(cfg), "--out", str(out)] + argv[1:]) == 2
+        assert rule in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("change, rule", [

@@ -2,11 +2,13 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -21,7 +23,6 @@ from kineticlab.kernels import (
     check_coercivity,
     check_symmetry,
     check_upper_bound,
-    default_test_family,
     frac_normalization,
     gauss_legendre,
     kernel_from_config,
@@ -55,7 +56,7 @@ class TestFractionalKernel:
     def test_tail_closed_form(self):
         # int_{|u|>r} c |u|^{-(1+2s)} du = c r^{-2s} / s; c=1, s=1/2 gives 2/r
         k = FractionalLaplacian(c=1.0, s=0.5)
-        assert k.tail_mass(0.3, 0.5) == pytest.approx(2.0 / 0.5, rel=1e-14)
+        assert k.tail_mass(0.3, 0.5, 0.5) == pytest.approx(2.0 / 0.5, rel=1e-14)
 
     @given(orders, st.floats(0.1, 4.0))
     @settings(max_examples=30, deadline=None)
@@ -69,7 +70,7 @@ class TestFractionalKernel:
     @pytest.mark.parametrize("c, s, r", [(1.0, 0.5, 0.5), (1.3, 0.3, 2.0), (1 / math.pi, 0.75, 0.25)])
     def test_two_sided_tail_is_twice_the_closed_form(self, c, s, r):
         # the base two-sided sum reproduces c r^{-2s} / s bit for bit
-        assert FractionalLaplacian(c=c, s=s).tail_mass(0.3, r) == c * r ** (-2 * s) / s
+        assert FractionalLaplacian(c=c, s=s).tail_mass(0.3, r, r) == c * r ** (-2 * s) / s
 
     def test_multi_dimensional_distance(self):
         # velocity arrays of any rank are taken elementwise
@@ -287,9 +288,27 @@ class TestSymmetricKernels:
             assert check_symmetry(k)["max_relative_asymmetry"] == 0.0
 
 
+def _bump(u):
+    """Smooth bump supported on (-1, 1)."""
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+    return out
+
+
+def _witness_family(box=2.0):
+    """Tensor and oscillatory bumps, compactly supported in [-box, box]."""
+    fam = [("bump", lambda v: _bump(v / box))]
+    for freq in (1.0, 2.0, 4.0):
+        fam.append((f"osc{freq:g}", lambda v, f=freq: _bump(v / box) * np.cos(f * v)))
+    fam.append(("shifted", lambda v: _bump((v - 0.5 * box) / (0.5 * box))))
+    return fam
+
+
 def _coercivity_loop(k, family, n=256, box=2.0):
-    """Reference: the coercivity ratios with one tail call per node and side
-    for every test function."""
+    """Witnesses: the ratio of the energy form to the unit Gagliardo form for
+    each test function, over the whole grid with one tail call per node and
+    side."""
     grid = np.linspace(-2 * box, 2 * box, n, endpoint=False)
     h = grid[1] - grid[0]
     V, W = np.meshgrid(grid, grid, indexing="ij")
@@ -313,6 +332,15 @@ def _coercivity_loop(k, family, n=256, box=2.0):
     return ratios
 
 
+class Skewed(KernelSpec):
+    """An asymmetric kernel: jumps up are 10 % likelier than jumps down."""
+
+    s, d = 0.5, 1
+
+    def _eval(self, t, x, v, w):
+        return np.abs(v - w) ** -2.0 * (1.0 + 0.1 * np.sign(w - v))
+
+
 class TestEllipticityChecks:
     def test_symmetry_exact_for_fractional(self):
         rep = check_symmetry(normalized_fractional(0.5))
@@ -320,12 +348,6 @@ class TestEllipticityChecks:
         assert rep["max_relative_asymmetry"] == 0.0
 
     def test_symmetry_detects_asymmetric_kernel(self):
-        class Skewed(KernelSpec):
-            s, d = 0.5, 1
-
-            def _eval(self, t, x, v, w):
-                return np.abs(v - w) ** -2.0 * (1.0 + 0.1 * np.sign(w - v))
-
         rep = check_symmetry(Skewed())
         assert not rep["pass"]
         # the samples are seeded: the same seed, the same report
@@ -355,15 +377,60 @@ class TestEllipticityChecks:
         assert rep["fitted_constant"] > 1.05 * 2.0 * k.a_max
         assert rep["pass"] is False
 
-    def test_coercivity_matches_per_node_loop(self):
-        # the tails taken once on the joint support equal the per-function,
-        # per-node tail loop
-        k = _perturbed()
-        got = check_coercivity(k)["per_function"]
-        want = _coercivity_loop(k, default_test_family())
-        assert got.keys() == want.keys()
-        for name in want:
-            assert got[name] == pytest.approx(want[name], rel=1e-12)
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
+    def test_pencil_ends_match_scipy(self, s):
+        # the ends of the generalized eigenproblem of the two forms
+        k = _perturbed(s=s)
+        want = scipy.linalg.eigh(*kernels._energy_forms(k), eigvals_only=True)
+        rep = check_coercivity(k)
+        assert rep["fitted_constant"] == pytest.approx(want[0], rel=1e-14)
+        assert rep["largest_ratio"] == pytest.approx(want[-1], rel=1e-14)
+
+    def test_constant_multiplier_gives_it_at_both_ends(self):
+        k = kernel_from_config("kind = perturbed\nc = 1.0\ns = 0.5\na_min = 1.3\na_max = 1.3\n")
+        rep = check_coercivity(k)
+        assert rep["fitted_constant"] == pytest.approx(1.3, rel=1e-12)
+        assert rep["largest_ratio"] == pytest.approx(1.3, rel=1e-12)
+
+    def test_witnesses_lie_between_the_pencil_ends(self):
+        # every function supported in |v| < 2 has its ratio between the ends;
+        # the five bumps read far above the smallest
+        k = _perturbed(c=1.0)
+        rep = check_coercivity(k)
+        ratios = _coercivity_loop(k, _witness_family())
+        assert len(ratios) == 5
+        for name, ratio in ratios.items():
+            assert rep["fitted_constant"] <= ratio <= rep["largest_ratio"], name
+        assert min(ratios.values()) > 1.5 * rep["fitted_constant"]
+
+    def test_smallest_end_decreases_toward_a_min(self):
+        # the multiplier 1 + cos(v + w) / 2 reaches a_min = 0.5 on the line
+        # v + w = pi; finer grids resolve it better, from above
+        k = _perturbed(c=1.0)
+        ends = [scipy.linalg.eigh(*kernels._energy_forms(k, n), eigvals_only=True)[0] for n in (128, 256, 512)]
+        assert ends[0] > ends[1] > ends[2] > k.a_min
+        assert ends[2] < 1.02 * k.a_min
+
+    def test_pencil_ends_do_not_depend_on_the_blas_thread_count(self):
+        # the reports are deterministic: the ends read the same bits at 1
+        # and 2 BLAS threads
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
+        code = "\n".join([
+            "from kineticlab import kernels",
+            "k = kernels.kernel_from_config('kind = perturbed\\nc = 0.3\\ns = 0.5\\na_min = 0.5\\na_max = 1.5')",
+            "rep = kernels.check_coercivity(k)",
+            "print(repr(rep['fitted_constant']), repr(rep['largest_ratio']))",
+        ])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            outs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                                       check=True).stdout)
+        assert outs[0] == outs[1]
+
+    def test_coercivity_needs_a_symmetric_kernel(self):
+        with pytest.raises(ValueError, match="not declared symmetric"):
+            check_coercivity(Skewed())
 
     def test_coercivity_identity_kernel(self):
         # the reference Gagliardo form uses c=1; a kernel with c=2 has ratio 2
@@ -400,3 +467,41 @@ class TestConfigRoundtrip:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             kernel_from_config("kind = mystery\ns = 0.5\n")
+
+    @pytest.mark.parametrize("change, rule", [
+        ({"s": "1.5"}, "'s' = '1.5' violates the rule 0 < s < 1"),
+        ({"s": "0"}, "'s' = '0' violates the rule 0 < s < 1"),
+        ({"s": "1"}, "'s' = '1' violates the rule 0 < s < 1"),
+        ({"c": "-1.0"}, "'c' = '-1.0' violates the rule c > 0"),
+        ({"c": "0"}, "'c' = '0' violates the rule c > 0"),
+        ({"c": "nan"}, "'c' = 'nan' violates the rule: a finite number"),
+        ({"s": "inf"}, "'s' = 'inf' violates the rule: a finite number"),
+        ({"a_max": "-inf"}, "'a_max' = '-inf' violates the rule: a finite number"),
+        ({"c": "one"}, "'c' = 'one' violates the rule: a finite number"),
+        ({"a_min": "2", "a_max": "1"}, "violates the rule 0 < a_min <= a_max"),
+        ({"a_min": "0", "a_max": "1"}, "'a_min' = '0' violates the rule 0 < a_min <= a_max"),
+        ({"a_min": "-1", "a_max": "-0.5"}, "'a_min' = '-1' violates the rule 0 < a_min <= a_max"),
+        ({"kind": None}, "key 'a_min' violates the rule: kind 'fractional' reads only the keys c, s"),
+        ({"sigma": "7"}, "key 'sigma' violates the rule: kind 'perturbed' reads only the keys c, s, a_min, a_max"),
+        ({"kind": "fractional", "a_min": None, "a_max": None, "sigma": "7"},
+         "key 'sigma' violates the rule: kind 'fractional' reads only"),
+    ])
+    def test_domain_rules_named(self, change, rule):
+        pairs = {"kind": "perturbed", "c": "1.0", "s": "0.5", "a_min": "0.5", "a_max": "1.5", "d": "1"}
+        pairs.update(change)
+        text = "".join(f"{key} = {value}\n" for key, value in pairs.items() if value is not None)
+        with pytest.raises(ValueError, match=re.escape(rule)):
+            kernel_from_config(text)
+
+    @pytest.mark.parametrize("text", ["c = 0.3\ns = 1.5\ns = 0.5\n", "kind = fractional\nc = 0.3\ns = 0.5\nkind = fractional\n"])
+    def test_repeated_key_rejected(self, text):
+        with pytest.raises(ValueError, match="violates the rule: each key at most once"):
+            kernel_from_config(text)
+
+    @pytest.mark.parametrize("text", [
+        "c = 0.3\ns = 0.5\n",
+        "# a comment\nkind = fractional\nc = 0.3\ns = 1e-3\nd = 1\n",
+        "kind = perturbed\nc = 0.3\ns = 0.999\na_min = 1.5\na_max = 1.5\n",
+    ])
+    def test_domain_boundary_accepted(self, text):
+        assert isinstance(kernel_from_config(text), KernelSpec)

@@ -35,7 +35,7 @@ class TestSymbol:
         grid = _vgrid(128, 6.0)
         A = assemble_operator_matrix(k, grid, torus=True)
         # rows sum to minus the restored loss rate of jumps longer than half the period
-        leak = k.tail_mass(grid.v_axis, grid.v_extent)
+        leak = k.tail_mass(grid.v_axis, grid.v_extent, grid.v_extent)
         assert np.max(np.abs(A.sum(axis=1) + leak)) < 1e-10
 
     def test_matrix_symmetric_for_symmetric_kernel(self):
